@@ -5,111 +5,37 @@ piecewise-linear finite elements in space.  The memory term over past
 time steps can be evaluated exactly (quadratic cost in the number of
 steps) or through a clustered low-rank approximation with near-linear
 cost and logarithmic live storage.
+
+The package root holds the run API; the building blocks (weights,
+expansion, cluster tree, history engine, diagnostics) live in their
+modules.
 """
 
-from .clustering import Cluster, ClusterTree, Cover, auto_depth, build_uniform_tree, max_depth
-from .dg_stepper import (
-    RunConfig,
-    RunResult,
-    StabilityReport,
-    fast_run,
-    optimal_eta,
-    rho_nu,
-    select_params,
-    slow_run,
-    stability_diagnostic,
-)
-from .frac_weights import (
-    KernelParams,
-    SeriesControl,
-    SeriesConvergenceError,
-    WeightEngine,
-    b_mu,
-    beta_adjacent,
-    beta_diag,
-    beta_interval,
-    beta_offdiag,
-    d_mu,
-    omega,
-)
-from .history_engine import EngineCounters, HistoryEngine, SolutionSink
-from .reference_solution import (
-    ContourAccuracyError,
-    LaplaceContour,
-    direct_history_sum,
-    exact_field,
-    max_nodal_error,
-    mittag_leffler_series,
-    u11,
-    u11_classical,
-)
-from .spatial_fem import (
-    EllipticSolver,
-    SeparableSource,
-    SpatialGrid,
-    assemble,
-    l2_norm,
-    load_average,
-    nodal_interpolant,
-    sine_mode,
-    benchmark_source,
-)
-from .taylor_expansion import ExpansionParams, FarBasis, phi_coeffs, psi_coeffs, tilde_beta
+from .clustering import max_depth
+from .dg_stepper import RunConfig, RunResult, fast_run, optimal_eta, slow_run
+from .frac_weights import SeriesControl
+from .history_engine import SolutionSink
+from .reference_solution import LaplaceContour, max_nodal_error, u11
+from .spatial_fem import SeparableSource, SpatialGrid, benchmark_source, sine_mode
 from .time_mesh import TimeMesh, mesh_from_levels, uniform_mesh
 
 __all__ = [
-    "Cluster",
-    "ClusterTree",
-    "ContourAccuracyError",
-    "Cover",
-    "EllipticSolver",
-    "EngineCounters",
-    "ExpansionParams",
-    "FarBasis",
-    "HistoryEngine",
-    "KernelParams",
     "LaplaceContour",
     "RunConfig",
     "RunResult",
     "SeparableSource",
     "SeriesControl",
-    "SeriesConvergenceError",
     "SolutionSink",
     "SpatialGrid",
-    "StabilityReport",
     "TimeMesh",
-    "WeightEngine",
-    "assemble",
-    "auto_depth",
-    "b_mu",
-    "beta_adjacent",
-    "beta_diag",
-    "beta_interval",
-    "beta_offdiag",
-    "build_uniform_tree",
-    "d_mu",
-    "direct_history_sum",
-    "exact_field",
+    "benchmark_source",
     "fast_run",
-    "l2_norm",
-    "load_average",
     "max_depth",
     "max_nodal_error",
     "mesh_from_levels",
-    "mittag_leffler_series",
-    "nodal_interpolant",
-    "omega",
     "optimal_eta",
-    "phi_coeffs",
-    "psi_coeffs",
-    "rho_nu",
-    "select_params",
     "sine_mode",
     "slow_run",
-    "stability_diagnostic",
-    "benchmark_source",
-    "tilde_beta",
     "u11",
-    "u11_classical",
     "uniform_mesh",
 ]

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import ClusterTree
-from .dg_stepper import RunConfig, RunResult, fast_run, slow_run, stability_diagnostic
-from .history_engine import HistoryEngine, SolutionSink
-from .reference_solution import exact_field, u11
+from .dg_stepper import RunConfig, fast_run, slow_run, stability_diagnostic
+from .history_engine import SolutionSink
+from .reference_solution import u11
 from .spatial_fem import EllipticSolver, SpatialGrid, l2_norm, sine_mode, benchmark_source
 from .time_mesh import uniform_mesh
 
@@ -135,7 +135,10 @@ def _single_run(spec: ExperimentSpec, mode: str, N: int, r: int | None,
         sink = SolutionSink(out / f"solution_fast_N{N}{tag}.bin",
                             {"nu": spec.nu, "T": spec.T, "N": N,
                              "dim": spec.dim, "m": spec.m, "M": grid.M})
-        result = fast_run(config, source, u0, sink=sink)
+        try:
+            result = fast_run(config, source, u0, sink=sink)
+        finally:
+            sink.close()
         r_used, eta_used = result.r, f"{result.eta:.12g}"
 
     solver = EllipticSolver(grid)
@@ -207,19 +210,11 @@ def run(spec: ExperimentSpec) -> int:
             f"certified {report.certified}",
             "",
         ]
-        covers = HistoryEngine(tree, _weights_for(spec, mesh), report.r,
-                               report.eta, m=1)
         for leaf in tree.leaves():
             lines.append(f"leaf {leaf}")
-            lines.append(tree.dump(covers.cover_for(leaf.lo)))
+            lines.append(tree.dump(tree.minimal_cover(leaf, report.eta)))
         (out / "tree_dump.txt").write_text("\n".join(lines) + "\n")
     return 0
-
-
-def _weights_for(spec: ExperimentSpec, mesh):
-    from .frac_weights import KernelParams, WeightEngine
-
-    return WeightEngine(KernelParams(spec.nu), mesh)
 
 
 def main(argv: list[str] | None = None) -> int:

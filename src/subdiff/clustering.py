@@ -237,11 +237,6 @@ def max_depth(N: int, Q: int) -> int:
     return g
 
 
-def build_uniform_tree(mesh: TimeMesh, Q: int, G: int) -> ClusterTree:
-    """Uniform Q-ary tree of depth G; requires N divisible by Q^G."""
-    return ClusterTree(mesh, Q, G)
-
-
 def auto_depth(N: int, Q: int) -> int:
     """Default tree depth: round(log_Q N) - 2, lowered to the nearest depth
     dividing N, at least 1."""

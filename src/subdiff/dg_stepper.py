@@ -3,22 +3,26 @@ clustered scheme, and stability/accuracy parameter selection.
 
 Each step solves (mass + beta_nn * stiffness) U^n = mass U^{n-1}
 + k_n * load_n + stiffness * H_n, where H_n is the weighted sum over the
-past steps.  The slow driver evaluates H_n directly and retains every
-solution vector; the fast driver delegates H_n to the history engine.
+past steps.  Both schemes take that same step; they differ only in how
+H_n is computed.  The slow scheme evaluates H_n directly over every
+retained solution vector; the fast scheme delegates H_n to the history
+engine.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .clustering import ClusterTree, auto_depth
 from .frac_weights import KernelParams, SeriesControl, WeightEngine
 from .history_engine import HistoryEngine, SolutionSink
-from .spatial_fem import EllipticSolver, SeparableSource, SpatialGrid, l2_norm, load_average
+from .reference_solution import direct_history_sum
+from .spatial_fem import EllipticSolver, SeparableSource, SpatialGrid, load_average
+from .taylor_expansion import ExpansionParams, phi_coeffs, psi_coeffs
 from .time_mesh import TimeMesh
 
 
@@ -38,6 +42,16 @@ class RunConfig:
 
     def resolved_depth(self) -> int:
         return self.G if self.G is not None else auto_depth(self.mesh.N, self.Q)
+
+    def resolved_params(self) -> tuple[int, float]:
+        """Validated expansion order and admissibility parameter: those of
+        select_params, with an explicit eta overriding the cost-optimal
+        one.  An explicit eta requires an explicit r."""
+        if self.eta is not None and self.r is None:
+            raise ValueError("an explicit eta requires an explicit expansion order r")
+        r, eta = select_params(self.nu, self.mesh, self.r, self.c_acc)
+        params = ExpansionParams(r, eta if self.eta is None else self.eta)
+        return params.r, params.eta
 
 
 @dataclass
@@ -118,77 +132,70 @@ def select_params(nu: float, mesh: TimeMesh, r: int | None = None,
     )
 
 
+def _march(config: RunConfig, weights: WeightEngine, source: SeparableSource | None,
+           u0: np.ndarray | None, sink: SolutionSink | None, res: RunResult,
+           t0: float, drive) -> RunResult:
+    """The DG step both schemes share, driven by drive(step).
+
+    drive must call step(n, H_n) for n = 1..N in order; step solves for
+    U^n, retains it in res.solutions, writes it to the sink and returns
+    it.  Set-up time runs from t0 to the first step; rhs_seconds is all
+    time between two solves (history work in drive included), so the
+    three phases add up to the whole run.
+    """
+    mesh, grid = config.mesh, config.grid
+    solver = EllipticSolver(grid)
+    u_prev = np.zeros(grid.M) if u0 is None else np.asarray(u0, dtype=float)
+    mark = time.perf_counter()
+    res.setup_seconds = mark - t0
+
+    def step(n: int, hist: np.ndarray) -> np.ndarray:
+        nonlocal u_prev, mark
+        rhs = solver.mass @ u_prev + mesh.step(n) * load_average(solver, mesh, n, source)
+        rhs += solver.stiffness @ hist
+        t = time.perf_counter()
+        res.rhs_seconds += t - mark
+        u_prev = solver.solve(weights.diag(n), rhs)
+        mark = time.perf_counter()
+        res.solver_seconds += mark - t
+        res.solutions.append(u_prev)
+        if sink is not None:
+            sink.write(u_prev)
+        return u_prev
+
+    drive(step)
+    res.rhs_seconds += time.perf_counter() - mark
+    return res
+
+
 def slow_run(config: RunConfig, source: SeparableSource | None,
              u0: np.ndarray | None) -> RunResult:
     """Reference scheme with exact weights and full history retention."""
-    mesh, grid = config.mesh, config.grid
     t0 = time.perf_counter()
-    solver = EllipticSolver(grid)
-    params = KernelParams(config.nu)
-    weights = WeightEngine(params, mesh, config.series)
-    u_prev = np.zeros(grid.M) if u0 is None else np.asarray(u0, dtype=float)
-    history: list[np.ndarray] = []
-    sols: list[np.ndarray] = []
-    res = RunResult(solutions=sols)
-    res.setup_seconds = time.perf_counter() - t0
-    for n in range(1, mesh.N + 1):
-        t1 = time.perf_counter()
-        acc = np.zeros(grid.M)
-        for j in range(1, n):
-            acc += weights.offdiag(n, j) * history[j - 1]
-            res.rhs_ops += grid.M
-        rhs = solver.mass @ u_prev + mesh.step(n) * load_average(solver, mesh, n, source)
-        rhs += solver.stiffness @ acc
-        t2 = time.perf_counter()
-        u = solver.solve(weights.diag(n), rhs)
-        res.solver_seconds += time.perf_counter() - t2
-        res.rhs_seconds += t2 - t1
-        history.append(u)
-        sols.append(u)
-        u_prev = u
-    res.peak_values = mesh.N * grid.M
-    return res
+    mesh, M = config.mesh, config.grid.M
+    weights = WeightEngine(KernelParams(config.nu), mesh, config.series)
+    res = RunResult(solutions=[], peak_values=mesh.N * M)
+
+    def drive(step) -> None:
+        for n in range(1, mesh.N + 1):
+            hist = direct_history_sum(weights, res.solutions, n) if n > 1 else np.zeros(M)
+            res.rhs_ops += (n - 1) * M
+            step(n, hist)
+
+    return _march(config, weights, source, u0, None, res, t0, drive)
 
 
 def fast_run(config: RunConfig, source: SeparableSource | None,
              u0: np.ndarray | None, sink: SolutionSink | None = None) -> RunResult:
-    """Clustered scheme with low-rank far-field history."""
-    mesh, grid = config.mesh, config.grid
+    """Clustered scheme with low-rank far-field history.  The sink, if
+    given, receives every U^n; the caller that opened it closes it."""
     t0 = time.perf_counter()
-    if config.eta is not None and config.r is None:
-        raise ValueError("an explicit eta requires an explicit expansion order r")
-    r, eta = select_params(config.nu, mesh, config.r, config.c_acc)
-    if config.eta is not None:
-        eta = config.eta
-    G = config.resolved_depth()
-    solver = EllipticSolver(grid)
-    params = KernelParams(config.nu)
-    weights = WeightEngine(params, mesh, config.series)
-    tree = ClusterTree(mesh, config.Q, G)
-    engine = HistoryEngine(tree, weights, r, eta, grid.M, sink=sink)
-    u_prev = np.zeros(grid.M) if u0 is None else np.asarray(u0, dtype=float)
-    sols: list[np.ndarray] = []
-    res = RunResult(solutions=sols, r=r, eta=eta)
-    res.setup_seconds = time.perf_counter() - t0
-    state = {"u_prev": u_prev, "rhs_t": 0.0, "solve_t": 0.0}
-
-    def step(n: int, hist: np.ndarray) -> np.ndarray:
-        t1 = time.perf_counter()
-        rhs = solver.mass @ state["u_prev"] + mesh.step(n) * load_average(
-            solver, mesh, n, source
-        )
-        rhs += solver.stiffness @ hist
-        t2 = time.perf_counter()
-        u = solver.solve(weights.diag(n), rhs)
-        state["solve_t"] += time.perf_counter() - t2
-        state["rhs_t"] += t2 - t1
-        state["u_prev"] = u
-        sols.append(u)
-        return u
-
-    engine.run_schedule(step)
-    res.rhs_seconds = state["rhs_t"]
-    res.solver_seconds = state["solve_t"]
+    r, eta = config.resolved_params()
+    weights = WeightEngine(KernelParams(config.nu), config.mesh, config.series)
+    tree = ClusterTree(config.mesh, config.Q, config.resolved_depth())
+    engine = HistoryEngine(tree, weights, r, eta, config.grid.M)
+    res = _march(config, weights, source, u0, sink, RunResult(solutions=[], r=r, eta=eta),
+                 t0, engine.run_schedule)
     res.rhs_ops = engine.counters.rhs_ops + engine.counters.update_ops
     res.peak_values = engine.counters.high_water
     return res
@@ -216,23 +223,18 @@ def stability_diagnostic(config: RunConfig) -> StabilityReport:
     perturbed scheme.
     """
     mesh = config.mesh
-    r, eta = select_params(config.nu, mesh, config.r, config.c_acc)
-    if config.eta is not None:
-        eta = config.eta
-    params = KernelParams(config.nu)
-    weights = WeightEngine(params, mesh, config.series)
+    r, eta = config.resolved_params()
+    weights = WeightEngine(KernelParams(config.nu), mesh, config.series)
     tree = ClusterTree(mesh, config.Q, config.resolved_depth())
-    engine = HistoryEngine(tree, weights, r, eta, m=1)
-    from .taylor_expansion import phi_coeffs, psi_coeffs
+    covers = {leaf: tree.minimal_cover(leaf, eta) for leaf in tree.leaves()}
 
     N = mesh.N
     row = np.zeros(N + 1)
     col = np.zeros(N + 1)
     lv = mesh.levels
     for n in range(2, N + 1):
-        cover = engine.cover_for(n)
-        for c in cover.far:
-            sbar = engine._sbar(c)
+        for c in covers[tree.leaf_of(n)].far:
+            sbar = 0.5 * float(lv[c.lo - 1] + lv[c.hi])
             phi = phi_coeffs(config.nu, r, sbar, lv[n - 1], lv[n])
             for j in range(c.lo, c.hi + 1):
                 psi = psi_coeffs(r, sbar, lv[j - 1], lv[j])

@@ -19,7 +19,7 @@ memory bounds can be checked machine-independently.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +81,7 @@ class HistoryEngine:
     """State machine evaluating sums over past steps of beta~_nj * U^j."""
 
     def __init__(self, tree: ClusterTree, weights: WeightEngine, r: int,
-                 eta: float, m: int, sink: SolutionSink | None = None):
+                 eta: float, m: int):
         if r < 1:
             raise ValueError("expansion order r must be at least 1")
         if not 0.0 < eta <= 1.0 or eta != eta:
@@ -91,7 +91,6 @@ class HistoryEngine:
         self.r = r
         self.eta = eta
         self.m = m
-        self.sink = sink
         self.counters = EngineCounters()
         self.retained: dict[int, np.ndarray] = {}
         self.moments: dict[int, np.ndarray] = {}  # node id -> (r, m) array
@@ -221,17 +220,11 @@ class HistoryEngine:
     def run_schedule(self, step_callback) -> None:
         """Full N-step loop: per step, build the cover, free descendants of
         its non-leaf members, evaluate the history, hand it to the stepper
-        callback, persist and commit the accepted vector."""
+        callback and commit the vector it returns."""
         for n in range(1, self.tree.mesh.N + 1):
             cover = self.cover_for(n)
             for c in cover.members():
                 if not self.tree.is_leaf(c):
                     for child in self.tree.children_of(c):
                         self.free_cluster(child)
-            hist = self.history_sum(n)
-            value = step_callback(n, hist)
-            if self.sink is not None:
-                self.sink.write(value)
-            self.commit_step(n, value)
-        if self.sink is not None:
-            self.sink.close()
+            self.commit_step(n, step_callback(n, self.history_sum(n)))

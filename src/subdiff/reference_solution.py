@@ -153,9 +153,9 @@ def max_nodal_error(numeric: list[np.ndarray] | np.ndarray,
 def direct_history_sum(weights, values: list[np.ndarray], n: int) -> np.ndarray:
     """Literal sum over j < n of beta_nj * U^j with exact weights.
 
-    The O(n M) equivalence oracle for the fast engine; accumulation runs
-    in ascending j so the arithmetic matches the engine's near-field path
-    bit for bit.
+    The slow scheme's history sum and the O(n M) equivalence oracle for
+    the fast engine; accumulation runs in ascending j so the arithmetic
+    matches the engine's near-field path bit for bit.
     """
     if n < 1:
         raise ValueError("step index must be at least 1")

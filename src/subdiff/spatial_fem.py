@@ -9,7 +9,7 @@ so (mass + beta * stiffness) systems are solved by DST-I diagonalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -95,9 +95,6 @@ class EllipticSolver:
     def _shape(self, v: np.ndarray) -> np.ndarray:
         n = self.grid.m - 1
         return v.reshape((n,) * self.grid.dim)
-
-    def apply(self, beta: float, v: np.ndarray) -> np.ndarray:
-        return self.mass @ v + beta * (self.stiffness @ v)
 
     def solve(self, beta: float, b: np.ndarray) -> np.ndarray:
         """Solve (mass + beta * stiffness) u = b by sine diagonalization."""

@@ -15,14 +15,12 @@ the cancellation-prone direct differences.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma
 
 from .frac_weights import d_mu
-from .time_mesh import TimeMesh
 
 
 @dataclass(frozen=True)
@@ -82,18 +80,6 @@ def psi_coeffs(r: int, sbar: float, t_prev: float, t_next: float) -> np.ndarray:
     return out
 
 
-def phi_for_interval(params: ExpansionParams, mesh: TimeMesh, nu: float,
-                     sbar: float, n: int) -> np.ndarray:
-    """phi coefficients for mesh interval n about the source midpoint sbar."""
-    return phi_coeffs(nu, params.r, sbar, mesh.level(n - 1), mesh.level(n))
-
-
-def psi_for_interval(params: ExpansionParams, mesh: TimeMesh,
-                     sbar: float, j: int) -> np.ndarray:
-    """psi moments for mesh interval j about the source midpoint sbar."""
-    return psi_coeffs(params.r, sbar, mesh.level(j - 1), mesh.level(j))
-
-
 def tilde_beta(phi: np.ndarray, psi: np.ndarray) -> float:
     """Rank-r approximate weight: the inner product of phi and psi."""
     phi = np.asarray(phi, dtype=float)
@@ -101,16 +87,3 @@ def tilde_beta(phi: np.ndarray, psi: np.ndarray) -> float:
     if phi.shape != psi.shape:
         raise ValueError(f"coefficient length mismatch: {phi.shape} vs {psi.shape}")
     return float(phi @ psi)
-
-
-@dataclass
-class FarBasis:
-    """Expansion data attached to one source block (a, b].
-
-    sbar is the block midpoint; phi/psi tables are filled lazily per
-    target or source interval index.
-    """
-
-    sbar: float
-    phi: dict[int, np.ndarray] = field(default_factory=dict)
-    psi: dict[int, np.ndarray] = field(default_factory=dict)

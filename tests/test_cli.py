@@ -3,7 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from subdiff.cli import ExperimentSpec, main, parse_args, run
+from subdiff import cli
+from subdiff.cli import main, parse_args, run
+from subdiff.spatial_fem import SeparableSource
 
 
 def test_parse_defaults():
@@ -113,10 +115,40 @@ def test_errors_csv_is_deterministic(tmp_path):
     assert (out1 / "errors.csv").read_text() == (out2 / "errors.csv").read_text()
 
 
-def test_main_reports_module_errors(capsys):
+def test_main_reports_module_errors(capsys, tmp_path):
     # depth/divisibility conflict surfaces as a clean nonzero exit
     code = main("--nu 0.5 --T 1 --N 16000 --dim 1 --m 4 --mode fast "
-                "--Q 2 --G 10 --out /tmp/subdiff-err".split())
+                f"--Q 2 --G 10 --out {tmp_path}".split())
     assert code == 1
     err = capsys.readouterr().err
     assert "largest admissible G is 7" in err
+    # the solution stream opened before the failure is closed, with its header
+    hdr = (tmp_path / "solution_fast_N16000.bin.hdr").read_text().splitlines()
+    assert hdr[-1] == "records 0"
+
+
+def test_run_failing_midway_closes_solution_stream(capsys, tmp_path, monkeypatch):
+    k = 5
+    make_source = cli.benchmark_source
+
+    def failing_source(grid):
+        inner = make_source(grid)
+        steps = []
+
+        def time_average(t0, t1):
+            steps.append(t0)
+            if len(steps) == k:
+                raise RuntimeError(f"source failed at step {k}")
+            return inner.time_average(t0, t1)
+
+        return SeparableSource(spatial=inner.spatial, time_average=time_average)
+
+    monkeypatch.setattr(cli, "benchmark_source", failing_source)
+    code = main(f"--nu 0.5 --T 1 --N 16 --dim 1 --m 4 --mode fast --r 3 "
+                f"--Q 2 --G 2 --out {tmp_path}".split())
+    assert code == 1
+    assert f"source failed at step {k}" in capsys.readouterr().err
+    stream = tmp_path / "solution_fast_N16_r3.bin"
+    assert np.fromfile(stream, dtype="<f8").shape == ((k - 1) * 3,)
+    hdr = (tmp_path / "solution_fast_N16_r3.bin.hdr").read_text().splitlines()
+    assert hdr[-1] == f"records {k - 1}"

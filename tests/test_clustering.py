@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from subdiff.clustering import Cluster, ClusterTree, auto_depth, build_uniform_tree, max_depth
+from subdiff.clustering import Cluster, ClusterTree, auto_depth, max_depth
 from subdiff.time_mesh import uniform_mesh
 
 
@@ -162,9 +162,3 @@ def test_dump_marks_cover_roles():
     assert "C(1,2)  [FAR]" in text
     assert "C(7,7)  [NEAR]" in text
     assert "C(8,8)  [LEAF*]" in text
-
-
-def test_build_uniform_tree_alias():
-    mesh = uniform_mesh(8, 1.0)
-    tree = build_uniform_tree(mesh, 2, 3)
-    assert tree.root == Cluster(1, 8)

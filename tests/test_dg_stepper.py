@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -124,6 +125,32 @@ def test_fast_run_eta_requires_r():
     mesh, grid, src, u0 = problem(N=8)
     with pytest.raises(ValueError, match="explicit eta"):
         fast_run(RunConfig(nu=0.5, mesh=mesh, grid=grid, eta=0.5, Q=2, G=2), src, u0)
+    with pytest.raises(ValueError, match="explicit eta"):
+        stability_diagnostic(RunConfig(nu=0.5, mesh=mesh, grid=grid, eta=0.9, Q=2, G=2))
+
+
+def test_resolved_params_single_rule():
+    mesh, grid, src, u0 = problem(N=8)
+    base = dict(nu=0.5, mesh=mesh, grid=grid, Q=2, G=2)
+    assert RunConfig(r=5, **base).resolved_params() == (5, optimal_eta(5))
+    assert RunConfig(r=5, eta=0.9, **base).resolved_params() == (5, 0.9)
+    assert RunConfig(**base).resolved_params() == select_params(0.5, mesh)
+    # an eta outside (0, 1] is rejected by the run and the diagnostic alike
+    cfg = RunConfig(r=4, eta=1.5, **base)
+    with pytest.raises(ValueError, match="eta must lie"):
+        fast_run(cfg, src, u0)
+    with pytest.raises(ValueError, match="eta must lie"):
+        stability_diagnostic(cfg)
+
+
+def test_phase_times_cover_the_whole_run():
+    mesh, grid, src, u0 = problem(N=64, m=16)
+    for run in (slow_run, fast_run):
+        start = time.perf_counter()
+        res = run(RunConfig(nu=0.5, mesh=mesh, grid=grid, r=4, Q=2, G=3), src, u0)
+        wall = time.perf_counter() - start
+        assert res.total_seconds <= wall
+        assert res.total_seconds >= 0.9 * wall
 
 
 def test_homogeneous_norm_nonincreasing():

@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from subdiff.clustering import Cluster, ClusterTree
+from subdiff.dg_stepper import RunConfig, fast_run
 from subdiff.frac_weights import KernelParams, WeightEngine
 from subdiff.history_engine import EngineCounters, HistoryEngine, SolutionSink
 from subdiff.reference_solution import direct_history_sum
+from subdiff.spatial_fem import SpatialGrid, benchmark_source, sine_mode
 from subdiff.time_mesh import uniform_mesh
 
 
-def make_engine(N=64, nu=0.5, Q=2, G=3, r=4, eta=0.6, m=3, T=None, sink=None):
+def make_engine(N=64, nu=0.5, Q=2, G=3, r=4, eta=0.6, m=3, T=None):
     mesh = uniform_mesh(N, float(T if T is not None else N))
     weights = WeightEngine(KernelParams(nu), mesh)
     tree = ClusterTree(mesh, Q, G)
-    return HistoryEngine(tree, weights, r, eta, m, sink=sink), weights
+    return HistoryEngine(tree, weights, r, eta, m), weights
 
 
 def random_values(N, m, seed=1):
@@ -135,18 +137,21 @@ def test_run_schedule_accuracy_against_direct_oracle():
 
 
 def test_solution_sink_roundtrip(tmp_path):
+    mesh = uniform_mesh(8, 1.0)
+    grid = SpatialGrid(dim=1, m=4)
+    config = RunConfig(nu=0.5, mesh=mesh, grid=grid, r=3, Q=2, G=2)
     path = tmp_path / "stream.bin"
-    sink = SolutionSink(path, {"N": 4, "m": 3})
-    vals = random_values(4, 3, seed=9)
-    engine, _ = make_engine(N=4, G=1, Q=2, m=3, sink=sink)
-    engine.run_schedule(lambda n, hist: vals[n - 1])
-    data = np.fromfile(path, dtype="<f8").reshape(4, 3)
-    np.testing.assert_array_equal(data, np.vstack(vals))
-    header = (path.parent / "stream.bin.hdr").read_text()
-    assert "N 4" in header
-    assert "records 4" in header
+    sink = SolutionSink(path, {"N": 8, "M": grid.M})
+    try:
+        result = fast_run(config, benchmark_source(grid), sine_mode(grid, 1), sink=sink)
+    finally:
+        sink.close()
+    data = np.fromfile(path, dtype="<f8").reshape(8, grid.M)
+    np.testing.assert_array_equal(data, np.vstack(result.solutions))
+    header = (path.parent / "stream.bin.hdr").read_text().splitlines()
+    assert header == ["N 8", "M 3", "records 8"]
     with pytest.raises(ValueError, match="closed"):
-        sink.write(vals[0])
+        sink.write(result.solutions[0])
 
 
 def test_engine_validation():

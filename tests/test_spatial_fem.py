@@ -63,14 +63,6 @@ def test_solver_residual(dim):
         assert np.max(np.abs(resid)) < 1e-12
 
 
-def test_solver_apply_matches_matrices():
-    grid = SpatialGrid(dim=2, m=6, K=1.0)
-    solver = EllipticSolver(grid)
-    v = np.arange(grid.M, dtype=float)
-    want = solver.mass @ v + 2.5 * (solver.stiffness @ v)
-    np.testing.assert_allclose(solver.apply(2.5, v), want, rtol=1e-13)
-
-
 def test_discrete_eigenvalue_converges_to_one():
     """With K = 1/(2 pi^2), the first generalized eigenvalue of the 2D
     stiffness/mass pair tends to the continuous value 1."""

@@ -6,7 +6,6 @@ import pytest
 from subdiff.frac_weights import beta_interval
 from subdiff.taylor_expansion import (
     ExpansionParams,
-    FarBasis,
     phi_coeffs,
     psi_coeffs,
     tilde_beta,
@@ -105,17 +104,3 @@ def test_relative_error_bound_randomized(nu):
             psi = psi_coeffs(r, sbar, a, b)
             bound = ExpansionParams(r, eta).error_factor(nu) * exact
             assert abs(tilde_beta(phi, psi) - exact) <= bound
-
-
-def test_far_basis_tables():
-    basis = FarBasis(sbar=1.0)
-    params = ExpansionParams(r=4, eta=0.5)
-    from subdiff.taylor_expansion import phi_for_interval, psi_for_interval
-    from subdiff.time_mesh import uniform_mesh
-
-    mesh = uniform_mesh(8, 8.0)
-    basis.phi[5] = phi_for_interval(params, mesh, 0.5, basis.sbar, 5)
-    basis.psi[1] = psi_for_interval(params, mesh, basis.sbar, 1)
-    np.testing.assert_allclose(basis.phi[5],
-                               phi_coeffs(0.5, 4, 1.0, 4.0, 5.0))
-    np.testing.assert_allclose(basis.psi[1], psi_coeffs(4, 1.0, 0.0, 1.0))
