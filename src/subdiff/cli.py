@@ -196,23 +196,26 @@ def run(spec: ExperimentSpec) -> int:
         writer.writerows(error_rows)
 
     if spec.diag_stability:
-        mesh = uniform_mesh(spec.N, spec.T)
         grid = SpatialGrid(dim=spec.dim, m=spec.m, K=spec.diffusivity())
-        config = RunConfig(nu=spec.nu, mesh=mesh, grid=grid, r=spec.r,
-                           eta=spec.eta, Q=spec.Q, G=spec.G)
-        report = stability_diagnostic(config)
-        tree = ClusterTree(mesh, spec.Q, config.resolved_depth())
-        lines = [
-            f"r {report.r}",
-            f"eta {report.eta:.12g}",
-            f"row_ratio {report.row_ratio:.6e}",
-            f"col_ratio {report.col_ratio:.6e}",
-            f"certified {report.certified}",
-            "",
-        ]
-        for leaf in tree.leaves():
-            lines.append(f"leaf {leaf}")
-            lines.append(tree.dump(tree.minimal_cover(leaf, report.eta)))
+        lines = []
+        for N in n_values:
+            mesh = uniform_mesh(N, spec.T)
+            config = RunConfig(nu=spec.nu, mesh=mesh, grid=grid, r=spec.r,
+                               eta=spec.eta, Q=spec.Q, G=spec.G)
+            report = stability_diagnostic(config)
+            tree = ClusterTree(mesh, spec.Q, config.resolved_depth())
+            lines += [
+                f"N {N}",
+                f"r {report.r}",
+                f"eta {report.eta:.12g}",
+                f"row_ratio {report.row_ratio:.6e}",
+                f"col_ratio {report.col_ratio:.6e}",
+                f"certified {report.certified}",
+                "",
+            ]
+            for leaf in tree.leaves():
+                lines.append(f"leaf {leaf}")
+                lines.append(tree.dump(tree.minimal_cover(leaf, report.eta)))
         (out / "tree_dump.txt").write_text("\n".join(lines) + "\n")
     return 0
 

@@ -226,21 +226,27 @@ def stability_diagnostic(config: RunConfig) -> StabilityReport:
     r, eta = config.resolved_params()
     weights = WeightEngine(KernelParams(config.nu), mesh, config.series)
     tree = ClusterTree(mesh, config.Q, config.resolved_depth())
-    covers = {leaf: tree.minimal_cover(leaf, eta) for leaf in tree.leaves()}
 
     N = mesh.N
     row = np.zeros(N + 1)
     col = np.zeros(N + 1)
     lv = mesh.levels
-    for n in range(2, N + 1):
-        for c in covers[tree.leaf_of(n)].far:
-            sbar = 0.5 * float(lv[c.lo - 1] + lv[c.hi])
-            phi = phi_coeffs(config.nu, r, sbar, lv[n - 1], lv[n])
-            for j in range(c.lo, c.hi + 1):
-                psi = psi_coeffs(r, sbar, lv[j - 1], lv[j])
-                diff = abs(float(phi @ psi) - weights.offdiag(n, j))
-                row[n] += diff
-                col[j] += diff
+    for leaf in tree.leaves():
+        far = tree.minimal_cover(leaf, eta).far
+        if not far:
+            continue
+        steps = range(leaf.lo, leaf.hi + 1)
+        sbar = 0.5 * (lv[[c.lo - 1 for c in far]] + lv[[c.hi for c in far]])
+        # phi of every far member at every step of the leaf, in one call
+        phi = phi_coeffs(config.nu, r, sbar[:, None], lv[leaf.lo - 1:leaf.hi],
+                         lv[leaf.lo:leaf.hi + 1])
+        for c, s, phi_c in zip(far, sbar, phi):
+            psi = psi_coeffs(r, s, lv[c.lo - 1:c.hi], lv[c.lo:c.hi + 1])
+            exact = np.array([[weights.offdiag(n, j) for j in range(c.lo, c.hi + 1)]
+                              for n in steps])
+            diff = np.abs(phi_c @ psi.T - exact)
+            row[leaf.lo:leaf.hi + 1] += diff.sum(axis=1)
+            col[c.lo:c.hi + 1] += diff.sum(axis=0)
     rn = rho_nu(config.nu)
     budget_row = max(
         row[n] / (rn * mesh.T ** (config.nu - 1.0) * mesh.step(n)) for n in range(2, N + 1)

@@ -68,7 +68,8 @@ class LaplaceContour:
         return z, w
 
 
-def _u11_hat(nu: float, z: complex, forced: bool) -> complex:
+def _u11_hat(nu: float, z, forced: bool):
+    """uhat at the contour points z (a complex scalar or array)."""
     num = 1.0 + (1.0 / z + np.pi / (z * z + np.pi**2) if forced else 0.0)
     return num / (z + z ** (1.0 - nu))
 
@@ -101,20 +102,13 @@ def u11(nu: float, t: float, contour: LaplaceContour = LaplaceContour(),
 def _u11_eval(nu: float, t: float, contour: LaplaceContour, forced: bool,
               nodes: int) -> float:
     z, w = contour.quadrature(t, nodes)
+    vals = _u11_hat(nu, z, forced)
+    pole_part = 0.0
     if forced:
         res = _forcing_residue(nu)
         zp = 1j * math.pi
-
-        def fhat(zz):
-            return _u11_hat(nu, zz, True) - res / (zz - zp) - res.conjugate() / (zz + zp)
-
+        vals = vals - res / (z - zp) - res.conjugate() / (z + zp)
         pole_part = 2.0 * (res * cmath.exp(zp * t)).real
-    else:
-        def fhat(zz):
-            return _u11_hat(nu, zz, False)
-
-        pole_part = 0.0
-    vals = np.array([fhat(zz) for zz in z])
     return float(np.sum(w * np.exp(z * t) * vals).real) + pole_part
 
 

@@ -19,9 +19,9 @@ class TimeMesh:
 
     Attributes:
         levels: array of length N+1 holding t_0 .. t_N.
-        uniform: True when all steps are exactly equal, which enables
-            integer index arithmetic in admissibility tests and lag-based
-            weight caching.
+        uniform: True when all steps are equal (exactly, or as the levels
+            of np.linspace(0, T, N+1)), which enables integer index
+            arithmetic in admissibility tests and lag-based weight caching.
     """
 
     levels: np.ndarray
@@ -89,7 +89,9 @@ def mesh_from_levels(levels, max_ratio: float = DEFAULT_MESH_RATIO) -> TimeMesh:
     """Validating constructor for an arbitrary quasiuniform partition.
 
     Rejects meshes whose step ratio max k_n / min k_n exceeds max_ratio,
-    since the fast summation cost analysis assumes quasiuniformity.
+    since the fast summation cost analysis assumes quasiuniformity.  The
+    mesh is uniform when all steps are exactly equal or the levels equal
+    np.linspace(0, T, N+1), as uniform_mesh builds them.
     """
     mesh = TimeMesh(np.asarray(levels, dtype=float))
     steps = mesh.steps
@@ -98,5 +100,6 @@ def mesh_from_levels(levels, max_ratio: float = DEFAULT_MESH_RATIO) -> TimeMesh:
         raise ValueError(
             f"mesh is not quasiuniform: step ratio {ratio:.6g} exceeds {max_ratio:.6g}"
         )
-    uniform = bool(steps.max() == steps.min())
+    uniform = bool(steps.max() == steps.min()) or np.array_equal(
+        mesh.levels, np.linspace(0.0, mesh.T, mesh.N + 1))
     return TimeMesh(mesh.levels, uniform=uniform)

@@ -21,3 +21,27 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
     finally:
         tracer.uninstall()
     assert HistoryEngine.run_schedule is original
+
+
+def test_traced_fast_solve_reaches_every_name(monkeypatch):
+    """A small run shaped like the long1d-fast workload (perturbed mesh,
+    automatic (r, eta) and depth) calls every name the traced benchmark
+    expects that workload to reach."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+    from workloads import LONG, long_levels
+
+    from subdiff import dg_stepper
+    from subdiff.spatial_fem import SpatialGrid, benchmark_source, sine_mode
+    from subdiff.time_mesh import mesh_from_levels
+
+    grid = SpatialGrid(dim=1, m=4)
+    config = dg_stepper.RunConfig(nu=0.3, mesh=mesh_from_levels(long_levels(1, N=128)),
+                                  grid=grid)
+    tracer = Tracer("t")
+    try:
+        tracer.install()
+        dg_stepper.fast_run(config, benchmark_source(grid), sine_mode(grid, 1))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing(LONG) == []

@@ -106,6 +106,24 @@ def test_diag_stability_artifacts(tmp_path):
     assert "[FAR]" in text
 
 
+def test_diag_stability_follows_sweep_n(tmp_path):
+    spec = parse_args(
+        f"--nu 0.5 --T 1 --sweep-N 16,32 --dim 1 --m 4 --mode fast --r 3 "
+        f"--Q 2 --diag-stability --out {tmp_path}".split()
+    )
+    assert run(spec) == 0
+    lines = (tmp_path / "tree_dump.txt").read_text().splitlines()
+    heads = [i for i, line in enumerate(lines) if line.startswith("N ")]
+    assert [lines[i] for i in heads] == ["N 16", "N 32"]
+    first, second = lines[heads[0]:heads[1]], lines[heads[1]:]
+    assert first[1] == "r 3" and "certified True" in first
+    assert "gen0 C(1,16)" in first and "gen0 C(1,32)" not in first
+    assert "gen0 C(1,32)" in second
+    # one dump per leaf of each run's tree (auto depth 2 and 3: 4 and 8 leaves)
+    assert sum(line.startswith("leaf ") for line in first) == 4
+    assert sum(line.startswith("leaf ") for line in second) == 8
+
+
 def test_errors_csv_is_deterministic(tmp_path):
     argv = (f"--nu 0.5 --T 1 --N 16 --dim 1 --m 4 --mode fast --r 3 "
             f"--Q 2 --G 2").split()

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from subdiff.clustering import ClusterTree
 from subdiff.dg_stepper import (
     RunConfig,
     accuracy_threshold,
@@ -15,9 +16,11 @@ from subdiff.dg_stepper import (
     stability_diagnostic,
     stability_threshold,
 )
+from subdiff.frac_weights import KernelParams, WeightEngine
 from subdiff.reference_solution import exact_field
 from subdiff.spatial_fem import EllipticSolver, SpatialGrid, benchmark_source, l2_norm, sine_mode
-from subdiff.time_mesh import uniform_mesh
+from subdiff.taylor_expansion import phi_coeffs, psi_coeffs
+from subdiff.time_mesh import mesh_from_levels, uniform_mesh
 
 
 def test_rho_nu_values_and_continuity():
@@ -67,6 +70,12 @@ def problem(N=32, m=16, dim=1, nu=0.5, T=1.0):
     return mesh, grid, benchmark_source(grid), sine_mode(grid, 1, 1 if dim == 2 else None)
 
 
+def perturbed_mesh(N, seed):
+    """Steps of length 1/N perturbed by up to +-30%, ending at T = 1."""
+    steps = 1.0 + 0.3 * np.random.default_rng(seed).uniform(-1.0, 1.0, N)
+    return mesh_from_levels(np.concatenate([[0.0], np.cumsum(steps)]) / steps.sum())
+
+
 def test_slow_run_single_step():
     mesh, grid, src, u0 = problem(N=1)
     cfg = RunConfig(nu=0.5, mesh=mesh, grid=grid)
@@ -110,6 +119,20 @@ def test_fast_run_tracks_slow_run():
     diff = max(float(np.max(np.abs(a - b)))
                for a, b in zip(slow.solutions, fast.solutions))
     assert diff < 1e-7
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.5, 0.9])
+def test_fast_run_tracks_slow_run_on_perturbed_mesh(nu):
+    """Every step length is 1/N perturbed by up to +-30%; (r, eta) are chosen
+    automatically and no uniform-mesh shortcut applies."""
+    mesh = perturbed_mesh(256, seed=7)
+    assert not mesh.uniform
+    grid = SpatialGrid(dim=1, m=16, K=1.0 / math.pi**2)
+    src, u0 = benchmark_source(grid), sine_mode(grid, 1)
+    slow = slow_run(RunConfig(nu=nu, mesh=mesh, grid=grid), src, u0)
+    fast = fast_run(RunConfig(nu=nu, mesh=mesh, grid=grid), src, u0)
+    gap = max(float(np.max(np.abs(a - b))) for a, b in zip(slow.solutions, fast.solutions))
+    assert gap <= 1e-6
 
 
 def test_fast_run_bitwise_equals_slow_with_degenerate_eta():
@@ -187,3 +210,29 @@ def test_stability_diagnostic_certifies_moderate_mesh():
     assert rep.certified
     assert rep.row_ratio <= 1.0 and rep.col_ratio <= 1.0
     assert rep.row_ratio > 0.0 and rep.col_ratio > 0.0
+
+
+def test_stability_diagnostic_matches_pairwise_loop():
+    """The diagnostic's ratios equal a literal loop over every (step, far
+    interval) pair with scalar coefficients."""
+    mesh = perturbed_mesh(64, seed=4)
+    config = RunConfig(nu=0.3, mesh=mesh, grid=SpatialGrid(dim=1, m=4), r=3, Q=2, G=4)
+    rep = stability_diagnostic(config)
+
+    weights = WeightEngine(KernelParams(0.3), mesh)
+    tree = ClusterTree(mesh, 2, 4)
+    lv = mesh.levels
+    row, col = np.zeros(65), np.zeros(65)
+    for n in range(2, 65):
+        for c in tree.minimal_cover(tree.leaf_of(n), rep.eta).far:
+            sbar = 0.5 * (lv[c.lo - 1] + lv[c.hi])
+            phi = phi_coeffs(0.3, 3, sbar, lv[n - 1], lv[n])
+            for j in range(c.lo, c.hi + 1):
+                diff = abs(float(phi @ psi_coeffs(3, sbar, lv[j - 1], lv[j]))
+                           - weights.offdiag(n, j))
+                row[n] += diff
+                col[j] += diff
+    scale = rho_nu(0.3) * mesh.T ** (0.3 - 1.0) * mesh.steps
+    assert row.max() > 0.0
+    assert rep.row_ratio == pytest.approx(max(row[1:] / scale), rel=1e-9)
+    assert rep.col_ratio == pytest.approx(max(col[1:-1] / scale[:-1]), rel=1e-9)

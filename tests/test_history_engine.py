@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
 
+from subdiff import history_engine
 from subdiff.clustering import Cluster, ClusterTree
 from subdiff.dg_stepper import RunConfig, fast_run
 from subdiff.frac_weights import KernelParams, WeightEngine
 from subdiff.history_engine import EngineCounters, HistoryEngine, SolutionSink
 from subdiff.reference_solution import direct_history_sum
 from subdiff.spatial_fem import SpatialGrid, benchmark_source, sine_mode
-from subdiff.time_mesh import uniform_mesh
+from subdiff.time_mesh import mesh_from_levels, uniform_mesh
 
 
-def make_engine(N=64, nu=0.5, Q=2, G=3, r=4, eta=0.6, m=3, T=None):
-    mesh = uniform_mesh(N, float(T if T is not None else N))
+def perturbed_mesh(N, seed=3):
+    """Steps of length 1 perturbed by up to +-30%."""
+    steps = 1.0 + 0.3 * np.random.default_rng(seed).uniform(-1.0, 1.0, N)
+    return mesh_from_levels(np.concatenate([[0.0], np.cumsum(steps)]))
+
+
+def make_engine(N=64, nu=0.5, Q=2, G=3, r=4, eta=0.6, m=3, T=None, mesh=None):
+    if mesh is None:
+        mesh = uniform_mesh(N, float(T if T is not None else N))
     weights = WeightEngine(KernelParams(nu), mesh)
     tree = ClusterTree(mesh, Q, G)
     return HistoryEngine(tree, weights, r, eta, m), weights
@@ -118,6 +126,39 @@ def test_run_schedule_frees_history_and_bounds_memory():
     assert engine.counters.live_values < 256 * 2
     assert engine.counters.high_water < 256 * 2 * 0.6
     assert engine.counters.high_water >= engine.counters.live_values
+
+
+@pytest.mark.parametrize("perturbed, rhs_ops, peak_values", [
+    (False, 31840, 210),
+    (True, 33488, 238),
+])
+def test_run_schedule_invariants(monkeypatch, perturbed, rhs_ops, peak_values):
+    """Over a full schedule each node is freed at most twice, phi_coeffs runs
+    at most once per step, and the operation and memory counts equal those
+    of the per-step engine this one replaced."""
+    N, m = 256, 2
+    mesh = perturbed_mesh(N) if perturbed else None
+    engine, _ = make_engine(N=N, Q=2, G=5, r=3, eta=0.5, m=m, mesh=mesh)
+    calls = {"free": 0, "phi": 0}
+    free, phi = history_engine.HistoryEngine.free_cluster, history_engine.phi_coeffs
+
+    def counted_free(self, c):
+        calls["free"] += 1
+        return free(self, c)
+
+    def counted_phi(*args):
+        calls["phi"] += 1
+        return phi(*args)
+
+    monkeypatch.setattr(history_engine.HistoryEngine, "free_cluster", counted_free)
+    monkeypatch.setattr(history_engine, "phi_coeffs", counted_phi)
+    vals = random_values(N, m)
+    engine.run_schedule(lambda n, hist: vals[n - 1])
+    assert calls["free"] <= 2 * len(engine.tree.nodes)
+    assert 1 <= calls["phi"] <= N
+    assert engine.counters.live_values <= engine.counters.high_water
+    assert engine.counters.rhs_ops + engine.counters.update_ops == rhs_ops
+    assert engine.counters.high_water == peak_values
 
 
 def test_run_schedule_accuracy_against_direct_oracle():

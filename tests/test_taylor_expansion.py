@@ -104,3 +104,40 @@ def test_relative_error_bound_randomized(nu):
             psi = psi_coeffs(r, sbar, a, b)
             bound = ExpansionParams(r, eta).error_factor(nu) * exact
             assert abs(tilde_beta(phi, psi) - exact) <= bound
+
+
+def test_array_arguments_match_stacked_scalar_calls():
+    """One call over K midpoints or K intervals equals K scalar calls; a
+    scalar call keeps shape (r,)."""
+    rng = np.random.default_rng(5)
+    for r in (1, 4, 17):
+        sbar = rng.uniform(0.0, 3.0, 9)
+        t_prev, t_next = 3.5, 3.5 + rng.uniform(0.01, 0.5)
+        phi = phi_coeffs(0.3, r, sbar, t_prev, t_next)
+        want = np.stack([phi_coeffs(0.3, r, float(s), t_prev, t_next) for s in sbar])
+        assert phi.shape == (9, r) and want.shape == (9, r)
+        np.testing.assert_allclose(phi, want, rtol=1e-14, atol=0.0)
+
+        psi = psi_coeffs(r, sbar, t_prev, t_next)
+        want = np.stack([psi_coeffs(r, float(s), t_prev, t_next) for s in sbar])
+        assert psi.shape == (9, r)
+        np.testing.assert_allclose(psi, want, rtol=1e-14, atol=1e-300)
+
+        lo = np.sort(rng.uniform(0.0, 2.0, 6))
+        hi = lo + rng.uniform(0.01, 0.3, 6)
+        psi = psi_coeffs(r, 1.0, lo, hi)
+        want = np.stack([psi_coeffs(r, 1.0, float(a), float(b)) for a, b in zip(lo, hi)])
+        np.testing.assert_allclose(psi, want, rtol=1e-14, atol=1e-300)
+
+        # midpoints down one axis, target intervals along the other
+        table = phi_coeffs(0.3, r, sbar[:, None], lo + 4.0, hi + 4.0)
+        assert table.shape == (9, 6, r)
+        np.testing.assert_allclose(table[2, 3], phi_coeffs(0.3, r, sbar[2], lo[3] + 4.0,
+                                                            hi[3] + 4.0), rtol=1e-14)
+
+
+def test_phi_array_requires_separation_everywhere():
+    with pytest.raises(ValueError, match="strictly right"):
+        phi_coeffs(0.5, 3, np.array([0.1, 0.2, 1.0]), 1.0, 1.5)
+    with pytest.raises(ValueError, match="strictly right"):
+        phi_coeffs(0.5, 3, np.array([0.1, 1.2]), 1.0, 1.5)

@@ -52,6 +52,17 @@ def test_quasiuniformity_gate():
     assert u.uniform
 
 
+def test_linspace_levels_are_uniform():
+    """The levels uniform_mesh builds count as uniform although their float
+    steps differ in the last bits; a perturbed copy does not."""
+    levels = uniform_mesh(300, 6.0).levels
+    assert np.ptp(np.diff(levels)) > 0.0
+    assert mesh_from_levels(levels).uniform
+    bumped = levels.copy()
+    bumped[150] += 1e-3
+    assert not mesh_from_levels(bumped).uniform
+
+
 @given(st.lists(st.floats(0.5, 1.0), min_size=1, max_size=40))
 def test_arbitrary_quasiuniform_meshes_accepted(steps):
     levels = np.concatenate([[0.0], np.cumsum(steps)])
