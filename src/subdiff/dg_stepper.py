@@ -178,9 +178,8 @@ def slow_run(config: RunConfig, source: SeparableSource | None,
 
     def drive(step) -> None:
         for n in range(1, mesh.N + 1):
-            hist = direct_history_sum(weights, res.solutions, n) if n > 1 else np.zeros(M)
             res.rhs_ops += (n - 1) * M
-            step(n, hist)
+            step(n, direct_history_sum(weights, res.solutions, n, m=M))
 
     return _march(config, weights, source, u0, None, res, t0, drive)
 
@@ -235,15 +234,14 @@ def stability_diagnostic(config: RunConfig) -> StabilityReport:
         far = tree.minimal_cover(leaf, eta).far
         if not far:
             continue
-        steps = range(leaf.lo, leaf.hi + 1)
+        steps = np.arange(leaf.lo, leaf.hi + 1)
         sbar = 0.5 * (lv[[c.lo - 1 for c in far]] + lv[[c.hi for c in far]])
         # phi of every far member at every step of the leaf, in one call
         phi = phi_coeffs(config.nu, r, sbar[:, None], lv[leaf.lo - 1:leaf.hi],
                          lv[leaf.lo:leaf.hi + 1])
         for c, s, phi_c in zip(far, sbar, phi):
             psi = psi_coeffs(r, s, lv[c.lo - 1:c.hi], lv[c.lo:c.hi + 1])
-            exact = np.array([[weights.offdiag(n, j) for j in range(c.lo, c.hi + 1)]
-                              for n in steps])
+            exact = weights.offdiag(steps[:, None], np.arange(c.lo, c.hi + 1)[None, :])
             diff = np.abs(phi_c @ psi.T - exact)
             row[leaf.lo:leaf.hi + 1] += diff.sum(axis=1)
             col[c.lo:c.hi + 1] += diff.sum(axis=0)

@@ -9,10 +9,12 @@ cover: near intervals use exact weights against retained vectors, far
 non-leaf clusters collapse to r moment vectors, and far leaves are
 approximated from their still-retained vectors.
 
-Everything but the exact weights depends on the leaf alone, so when the
-schedule enters a leaf it builds that leaf's plan once, on uniform and
-non-uniform meshes alike: the near intervals; the far members with their
-phi coefficients for every step of the leaf, from one phi_coeffs call;
+Everything a step needs depends on its leaf alone, so when the schedule
+enters a leaf it builds that leaf's plan once, on uniform and non-uniform
+meshes alike: the near intervals with the exact weights of every step of
+the leaf against them and against the leaf's own earlier intervals, from
+one WeightEngine.offdiag call; the far members with their phi
+coefficients for every step of the leaf, from one phi_coeffs call;
 the ancestor chain with the psi coefficients each commit folds into its
 moments, from one psi_coeffs call that also yields the leaf's own psi
 table (kept until the leaf is freed, for the later leaves that see it as
@@ -99,6 +101,8 @@ class _LeafPlan(NamedTuple):
     members: frozenset[Cluster]  # the leaf's cover, for the next plan's frees
     frees: tuple[Cluster, ...]  # children of non-leaf members new to this cover
     near: tuple[int, ...]  # intervals summed with exact weights, ascending
+    exact_w: np.ndarray  # (leaf size, len(near) + leaf size): weights against near,
+    #                      then the leaf's own intervals; 0 where j >= n
     far_leaf: tuple[int, ...]  # intervals of far leaf members, ascending
     far_leaf_w: np.ndarray  # (leaf size, len(far_leaf)): their low-rank weights
     far_moments: tuple[tuple[int, Cluster], ...]  # far non-leaf members (node id, cluster)
@@ -176,12 +180,19 @@ class HistoryEngine:
         psi = psi_coeffs(r, self._sbar(ancestors + [leaf])[:, None], t_prev, t_next)
         self._psi_tables[tree.node_id(leaf)] = psi[-1]
         near = tuple(j for c in cover.near for j in range(c.lo, c.hi + 1))
+        # one offdiag call for every step's exact weights, pairs j < n only
+        steps = np.arange(leaf.lo, leaf.hi + 1)
+        js = np.array(near + tuple(range(leaf.lo, leaf.hi + 1)))
+        rows, cols = np.nonzero(js < steps[:, None])
+        exact_w = np.zeros((steps.size, js.size))
+        exact_w[rows, cols] = self.weights.offdiag(steps[rows], js[cols])
         far_leaf = tuple(j for i in leaf_idx for j in range(far[i].lo, far[i].hi + 1))
         return _LeafPlan(
             leaf=leaf,
             members=frozenset(members),
             frees=frees,
             near=near,
+            exact_w=exact_w,
             far_leaf=far_leaf,
             far_leaf_w=np.hstack(blocks) if blocks else np.empty((leaf.size, 0)),
             far_moments=tuple((tree.node_id(far[i]), far[i]) for i in mom_idx),
@@ -207,9 +218,9 @@ class HistoryEngine:
             raise ValueError(f"steps 1..{n-1} must be committed before querying {n}")
         plan = self._plan_for(n)
         s = n - plan.leaf.lo
-        offdiag = self.weights.offdiag
-        for j in chain(plan.near, range(plan.leaf.lo, n)):
-            acc += offdiag(n, j) * self._retained(j)
+        exact = plan.exact_w[s, :len(plan.near) + s].tolist()
+        for j, w in zip(chain(plan.near, range(plan.leaf.lo, n)), exact):
+            acc += w * self._retained(j)
         for j, w in zip(plan.far_leaf, plan.far_leaf_w[s].tolist()):
             acc += w * self._retained(j)
         for (nid, c), phi in zip(plan.far_moments, plan.phi_moments[:, s]):

@@ -144,17 +144,21 @@ def max_nodal_error(numeric: list[np.ndarray] | np.ndarray,
     return err
 
 
-def direct_history_sum(weights, values: list[np.ndarray], n: int) -> np.ndarray:
-    """Literal sum over j < n of beta_nj * U^j with exact weights.
+def direct_history_sum(weights, values: list[np.ndarray], n: int, *, m: int) -> np.ndarray:
+    """Literal sum over j < n of beta_nj * U^j with exact weights, for
+    vectors of length m (the sum is m zeros at n = 1, where values may be
+    empty).
 
     The slow scheme's history sum and the O(n M) equivalence oracle for
-    the fast engine; accumulation runs in ascending j so the arithmetic
-    matches the engine's near-field path bit for bit.
+    the fast engine; the weights of row n come from one offdiag call, and
+    accumulation runs in ascending j so the arithmetic matches the
+    engine's near-field path bit for bit.
     """
     if n < 1:
         raise ValueError("step index must be at least 1")
-    M = len(values[0]) if values else 0
-    acc = np.zeros(M)
-    for j in range(1, n):
-        acc += weights.offdiag(n, j) * values[j - 1]
+    acc = np.zeros(m)
+    if n > 1:
+        row = weights.offdiag(n, np.arange(1, n)).tolist()
+        for w, value in zip(row, values[:n - 1], strict=True):
+            acc += w * value
     return acc

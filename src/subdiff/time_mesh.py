@@ -21,7 +21,7 @@ class TimeMesh:
         levels: array of length N+1 holding t_0 .. t_N.
         uniform: True when all steps are equal (exactly, or as the levels
             of np.linspace(0, T, N+1)), which enables integer index
-            arithmetic in admissibility tests and lag-based weight caching.
+            arithmetic in admissibility tests and a lag table of weights.
     """
 
     levels: np.ndarray

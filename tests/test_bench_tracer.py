@@ -45,3 +45,25 @@ def test_traced_fast_solve_reaches_every_name(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracer.missing(LONG) == []
+
+
+def test_traced_uniform_slow_solve_reaches_every_name(monkeypatch):
+    """On a uniform mesh only the lag table reaches beta_offdiag, which the
+    traced benchmark expects the desk2d-slow workload to call."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+    from workloads import SLOW
+
+    from subdiff import dg_stepper
+    from subdiff.spatial_fem import SpatialGrid, benchmark_source, sine_mode
+    from subdiff.time_mesh import uniform_mesh
+
+    grid = SpatialGrid(dim=1, m=4)
+    config = dg_stepper.RunConfig(nu=0.5, mesh=uniform_mesh(32, 1.0), grid=grid)
+    tracer = Tracer("t")
+    try:
+        tracer.install()
+        dg_stepper.slow_run(config, benchmark_source(grid), sine_mode(grid, 1))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing(SLOW) == []

@@ -191,3 +191,107 @@ def test_weight_positivity_and_monotone_decay(nu, gap_scale, kj, kn):
     assert near > 0.0
     assert far > 0.0
     assert far < near
+
+
+def quasiuniform_mesh(N, seed):
+    """Steps of length 1 perturbed by up to +-30%."""
+    steps = 1.0 + 0.3 * np.random.default_rng(seed).uniform(-1.0, 1.0, N)
+    return mesh_from_levels(np.concatenate([[0.0], np.cumsum(steps)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(nu=st.floats(0.02, 0.98), seed=st.integers(0, 2**32 - 1))
+def test_array_weights_match_oracles(nu, seed):
+    """One array offdiag call over every pair of a small +-30% mesh agrees
+    with the quadrature oracle, and with the direct difference wherever
+    that difference loses under two digits to cancellation."""
+    N = 10
+    mesh = quasiuniform_mesh(N, seed)
+    lv = mesh.levels
+    n, j = np.tril_indices(N + 1, -1)
+    keep = j >= 1
+    n, j = n[keep], j[keep]
+    got = WeightEngine(KernelParams(nu), mesh).offdiag(n, j)
+    assert got.shape == n.shape
+    for nn, jj, g in zip(n, j, got):
+        source, target = (lv[jj - 1], lv[jj]), (lv[nn - 1], lv[nn])
+        assert g == pytest.approx(beta_quadrature(nu, source, target), rel=1e-12), (nn, jj)
+        if jj < nn - 1:
+            kj, kn = source[1] - source[0], target[1] - target[0]
+            delta = 0.5 * (sum(target) - sum(source))
+            lead = abs(b_mu(nu, delta - 0.5 * kj, kn))
+            if lead <= 100.0 * g:
+                assert g == pytest.approx(beta_direct(nu, source, target), rel=1e-12), (nn, jj)
+
+
+def test_array_series_reports_the_pair_that_fails_to_converge():
+    ctl = SeriesControl(rel_tol=1e-6, max_terms=3)
+    s0 = np.array([0.0, 0.0, 0.0])
+    t0 = np.array([20.0, 40.0, 1.05])  # the last pair is barely separated
+    assert beta_separated_series(0.5, (s0[:2], s0[:2] + 1.0), (t0[:2], t0[:2] + 1.0),
+                                 ctl).shape == (2,)
+    with pytest.raises(SeriesConvergenceError, match="1 pair") as info:
+        beta_separated_series(0.5, (s0, s0 + 1.0), (t0, t0 + 1.0), ctl)
+    assert info.value.last_ratio > 0.0
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_out_of_range_pairs_name_the_first_bad_pair(uniform):
+    mesh = uniform_mesh(8, 1.0) if uniform else quasiuniform_mesh(8, 5)
+    engine = WeightEngine(KernelParams(0.3), mesh)
+    for n, j, bad in [([5, 6, 7], [2, 6, 8], "n=6, j=6"), ([4, 4], [1, 0], "n=4, j=0"),
+                      ([9], [1], "n=9, j=1")]:
+        with pytest.raises(ValueError, match=bad):
+            engine.offdiag(np.array(n), np.array(j))
+        with pytest.raises(ValueError, match=bad):
+            beta_offdiag(engine.params, mesh, SeriesControl(), np.array(n), np.array(j))
+
+
+def test_uniform_weights_do_not_depend_on_query_order():
+    mesh = uniform_mesh(40, 3.0)
+    n, j = np.tril_indices(41, -1)
+    n, j = n[j >= 1], j[j >= 1]
+    first, second = (WeightEngine(KernelParams(0.3), mesh) for _ in range(2))
+    scalar = first.offdiag(17, 10)
+    assert isinstance(scalar, float)
+    forward = first.offdiag(n, j)
+    backward = second.offdiag(n[::-1], j[::-1])[::-1]
+    assert np.array_equal(forward, backward)
+    assert second.offdiag(8, 1) == scalar  # same lag 7
+    # every lag's weight is that of the pair (L+1, 1)
+    lags = np.arange(1, 40)
+    assert np.array_equal(first.offdiag(n, j),
+                          beta_offdiag(first.params, mesh, first.ctl, lags + 1, 1)[n - j - 1])
+
+
+def series_loop(nu, source, target, ctl):
+    """The scalar term-by-term series the array form replaced: terms in
+    ascending order, stopping at the first below rel_tol times the sum."""
+    (s0, s1), (t0, t1) = source, target
+    kj, kn = s1 - s0, t1 - t0
+    delta = 0.5 * (t0 + t1) - 0.5 * (s0 + s1)
+    total = 0.0
+    for p in range(ctl.max_terms):
+        term = -b_mu(nu - 2 * p - 1, delta, kn) * kj ** (2 * p + 1) / (
+            math.factorial(2 * p + 1) * 4**p)
+        total += term
+        if abs(term) < ctl.rel_tol * abs(total):
+            return total
+    raise SeriesConvergenceError("no convergence", last_ratio=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nu=st.floats(0.02, 0.98), kj=st.floats(0.3, 2.0), kn=st.floats(0.3, 2.0),
+       gaps=st.lists(st.floats(0.5, 40.0), min_size=1, max_size=8))
+def test_array_series_matches_scalar_loop(nu, kj, kn, gaps):
+    """Both forms sum the same terms in the same order; only the rounding of
+    the terms after the first differs (the array forms them from
+    log-ratios), so the sums agree to a few ulps.  Gaps of at least k_j/2
+    keep the term ratio at most 1/4, inside the default max_terms."""
+    ctl = SeriesControl()
+    source = (0.0, kj)
+    starts = kj + kj * np.array(gaps)
+    got = beta_separated_series(nu, source, (starts, starts + kn), ctl)
+    for start, g in zip(starts, got):
+        assert g == pytest.approx(series_loop(nu, source, (start, start + kn), ctl),
+                                  rel=16 * np.finfo(float).eps)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subdiff import history_engine
+from subdiff import frac_weights, history_engine
 from subdiff.clustering import Cluster, ClusterTree
 from subdiff.dg_stepper import RunConfig, fast_run
 from subdiff.frac_weights import KernelParams, WeightEngine
@@ -35,7 +35,7 @@ def test_all_near_cover_matches_direct_sum_bitwise():
     vals = random_values(64, 3)
     for n in range(1, 65):
         got = engine.history_sum(n)
-        want = direct_history_sum(weights, vals, n)
+        want = direct_history_sum(weights, vals, n, m=3)
         assert np.array_equal(got, want)
         engine.commit_step(n, vals[n - 1])
 
@@ -48,7 +48,7 @@ def test_far_field_accuracy_tracks_expansion_order():
         worst = 0.0
         for n in range(1, 65):
             got = engine.history_sum(n)
-            want = direct_history_sum(weights, vals, n)
+            want = direct_history_sum(weights, vals, n, m=3)
             scale = max(float(np.max(np.abs(want))), 1e-30)
             worst = max(worst, float(np.max(np.abs(got - want))) / scale)
             engine.commit_step(n, vals[n - 1])
@@ -134,13 +134,15 @@ def test_run_schedule_frees_history_and_bounds_memory():
 ])
 def test_run_schedule_invariants(monkeypatch, perturbed, rhs_ops, peak_values):
     """Over a full schedule each node is freed at most twice, phi_coeffs runs
-    at most once per step, and the operation and memory counts equal those
-    of the per-step engine this one replaced."""
+    at most once per step, the weights come from at most one beta_offdiag
+    call per leaf (plus the lag table on a uniform mesh), and the operation
+    and memory counts equal those of the per-step engine this one replaced."""
     N, m = 256, 2
     mesh = perturbed_mesh(N) if perturbed else None
     engine, _ = make_engine(N=N, Q=2, G=5, r=3, eta=0.5, m=m, mesh=mesh)
-    calls = {"free": 0, "phi": 0}
+    calls = {"free": 0, "phi": 0, "weights": 0}
     free, phi = history_engine.HistoryEngine.free_cluster, history_engine.phi_coeffs
+    beta_offdiag = frac_weights.beta_offdiag
 
     def counted_free(self, c):
         calls["free"] += 1
@@ -151,14 +153,39 @@ def test_run_schedule_invariants(monkeypatch, perturbed, rhs_ops, peak_values):
         return phi(*args)
 
     monkeypatch.setattr(history_engine.HistoryEngine, "free_cluster", counted_free)
+    def counted_weights(*args):
+        calls["weights"] += 1
+        return beta_offdiag(*args)
+
     monkeypatch.setattr(history_engine, "phi_coeffs", counted_phi)
+    monkeypatch.setattr(frac_weights, "beta_offdiag", counted_weights)
     vals = random_values(N, m)
     engine.run_schedule(lambda n, hist: vals[n - 1])
     assert calls["free"] <= 2 * len(engine.tree.nodes)
     assert 1 <= calls["phi"] <= N
+    assert 1 <= calls["weights"] <= len(list(engine.tree.leaves())) + 1
     assert engine.counters.live_values <= engine.counters.high_water
     assert engine.counters.rhs_ops + engine.counters.update_ops == rhs_ops
     assert engine.counters.high_water == peak_values
+
+
+def test_all_near_engine_matches_direct_sum_on_perturbed_mesh():
+    """With nothing admissible every weight is exact: the leaf plans' weight
+    blocks give the same sums as the slow scheme's per-step rows."""
+    N, m = 96, 3
+    engine, weights = make_engine(G=4, eta=1e-300, m=m, mesh=perturbed_mesh(N, seed=8))
+    vals = random_values(N, m)
+    worst = 0.0
+
+    def cb(n, hist):
+        nonlocal worst
+        want = direct_history_sum(weights, vals, n, m=m)
+        worst = max(worst, float(np.max(np.abs(hist - want)))
+                    / max(float(np.max(np.abs(want))), 1e-300))
+        return vals[n - 1]
+
+    engine.run_schedule(cb)
+    assert worst <= 1e-14
 
 
 def test_run_schedule_accuracy_against_direct_oracle():
@@ -168,7 +195,7 @@ def test_run_schedule_accuracy_against_direct_oracle():
 
     def cb(n, hist):
         nonlocal worst
-        want = direct_history_sum(weights, vals, n)
+        want = direct_history_sum(weights, vals, n, m=2)
         scale = max(float(np.max(np.abs(want))), 1e-30)
         worst = max(worst, float(np.max(np.abs(hist - want))) / scale)
         return vals[n - 1]

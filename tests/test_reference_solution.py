@@ -84,7 +84,15 @@ def test_direct_history_sum_matches_manual_loop():
     weights = WeightEngine(KernelParams(0.5), mesh)
     rng = np.random.default_rng(0)
     vals = [rng.standard_normal(3) for _ in range(8)]
-    got = direct_history_sum(weights, vals, 5)
+    got = direct_history_sum(weights, vals, 5, m=3)
     want = sum(weights.offdiag(5, j) * vals[j - 1] for j in range(1, 5))
     np.testing.assert_allclose(got, want, rtol=1e-15)
-    assert np.all(direct_history_sum(weights, vals, 1) == 0.0)
+    assert np.all(direct_history_sum(weights, vals, 1, m=3) == 0.0)
+
+
+def test_direct_history_sum_of_empty_history_is_m_zeros():
+    weights = WeightEngine(KernelParams(0.5), uniform_mesh(8, 1.0))
+    got = direct_history_sum(weights, [], 1, m=4)
+    np.testing.assert_array_equal(got, np.zeros(4))
+    with pytest.raises(ValueError):  # step 3 needs two past values
+        direct_history_sum(weights, [np.ones(4)], 3, m=4)
