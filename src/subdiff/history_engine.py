@@ -9,32 +9,49 @@ cover: near intervals use exact weights against retained vectors, far
 non-leaf clusters collapse to r moment vectors, and far leaves are
 approximated from their still-retained vectors.
 
+Storage is one block store per tree generation: a leaf's block holds its
+retained vectors, a non-leaf's block its r moment vectors, and block p of
+a generation sits at row p - base of the store's buffer.  Blocks are
+reserved in time order and freed in roughly the same order, so the live
+blocks lie in one window of consecutive positions.  The moments of the
+current leaf's non-leaf ancestors live in one (G, r, M) chain
+accumulator instead, which each commit updates with one broadcast
+multiply-add; an ancestor's row moves into its generation's store when
+the schedule leaves it.
+
 Everything a step needs depends on its leaf alone, so when the schedule
-enters a leaf it builds that leaf's plan once, on uniform and non-uniform
-meshes alike: the near intervals with the exact weights of every step of
-the leaf against them and against the leaf's own earlier intervals, from
-one WeightEngine.offdiag call; the far members with their phi
-coefficients for every step of the leaf, from one phi_coeffs call;
-the ancestor chain with the psi coefficients each commit folds into its
-moments, from one psi_coeffs call that also yields the leaf's own psi
-table (kept until the leaf is freed, for the later leaves that see it as
-a far member); and the clusters to free.  Only the current leaf's plan
-is kept.  The clusters to free are the children of non-leaf cover
-members that were not members of the previous leaf's cover; cover
-membership is contiguous in time, so each node is freed once, as soon
-as its parent's moments take its place.  That keeps the live value
-count logarithmic in the step count.
+enters a leaf it frees what the leaf's cover no longer needs (the
+children of far non-leaf members that were not members of the previous
+leaf's cover; cover membership is contiguous in time, so each node is
+freed once, as soon as its parent's moments take its place), retires the
+ancestors it leaves, reserves the leaf's own block, and builds the leaf's
+plan, on uniform and non-uniform meshes alike.  Stores change only then,
+so the plan's views stay valid for the whole leaf.  The cover's members
+fall into runs of consecutive positions of one generation (on a uniform
+mesh one run per kind and generation), and the plan holds one view and
+one weight block per run:
+  - the near leaves followed by the leaf itself: exact weights, from one
+    WeightEngine.offdiag call;
+  - the far leaves: low-rank weights, from one einsum of their phi
+    coefficients with their psi tables;
+  - each generation's far non-leaf members: their phi coefficients.
+One phi_coeffs call gives the phi of every far member, and one
+psi_coeffs call gives the ancestor chain's psi about the leaf's steps and
+each far leaf's psi table about its own intervals.  A step then costs one
+sequential reduction per exact run and one matrix product per far run,
+and the live value count stays logarithmic in the step count.
 
 Counters track multiply-accumulates on length-M vectors (M operations
-each) and the high-water mark of live stored values, so the cost and
-memory bounds can be checked machine-independently.
+each), the high-water mark of live stored values, and the high-water
+mark of values the stores and the chain accumulator actually reserve, so
+the cost and memory bounds can be checked machine-independently.
 """
 
 from __future__ import annotations
 
 import io
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -53,6 +70,8 @@ class EngineCounters:
     update_ops: int = 0  # M ops per moment-accumulator update
     live_values: int = 0
     high_water: int = 0
+    reserved: int = 0  # values held by the stores' buffers and the chain accumulator
+    reserved_high_water: int = 0
 
     def allocate(self, count: int) -> None:
         self.live_values += count
@@ -61,6 +80,11 @@ class EngineCounters:
 
     def release(self, count: int) -> None:
         self.live_values -= count
+
+    def reserve(self, count: int) -> None:
+        self.reserved += count
+        if self.reserved > self.reserved_high_water:
+            self.reserved_high_water = self.reserved
 
 
 class SolutionSink:
@@ -93,22 +117,70 @@ class SolutionSink:
             )
 
 
+class _BlockStore:
+    """The blocks of one tree generation, each `rows` vectors of length m.
+
+    Block p sits at buf[p - base].  Blocks are reserved in ascending
+    position order and freed by clearing their live flag, so the live ones
+    lie in the window [lo, end).  Only reserve changes the buffer: when a
+    block would fall past its end, the window moves to the front, or, if
+    it would fill more than four fifths of the buffer, moves into a new
+    buffer about a quarter larger than the window.
+    """
+
+    def __init__(self, live: np.ndarray, rows: int, m: int, counters: EngineCounters):
+        self.buf = np.empty((0, rows, m))
+        self.live = live  # one flag per position
+        self.base = self.lo = self.end = 0
+        self.counters = counters
+
+    def reserve(self, p: int) -> np.ndarray:
+        """Mark block p, past every block reserved so far, live and return it."""
+        lo, live = self.lo, self.live
+        while lo < self.end and not live[lo]:
+            lo += 1
+        self.lo = lo = lo if lo < self.end else p
+        cap = len(self.buf)
+        if p - self.base >= cap:
+            need, kept = p + 1 - lo, max(self.end - lo, 0)
+            window = self.buf[lo - self.base:lo - self.base + kept]
+            if 5 * need > 4 * cap:
+                grown = np.empty((need + (need + 3) // 4, *self.buf.shape[1:]))
+                self.counters.reserve(grown.size - self.buf.size)
+                grown[:kept] = window
+                self.buf = grown
+            else:
+                self.buf[:kept] = window  # numpy copies overlapping ranges safely
+            self.base = lo
+        live[p] = True
+        self.end = p + 1
+        return self.buf[p - self.base]
+
+    def view(self, p0: int, p1: int) -> np.ndarray:
+        """Blocks p0..p1-1 as one (rows * (p1 - p0), m) view."""
+        return self.buf[p0 - self.base:p1 - self.base].reshape(-1, self.buf.shape[2])
+
+
+def _sum_rows(t: np.ndarray) -> np.ndarray:
+    """t[0] + t[1] + ... in that order.  numpy's axis-0 reduction adds row
+    after row when rows hold two or more values, but sums a single column
+    pairwise; accumulate is sequential in both cases (and slow on wide rows)."""
+    return np.add.reduce(t, axis=0) if t.shape[1] > 1 else np.add.accumulate(t, axis=0)[-1]
+
+
 class _LeafPlan(NamedTuple):
-    """What every step of one leaf needs.  The arrays have one row per step
-    of the leaf, row s for step n = leaf.lo + s."""
+    """What every step of one leaf needs.  Weight arrays have one row per
+    step of the leaf, row s for step n = leaf.lo + s; each run pairs them
+    with a view of the store rows they multiply."""
 
     leaf: Cluster
-    members: frozenset[Cluster]  # the leaf's cover, for the next plan's frees
-    frees: tuple[Cluster, ...]  # children of non-leaf members new to this cover
-    near: tuple[int, ...]  # intervals summed with exact weights, ascending
-    exact_w: np.ndarray  # (leaf size, len(near) + leaf size): weights against near,
-    #                      then the leaf's own intervals; 0 where j >= n
-    far_leaf: tuple[int, ...]  # intervals of far leaf members, ascending
-    far_leaf_w: np.ndarray  # (leaf size, len(far_leaf)): their low-rank weights
-    far_moments: tuple[tuple[int, Cluster], ...]  # far non-leaf members (node id, cluster)
-    phi_moments: np.ndarray  # (len(far_moments), leaf size, r): their phi
-    chain: tuple[int, ...]  # node ids of the non-leaf ancestors, root first
-    psi_chain: np.ndarray  # (len(chain), leaf size, r): psi about each ancestor
+    moment_ids: frozenset[int]  # node ids of the far non-leaf members, for the next frees
+    rows: np.ndarray  # (leaf size, M): the leaf's own block, filled by its commits
+    near: int  # exact-weight columns before the leaf's own intervals
+    exact: tuple  # (first column, weights, rows) per run of near leaves, the leaf's run last
+    far_leaves: tuple  # (weights, rows) per run of far leaves
+    far_moments: tuple  # (phi, moments) per run of far non-leaf members, by generation
+    psi_chain: np.ndarray  # (leaf size, G, r, 1): psi about each ancestor, root first
     ops: int  # rhs_ops of a step before the leaf's own earlier intervals
 
 
@@ -127,10 +199,17 @@ class HistoryEngine:
         self.eta = eta
         self.m = m
         self.counters = EngineCounters()
-        self.retained: dict[int, np.ndarray] = {}
-        self.moments: dict[int, np.ndarray] = {}  # node id -> (r, m) array
+        Q, G = tree.Q, tree.G
+        self._offset = [(Q**g - 1) // (Q - 1) for g in range(G + 1)]  # first node id per generation
+        self._live = np.zeros(len(tree.nodes), dtype=bool)  # per node id: block reserved, not freed
+        self._stores = [_BlockStore(self._live[off:off + Q**g], r if g < G else tree.leaf_size,
+                                    m, self.counters)
+                        for g, off in enumerate(self._offset)]
+        self._chain = np.zeros((G, r, m))  # moments of the current leaf's ancestors, root first
+        self._chain_ids = [-1] * G  # their node ids
+        self._chain_live = [False] * G  # whether a commit has allocated each row
+        self.counters.reserve(self._chain.size)
         self.committed = 0
-        self._psi_tables: dict[int, np.ndarray] = {}  # leaf id -> (size, r), until freed
         self._plan: _LeafPlan | None = None
 
     # -- helpers ------------------------------------------------------------
@@ -144,62 +223,94 @@ class HistoryEngine:
         lv = self.tree.mesh.levels
         return 0.5 * (lv[[c.lo - 1 for c in clusters]] + lv[[c.hi for c in clusters]])
 
-    def _psi_table(self, c: Cluster) -> np.ndarray:
-        table = self._psi_tables.get(self.tree.node_id(c))
-        if table is None:
-            raise AssertionError(f"far leaf {c} has no psi table")
-        return table
-
     def _plan_for(self, n: int) -> _LeafPlan:
         """The plan of the leaf holding step n, built when that leaf is entered."""
-        leaf = self.tree.leaf_of(n)
-        if self._plan is None or self._plan.leaf != leaf:
-            self._plan = self._build_plan(leaf, self._plan)
-        return self._plan
+        plan = self._plan
+        if plan is None or n > plan.leaf.hi:
+            plan = self._plan = self._enter(self.tree.leaf_of(n))
+        elif n < plan.leaf.lo:
+            raise ValueError(f"step {n} lies before the current leaf {plan.leaf}")
+        return plan
 
-    def _build_plan(self, leaf: Cluster, prev: _LeafPlan | None) -> _LeafPlan:
-        """The plan of leaf, entered after the leaf of prev."""
-        tree, r = self.tree, self.r
+    def _enter(self, leaf: Cluster) -> _LeafPlan:
+        """Free what leaf's cover no longer needs, retire the ancestors the
+        schedule leaves, reserve the leaf's block and build its plan."""
+        tree, r, m, G = self.tree, self.r, self.m, self.tree.G
         cover = self.cover_for(leaf.lo)
-        members = cover.members()
-        seen = prev.members if prev is not None else frozenset()
-        frees = tuple(child for c in members if not tree.is_leaf(c) and c not in seen
-                      for child in tree.children_of(c))
-        lv = tree.mesh.levels
-        t_prev, t_next = lv[leaf.lo - 1:leaf.hi], lv[leaf.lo:leaf.hi + 1]  # the leaf's steps
-        far = cover.far
-        # one phi call covers every far member at every step of the leaf
-        phi = (phi_coeffs(self.weights.params.nu, r, self._sbar(far)[:, None], t_prev, t_next)
-               if far else np.empty((0, leaf.size, r)))
-        leaf_idx = [i for i, c in enumerate(far) if tree.is_leaf(c)]
-        mom_idx = [i for i, c in enumerate(far) if not tree.is_leaf(c)]
-        blocks = [phi[i] @ self._psi_table(far[i]).T for i in leaf_idx]
-        # one psi call for the ancestor chain and the leaf itself; the leaf's
-        # own rows serve later leaves that see it as a far member
+        far_ids = sorted(map(tree.node_id, cover.far))  # by generation, then in time
+        nmom = bisect_left(far_ids, self._offset[G])  # far non-leaf members come first
+        seen = self._plan.moment_ids if self._plan is not None else frozenset()
+        for i in far_ids[:nmom]:
+            if i not in seen:
+                for child in tree.children_of(tree.nodes[i]):
+                    self.free_cluster(child)
         ancestors = tree.update_subtree(leaf.lo)
-        psi = psi_coeffs(r, self._sbar(ancestors + [leaf])[:, None], t_prev, t_next)
-        self._psi_tables[tree.node_id(leaf)] = psi[-1]
-        near = tuple(j for c in cover.near for j in range(c.lo, c.hi + 1))
-        # one offdiag call for every step's exact weights, pairs j < n only
+        chain = [tree.node_id(c) for c in ancestors]
+        left = next((g for g in range(G) if chain[g] != self._chain_ids[g]), G)
+        for g in range(left, G):  # the ancestors the schedule leaves move to their stores
+            if self._chain_live[g]:
+                self._stores[g].reserve(self._chain_ids[g] - self._offset[g])[:] = self._chain[g]
+        self._chain[left:] = 0.0
+        self._chain_live[left:] = [False] * (G - left)
+        self._chain_ids = chain
+        leaf_id = tree.node_id(leaf)
+        rows = self._stores[G].reserve(leaf_id - self._offset[G])
+
+        # The near leaves and the leaf itself, then the far members, cut into
+        # runs of consecutive node ids.  The far ids restart below the leaf's,
+        # and a generation's last node ends at step N, so it is never a
+        # member: no run crosses a kind or a generation.
+        nn = len(cover.near) + 1
+        ids = [tree.node_id(c) for c in cover.near] + [leaf_id] + far_ids
+        pos = np.array(ids)
+        live = self._live[pos]
+        if not live.all():
+            raise AssertionError(f"the blocks of {tree.nodes[ids[np.argmin(live)]]} "
+                                 "were freed too early")
+        cuts = [0, *(np.flatnonzero(pos[1:] - pos[:-1] != 1) + 1).tolist(), len(ids)]
+
+        size = leaf.size
+        lv = tree.mesh.levels
         steps = np.arange(leaf.lo, leaf.hi + 1)
-        js = np.array(near + tuple(range(leaf.lo, leaf.hi + 1)))
-        rows, cols = np.nonzero(js < steps[:, None])
-        exact_w = np.zeros((steps.size, js.size))
-        exact_w[rows, cols] = self.weights.offdiag(steps[rows], js[cols])
-        far_leaf = tuple(j for i in leaf_idx for j in range(far[i].lo, far[i].hi + 1))
+        t_prev, t_next = lv[leaf.lo - 1:leaf.hi], lv[leaf.lo:leaf.hi + 1]
+        far = [tree.nodes[i] for i in far_ids]
+        # one psi call: the ancestors about the leaf's steps, then every far
+        # leaf's psi table about its own intervals
+        first = np.array([leaf.lo] * G + [c.lo for c in far[nmom:]])[:, None] + np.arange(size)
+        psi = psi_coeffs(r, self._sbar(ancestors + far[nmom:])[:, None], lv[first - 1], lv[first])
+        # one offdiag call for every step's exact weights, pairs j < n only
+        js = (np.array([c.lo for c in cover.near] + [leaf.lo])[:, None] + np.arange(size)).ravel()
+        pairs = np.nonzero(js < steps[:, None])
+        exact_w = np.zeros((size, js.size))
+        exact_w[pairs] = self.weights.offdiag(steps[pairs[0]], js[pairs[1]])
+        if far:
+            # one phi call covers every far member at every step of the leaf
+            phi = phi_coeffs(self.weights.params.nu, r, self._sbar(far)[:, None], t_prev, t_next)
+            w_mom = phi[:nmom].transpose(1, 0, 2).reshape(size, nmom * r)
+            w_leaf = np.einsum("ksp,kjp->skj", phi[nmom:], psi[G:]).reshape(size, -1)
+
+        exact, far_leaves, far_moments = [], [], []
+        nf = nn + nmom  # where the far leaves start
+        for i, j in zip(cuts, cuts[1:]):
+            g = tree.generation[ids[i]]
+            p = ids[i] - self._offset[g]
+            view = self._stores[g].view(p, p + j - i)
+            if i < nn:
+                exact.append((i * size, exact_w[:, i * size:j * size], view))
+            elif g < G:
+                far_moments.append((w_mom[:, (i - nn) * r:(j - nn) * r], view))
+            else:
+                far_leaves.append((w_leaf[:, (i - nf) * size:(j - nf) * size], view))
         return _LeafPlan(
             leaf=leaf,
-            members=frozenset(members),
-            frees=frees,
-            near=near,
-            exact_w=exact_w,
-            far_leaf=far_leaf,
-            far_leaf_w=np.hstack(blocks) if blocks else np.empty((leaf.size, 0)),
-            far_moments=tuple((tree.node_id(far[i]), far[i]) for i in mom_idx),
-            phi_moments=phi[mom_idx],
-            chain=tuple(tree.node_id(c) for c in ancestors),
-            psi_chain=psi[:-1],
-            ops=self.m * (len(near) + len(far_leaf) + r * len(mom_idx)),
+            moment_ids=frozenset(far_ids[:nmom]),
+            rows=rows,
+            near=(nn - 1) * size,
+            exact=tuple(exact),
+            far_leaves=tuple(far_leaves),
+            far_moments=tuple(far_moments),
+            psi_chain=psi[:G].transpose(1, 0, 2)[..., None],
+            ops=m * ((nn - 1 + len(far) - nmom) * size + r * nmom),
         )
 
     # -- per-step evaluation / commit / free operations ----------------------
@@ -207,81 +318,78 @@ class HistoryEngine:
     def history_sum(self, n: int) -> np.ndarray:
         """Approximate sum over j < n of beta~_nj * U^j.
 
-        The exact-weight terms accumulate first, one vector at a time in
-        ascending interval order, so the all-near path matches the direct
-        sum bit for bit; the far-leaf and far-moment terms follow.
+        The exact-weight terms accumulate first, one row after another in
+        ascending interval order across runs, reading only the rows with
+        j < n, so the all-near path matches the direct sum bit for bit; the
+        far-leaf and far-moment terms follow, one product per run.
         """
-        acc = np.zeros(self.m)
         if n == 1:
-            return acc
+            return np.zeros(self.m)
         if n > self.committed + 1:
             raise ValueError(f"steps 1..{n-1} must be committed before querying {n}")
         plan = self._plan_for(n)
         s = n - plan.leaf.lo
-        exact = plan.exact_w[s, :len(plan.near) + s].tolist()
-        for j, w in zip(chain(plan.near, range(plan.leaf.lo, n)), exact):
-            acc += w * self._retained(j)
-        for j, w in zip(plan.far_leaf, plan.far_leaf_w[s].tolist()):
-            acc += w * self._retained(j)
-        for (nid, c), phi in zip(plan.far_moments, plan.phi_moments[:, s]):
-            mat = self.moments.get(nid)
-            if mat is None:
-                raise AssertionError(f"far cluster {c} has no allocated accumulator")
-            acc += phi @ mat
+        last = plan.near + s  # exact columns with j < n
+        acc = None  # set by the first run: the previous leaf, or the first leaf's own, is exact
+        for col, w, rows in plan.exact:
+            t = w[s, :last - col, None] * rows[:last - col]
+            if acc is not None:
+                t[0] += acc
+            acc = _sum_rows(t)
+        for w, rows in plan.far_leaves:
+            acc += w[s] @ rows
+        for phi, moments in plan.far_moments:
+            acc += phi[s] @ moments
         self.counters.rhs_ops += plan.ops + self.m * s
         return acc
 
-    def _retained(self, j: int) -> np.ndarray:
-        vec = self.retained.get(j)
-        if vec is None:
-            raise AssertionError(f"solution vector for interval {j} was freed too early")
-        return vec
-
     def commit_step(self, n: int, value: np.ndarray) -> None:
-        """Accept U^n: retain it and fold it into the moment accumulators of
-        every non-leaf ancestor cluster."""
+        """Accept U^n: retain it in the leaf's block and fold it into the
+        moments of every non-leaf ancestor cluster."""
         if n != self.committed + 1:
             raise ValueError(f"expected commit of step {self.committed + 1}, got {n}")
         value = np.asarray(value, dtype=float)
         if value.shape != (self.m,):
             raise ValueError(f"expected vector of length {self.m}")
         plan = self._plan_for(n)
-        self.retained[n] = value
+        s = n - plan.leaf.lo
+        plan.rows[s] = value
         self.counters.allocate(self.m)
-        for nid, psi in zip(plan.chain, plan.psi_chain[:, n - plan.leaf.lo]):
-            mat = self.moments.get(nid)
-            if mat is None:
-                mat = np.zeros((self.r, self.m))
-                self.moments[nid] = mat
-                self.counters.allocate(self.r * self.m)
-            mat += np.multiply.outer(psi, value)
-        self.counters.update_ops += len(plan.chain) * self.r * self.m
+        fresh = self._chain_live.count(False)
+        if fresh:
+            self._chain_live = [True] * len(self._chain_live)
+            self.counters.allocate(fresh * self.r * self.m)
+        self._chain += plan.psi_chain[s] * value
+        self.counters.update_ops += self._chain.shape[0] * self.r * self.m
         self.committed = n
 
     def free_cluster(self, c: Cluster) -> None:
-        """Recursive deallocation: leaves drop their retained vectors and psi
-        table, allocated non-leaves free their children then their own
-        moments.  Freeing what is already freed, or an unallocated
-        non-leaf, is a no-op."""
-        nid = self.tree.node_id(c)
-        if self.tree.is_leaf(c):
-            self._psi_tables.pop(nid, None)
-            for j in range(c.lo, c.hi + 1):
-                if self.retained.pop(j, None) is not None:
-                    self.counters.release(self.m)
-        elif nid in self.moments:
-            for child in self.tree.children_of(c):
+        """Recursive deallocation: leaves drop their retained vectors,
+        allocated non-leaves free their children then their own moments.
+        Freeing what is already freed, or an unallocated non-leaf, is a
+        no-op."""
+        tree = self.tree
+        nid = tree.node_id(c)
+        g = tree.generation[nid]
+        if g == tree.G:
+            if self._live[nid]:
+                self._live[nid] = False
+                self.counters.release(self.m * min(max(self.committed - c.lo + 1, 0), c.size))
+            return
+        in_chain = self._chain_ids[g] == nid and self._chain_live[g]
+        if self._live[nid] or in_chain:
+            for child in tree.children_of(c):
                 self.free_cluster(child)
-            del self.moments[nid]
+            if in_chain:
+                self._chain[g] = 0.0
+                self._chain_live[g] = False
+            else:
+                self._live[nid] = False
             self.counters.release(self.r * self.m)
 
     def run_schedule(self, step_callback) -> None:
-        """Full N-step loop: on entering a leaf, free what its plan lists;
-        per step, evaluate the history, hand it to the stepper callback and
-        commit the vector it returns."""
+        """Full N-step loop: per step, evaluate the history, hand it to the
+        stepper callback and commit the vector it returns.  The first query
+        or commit in a leaf enters it."""
         for n in range(1, self.tree.mesh.N + 1):
-            plan = self._plan_for(n)
-            if n == plan.leaf.lo:
-                for c in plan.frees:
-                    self.free_cluster(c)
             self.commit_step(n, step_callback(n, self.history_sum(n)))

@@ -8,6 +8,7 @@ from subdiff.frac_weights import KernelParams, WeightEngine
 from subdiff.history_engine import EngineCounters, HistoryEngine, SolutionSink
 from subdiff.reference_solution import direct_history_sum
 from subdiff.spatial_fem import SpatialGrid, benchmark_source, sine_mode
+from subdiff.taylor_expansion import ExpansionParams
 from subdiff.time_mesh import mesh_from_levels, uniform_mesh
 
 
@@ -31,13 +32,15 @@ def random_values(N, m, seed=1):
 
 
 def test_all_near_cover_matches_direct_sum_bitwise():
-    engine, weights = make_engine(eta=1e-300)
-    vals = random_values(64, 3)
-    for n in range(1, 65):
-        got = engine.history_sum(n)
-        want = direct_history_sum(weights, vals, n, m=3)
-        assert np.array_equal(got, want)
-        engine.commit_step(n, vals[n - 1])
+    # m = 1 too: numpy sums a single column pairwise unless told otherwise
+    for m in (3, 1):
+        engine, weights = make_engine(eta=1e-300, m=m)
+        vals = random_values(64, m)
+        for n in range(1, 65):
+            got = engine.history_sum(n)
+            want = direct_history_sum(weights, vals, n, m=m)
+            assert np.array_equal(got, want)
+            engine.commit_step(n, vals[n - 1])
 
 
 def test_far_field_accuracy_tracks_expansion_order():
@@ -60,19 +63,25 @@ def test_far_field_accuracy_tracks_expansion_order():
 
 def test_moment_accumulators_hold_weighted_sums():
     """After committing a cluster's intervals, its first moment equals the
-    plain step-weighted sum of the committed vectors."""
+    plain step-weighted sum of the committed vectors, in the chain
+    accumulator while the cluster is an ancestor of the current leaf and,
+    bit for bit the same, in its generation's store once the schedule has
+    left it."""
     engine, _ = make_engine(N=16, G=2, T=16.0)
     vals = random_values(16, 3)
     for n in range(1, 9):
         engine.commit_step(n, vals[n - 1])
     c = Cluster(1, 8)
-    mat = engine.moments[engine.tree.node_id(c)]
+    assert engine._chain_ids[1] == engine.tree.node_id(c)
+    mat = engine._chain[1].copy()
     want = sum(vals[j] for j in range(8))  # psi_1 = k_j = 1 on this mesh
     np.testing.assert_allclose(mat[0], want, rtol=1e-13)
     # second moment: integral of (s - sbar) over each unit interval, times value
     sbar = 4.0
     want2 = sum((j + 0.5 - sbar) * vals[j] for j in range(8))
     np.testing.assert_allclose(mat[1], want2, rtol=1e-12)
+    engine.commit_step(9, vals[8])  # enters C(9, 12): C(1, 8) moves to the store
+    assert np.array_equal(engine._stores[1].view(0, 1), mat)
 
 
 def test_commit_order_enforced():
@@ -84,6 +93,20 @@ def test_commit_order_enforced():
         engine.commit_step(2, np.zeros(4))  # wrong length
     with pytest.raises(ValueError, match="committed"):
         engine.history_sum(5)
+    for n in range(2, 6):
+        engine.commit_step(n, np.zeros(3))
+    with pytest.raises(ValueError, match="before the current leaf"):
+        engine.history_sum(4)  # the stores have moved on to leaf C(5, 8)
+
+
+def holds(engine, c):
+    """Whether the engine holds c's block: a leaf's retained vectors, or a
+    non-leaf's moments in its store or in the chain accumulator."""
+    tree = engine.tree
+    nid = tree.node_id(c)
+    g = tree.generation[nid]
+    in_chain = g < tree.G and engine._chain_ids[g] == nid and engine._chain_live[g]
+    return bool(engine._live[nid]) or in_chain
 
 
 def test_free_semantics():
@@ -92,23 +115,40 @@ def test_free_semantics():
     for n in range(1, 9):
         engine.commit_step(n, vals[n - 1])
     leaf = Cluster(1, 4)
-    assert 1 in engine.retained
+    assert holds(engine, leaf)
     engine.free_cluster(leaf)
-    assert 1 not in engine.retained and 4 not in engine.retained
+    assert not holds(engine, leaf)
     live_after = engine.counters.live_values
+    assert live_after == 4 * 2 + 2 * 4 * 2  # leaf C(5, 8) and the moments of C(1, 16), C(1, 8)
     engine.free_cluster(leaf)  # double free is a no-op
     assert engine.counters.live_values == live_after
     # unallocated non-leaf free is a no-op too
     engine.free_cluster(Cluster(9, 12))
+    engine.free_cluster(Cluster(9, 16))
     assert engine.counters.live_values == live_after
-    # freed vectors may no longer be read
-    with pytest.raises(AssertionError, match="freed too early"):
-        engine._retained(2)
-    # allocated non-leaf free releases moments and remaining children
+    # allocated non-leaf free releases moments and remaining children; here
+    # C(1, 8) is still an ancestor of the current leaf, in the chain accumulator
     root_child = Cluster(1, 8)
     engine.free_cluster(root_child)
-    assert engine.tree.node_id(root_child) not in engine.moments
-    assert 5 not in engine.retained
+    assert not holds(engine, root_child)
+    assert not holds(engine, Cluster(5, 8))
+    assert engine.counters.live_values == 4 * 2
+    # freed vectors may no longer be read: leaf C(9, 12) has C(1, 4) as a near leaf
+    with pytest.raises(AssertionError, match="freed too early"):
+        engine.history_sum(9)
+
+
+def test_freed_moments_may_not_be_read():
+    """A far non-leaf member whose moments were freed stops the plan."""
+    engine, _ = make_engine(N=64, G=3, eta=0.6)
+    vals = random_values(64, 3)
+    far = engine.cover_for(49).far
+    target = next(c for c in far if not engine.tree.is_leaf(c))
+    for n in range(1, 49):
+        engine.commit_step(n, vals[n - 1])
+    engine.free_cluster(target)
+    with pytest.raises(AssertionError, match="freed too early"):
+        engine.history_sum(49)
 
 
 def test_run_schedule_frees_history_and_bounds_memory():
@@ -239,3 +279,127 @@ def test_counters_allocate_release():
     c.release(7)
     assert c.live_values == 8
     assert c.high_water == 15
+
+
+def leaf_plans(engine, vals):
+    """Commit every step and return the plan of every leaf."""
+    plans = {}
+    for n, value in enumerate(vals, start=1):
+        engine.history_sum(n)
+        engine.commit_step(n, value)
+        plans[engine._plan.leaf] = engine._plan
+    return plans
+
+
+def run_count(tree, clusters):
+    """Number of runs of consecutive node ids of one generation."""
+    ids = sorted(tree.node_id(c) for c in clusters)
+    return sum(1 for a, b in zip([None] + ids, ids)
+               if a is None or b != a + 1 or tree.generation[a] != tree.generation[b])
+
+
+@pytest.mark.parametrize("N, Q, G, r, eta", [
+    (2000, 10, 3, 5, 0.4),
+    (256, 2, 6, 4, 0.5),
+    (243, 3, 5, 3, 0.7),
+    (64, 4, 3, 4, 0.3),
+])
+def test_uniform_plans_have_one_run_per_kind_and_generation(N, Q, G, r, eta):
+    """On a uniform mesh every plan has one exact run, at most one far-leaf
+    run and at most one far-moment run per generation, so a step makes
+    O(G) numpy calls whatever the size of its cover."""
+    engine, _ = make_engine(N=N, Q=Q, G=G, r=r, eta=eta, m=2)
+    tree = engine.tree
+    plans = leaf_plans(engine, random_values(N, 2))
+    assert len(plans) == Q**G
+    for leaf, plan in plans.items():
+        far = tree.minimal_cover(leaf, eta).far
+        moment_gens = {tree.generation[tree.node_id(c)] for c in far if not tree.is_leaf(c)}
+        assert len(plan.exact) == 1
+        assert len(plan.far_leaves) == (1 if any(tree.is_leaf(c) for c in far) else 0)
+        assert len(plan.far_moments) == len(moment_gens)
+
+
+def test_split_runs_on_a_perturbed_mesh():
+    """On this +-30% mesh some leaves see their near leaves, their far
+    leaves or one generation's far members in two runs.  Each run is one
+    term of the plan, the engine stays within the rank-r bound of the
+    direct sum, and with nothing admissible it equals the direct sum."""
+    N, m, r, eta, nu = 64, 3, 4, 0.3, 0.5
+    mesh = perturbed_mesh(N, seed=9)
+    engine, weights = make_engine(Q=4, G=3, r=r, eta=eta, m=m, nu=nu, mesh=mesh)
+    tree = engine.tree
+    vals = random_values(N, m)
+    plans = leaf_plans(engine, vals)
+    split = {"exact": 0, "far_leaves": 0, "far_moments": 0}
+    for leaf, plan in plans.items():
+        cover = tree.minimal_cover(leaf, eta)
+        far_leaves = [c for c in cover.far if tree.is_leaf(c)]
+        moments = [c for c in cover.far if not tree.is_leaf(c)]
+        runs = {"exact": run_count(tree, cover.near + (leaf,)),
+                "far_leaves": run_count(tree, far_leaves),
+                "far_moments": run_count(tree, moments)}
+        for kind, count in runs.items():
+            assert len(getattr(plan, kind)) == count
+        split["exact"] += runs["exact"] > 1
+        split["far_leaves"] += runs["far_leaves"] > 1
+        gens = [tree.generation[tree.node_id(c)] for c in moments]
+        split["far_moments"] += runs["far_moments"] > len(set(gens))
+    assert all(split.values()), split
+
+    bound = ExpansionParams(r, eta).error_factor(nu)
+    engine, weights = make_engine(Q=4, G=3, r=r, eta=eta, m=m, nu=nu, mesh=mesh)
+    exact, _ = make_engine(Q=4, G=3, r=r, eta=1e-300, m=m, nu=nu, mesh=mesh)
+    V = np.array(vals)
+    for n in range(1, N + 1):
+        want = direct_history_sum(weights, vals, n, m=m)
+        scale = np.abs(weights.offdiag(n, np.arange(1, n))) @ np.abs(V[:n - 1]) if n > 1 else 0.0
+        assert np.all(np.abs(engine.history_sum(n) - want) <= bound * scale + 1e-14 * scale)
+        assert np.array_equal(exact.history_sum(n), want)
+        engine.commit_step(n, vals[n - 1])
+        exact.commit_step(n, vals[n - 1])
+
+
+def test_unwritten_rows_are_never_read(monkeypatch):
+    """Every block the stores hand out starts as NaN; a 2D fast run and a
+    +-30%-perturbed 1D fast run still equal the unpoisoned runs bit for bit."""
+    grid2, grid1 = SpatialGrid(dim=2, m=6), SpatialGrid(dim=1, m=8)
+    steps = 1.0 + 0.3 * np.random.default_rng(5).uniform(-1.0, 1.0, 128)
+    mesh1 = mesh_from_levels(np.concatenate([[0.0], np.cumsum(steps)]) / steps.sum())
+    cases = [
+        (RunConfig(nu=0.5, mesh=uniform_mesh(64, 1.0), grid=grid2, r=4, Q=2, G=4), grid2),
+        (RunConfig(nu=0.3, mesh=mesh1, grid=grid1, Q=2, G=5), grid1),
+    ]
+
+    def solutions():
+        return [fast_run(cfg, benchmark_source(g), sine_mode(g, 1, 1 if g.dim == 2 else None))
+                .solutions for cfg, g in cases]
+
+    plain = solutions()
+    reserve = history_engine._BlockStore.reserve
+
+    def poisoned(self, p):
+        block = reserve(self, p)
+        block.fill(np.nan)
+        return block
+
+    monkeypatch.setattr(history_engine._BlockStore, "reserve", poisoned)
+    for want, got in zip(plain, solutions()):
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+
+@pytest.mark.parametrize("N, Q, G, r, eta", [
+    (2000, 10, 3, 5, 0.4),  # the desk problem's tree
+    (1024, 2, 8, 6, 0.5),
+])
+def test_reserved_storage_tracks_counted_peak(N, Q, G, r, eta):
+    """The values the stores and the chain accumulator reserve stay within
+    a quarter of the counted peak plus one block per generation, so the
+    O(M log N) bound holds for the memory actually held."""
+    m = 2
+    engine, _ = make_engine(N=N, Q=Q, G=G, r=r, eta=eta, m=m)
+    vals = random_values(N, m)
+    engine.run_schedule(lambda n, hist: vals[n - 1])
+    c = engine.counters
+    one_block_each = (G * r + engine.tree.leaf_size) * m
+    assert c.high_water <= c.reserved_high_water <= 1.25 * c.high_water + one_block_each
