@@ -13,6 +13,8 @@ Run:  python3 demos/benchmark_accuracy.py
 import math
 import time
 
+import numpy as np
+
 from subdiff import (
     RunConfig,
     SpatialGrid,
@@ -31,7 +33,7 @@ mesh = uniform_mesh(N, T)
 grid = SpatialGrid(dim=2, m=M_AXIS, K=1.0 / (2.0 * math.pi**2))
 source = benchmark_source(grid)
 mode = sine_mode(grid, 1, 1)
-exact = [u11(NU, float(t)) * mode for t in mesh.levels[1:]]
+exact = np.outer(u11(NU, mesh.levels[1:]), mode)
 
 print(f"benchmark: nu={NU}, T={T}, N={N}, grid {M_AXIS}x{M_AXIS} "
       f"({grid.M} unknowns)\n")

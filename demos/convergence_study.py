@@ -12,6 +12,8 @@ Run:  python3 demos/convergence_study.py
 
 import math
 
+import numpy as np
+
 from subdiff import (
     RunConfig,
     SpatialGrid,
@@ -34,7 +36,7 @@ def benchmark_error(N, m):
     cfg = RunConfig(nu=NU, mesh=mesh, grid=grid, r=8, eta=0.3, Q=2,
                     G=min(6, max_depth(N, 2)))
     res = fast_run(cfg, benchmark_source(grid), mode)
-    exact = [u11(NU, float(t)) * mode for t in mesh.levels[1:]]
+    exact = np.outer(u11(NU, mesh.levels[1:]), mode)
     return max_nodal_error(res.solutions, exact)
 
 

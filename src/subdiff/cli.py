@@ -142,7 +142,7 @@ def _single_run(spec: ExperimentSpec, mode: str, N: int, r: int | None,
         r_used, eta_used = result.r, f"{result.eta:.12g}"
 
     solver = EllipticSolver(grid)
-    mode_vals = [u11(spec.nu, float(t)) for t in mesh.levels[1:]]
+    mode_vals = u11(spec.nu, mesh.levels[1:])
     shape = sine_mode(grid, 1, j)
     max_err = 0.0
     step_errors = []

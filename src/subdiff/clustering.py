@@ -165,35 +165,34 @@ class ClusterTree:
 
     # -- covers -----------------------------------------------------------
 
-    def divide(self, c: Cluster, cover: list[Cluster], leaf: Cluster, eta: float) -> None:
+    def divide(self, c: Cluster, near: list[Cluster], far: list[Cluster], leaf: Cluster,
+               eta: float) -> None:
         """Recursive cover construction for one node.
 
-        Accept c when it is admissible, or when it is a leaf lying fully
-        in the target's history; otherwise recurse into the children.
-        Nodes starting right of the target's history are dropped.
+        Accept c into far when it is admissible, or into near when it is a
+        leaf lying fully in the target's history; otherwise recurse into the
+        children.  Nodes starting right of the target's history are dropped.
         """
         if c.lo > leaf.lo:  # a > c guard: entirely outside History(L)
             return
         left_of = c.hi <= leaf.lo - 1
         if left_of and self.is_admissible(c, leaf, eta):
-            cover.append(c)
+            far.append(c)
         elif left_of and self.is_leaf(c):
-            cover.append(c)
+            near.append(c)
         else:
             for child in self.children_of(c):
-                self.divide(child, cover, leaf, eta)
+                self.divide(child, near, far, leaf, eta)
 
     def minimal_cover(self, leaf: Cluster, eta: float) -> Cover:
         """The unique minimal admissible cover of History(leaf), split into
         near (non-admissible leaves) and far (admissible) parts."""
         if not self.is_leaf(leaf):
             raise ValueError(f"{leaf} is not a leaf of this tree")
-        acc: list[Cluster] = []
-        self.divide(self.root, acc, leaf, eta)
-        acc.sort()
-        near = tuple(c for c in acc if not self.is_admissible(c, leaf, eta))
-        far = tuple(c for c in acc if self.is_admissible(c, leaf, eta))
-        return Cover(leaf=leaf, near=near, far=far)
+        near: list[Cluster] = []
+        far: list[Cluster] = []
+        self.divide(self.root, near, far, leaf, eta)
+        return Cover(leaf=leaf, near=tuple(sorted(near)), far=tuple(sorted(far)))
 
     def lifetime(self, eta: float, c: Cluster) -> tuple[int, int] | None:
         """Contiguous step range [n_min, n_max] during which c belongs to the

@@ -3,10 +3,18 @@ clustered scheme, and stability/accuracy parameter selection.
 
 Each step solves (mass + beta_nn * stiffness) U^n = mass U^{n-1}
 + k_n * load_n + stiffness * H_n, where H_n is the weighted sum over the
-past steps.  Both schemes take that same step; they differ only in how
-H_n is computed.  The slow scheme evaluates H_n directly over every
-retained solution vector; the fast scheme delegates H_n to the history
-engine.
+past steps.  The march takes it in the sine basis (see spatial_fem),
+where it is elementwise:
+
+    u^_n = (mu * u^_{n-1} + k_n fbar_n mu * s^ + sigma * S H_n)
+           / (mu + beta_nn * sigma),    U^n = S u^_n,
+
+with S the DST-I and s^ = S spatial.  The history stays nodal: H_n is
+transformed as it enters the step, and U^n is what is retained, written
+to the sink and handed back to the history.  Both schemes take that same
+step; they differ only in how H_n is computed.  The slow scheme evaluates
+H_n directly over every retained solution vector; the fast scheme
+delegates H_n to the history engine.
 """
 
 from __future__ import annotations
@@ -137,31 +145,36 @@ def _march(config: RunConfig, weights: WeightEngine, source: SeparableSource | N
            t0: float, drive) -> RunResult:
     """The DG step both schemes share, driven by drive(step).
 
-    drive must call step(n, H_n) for n = 1..N in order; step solves for
-    U^n, retains it in res.solutions, writes it to the sink and returns
-    it.  Set-up time runs from t0 to the first step; rhs_seconds is all
-    time between two solves (history work in drive included), so the
-    three phases add up to the whole run.
+    drive must call step(n, H_n) for n = 1..N in order, with H_n in nodal
+    values; step solves for U^n, retains it in res.solutions, writes it to
+    the sink and returns it.  Set-up time runs from t0 to the first step;
+    solver_seconds covers each solve and its transform back to nodal
+    values, rhs_seconds all time between two of those (history work in
+    drive included), so the three phases add up to the whole run.
     """
     mesh, grid = config.mesh, config.grid
     solver = EllipticSolver(grid)
-    u_prev = np.zeros(grid.M) if u0 is None else np.asarray(u0, dtype=float)
+    mu, sigma = solver.mu, solver.sigma
+    load_hat = solver.sine_load(source)
+    u_hat = np.zeros(grid.M) if u0 is None else solver.transform(np.asarray(u0, dtype=float))
     mark = time.perf_counter()
     res.setup_seconds = mark - t0
 
     def step(n: int, hist: np.ndarray) -> np.ndarray:
-        nonlocal u_prev, mark
-        rhs = solver.mass @ u_prev + mesh.step(n) * load_average(solver, mesh, n, source)
-        rhs += solver.stiffness @ hist
+        nonlocal u_hat, mark
+        rhs = mu * u_hat
+        rhs += mesh.step(n) * load_average(mesh, n, source, load_hat)
+        rhs += sigma * solver.transform(hist)
         t = time.perf_counter()
         res.rhs_seconds += t - mark
-        u_prev = solver.solve(weights.diag(n), rhs)
+        u_hat = solver.solve(weights.diag(n), rhs)
+        u = solver.transform(u_hat)
         mark = time.perf_counter()
         res.solver_seconds += mark - t
-        res.solutions.append(u_prev)
+        res.solutions.append(u)
         if sink is not None:
-            sink.write(u_prev)
-        return u_prev
+            sink.write(u)
+        return u
 
     drive(step)
     res.rhs_seconds += time.perf_counter() - mark

@@ -3,8 +3,10 @@ unit interval/square with homogeneous Dirichlet conditions.
 
 The elliptic operator is A u = -div(K grad u) on a uniform grid with m
 subdivisions per axis, giving M = (m-1)^dim free nodes in lexicographic
-order.  Mass and stiffness matrices share the discrete sine eigenbasis,
-so (mass + beta * stiffness) systems are solved by DST-I diagonalization.
+order.  Mass and stiffness share the discrete sine eigenbasis, so
+nothing is assembled: EllipticSolver holds their eigenvalues and the
+DST-I between nodal values and sine coefficients, where a
+(mass + beta * stiffness) system is one elementwise division.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.fft import dstn
 
 from .time_mesh import TimeMesh
 
@@ -49,72 +49,65 @@ class SpatialGrid:
         return np.arange(1, self.m) / self.m
 
 
-def _mass_1d(m: int) -> sp.csr_matrix:
-    h = 1.0 / m
-    main = np.full(m - 1, 4.0 * h / 6.0)
-    off = np.full(m - 2, h / 6.0)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-def _stiff_1d(m: int, K: float) -> sp.csr_matrix:
-    h = 1.0 / m
-    main = np.full(m - 1, 2.0 * K / h)
-    off = np.full(m - 2, -K / h)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-def assemble(grid: SpatialGrid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Mass and stiffness matrices on the free nodes.
-
-    2D matrices are tensor products of the 1D factors:
-    mass = M1 x M1, stiffness = S1 x M1 + M1 x S1.
-    """
-    m1 = _mass_1d(grid.m)
-    if grid.dim == 1:
-        return m1, _stiff_1d(grid.m, grid.K)
-    s1 = _stiff_1d(grid.m, grid.K)
-    mass = sp.kron(m1, m1, format="csr")
-    stiff = (sp.kron(s1, m1) + sp.kron(m1, s1)).tocsr()
-    return mass, stiff
-
-
 class EllipticSolver:
-    """Assembled operators plus a DST-I diagonalized solver for
-    (mass + beta * stiffness) u = b."""
+    """The FEM operators in the sine basis, and the solver for
+    (mass + beta * stiffness) u = b there.
+
+    `sine` is the orthonormal DST-I matrix S, S[i, j] = sqrt(2/m)
+    sin(pi i j / m); it is symmetric and its own inverse.  transform
+    applies S along every axis (S @ v in 1D, S @ X @ S in 2D), mapping
+    nodal values to sine coefficients and back.  In that basis mass and
+    stiffness are the diagonals `mu` and `sigma`, flat in lexicographic
+    mode order: mass = S diag(mu) S and stiffness = S diag(sigma) S.
+    """
 
     def __init__(self, grid: SpatialGrid):
         self.grid = grid
-        self.mass, self.stiffness = assemble(grid)
         m, h, K = grid.m, grid.h, grid.K
         i = np.arange(1, m)
+        # i*j reduced mod 2m keeps the sine's argument below 2 pi, so every
+        # entry is accurate to a few ulps however large m is
+        self.sine = np.sqrt(2.0 / m) * np.sin(np.pi / m * (np.outer(i, i) % (2 * m)))
         cos = np.cos(i * np.pi / m)
-        # eigenvalues of the 1D factors in the sine basis
-        self._mass_eig = (h / 6.0) * (4.0 + 2.0 * cos)
-        self._stiff_eig = (K / h) * (2.0 - 2.0 * cos)
+        # eigenvalues of the 1D factors
+        mass_1d = (h / 6.0) * (4.0 + 2.0 * cos)
+        stiff_1d = (K / h) * (2.0 - 2.0 * cos)
+        if grid.dim == 1:
+            self.mu, self.sigma = mass_1d, stiff_1d
+        else:
+            # 2D operators are tensor products: mass = M1 x M1,
+            # stiffness = S1 x M1 + M1 x S1
+            self.mu = np.outer(mass_1d, mass_1d).reshape(-1)
+            self.sigma = (np.outer(stiff_1d, mass_1d) + np.outer(mass_1d, stiff_1d)).reshape(-1)
 
-    def _shape(self, v: np.ndarray) -> np.ndarray:
+    def transform(self, v: np.ndarray) -> np.ndarray:
+        """The DST-I of v along every axis: sine coefficients of nodal
+        values, or nodal values of sine coefficients."""
+        if self.grid.dim == 1:
+            return self.sine @ v
         n = self.grid.m - 1
-        return v.reshape((n,) * self.grid.dim)
+        return (self.sine @ v.reshape(n, n) @ self.sine).reshape(-1)
 
-    def solve(self, beta: float, b: np.ndarray) -> np.ndarray:
-        """Solve (mass + beta * stiffness) u = b by sine diagonalization."""
+    def solve(self, beta: float, b_hat: np.ndarray) -> np.ndarray:
+        """Sine coefficients of the solution of (mass + beta * stiffness) u = b,
+        given the sine coefficients b_hat of b."""
         if beta < 0.0:
             raise ValueError("beta must be nonnegative")
-        bh = dstn(self._shape(np.asarray(b, dtype=float)), type=1, norm="ortho")
-        me, se = self._mass_eig, self._stiff_eig
-        if self.grid.dim == 1:
-            denom = me + beta * se
-        else:
-            denom = np.multiply.outer(me, me) + beta * (
-                np.multiply.outer(se, me) + np.multiply.outer(me, se)
-            )
-        u = dstn(bh / denom, type=1, norm="ortho")
-        return u.reshape(-1)
+        return b_hat / (self.mu + beta * self.sigma)
+
+    def sine_load(self, source: SeparableSource | None) -> np.ndarray:
+        """Sine coefficients mu * S spatial of the load mass @ spatial of
+        the source's spatial factor; zero for no source."""
+        if source is None:
+            return np.zeros(self.grid.M)
+        return self.mu * self.transform(source.spatial)
 
 
 def l2_norm(solver: EllipticSolver, v: np.ndarray) -> float:
-    """Finite element L2 norm sqrt(v' mass v)."""
-    return float(np.sqrt(max(v @ (solver.mass @ v), 0.0)))
+    """Finite element L2 norm sqrt(v' mass v), as the Parseval sum
+    sqrt(sum mu * (S v)^2)."""
+    c = solver.transform(v)
+    return float(np.sqrt(solver.mu @ (c * c)))
 
 
 def nodal_interpolant(grid: SpatialGrid, f: Callable) -> np.ndarray:
@@ -164,14 +157,12 @@ def benchmark_source(grid: SpatialGrid) -> SeparableSource:
                            time_average=sin_plus_one_average)
 
 
-def load_average(solver: EllipticSolver, mesh: TimeMesh, n: int,
-                 source: SeparableSource | None) -> np.ndarray:
-    """Load vector of the time-averaged source over interval n.
-
-    Entries are <fbar_n, basis_m>, computed as mass * interpolant for the
-    separable sources supported here; None means a zero source.
+def load_average(mesh: TimeMesh, n: int, source: SeparableSource | None,
+                 load_hat: np.ndarray) -> np.ndarray:
+    """Sine coefficients of the load of the time-averaged source over
+    interval n: the source's time average over I_n times load_hat, the
+    run's EllipticSolver.sine_load(source).  None means a zero source.
     """
     if source is None:
-        return np.zeros(solver.grid.M)
-    avg = source.time_average(mesh.level(n - 1), mesh.level(n))
-    return avg * (solver.mass @ source.spatial)
+        return np.zeros_like(load_hat)
+    return source.time_average(mesh.level(n - 1), mesh.level(n)) * load_hat

@@ -17,10 +17,18 @@ from subdiff.dg_stepper import (
     stability_threshold,
 )
 from subdiff.frac_weights import KernelParams, WeightEngine
-from subdiff.reference_solution import exact_field
-from subdiff.spatial_fem import EllipticSolver, SpatialGrid, benchmark_source, l2_norm, sine_mode
+from subdiff.reference_solution import direct_history_sum, exact_field
+from subdiff.spatial_fem import (
+    EllipticSolver,
+    SeparableSource,
+    SpatialGrid,
+    benchmark_source,
+    l2_norm,
+    sine_mode,
+)
 from subdiff.taylor_expansion import phi_coeffs, psi_coeffs
 from subdiff.time_mesh import mesh_from_levels, uniform_mesh
+from test_spatial_fem import assemble
 
 
 def test_rho_nu_values_and_continuity():
@@ -82,14 +90,46 @@ def test_slow_run_single_step():
     res = slow_run(cfg, src, u0)
     assert len(res.solutions) == 1
     assert res.rhs_ops == 0
-    solver = EllipticSolver(grid)
-    from subdiff.frac_weights import KernelParams, WeightEngine
-    from subdiff.spatial_fem import load_average
-
+    mass, stiff = assemble(grid)
     w = WeightEngine(KernelParams(0.5), mesh)
-    rhs = solver.mass @ u0 + mesh.step(1) * load_average(solver, mesh, 1, src)
-    np.testing.assert_allclose(res.solutions[0], solver.solve(w.diag(1), rhs),
+    load = src.time_average(0.0, mesh.level(1)) * (mass @ src.spatial)
+    rhs = mass @ u0 + mesh.step(1) * load
+    np.testing.assert_allclose(res.solutions[0], np.linalg.solve(mass + w.diag(1) * stiff, rhs),
                                rtol=1e-14)
+
+
+def nodal_march(config, source, u0):
+    """The DG step in nodal values with the assembled matrices: the
+    oracle for the sine-basis march."""
+    mesh, M = config.mesh, config.grid.M
+    mass, stiff = assemble(config.grid)
+    weights = WeightEngine(KernelParams(config.nu), mesh)
+    sols = []
+    u = u0
+    for n in range(1, mesh.N + 1):
+        load = source.time_average(mesh.level(n - 1), mesh.level(n)) * (mass @ source.spatial)
+        rhs = mass @ u + mesh.step(n) * load + stiff @ direct_history_sum(weights, sols, n, m=M)
+        u = np.linalg.solve(mass + weights.diag(n) * stiff, rhs)
+        sols.append(u)
+    return sols
+
+
+@pytest.mark.parametrize("dim,m", [(1, 16), (2, 8)])
+def test_sine_basis_march_matches_nodal_march(dim, m):
+    mesh = perturbed_mesh(64, seed=3)
+    grid = SpatialGrid(dim=dim, m=m, K=1.0 / (dim * math.pi**2))
+    config = RunConfig(nu=0.5, mesh=mesh, grid=grid)
+    src, u0 = benchmark_source(grid), sine_mode(grid, 1, 1 if dim == 2 else None)
+    got = slow_run(config, src, u0).solutions
+    np.testing.assert_allclose(got, nodal_march(config, src, u0), rtol=1e-12, atol=0)
+    # data with every sine mode present; entries near zero are measured
+    # against the largest value
+    rng = np.random.default_rng(dim)
+    src = SeparableSource(spatial=rng.standard_normal(grid.M), time_average=src.time_average)
+    u0 = rng.standard_normal(grid.M)
+    got = np.asarray(slow_run(config, src, u0).solutions)
+    want = np.asarray(nodal_march(config, src, u0))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_zero_data_gives_zero_solution():

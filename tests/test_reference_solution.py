@@ -5,6 +5,7 @@ import pytest
 
 from subdiff.frac_weights import KernelParams, WeightEngine
 from subdiff.reference_solution import (
+    ContourAccuracyError,
     LaplaceContour,
     direct_history_sum,
     exact_field,
@@ -50,6 +51,32 @@ def test_u11_validation():
         u11(0.5, 0.0)
     with pytest.raises(ValueError):
         LaplaceContour(nodes=4)
+
+
+def test_u11_array_form_matches_scalar_calls():
+    """One call for every level of the desk mesh (several blocks) agrees
+    with a scalar call per level; the shape of t is kept and a scalar
+    gives a float."""
+    t = uniform_mesh(2000, 6.0).levels[1:]
+    got = u11(0.5, t)
+    want = np.array([u11(0.5, float(x)) for x in t])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(u11(0.25, t[:6].reshape(2, 3), forced=False),
+                               [[u11(0.25, float(x), forced=False) for x in row]
+                                for row in t[:6].reshape(2, 3)], rtol=0, atol=1e-12)
+    assert type(u11(0.5, 1.5)) is float and type(u11(0.5, np.float64(1.5))) is float
+    with pytest.raises(ValueError):
+        u11(0.5, np.array([1.0, 0.0]))
+
+
+def test_contour_error_names_first_failing_time():
+    """With 9 nodes the estimate passes at t = 0.1 and fails from t = 0.5
+    on; the first failure in array order is named, past a block boundary."""
+    coarse = LaplaceContour(nodes=9)
+    with pytest.raises(ContourAccuracyError, match=r"at t=2\.0$"):
+        u11(0.5, np.r_[np.full(1800, 0.1), 2.0, 0.5], coarse)
+    with pytest.raises(ContourAccuracyError, match=r"at t=0\.5$"):
+        u11(0.5, 0.5, coarse)
 
 
 def test_mittag_leffler_series_known_values():
