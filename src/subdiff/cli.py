@@ -105,6 +105,8 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
         parser.error("--sweep-r applies to the fast scheme only and conflicts with --mode slow")
     if not 0.0 < args.nu < 1.0:
         parser.error("--nu must lie in (0, 1)")
+    if args.Q < 2:
+        parser.error("--Q must be at least 2")
     return ExperimentSpec(
         nu=args.nu, T=args.T, N=args.N, dim=args.dim, m=args.m, K=args.K,
         mode=args.mode, r=args.r, eta=args.eta, Q=args.Q, G=args.G,

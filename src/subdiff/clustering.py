@@ -6,12 +6,24 @@ down to depth G (N must be divisible by Q^G).  For a target leaf L, the
 history (0, t_{j-1}] is partitioned into the unique minimal cover of
 tree nodes that are either admissible (length at most eta times the gap
 to L, eligible for the rank-r expansion) or leaves (summed exactly).
+
+The tree is stored as node arrays `lo`, `hi` and `generation` in
+breadth-first id order, and this module alone knows that numbering: the
+children of node i are Q i + 1 .. Q i + Q, so parent, children,
+ancestor-chain and position queries are id arithmetic.  A child is never
+longer than its parent nor nearer to the leaf, so admissibility is
+monotone from parent to child, and a node is in the cover exactly when it
+lies in the history, is admissible or a leaf, and its parent is not
+admissible: one boolean mask over the node arrays per leaf.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from .time_mesh import TimeMesh
 
@@ -29,9 +41,12 @@ class Cluster(NamedTuple):
 
 @dataclass(frozen=True)
 class Cover:
-    """Partition of a leaf's history into near (exact) and far (low-rank) parts."""
+    """Partition of a leaf's history into near (exact) and far (low-rank)
+    parts, as node ids by generation, then time, and as their Clusters."""
 
     leaf: Cluster
+    near_ids: tuple[int, ...]
+    far_ids: tuple[int, ...]
     near: tuple[Cluster, ...]
     far: tuple[Cluster, ...]
 
@@ -57,178 +72,113 @@ class ClusterTree:
         self.Q = Q
         self.G = G
         self.leaf_size = N // Q**G
+        # the first id of each generation, then the node count
+        self.first = [(Q**g - 1) // (Q - 1) for g in range(G + 2)]
 
-        # Nodes in breadth-first order; generation ell holds Q^ell nodes.
-        self.nodes: list[Cluster] = []
-        self.generation: list[int] = []
-        self.parent: list[int] = []
-        self.children: list[list[int]] = []
-        self._index: dict[Cluster, int] = {}
-        for ell in range(G + 1):
-            count = Q**ell
-            width = N // count
-            for i in range(count):
-                c = Cluster(i * width + 1, (i + 1) * width)
-                idx = len(self.nodes)
-                self.nodes.append(c)
-                self.generation.append(ell)
-                self._index[c] = idx
-                self.parent.append(-1 if ell == 0 else self._parent_id(c, ell))
-                self.children.append([])
-        for idx, p in enumerate(self.parent):
-            if p >= 0:
-                self.children[p].append(idx)
-        self._first_leaf = len(self.nodes) - Q**G
-
-        gmin = min(self.len_time(c) for c in self.leaves())
-        gmax = max(self.len_time(c) for c in self.leaves())
-        scale = mesh.T * Q ** (-G)
-        self.lam = gmin / scale
-        self.Lam = gmax / scale
-
-    def _parent_id(self, c: Cluster, ell: int) -> int:
-        width = self.mesh.N // self.Q**ell
-        pwidth = width * self.Q
-        pi = (c.lo - 1) // pwidth
-        # parent ids precede this generation in BFS order
-        offset = (self.Q ** (ell - 1) - 1) // (self.Q - 1)
-        return offset + pi
+        self.generation = np.repeat(np.arange(G + 1), [Q**g for g in range(G + 1)])
+        width = N // Q**self.generation
+        self.lo = (np.arange(self.first[-1]) - np.array(self.first)[self.generation]) * width + 1
+        self.hi = self.lo + width - 1
+        self.nodes = list(map(Cluster, self.lo.tolist(), self.hi.tolist()))
+        # the mesh coordinate of each level: interval counts on uniform
+        # meshes, so admissibility ties at the threshold are exact; times otherwise
+        self._x = np.arange(N + 1.0) if mesh.uniform else mesh.levels
+        self._length, self._end = self._extent(self.lo, self.hi)
 
     # -- structure queries ------------------------------------------------
 
-    def node_id(self, c: Cluster) -> int:
-        return self._index[c]
-
-    @property
-    def root(self) -> Cluster:
-        return self.nodes[0]
-
     def is_leaf(self, c: Cluster) -> bool:
-        return self.generation[self._index[c]] == self.G
+        return 1 <= c.lo <= self.mesh.N and self.leaf_of(c.lo) == c
 
     def leaves(self) -> Iterator[Cluster]:
-        return iter(self.nodes[self._first_leaf:])
+        return iter(self.nodes[self.first[self.G]:])
 
-    def children_of(self, c: Cluster) -> list[Cluster]:
-        return [self.nodes[i] for i in self.children[self._index[c]]]
+    def leaf_id(self, n: int) -> int:
+        """Id of the unique leaf containing interval n."""
+        self.mesh._check_index(n)
+        return self.first[self.G] + (n - 1) // self.leaf_size
 
     def leaf_of(self, n: int) -> Cluster:
         """The unique leaf containing interval n."""
-        self.mesh._check_index(n)
-        i = (n - 1) // self.leaf_size
-        return self.nodes[self._first_leaf + i]
+        return self.nodes[self.leaf_id(n)]
 
-    def ancestors(self, c: Cluster) -> list[Cluster]:
+    def children(self, i: int) -> range:
+        if i >= self.first[self.G]:
+            return range(0)
+        return range(self.Q * i + 1, self.Q * i + self.Q + 1)
+
+    def chain(self, i: int) -> list[int]:
+        """Ids of node i's ancestors, root first."""
         out = []
-        idx = self.parent[self._index[c]]
-        while idx >= 0:
-            out.append(self.nodes[idx])
-            idx = self.parent[idx]
-        return out
+        while i > 0:
+            i = (i - 1) // self.Q
+            out.append(i)
+        return out[::-1]
 
-    def update_subtree(self, n: int) -> list[Cluster]:
-        """Non-leaf clusters whose span intersects interval n: the ancestor
-        chain of the containing leaf, root first."""
-        leaf = self.leaf_of(n)
-        chain = self.ancestors(leaf)
-        chain.reverse()
-        return chain
+    def position(self, i: int) -> int:
+        """Place of node i in its generation's time order."""
+        return i - self.first[self.generation[i]]
 
-    # -- geometry ---------------------------------------------------------
-
-    def len_time(self, c: Cluster) -> float:
+    def midpoint(self, ids) -> np.ndarray:
+        """Midpoints of the nodes' time spans."""
         lv = self.mesh.levels
-        return float(lv[c.hi] - lv[c.lo - 1])
+        return 0.5 * (lv[self.lo[ids] - 1] + lv[self.hi[ids]])
 
-    def dist_time(self, c1: Cluster, c2: Cluster) -> float:
-        if c1.lo > c2.hi or c2.lo > c1.hi:
-            left, right = (c1, c2) if c1.hi < c2.lo else (c2, c1)
-            lv = self.mesh.levels
-            return float(lv[right.lo - 1] - lv[left.hi])
-        return 0.0
+    # -- admissibility and covers -------------------------------------------
 
-    def history(self, c: Cluster) -> tuple[float, float]:
-        """The half-open interval (0, t_{lo-1}] preceding the cluster."""
-        return (0.0, float(self.mesh.levels[c.lo - 1]))
+    def _extent(self, lo, hi):
+        """Length and right end of clusters C(lo, hi) in the mesh coordinate."""
+        return self._x[hi] - self._x[lo - 1], self._x[hi]
+
+    def _admissible(self, length, end, h: int, eta: float):
+        """Whether clusters of the given extent lie in the history (0, t_h]
+        with Len(C) <= eta * Dist(C, t_h); elementwise on arrays."""
+        gap = self._x[h] - end
+        return (gap >= 0) & (length <= eta * gap)
 
     def is_admissible(self, c: Cluster, leaf: Cluster, eta: float) -> bool:
-        """Containment in the leaf's history plus Len(C) <= eta * Dist(C, L).
-
-        On uniform meshes both sides are evaluated in integer interval
-        counts, so ties at the threshold are exact.
-        """
-        if c.hi > leaf.lo - 1:
-            return False
-        if self.mesh.uniform:
-            return c.size <= eta * (leaf.lo - 1 - c.hi)
-        return self.len_time(c) <= eta * self.dist_time(c, leaf)
-
-    # -- covers -----------------------------------------------------------
-
-    def divide(self, c: Cluster, near: list[Cluster], far: list[Cluster], leaf: Cluster,
-               eta: float) -> None:
-        """Recursive cover construction for one node.
-
-        Accept c into far when it is admissible, or into near when it is a
-        leaf lying fully in the target's history; otherwise recurse into the
-        children.  Nodes starting right of the target's history are dropped.
-        """
-        if c.lo > leaf.lo:  # a > c guard: entirely outside History(L)
-            return
-        left_of = c.hi <= leaf.lo - 1
-        if left_of and self.is_admissible(c, leaf, eta):
-            far.append(c)
-        elif left_of and self.is_leaf(c):
-            near.append(c)
-        else:
-            for child in self.children_of(c):
-                self.divide(child, near, far, leaf, eta)
+        """Containment in the leaf's history plus Len(C) <= eta * Dist(C, L)."""
+        return bool(self._admissible(*self._extent(c.lo, c.hi), leaf.lo - 1, eta))
 
     def minimal_cover(self, leaf: Cluster, eta: float) -> Cover:
         """The unique minimal admissible cover of History(leaf), split into
         near (non-admissible leaves) and far (admissible) parts."""
         if not self.is_leaf(leaf):
             raise ValueError(f"{leaf} is not a leaf of this tree")
-        near: list[Cluster] = []
-        far: list[Cluster] = []
-        self.divide(self.root, near, far, leaf, eta)
-        return Cover(leaf=leaf, near=tuple(sorted(near)), far=tuple(sorted(far)))
-
-    def lifetime(self, eta: float, c: Cluster) -> tuple[int, int] | None:
-        """Contiguous step range [n_min, n_max] during which c belongs to the
-        cover of the current leaf, or None if it never does."""
-        steps = [
-            n
-            for leaf in self.leaves()
-            for n in range(leaf.lo, leaf.hi + 1)
-            if c in self.minimal_cover(leaf, eta).members()
-        ]
-        if not steps:
-            return None
-        lo, hi = steps[0], steps[-1]
-        if steps != list(range(lo, hi + 1)):
-            raise AssertionError(f"non-contiguous cover membership for {c}: {steps}")
-        return lo, hi
+        h, leaf0 = leaf.lo - 1, self.first[self.G]
+        adm = self._admissible(self._length, self._end, h, eta)
+        member = adm.copy()
+        member[leaf0:] |= self.hi[leaf0:] <= h
+        member[1:] &= ~np.repeat(adm[:leaf0], self.Q)  # node i's parent is (i - 1) // Q
+        ids = np.flatnonzero(member)
+        far = adm[ids]
+        near_ids, far_ids = tuple(ids[~far].tolist()), tuple(ids[far].tolist())
+        nodes = self.nodes
+        return Cover(leaf=leaf, near_ids=near_ids, far_ids=far_ids,
+                     near=tuple(nodes[i] for i in near_ids), far=tuple(nodes[i] for i in far_ids))
 
     # -- debug output -------------------------------------------------------
 
     def dump(self, cover: Cover | None = None) -> str:
         """Indented one-node-per-line rendering, optionally tagging a cover."""
-        tags: dict[Cluster, str] = {}
+        tags: dict[int, str] = {}
         if cover is not None:
-            tags.update({c: "NEAR" for c in cover.near})
-            tags.update({c: "FAR" for c in cover.far})
-            tags[cover.leaf] = "LEAF*"
+            tags.update(dict.fromkeys(cover.near_ids, "NEAR"))
+            tags.update(dict.fromkeys(cover.far_ids, "FAR"))
+            tags[self.leaf_id(cover.leaf.lo)] = "LEAF*"
         lines = []
-        for idx, c in enumerate(self.nodes):
-            ell = self.generation[idx]
-            tag = f"  [{tags[c]}]" if c in tags else ""
-            lines.append(f"{'  ' * ell}gen{ell} C({c.lo},{c.hi}){tag}")
+        for i, (c, g) in enumerate(zip(self.nodes, self.generation.tolist())):
+            tag = f"  [{tags[i]}]" if i in tags else ""
+            lines.append(f"{'  ' * g}gen{g} C({c.lo},{c.hi}){tag}")
         return "\n".join(lines) + "\n"
 
 
 def max_depth(N: int, Q: int) -> int:
     """Largest G >= 0 with N divisible by Q^G."""
+    if Q < 2:
+        raise ValueError(f"branching factor Q={Q} must be at least 2")
+    if N < 1:
+        raise ValueError(f"step count N={N} must be positive")
     g = 0
     while N % Q == 0:
         N //= Q
@@ -239,10 +189,8 @@ def max_depth(N: int, Q: int) -> int:
 def auto_depth(N: int, Q: int) -> int:
     """Default tree depth: round(log_Q N) - 2, lowered to the nearest depth
     dividing N, at least 1."""
-    import math
-
-    target = max(1, round(math.log(N, Q)) - 2)
-    g = min(target, max_depth(N, Q))
+    deepest = max_depth(N, Q)  # rejects Q < 2 before the logarithm does
+    g = min(max(1, round(math.log(N, Q)) - 2), deepest)
     if g < 1:
         raise ValueError(f"N={N} admits no uniform tree with Q={Q}")
     return g

@@ -244,20 +244,20 @@ def stability_diagnostic(config: RunConfig) -> StabilityReport:
     col = np.zeros(N + 1)
     lv = mesh.levels
     for leaf in tree.leaves():
-        far = tree.minimal_cover(leaf, eta).far
-        if not far:
+        far = np.array(tree.minimal_cover(leaf, eta).far_ids, dtype=int)
+        if not far.size:
             continue
         steps = np.arange(leaf.lo, leaf.hi + 1)
-        sbar = 0.5 * (lv[[c.lo - 1 for c in far]] + lv[[c.hi for c in far]])
+        sbar = tree.midpoint(far)
         # phi of every far member at every step of the leaf, in one call
         phi = phi_coeffs(config.nu, r, sbar[:, None], lv[leaf.lo - 1:leaf.hi],
                          lv[leaf.lo:leaf.hi + 1])
-        for c, s, phi_c in zip(far, sbar, phi):
-            psi = psi_coeffs(r, s, lv[c.lo - 1:c.hi], lv[c.lo:c.hi + 1])
-            exact = weights.offdiag(steps[:, None], np.arange(c.lo, c.hi + 1)[None, :])
+        for lo, hi, s, phi_c in zip(tree.lo[far].tolist(), tree.hi[far].tolist(), sbar, phi):
+            psi = psi_coeffs(r, s, lv[lo - 1:hi], lv[lo:hi + 1])
+            exact = weights.offdiag(steps[:, None], np.arange(lo, hi + 1)[None, :])
             diff = np.abs(phi_c @ psi.T - exact)
             row[leaf.lo:leaf.hi + 1] += diff.sum(axis=1)
-            col[c.lo:c.hi + 1] += diff.sum(axis=0)
+            col[lo:hi + 1] += diff.sum(axis=0)
     rn = rho_nu(config.nu)
     budget_row = max(
         row[n] / (rn * mesh.T ** (config.nu - 1.0) * mesh.step(n)) for n in range(2, N + 1)

@@ -50,7 +50,6 @@ the cost and memory bounds can be checked machine-independently.
 from __future__ import annotations
 
 import io
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -199,12 +198,11 @@ class HistoryEngine:
         self.eta = eta
         self.m = m
         self.counters = EngineCounters()
-        Q, G = tree.Q, tree.G
-        self._offset = [(Q**g - 1) // (Q - 1) for g in range(G + 1)]  # first node id per generation
+        G, first = tree.G, tree.first
         self._live = np.zeros(len(tree.nodes), dtype=bool)  # per node id: block reserved, not freed
-        self._stores = [_BlockStore(self._live[off:off + Q**g], r if g < G else tree.leaf_size,
-                                    m, self.counters)
-                        for g, off in enumerate(self._offset)]
+        self._stores = [_BlockStore(self._live[first[g]:first[g + 1]],
+                                    r if g < G else tree.leaf_size, m, self.counters)
+                        for g in range(G + 1)]
         self._chain = np.zeros((G, r, m))  # moments of the current leaf's ancestors, root first
         self._chain_ids = [-1] * G  # their node ids
         self._chain_live = [False] * G  # whether a commit has allocated each row
@@ -217,11 +215,6 @@ class HistoryEngine:
     def cover_for(self, n: int) -> Cover:
         """The minimal cover of the leaf holding step n."""
         return self.tree.minimal_cover(self.tree.leaf_of(n), self.eta)
-
-    def _sbar(self, clusters) -> np.ndarray:
-        """Midpoints of the clusters' time spans."""
-        lv = self.tree.mesh.levels
-        return 0.5 * (lv[[c.lo - 1 for c in clusters]] + lv[[c.hi for c in clusters]])
 
     def _plan_for(self, n: int) -> _LeafPlan:
         """The plan of the leaf holding step n, built when that leaf is entered."""
@@ -237,63 +230,62 @@ class HistoryEngine:
         schedule leaves, reserve the leaf's block and build its plan."""
         tree, r, m, G = self.tree, self.r, self.m, self.tree.G
         cover = self.cover_for(leaf.lo)
-        far_ids = sorted(map(tree.node_id, cover.far))  # by generation, then in time
-        nmom = bisect_left(far_ids, self._offset[G])  # far non-leaf members come first
+        far_ids = cover.far_ids  # by generation, then in time
+        nmom = sum(i < tree.first[G] for i in far_ids)  # far non-leaf members come first
         seen = self._plan.moment_ids if self._plan is not None else frozenset()
         for i in far_ids[:nmom]:
             if i not in seen:
-                for child in tree.children_of(tree.nodes[i]):
+                for child in tree.children(i):
                     self.free_cluster(child)
-        ancestors = tree.update_subtree(leaf.lo)
-        chain = [tree.node_id(c) for c in ancestors]
+        leaf_id = tree.leaf_id(leaf.lo)
+        chain = tree.chain(leaf_id)
         left = next((g for g in range(G) if chain[g] != self._chain_ids[g]), G)
         for g in range(left, G):  # the ancestors the schedule leaves move to their stores
             if self._chain_live[g]:
-                self._stores[g].reserve(self._chain_ids[g] - self._offset[g])[:] = self._chain[g]
+                self._stores[g].reserve(tree.position(self._chain_ids[g]))[:] = self._chain[g]
         self._chain[left:] = 0.0
         self._chain_live[left:] = [False] * (G - left)
         self._chain_ids = chain
-        leaf_id = tree.node_id(leaf)
-        rows = self._stores[G].reserve(leaf_id - self._offset[G])
+        rows = self._stores[G].reserve(tree.position(leaf_id))
 
         # The near leaves and the leaf itself, then the far members, cut into
         # runs of consecutive node ids.  The far ids restart below the leaf's,
         # and a generation's last node ends at step N, so it is never a
         # member: no run crosses a kind or a generation.
-        nn = len(cover.near) + 1
-        ids = [tree.node_id(c) for c in cover.near] + [leaf_id] + far_ids
-        pos = np.array(ids)
-        live = self._live[pos]
+        nn = len(cover.near_ids) + 1
+        ids = np.array(cover.near_ids + (leaf_id,) + far_ids)
+        live = self._live[ids]
         if not live.all():
             raise AssertionError(f"the blocks of {tree.nodes[ids[np.argmin(live)]]} "
                                  "were freed too early")
-        cuts = [0, *(np.flatnonzero(pos[1:] - pos[:-1] != 1) + 1).tolist(), len(ids)]
+        cuts = [0, *(np.flatnonzero(ids[1:] - ids[:-1] != 1) + 1).tolist(), len(ids)]
 
         size = leaf.size
         lv = tree.mesh.levels
         steps = np.arange(leaf.lo, leaf.hi + 1)
         t_prev, t_next = lv[leaf.lo - 1:leaf.hi], lv[leaf.lo:leaf.hi + 1]
-        far = [tree.nodes[i] for i in far_ids]
+        far, far_leaf = ids[nn:], ids[nn + nmom:]
         # one psi call: the ancestors about the leaf's steps, then every far
         # leaf's psi table about its own intervals
-        first = np.array([leaf.lo] * G + [c.lo for c in far[nmom:]])[:, None] + np.arange(size)
-        psi = psi_coeffs(r, self._sbar(ancestors + far[nmom:])[:, None], lv[first - 1], lv[first])
+        intervals = np.concatenate([[leaf.lo] * G, tree.lo[far_leaf]])[:, None] + np.arange(size)
+        psi = psi_coeffs(r, tree.midpoint(np.concatenate([chain, far_leaf]))[:, None],
+                         lv[intervals - 1], lv[intervals])
         # one offdiag call for every step's exact weights, pairs j < n only
-        js = (np.array([c.lo for c in cover.near] + [leaf.lo])[:, None] + np.arange(size)).ravel()
+        js = (tree.lo[ids[:nn]][:, None] + np.arange(size)).ravel()
         pairs = np.nonzero(js < steps[:, None])
         exact_w = np.zeros((size, js.size))
         exact_w[pairs] = self.weights.offdiag(steps[pairs[0]], js[pairs[1]])
-        if far:
+        if far.size:
             # one phi call covers every far member at every step of the leaf
-            phi = phi_coeffs(self.weights.params.nu, r, self._sbar(far)[:, None], t_prev, t_next)
+            phi = phi_coeffs(self.weights.params.nu, r, tree.midpoint(far)[:, None],
+                             t_prev, t_next)
             w_mom = phi[:nmom].transpose(1, 0, 2).reshape(size, nmom * r)
             w_leaf = np.einsum("ksp,kjp->skj", phi[nmom:], psi[G:]).reshape(size, -1)
 
         exact, far_leaves, far_moments = [], [], []
         nf = nn + nmom  # where the far leaves start
         for i, j in zip(cuts, cuts[1:]):
-            g = tree.generation[ids[i]]
-            p = ids[i] - self._offset[g]
+            g, p = tree.generation[ids[i]], tree.position(ids[i])
             view = self._stores[g].view(p, p + j - i)
             if i < nn:
                 exact.append((i * size, exact_w[:, i * size:j * size], view))
@@ -310,7 +302,7 @@ class HistoryEngine:
             far_leaves=tuple(far_leaves),
             far_moments=tuple(far_moments),
             psi_chain=psi[:G].transpose(1, 0, 2)[..., None],
-            ops=m * ((nn - 1 + len(far) - nmom) * size + r * nmom),
+            ops=m * ((nn - 1 + far.size - nmom) * size + r * nmom),
         )
 
     # -- per-step evaluation / commit / free operations ----------------------
@@ -363,28 +355,28 @@ class HistoryEngine:
         self.counters.update_ops += self._chain.shape[0] * self.r * self.m
         self.committed = n
 
-    def free_cluster(self, c: Cluster) -> None:
-        """Recursive deallocation: leaves drop their retained vectors,
-        allocated non-leaves free their children then their own moments.
-        Freeing what is already freed, or an unallocated non-leaf, is a
-        no-op."""
+    def free_cluster(self, i: int) -> None:
+        """Recursive deallocation of node i: leaves drop their retained
+        vectors, allocated non-leaves free their children then their own
+        moments.  Freeing what is already freed, or an unallocated
+        non-leaf, is a no-op."""
         tree = self.tree
-        nid = tree.node_id(c)
-        g = tree.generation[nid]
+        g = tree.generation[i]
         if g == tree.G:
-            if self._live[nid]:
-                self._live[nid] = False
-                self.counters.release(self.m * min(max(self.committed - c.lo + 1, 0), c.size))
+            if self._live[i]:
+                self._live[i] = False
+                kept = min(max(self.committed - tree.nodes[i].lo + 1, 0), tree.leaf_size)
+                self.counters.release(self.m * kept)
             return
-        in_chain = self._chain_ids[g] == nid and self._chain_live[g]
-        if self._live[nid] or in_chain:
-            for child in tree.children_of(c):
+        in_chain = self._chain_ids[g] == i and self._chain_live[g]
+        if self._live[i] or in_chain:
+            for child in tree.children(i):
                 self.free_cluster(child)
             if in_chain:
                 self._chain[g] = 0.0
                 self._chain_live[g] = False
             else:
-                self._live[nid] = False
+                self._live[i] = False
             self.counters.release(self.r * self.m)
 
     def run_schedule(self, step_callback) -> None:

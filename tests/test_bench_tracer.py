@@ -67,3 +67,25 @@ def test_traced_uniform_slow_solve_reaches_every_name(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracer.missing(SLOW) == []
+
+
+def test_traced_cli_run_reaches_every_name(monkeypatch, tmp_path):
+    """A small fast CLI run, shaped like the desk2d-fast-cli workload
+    (explicit Q, G, r and eta), calls every name the traced benchmark
+    expects that workload to reach."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+    from workloads import CLI
+
+    from subdiff import cli
+
+    argv = ["--mode", "fast", "--nu", "0.5", "--T", "6", "--N", "64", "--dim", "2",
+            "--m", "6", "--Q", "4", "--G", "2", "--r", "4", "--eta", "0.4",
+            "--out", str(tmp_path)]
+    tracer = Tracer("t")
+    try:
+        tracer.install()
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.missing(CLI) == []

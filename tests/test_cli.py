@@ -46,6 +46,8 @@ def test_parse_full_flag_set():
         ["--mode", "bogus"],
         ["--frobnicate"],
         ["--sweep-N", "a,b"],
+        ["--Q", "1"],
+        ["--Q", "0"],
     ],
 )
 def test_usage_errors(argv):

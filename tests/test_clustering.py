@@ -1,9 +1,10 @@
-import itertools
-
+import numpy as np
 import pytest
 
 from subdiff.clustering import Cluster, ClusterTree, auto_depth, max_depth
-from subdiff.time_mesh import uniform_mesh
+from subdiff.dg_stepper import RunConfig
+from subdiff.spatial_fem import SpatialGrid
+from subdiff.time_mesh import mesh_from_levels, uniform_mesh
 
 
 def tree_of(N, Q, G, T=None):
@@ -13,20 +14,24 @@ def tree_of(N, Q, G, T=None):
 def test_node_counts_and_structure():
     tree = tree_of(16, 2, 3)
     assert len(tree.nodes) == 2**4 - 1
-    assert tree.root == Cluster(1, 16)
+    assert tree.nodes[0] == Cluster(1, 16)
     assert tree.leaf_size == 2
     leaves = list(tree.leaves())
     assert len(leaves) == 8
     assert leaves[0] == Cluster(1, 2)
     assert leaves[-1] == Cluster(15, 16)
-    for c in tree.nodes:
-        kids = tree.children_of(c)
+    for i, c in enumerate(tree.nodes):
+        assert (tree.lo[i], tree.hi[i]) == c
+        assert tree.generation[i] == len(tree.chain(i))
+        assert tree.position(i) == (c.lo - 1) // c.size
+        kids = [tree.nodes[k] for k in tree.children(i)]
         if tree.is_leaf(c):
             assert kids == []
         else:
             assert len(kids) == 2
             assert kids[0].lo == c.lo and kids[-1].hi == c.hi
             assert kids[0].hi + 1 == kids[1].lo
+            assert all(tree.chain(k)[-1] == i for k in tree.children(i))
     # every interval maps to the leaf containing it
     for n in range(1, 17):
         leaf = tree.leaf_of(n)
@@ -38,6 +43,13 @@ def test_ternary_tree():
     assert len(tree.nodes) == (3**4 - 1) // 2
     assert tree.leaf_size == 1
     assert len(list(tree.leaves())) == 27
+    # the children of node i are 3i + 1 .. 3i + 3, and they split its span
+    for i in range(tree.first[3]):
+        kids = [tree.nodes[k] for k in tree.children(i)]
+        assert [k.size for k in kids] == [tree.nodes[i].size // 3] * 3
+        assert (kids[0].lo, kids[-1].hi) == tree.nodes[i]
+    assert [tree.nodes[i] for i in tree.chain(tree.leaf_id(14))] == [
+        Cluster(1, 27), Cluster(10, 18), Cluster(13, 15)]
 
 
 def test_divisibility_error_names_largest_depth():
@@ -56,15 +68,27 @@ def test_max_depth_and_auto_depth():
     assert auto_depth(8, 2) == 1
     with pytest.raises(ValueError):
         auto_depth(7, 2)
+    # a branching factor below 2 has no depth: rejected, not looped on
+    for Q in (1, 0):
+        with pytest.raises(ValueError, match=f"Q={Q}"):
+            max_depth(16, Q)
+        with pytest.raises(ValueError, match=f"Q={Q}"):
+            auto_depth(16, Q)
+    with pytest.raises(ValueError, match="N=0"):
+        max_depth(0, 2)
 
 
 def test_geometry_queries():
+    """C(3, 4) has length 2 and lies 2 before the leaf C(7, 8): admissible
+    at eta = 1, the tie, and not below it."""
     tree = tree_of(8, 2, 2, T=8.0)
-    c = Cluster(3, 4)
-    assert tree.len_time(c) == pytest.approx(2.0)
-    assert tree.dist_time(c, Cluster(7, 7)) == pytest.approx(2.0)
-    assert tree.dist_time(c, Cluster(4, 5)) == 0.0
-    assert tree.history(Cluster(7, 8)) == (0.0, 6.0)
+    i = tree.nodes.index(Cluster(3, 4))
+    assert (tree.lo[i], tree.hi[i], tree.generation[i], tree.position(i)) == (3, 4, 2, 1)
+    assert tree.midpoint([i]).tolist() == [3.0]
+    assert tree.is_admissible(Cluster(3, 4), Cluster(7, 8), 1.0)
+    assert not tree.is_admissible(Cluster(3, 4), Cluster(7, 8), 0.99)
+    assert not tree.is_admissible(Cluster(5, 6), Cluster(7, 8), 1.0)  # adjacent
+    assert not tree.is_admissible(Cluster(5, 8), Cluster(7, 8), 1.0)  # not in the history
 
 
 def test_admissibility_and_cover_example():
@@ -140,18 +164,92 @@ def test_cover_minimality_and_uniqueness_exhaustive(N, G, eta):
 
 
 def test_update_subtree_is_root_first_ancestor_chain():
+    """The non-leaf clusters whose span holds interval n are the ancestor
+    chain of n's leaf, root first."""
     tree = tree_of(16, 2, 3)
-    chain = tree.update_subtree(11)
+    chain = [tree.nodes[i] for i in tree.chain(tree.leaf_id(11))]
     assert chain == [Cluster(1, 16), Cluster(9, 16), Cluster(9, 12)]
     assert all(not tree.is_leaf(c) for c in chain)
 
 
+def lifetime(tree, eta, c):
+    """Contiguous step range [n_min, n_max] during which c belongs to the
+    cover of the current leaf, or None if it never does."""
+    steps = [n for leaf in tree.leaves() if c in tree.minimal_cover(leaf, eta).members()
+             for n in range(leaf.lo, leaf.hi + 1)]
+    if not steps:
+        return None
+    assert steps == list(range(steps[0], steps[-1] + 1)), f"non-contiguous for {c}: {steps}"
+    return steps[0], steps[-1]
+
+
 def test_lifetime_contiguity():
     tree = tree_of(16, 2, 3)
-    assert tree.lifetime(1.0, Cluster(1, 4)) == (9, 16)
-    assert tree.lifetime(1.0, Cluster(1, 2)) == (3, 8)
+    assert lifetime(tree, 1.0, Cluster(1, 4)) == (9, 16)
+    assert lifetime(tree, 1.0, Cluster(1, 2)) == (3, 8)
     # a right-edge cluster never belongs to any history cover
-    assert tree.lifetime(1.0, Cluster(15, 16)) is None
+    assert lifetime(tree, 1.0, Cluster(15, 16)) is None
+
+
+def divide(tree, i, leaf, eta, near, far):
+    """The recursive cover rule, the oracle for the mask.  Accept node i
+    into far when it is admissible, or into near when it is a leaf lying
+    fully in the target's history; otherwise recurse into the children.
+    Nodes starting right of the target's history are dropped.
+    Admissibility is evaluated here on its own, in interval counts on
+    uniform meshes and in time otherwise."""
+    c, lv = tree.nodes[i], tree.mesh.levels
+    if c.lo > leaf.lo:
+        return
+    left_of = c.hi <= leaf.lo - 1
+    if tree.mesh.uniform:
+        admissible = c.size <= eta * (leaf.lo - 1 - c.hi)
+    else:
+        admissible = float(lv[c.hi] - lv[c.lo - 1]) <= eta * float(lv[leaf.lo - 1] - lv[c.hi])
+    if left_of and admissible:
+        far.append(i)
+    elif left_of and tree.generation[i] == tree.G:
+        near.append(i)
+    else:
+        for k in tree.children(i):
+            divide(tree, k, leaf, eta, near, far)
+
+
+def perturbed_levels(N, seed):
+    """N steps of length 6/N perturbed by up to +-30%, ending at T = 6, as
+    the long1d-fast benchmark builds them."""
+    steps = 1.0 + 0.3 * np.random.default_rng(seed).uniform(-1.0, 1.0, N)
+    levels = np.concatenate([[0.0], np.cumsum(steps)])
+    return levels * (6.0 / levels[-1])
+
+
+def auto_tree(levels, nu, Q):
+    """The tree, with automatic (r, eta) and depth, that fast_run builds."""
+    config = RunConfig(nu=nu, mesh=mesh_from_levels(levels), grid=SpatialGrid(dim=1, m=8), Q=Q)
+    return ClusterTree(config.mesh, Q, config.resolved_depth()), config.resolved_params()[1]
+
+
+COVER_TREES = {
+    "desk": lambda: (ClusterTree(uniform_mesh(2000, 6.0), 10, 3), 0.4),
+    "binary-G10": lambda: (ClusterTree(uniform_mesh(4096, 6.0), 2, 10), 0.3),
+    "long1d": lambda: auto_tree(perturbed_levels(4096, seed=1), 0.3, 2),
+    "ternary-perturbed": lambda: auto_tree(perturbed_levels(729, seed=2), 0.5, 3),
+}
+
+
+@pytest.mark.parametrize("name", COVER_TREES)
+def test_cover_matches_recursive_rule(name):
+    """For every leaf, the mask gives the near and far node ids of the
+    recursive rule, in id order, with Cluster views of the same ids."""
+    tree, eta = COVER_TREES[name]()
+    for leaf in tree.leaves():
+        near, far = [], []
+        divide(tree, 0, leaf, eta, near, far)
+        cover = tree.minimal_cover(leaf, eta)
+        assert cover.near_ids == tuple(sorted(near))
+        assert cover.far_ids == tuple(sorted(far))
+        assert cover.near == tuple(tree.nodes[i] for i in cover.near_ids)
+        assert cover.far == tuple(tree.nodes[i] for i in cover.far_ids)
 
 
 def test_dump_marks_cover_roles():

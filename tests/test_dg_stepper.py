@@ -161,16 +161,24 @@ def test_fast_run_tracks_slow_run():
     assert diff < 1e-7
 
 
-@pytest.mark.parametrize("nu", [0.1, 0.5, 0.9])
-def test_fast_run_tracks_slow_run_on_perturbed_mesh(nu):
-    """Every step length is 1/N perturbed by up to +-30%; (r, eta) are chosen
-    automatically and no uniform-mesh shortcut applies."""
-    mesh = perturbed_mesh(256, seed=7)
+@pytest.mark.parametrize("nu, Q, N", [
+    pytest.param(0.1, 2, 256, id="0.1"),
+    pytest.param(0.5, 2, 256, id="0.5"),
+    pytest.param(0.9, 2, 256, id="0.9"),
+    (0.02, 3, 243),
+    (0.98, 3, 243),
+    (0.02, 4, 256),
+    (0.98, 4, 256),
+])
+def test_fast_run_tracks_slow_run_on_perturbed_mesh(nu, Q, N):
+    """Every step length is 1/N perturbed by up to +-30%; (r, eta) and the
+    depth are chosen automatically and no uniform-mesh shortcut applies."""
+    mesh = perturbed_mesh(N, seed=7)
     assert not mesh.uniform
     grid = SpatialGrid(dim=1, m=16, K=1.0 / math.pi**2)
     src, u0 = benchmark_source(grid), sine_mode(grid, 1)
     slow = slow_run(RunConfig(nu=nu, mesh=mesh, grid=grid), src, u0)
-    fast = fast_run(RunConfig(nu=nu, mesh=mesh, grid=grid), src, u0)
+    fast = fast_run(RunConfig(nu=nu, mesh=mesh, grid=grid, Q=Q), src, u0)
     gap = max(float(np.max(np.abs(a - b))) for a, b in zip(slow.solutions, fast.solutions))
     assert gap <= 1e-6
 

@@ -31,6 +31,10 @@ def random_values(N, m, seed=1):
     return [rng.standard_normal(m) for _ in range(N)]
 
 
+def node_id(tree, c):
+    return tree.nodes.index(c)
+
+
 def test_all_near_cover_matches_direct_sum_bitwise():
     # m = 1 too: numpy sums a single column pairwise unless told otherwise
     for m in (3, 1):
@@ -71,8 +75,7 @@ def test_moment_accumulators_hold_weighted_sums():
     vals = random_values(16, 3)
     for n in range(1, 9):
         engine.commit_step(n, vals[n - 1])
-    c = Cluster(1, 8)
-    assert engine._chain_ids[1] == engine.tree.node_id(c)
+    assert engine._chain_ids[1] == node_id(engine.tree, Cluster(1, 8))
     mat = engine._chain[1].copy()
     want = sum(vals[j] for j in range(8))  # psi_1 = k_j = 1 on this mesh
     np.testing.assert_allclose(mat[0], want, rtol=1e-13)
@@ -103,7 +106,7 @@ def holds(engine, c):
     """Whether the engine holds c's block: a leaf's retained vectors, or a
     non-leaf's moments in its store or in the chain accumulator."""
     tree = engine.tree
-    nid = tree.node_id(c)
+    nid = node_id(tree, c)
     g = tree.generation[nid]
     in_chain = g < tree.G and engine._chain_ids[g] == nid and engine._chain_live[g]
     return bool(engine._live[nid]) or in_chain
@@ -111,25 +114,26 @@ def holds(engine, c):
 
 def test_free_semantics():
     engine, _ = make_engine(N=16, G=2, m=2)
+    tree = engine.tree
     vals = random_values(16, 2)
     for n in range(1, 9):
         engine.commit_step(n, vals[n - 1])
     leaf = Cluster(1, 4)
     assert holds(engine, leaf)
-    engine.free_cluster(leaf)
+    engine.free_cluster(node_id(tree, leaf))
     assert not holds(engine, leaf)
     live_after = engine.counters.live_values
     assert live_after == 4 * 2 + 2 * 4 * 2  # leaf C(5, 8) and the moments of C(1, 16), C(1, 8)
-    engine.free_cluster(leaf)  # double free is a no-op
+    engine.free_cluster(node_id(tree, leaf))  # double free is a no-op
     assert engine.counters.live_values == live_after
     # unallocated non-leaf free is a no-op too
-    engine.free_cluster(Cluster(9, 12))
-    engine.free_cluster(Cluster(9, 16))
+    engine.free_cluster(node_id(tree, Cluster(9, 12)))
+    engine.free_cluster(node_id(tree, Cluster(9, 16)))
     assert engine.counters.live_values == live_after
     # allocated non-leaf free releases moments and remaining children; here
     # C(1, 8) is still an ancestor of the current leaf, in the chain accumulator
     root_child = Cluster(1, 8)
-    engine.free_cluster(root_child)
+    engine.free_cluster(node_id(tree, root_child))
     assert not holds(engine, root_child)
     assert not holds(engine, Cluster(5, 8))
     assert engine.counters.live_values == 4 * 2
@@ -142,8 +146,8 @@ def test_freed_moments_may_not_be_read():
     """A far non-leaf member whose moments were freed stops the plan."""
     engine, _ = make_engine(N=64, G=3, eta=0.6)
     vals = random_values(64, 3)
-    far = engine.cover_for(49).far
-    target = next(c for c in far if not engine.tree.is_leaf(c))
+    tree = engine.tree
+    target = next(i for i in engine.cover_for(49).far_ids if tree.generation[i] < tree.G)
     for n in range(1, 49):
         engine.commit_step(n, vals[n - 1])
     engine.free_cluster(target)
@@ -291,9 +295,9 @@ def leaf_plans(engine, vals):
     return plans
 
 
-def run_count(tree, clusters):
+def run_count(tree, ids):
     """Number of runs of consecutive node ids of one generation."""
-    ids = sorted(tree.node_id(c) for c in clusters)
+    ids = sorted(ids)
     return sum(1 for a, b in zip([None] + ids, ids)
                if a is None or b != a + 1 or tree.generation[a] != tree.generation[b])
 
@@ -313,10 +317,10 @@ def test_uniform_plans_have_one_run_per_kind_and_generation(N, Q, G, r, eta):
     plans = leaf_plans(engine, random_values(N, 2))
     assert len(plans) == Q**G
     for leaf, plan in plans.items():
-        far = tree.minimal_cover(leaf, eta).far
-        moment_gens = {tree.generation[tree.node_id(c)] for c in far if not tree.is_leaf(c)}
+        gens = tree.generation[list(tree.minimal_cover(leaf, eta).far_ids)]
+        moment_gens = set(gens[gens < G].tolist())
         assert len(plan.exact) == 1
-        assert len(plan.far_leaves) == (1 if any(tree.is_leaf(c) for c in far) else 0)
+        assert len(plan.far_leaves) == (1 if (gens == G).any() else 0)
         assert len(plan.far_moments) == len(moment_gens)
 
 
@@ -334,16 +338,16 @@ def test_split_runs_on_a_perturbed_mesh():
     split = {"exact": 0, "far_leaves": 0, "far_moments": 0}
     for leaf, plan in plans.items():
         cover = tree.minimal_cover(leaf, eta)
-        far_leaves = [c for c in cover.far if tree.is_leaf(c)]
-        moments = [c for c in cover.far if not tree.is_leaf(c)]
-        runs = {"exact": run_count(tree, cover.near + (leaf,)),
+        far_leaves = [i for i in cover.far_ids if tree.generation[i] == tree.G]
+        moments = [i for i in cover.far_ids if tree.generation[i] < tree.G]
+        runs = {"exact": run_count(tree, cover.near_ids + (tree.leaf_id(leaf.lo),)),
                 "far_leaves": run_count(tree, far_leaves),
                 "far_moments": run_count(tree, moments)}
         for kind, count in runs.items():
             assert len(getattr(plan, kind)) == count
         split["exact"] += runs["exact"] > 1
         split["far_leaves"] += runs["far_leaves"] > 1
-        gens = [tree.generation[tree.node_id(c)] for c in moments]
+        gens = [tree.generation[i] for i in moments]
         split["far_moments"] += runs["far_moments"] > len(set(gens))
     assert all(split.values()), split
 
