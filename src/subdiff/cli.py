@@ -151,7 +151,7 @@ def _single_run(spec: ExperimentSpec, mode: str, N: int, r: int | None,
     for n, u in enumerate(result.solutions, start=1):
         exact = mode_vals[n - 1] * shape
         diff = u - exact
-        max_err = max(max_err, float(np.max(np.abs(diff))))
+        max_err = np.maximum(max_err, np.max(np.abs(diff)))  # keeps a NaN, unlike max()
         step_errors.append((n, float(mesh.levels[n]), l2_norm(solver, diff)))
     row = {
         "mode": mode, "r": r_used, "eta": eta_used, "N": N,

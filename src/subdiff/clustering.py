@@ -9,18 +9,20 @@ to L, eligible for the rank-r expansion) or leaves (summed exactly).
 
 The tree is stored as node arrays `lo`, `hi` and `generation` in
 breadth-first id order, and this module alone knows that numbering: the
-children of node i are Q i + 1 .. Q i + Q, so parent, children,
-ancestor-chain and position queries are id arithmetic.  A child is never
-longer than its parent nor nearer to the leaf, so admissibility is
-monotone from parent to child, and a node is in the cover exactly when it
-lies in the history, is admissible or a leaf, and its parent is not
-admissible: one boolean mask over the node arrays per leaf.
+children of node i are Q i + 1 .. Q i + Q, so parent, ancestor-chain
+and position queries are id arithmetic.  A child is never longer than its
+parent nor nearer to the leaf, so admissibility is monotone from parent to
+child, and a node is in the cover exactly when it lies in the history, is
+admissible or a leaf, and its parent is not admissible: one boolean mask
+over the node arrays per leaf.  The nodes whose parent is admissible are
+exactly those under a far member; the cover carries them as `dead`, the
+nodes whose values neither this leaf nor any later one needs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -42,13 +44,17 @@ class Cluster(NamedTuple):
 @dataclass(frozen=True)
 class Cover:
     """Partition of a leaf's history into near (exact) and far (low-rank)
-    parts, as node ids by generation, then time, and as their Clusters."""
+    parts, as node ids by generation, then time, and as their Clusters.
+    `dead` flags, per node id, the nodes under a far member: their moments
+    stand in for them now, and admissibility only grows as the leaf moves
+    right, so no later leaf needs them either."""
 
     leaf: Cluster
     near_ids: tuple[int, ...]
     far_ids: tuple[int, ...]
     near: tuple[Cluster, ...]
     far: tuple[Cluster, ...]
+    dead: np.ndarray = field(compare=False, repr=False)
 
     def members(self) -> tuple[Cluster, ...]:
         return tuple(sorted(self.near + self.far))
@@ -102,11 +108,6 @@ class ClusterTree:
         """The unique leaf containing interval n."""
         return self.nodes[self.leaf_id(n)]
 
-    def children(self, i: int) -> range:
-        if i >= self.first[self.G]:
-            return range(0)
-        return range(self.Q * i + 1, self.Q * i + self.Q + 1)
-
     def chain(self, i: int) -> list[int]:
         """Ids of node i's ancestors, root first."""
         out = []
@@ -147,15 +148,17 @@ class ClusterTree:
             raise ValueError(f"{leaf} is not a leaf of this tree")
         h, leaf0 = leaf.lo - 1, self.first[self.G]
         adm = self._admissible(self._length, self._end, h, eta)
+        dead = np.zeros_like(adm)
+        dead[1:] = np.repeat(adm[:leaf0], self.Q)  # node i's parent is (i - 1) // Q
         member = adm.copy()
         member[leaf0:] |= self.hi[leaf0:] <= h
-        member[1:] &= ~np.repeat(adm[:leaf0], self.Q)  # node i's parent is (i - 1) // Q
-        ids = np.flatnonzero(member)
+        ids = np.flatnonzero(member & ~dead)
         far = adm[ids]
         near_ids, far_ids = tuple(ids[~far].tolist()), tuple(ids[far].tolist())
         nodes = self.nodes
         return Cover(leaf=leaf, near_ids=near_ids, far_ids=far_ids,
-                     near=tuple(nodes[i] for i in near_ids), far=tuple(nodes[i] for i in far_ids))
+                     near=tuple(nodes[i] for i in near_ids), far=tuple(nodes[i] for i in far_ids),
+                     dead=dead)
 
     # -- debug output -------------------------------------------------------
 

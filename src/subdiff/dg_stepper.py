@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterTree, auto_depth
-from .frac_weights import KernelParams, SeriesControl, WeightEngine
+from .frac_weights import KernelParams, WeightEngine
 from .history_engine import HistoryEngine, SolutionSink
 from .reference_solution import direct_history_sum
 from .spatial_fem import EllipticSolver, SeparableSource, SpatialGrid, load_average
@@ -45,8 +45,6 @@ class RunConfig:
     eta: float | None = None
     Q: int = 2
     G: int | None = None
-    c_acc: float = 1.0
-    series: SeriesControl = SeriesControl()
 
     def resolved_depth(self) -> int:
         return self.G if self.G is not None else auto_depth(self.mesh.N, self.Q)
@@ -57,7 +55,7 @@ class RunConfig:
         one.  An explicit eta requires an explicit r."""
         if self.eta is not None and self.r is None:
             raise ValueError("an explicit eta requires an explicit expansion order r")
-        r, eta = select_params(self.nu, self.mesh, self.r, self.c_acc)
+        r, eta = select_params(self.nu, self.mesh, self.r)
         params = ExpansionParams(r, eta if self.eta is None else self.eta)
         return params.r, params.eta
 
@@ -113,14 +111,14 @@ def stability_threshold(nu: float, mesh: TimeMesh) -> float:
     )
 
 
-def accuracy_threshold(nu: float, mesh: TimeMesh, c_acc: float = 1.0) -> float:
+def accuracy_threshold(nu: float, mesh: TimeMesh) -> float:
     """Bound on (r+1)(eta/2)^r keeping the perturbation error O(k):
-    c_acc * N^(nu-2)."""
-    return c_acc * mesh.N ** (nu - 2.0)
+    C N^(nu-2), with accuracy constant C = 1."""
+    return mesh.N ** (nu - 2.0)
 
 
 def select_params(nu: float, mesh: TimeMesh, r: int | None = None,
-                  c_acc: float = 1.0, r_cap: int = 30) -> tuple[int, float]:
+                  r_cap: int = 30) -> tuple[int, float]:
     """Expansion order and admissibility parameter.
 
     With r given, eta is the cost-optimal value.  Otherwise r grows from 1
@@ -129,14 +127,14 @@ def select_params(nu: float, mesh: TimeMesh, r: int | None = None,
     """
     if r is not None:
         return r, optimal_eta(r)
-    gate = min(stability_threshold(nu, mesh), accuracy_threshold(nu, mesh, c_acc))
+    gate = min(stability_threshold(nu, mesh), accuracy_threshold(nu, mesh))
     for r_try in range(1, r_cap + 1):
         eta = optimal_eta(r_try)
         if (r_try + 1) * (eta / 2.0) ** r_try <= gate:
             return r_try, eta
     raise ValueError(
         f"no expansion order up to {r_cap} meets the threshold {gate:.3g}; "
-        "the mesh is too fine for the default accuracy constant"
+        "the mesh is too fine for the accuracy constant 1"
     )
 
 
@@ -186,7 +184,7 @@ def slow_run(config: RunConfig, source: SeparableSource | None,
     """Reference scheme with exact weights and full history retention."""
     t0 = time.perf_counter()
     mesh, M = config.mesh, config.grid.M
-    weights = WeightEngine(KernelParams(config.nu), mesh, config.series)
+    weights = WeightEngine(KernelParams(config.nu), mesh)
     res = RunResult(solutions=[], peak_values=mesh.N * M)
 
     def drive(step) -> None:
@@ -203,7 +201,7 @@ def fast_run(config: RunConfig, source: SeparableSource | None,
     given, receives every U^n; the caller that opened it closes it."""
     t0 = time.perf_counter()
     r, eta = config.resolved_params()
-    weights = WeightEngine(KernelParams(config.nu), config.mesh, config.series)
+    weights = WeightEngine(KernelParams(config.nu), config.mesh)
     tree = ClusterTree(config.mesh, config.Q, config.resolved_depth())
     engine = HistoryEngine(tree, weights, r, eta, config.grid.M)
     res = _march(config, weights, source, u0, sink, RunResult(solutions=[], r=r, eta=eta),
@@ -236,7 +234,7 @@ def stability_diagnostic(config: RunConfig) -> StabilityReport:
     """
     mesh = config.mesh
     r, eta = config.resolved_params()
-    weights = WeightEngine(KernelParams(config.nu), mesh, config.series)
+    weights = WeightEngine(KernelParams(config.nu), mesh)
     tree = ClusterTree(mesh, config.Q, config.resolved_depth())
 
     N = mesh.N

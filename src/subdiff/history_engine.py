@@ -19,17 +19,18 @@ accumulator instead, which each commit updates with one broadcast
 multiply-add; an ancestor's row moves into its generation's store when
 the schedule leaves it.
 
-Everything a step needs depends on its leaf alone, so when the schedule
-enters a leaf it frees what the leaf's cover no longer needs (the
-children of far non-leaf members that were not members of the previous
-leaf's cover; cover membership is contiguous in time, so each node is
-freed once, as soon as its parent's moments take its place), retires the
-ancestors it leaves, reserves the leaf's own block, and builds the leaf's
-plan, on uniform and non-uniform meshes alike.  Stores change only then,
-so the plan's views stay valid for the whole leaf.  The cover's members
-fall into runs of consecutive positions of one generation (on a uniform
-mesh one run per kind and generation), and the plan holds one view and
-one weight block per run:
+One flag per node id records whether the engine holds the node's
+values, in its store block or in the chain accumulator.  Everything a
+step needs depends on its leaf alone, so when the schedule enters a leaf
+it makes one free_cluster call on the held nodes the leaf's cover marks
+dead (those under a far member, whose moments stand in for them from now
+on: the cover, not the engine, decides what is dead), retires the
+ancestors it leaves, holds the new ones, reserves the leaf's own block,
+and builds the leaf's plan, on uniform and non-uniform meshes alike.
+Stores change only then, so the plan's views stay valid for the whole
+leaf.  The cover's members fall into runs of consecutive positions of
+one generation (on a uniform mesh one run per kind and generation), and
+the plan holds one view and one weight block per run:
   - the near leaves followed by the leaf itself: exact weights, from one
     WeightEngine.offdiag call;
   - the far leaves: low-rank weights, from one einsum of their phi
@@ -121,10 +122,11 @@ class _BlockStore:
 
     Block p sits at buf[p - base].  Blocks are reserved in ascending
     position order and freed by clearing their live flag, so the live ones
-    lie in the window [lo, end).  Only reserve changes the buffer: when a
-    block would fall past its end, the window moves to the front, or, if
-    it would fill more than four fifths of the buffer, moves into a new
-    buffer about a quarter larger than the window.
+    lie in the window [lo, end); a flag set past end marks the node whose
+    moments the chain accumulator holds.  Only reserve changes the buffer:
+    when a block would fall past its end, the window moves to the front,
+    or, if it would fill more than four fifths of the buffer, moves into a
+    new buffer about a quarter larger than the window.
     """
 
     def __init__(self, live: np.ndarray, rows: int, m: int, counters: EngineCounters):
@@ -173,7 +175,6 @@ class _LeafPlan(NamedTuple):
     with a view of the store rows they multiply."""
 
     leaf: Cluster
-    moment_ids: frozenset[int]  # node ids of the far non-leaf members, for the next frees
     rows: np.ndarray  # (leaf size, M): the leaf's own block, filled by its commits
     near: int  # exact-weight columns before the leaf's own intervals
     exact: tuple  # (first column, weights, rows) per run of near leaves, the leaf's run last
@@ -199,13 +200,12 @@ class HistoryEngine:
         self.m = m
         self.counters = EngineCounters()
         G, first = tree.G, tree.first
-        self._live = np.zeros(len(tree.nodes), dtype=bool)  # per node id: block reserved, not freed
+        self._live = np.zeros(len(tree.nodes), dtype=bool)  # per node id: values held, not freed
         self._stores = [_BlockStore(self._live[first[g]:first[g + 1]],
                                     r if g < G else tree.leaf_size, m, self.counters)
                         for g in range(G + 1)]
         self._chain = np.zeros((G, r, m))  # moments of the current leaf's ancestors, root first
-        self._chain_ids = [-1] * G  # their node ids
-        self._chain_live = [False] * G  # whether a commit has allocated each row
+        self._chain_ids: list[int] = []  # their node ids, none before the first leaf
         self.counters.reserve(self._chain.size)
         self.committed = 0
         self._plan: _LeafPlan | None = None
@@ -226,26 +226,24 @@ class HistoryEngine:
         return plan
 
     def _enter(self, leaf: Cluster) -> _LeafPlan:
-        """Free what leaf's cover no longer needs, retire the ancestors the
-        schedule leaves, reserve the leaf's block and build its plan."""
+        """Free what leaf's cover marks dead, retire the ancestors the
+        schedule leaves, hold the new ones, reserve the leaf's block and
+        build its plan."""
         tree, r, m, G = self.tree, self.r, self.m, self.tree.G
         cover = self.cover_for(leaf.lo)
+        self.free_cluster(np.flatnonzero(cover.dead & self._live))
         far_ids = cover.far_ids  # by generation, then in time
         nmom = sum(i < tree.first[G] for i in far_ids)  # far non-leaf members come first
-        seen = self._plan.moment_ids if self._plan is not None else frozenset()
-        for i in far_ids[:nmom]:
-            if i not in seen:
-                for child in tree.children(i):
-                    self.free_cluster(child)
         leaf_id = tree.leaf_id(leaf.lo)
-        chain = tree.chain(leaf_id)
-        left = next((g for g in range(G) if chain[g] != self._chain_ids[g]), G)
-        for g in range(left, G):  # the ancestors the schedule leaves move to their stores
-            if self._chain_live[g]:
-                self._stores[g].reserve(tree.position(self._chain_ids[g]))[:] = self._chain[g]
+        chain, old = tree.chain(leaf_id), self._chain_ids
+        left = next((g for g, (a, b) in enumerate(zip(chain, old)) if a != b), len(old))
+        for g in range(left, len(old)):  # the ancestors the schedule leaves move to their stores
+            if self._live[old[g]]:
+                self._stores[g].reserve(tree.position(old[g]))[:] = self._chain[g]
         self._chain[left:] = 0.0
-        self._chain_live[left:] = [False] * (G - left)
         self._chain_ids = chain
+        self._live[chain[left:]] = True
+        self.counters.allocate((G - left) * r * m)
         rows = self._stores[G].reserve(tree.position(leaf_id))
 
         # The near leaves and the leaf itself, then the far members, cut into
@@ -295,7 +293,6 @@ class HistoryEngine:
                 far_leaves.append((w_leaf[:, (i - nf) * size:(j - nf) * size], view))
         return _LeafPlan(
             leaf=leaf,
-            moment_ids=frozenset(far_ids[:nmom]),
             rows=rows,
             near=(nn - 1) * size,
             exact=tuple(exact),
@@ -347,37 +344,21 @@ class HistoryEngine:
         s = n - plan.leaf.lo
         plan.rows[s] = value
         self.counters.allocate(self.m)
-        fresh = self._chain_live.count(False)
-        if fresh:
-            self._chain_live = [True] * len(self._chain_live)
-            self.counters.allocate(fresh * self.r * self.m)
         self._chain += plan.psi_chain[s] * value
         self.counters.update_ops += self._chain.shape[0] * self.r * self.m
         self.committed = n
 
-    def free_cluster(self, i: int) -> None:
-        """Recursive deallocation of node i: leaves drop their retained
-        vectors, allocated non-leaves free their children then their own
-        moments.  Freeing what is already freed, or an unallocated
-        non-leaf, is a no-op."""
+    def free_cluster(self, ids) -> None:
+        """Drop the values of the given distinct node ids: a leaf's retained
+        vectors, a non-leaf's r moment vectors.  Ids not held (freed
+        already, or never held) are a no-op."""
         tree = self.tree
-        g = tree.generation[i]
-        if g == tree.G:
-            if self._live[i]:
-                self._live[i] = False
-                kept = min(max(self.committed - tree.nodes[i].lo + 1, 0), tree.leaf_size)
-                self.counters.release(self.m * kept)
-            return
-        in_chain = self._chain_ids[g] == i and self._chain_live[g]
-        if self._live[i] or in_chain:
-            for child in tree.children(i):
-                self.free_cluster(child)
-            if in_chain:
-                self._chain[g] = 0.0
-                self._chain_live[g] = False
-            else:
-                self._live[i] = False
-            self.counters.release(self.r * self.m)
+        ids = np.asarray(ids, dtype=np.intp)
+        ids = ids[self._live[ids]]
+        self._live[ids] = False
+        lo = tree.lo[ids[ids >= tree.first[tree.G]]]  # the leaves among them
+        kept = np.minimum(np.maximum(self.committed + 1 - lo, 0), tree.leaf_size).sum()
+        self.counters.release(self.m * int(kept) + self.r * self.m * (ids.size - lo.size))
 
     def run_schedule(self, step_callback) -> None:
         """Full N-step loop: per step, evaluate the history, hand it to the

@@ -157,11 +157,11 @@ def exact_field(grid: SpatialGrid, mesh: TimeMesh, nu: float, n: int,
 
 def max_nodal_error(numeric: list[np.ndarray] | np.ndarray,
                     exact: list[np.ndarray] | np.ndarray) -> float:
-    """max over steps and nodes of |numeric - exact|."""
+    """max over steps and nodes of |numeric - exact|; NaN if any value is."""
     err = 0.0
     for un, ue in zip(numeric, exact, strict=True):
-        err = max(err, float(np.max(np.abs(un - ue))))
-    return err
+        err = np.maximum(err, np.max(np.abs(un - ue)))  # keeps a NaN, unlike max()
+    return float(err)
 
 
 def direct_history_sum(weights, values: list[np.ndarray], n: int, *, m: int) -> np.ndarray:

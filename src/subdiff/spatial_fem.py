@@ -32,8 +32,8 @@ class SpatialGrid:
             raise ValueError("dim must be 1 or 2")
         if self.m < 2:
             raise ValueError("need m >= 2 subdivisions per axis")
-        if self.K <= 0.0:
-            raise ValueError("diffusivity K must be positive")
+        if not 0.0 < self.K < np.inf:
+            raise ValueError(f"diffusivity K must be positive and finite, got {self.K}")
 
     @property
     def h(self) -> float:

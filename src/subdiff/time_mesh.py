@@ -18,24 +18,31 @@ class TimeMesh:
     """Immutable time partition.
 
     Attributes:
-        levels: array of length N+1 holding t_0 .. t_N.
-        uniform: True when all steps are equal (exactly, or as the levels
-            of np.linspace(0, T, N+1)), which enables integer index
+        levels: array of length N+1 holding t_0 .. t_N, finite.
+        uniform: derived from the levels, not passed: True when all steps
+            are exactly equal or the levels equal np.linspace(0, T, N+1),
+            as uniform_mesh builds them.  It enables integer index
             arithmetic in admissibility tests and a lag table of weights.
     """
 
     levels: np.ndarray
-    uniform: bool = field(default=False)
+    uniform: bool = field(init=False)
 
     def __post_init__(self):
         levels = np.asarray(self.levels, dtype=float)
         object.__setattr__(self, "levels", levels)
         if levels.ndim != 1 or levels.size < 2:
             raise ValueError("mesh needs at least one interval")
+        if not np.all(np.isfinite(levels)):
+            raise ValueError("time levels must be finite")
         if levels[0] != 0.0:
             raise ValueError("mesh must start at t_0 = 0")
-        if np.any(np.diff(levels) <= 0.0):
+        steps = np.diff(levels)
+        if np.any(steps <= 0.0):
             raise ValueError("time levels must be strictly increasing")
+        uniform = bool(steps.max() == steps.min()) or np.array_equal(
+            levels, np.linspace(0.0, levels[-1], levels.size))
+        object.__setattr__(self, "uniform", uniform)
 
     @property
     def N(self) -> int:
@@ -80,26 +87,22 @@ def uniform_mesh(N: int, T: float) -> TimeMesh:
     """Uniform partition of [0, T] into N intervals."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    return TimeMesh(np.linspace(0.0, T, N + 1), uniform=True)
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"final time T must be positive and finite, got {T}")
+    return TimeMesh(np.linspace(0.0, T, N + 1))
 
 
 def mesh_from_levels(levels, max_ratio: float = DEFAULT_MESH_RATIO) -> TimeMesh:
     """Validating constructor for an arbitrary quasiuniform partition.
 
     Rejects meshes whose step ratio max k_n / min k_n exceeds max_ratio,
-    since the fast summation cost analysis assumes quasiuniformity.  The
-    mesh is uniform when all steps are exactly equal or the levels equal
-    np.linspace(0, T, N+1), as uniform_mesh builds them.
+    since the fast summation cost analysis assumes quasiuniformity.
     """
-    mesh = TimeMesh(np.asarray(levels, dtype=float))
+    mesh = TimeMesh(levels)
     steps = mesh.steps
     ratio = steps.max() / steps.min()
     if ratio > max_ratio * (1.0 + 1e-12):
         raise ValueError(
             f"mesh is not quasiuniform: step ratio {ratio:.6g} exceeds {max_ratio:.6g}"
         )
-    uniform = bool(steps.max() == steps.min()) or np.array_equal(
-        mesh.levels, np.linspace(0.0, mesh.T, mesh.N + 1))
-    return TimeMesh(mesh.levels, uniform=uniform)
+    return mesh

@@ -147,6 +147,36 @@ def test_main_reports_module_errors(capsys, tmp_path):
     assert hdr[-1] == "records 0"
 
 
+@pytest.mark.parametrize("flags, message", [
+    ("--T nan", "final time T must be positive and finite, got nan"),
+    ("--T inf", "final time T must be positive and finite, got inf"),
+    ("--K nan", "diffusivity K must be positive and finite, got nan"),
+    ("--K inf", "diffusivity K must be positive and finite, got inf"),
+])
+def test_main_rejects_non_finite_input(capsys, tmp_path, flags, message):
+    code = main(f"--N 16 --dim 1 --m 4 --mode fast --r 3 --Q 2 --G 2 {flags} "
+                f"--out {tmp_path}".split())
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_nan_in_a_later_step_reaches_the_report(tmp_path, monkeypatch):
+    """report.csv reads nan, not the error of the finite steps, when a step
+    after the first goes NaN."""
+    slow_run = cli.slow_run
+
+    def poisoned(*args):
+        res = slow_run(*args)
+        res.solutions[5] = np.full_like(res.solutions[5], np.nan)
+        return res
+
+    monkeypatch.setattr(cli, "slow_run", poisoned)
+    assert main(f"--N 16 --dim 1 --m 4 --mode slow --out {tmp_path}".split()) == 0
+    with (tmp_path / "report.csv").open() as fh:
+        row, = csv.DictReader(fh)
+    assert row["max_nodal_error"] == "nan"
+
+
 def test_run_failing_midway_closes_solution_stream(capsys, tmp_path, monkeypatch):
     k = 5
     make_source = cli.benchmark_source

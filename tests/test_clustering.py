@@ -11,6 +11,13 @@ def tree_of(N, Q, G, T=None):
     return ClusterTree(uniform_mesh(N, float(T if T is not None else N)), Q, G)
 
 
+def children(tree, i):
+    """Ids of node i's children, by the breadth-first numbering."""
+    if tree.generation[i] == tree.G:
+        return range(0)
+    return range(tree.Q * i + 1, tree.Q * i + tree.Q + 1)
+
+
 def test_node_counts_and_structure():
     tree = tree_of(16, 2, 3)
     assert len(tree.nodes) == 2**4 - 1
@@ -24,14 +31,14 @@ def test_node_counts_and_structure():
         assert (tree.lo[i], tree.hi[i]) == c
         assert tree.generation[i] == len(tree.chain(i))
         assert tree.position(i) == (c.lo - 1) // c.size
-        kids = [tree.nodes[k] for k in tree.children(i)]
+        kids = [tree.nodes[k] for k in children(tree, i)]
         if tree.is_leaf(c):
             assert kids == []
         else:
             assert len(kids) == 2
             assert kids[0].lo == c.lo and kids[-1].hi == c.hi
             assert kids[0].hi + 1 == kids[1].lo
-            assert all(tree.chain(k)[-1] == i for k in tree.children(i))
+            assert all(tree.chain(k)[-1] == i for k in children(tree, i))
     # every interval maps to the leaf containing it
     for n in range(1, 17):
         leaf = tree.leaf_of(n)
@@ -45,7 +52,7 @@ def test_ternary_tree():
     assert len(list(tree.leaves())) == 27
     # the children of node i are 3i + 1 .. 3i + 3, and they split its span
     for i in range(tree.first[3]):
-        kids = [tree.nodes[k] for k in tree.children(i)]
+        kids = [tree.nodes[k] for k in children(tree, i)]
         assert [k.size for k in kids] == [tree.nodes[i].size // 3] * 3
         assert (kids[0].lo, kids[-1].hi) == tree.nodes[i]
     assert [tree.nodes[i] for i in tree.chain(tree.leaf_id(14))] == [
@@ -211,7 +218,7 @@ def divide(tree, i, leaf, eta, near, far):
     elif left_of and tree.generation[i] == tree.G:
         near.append(i)
     else:
-        for k in tree.children(i):
+        for k in children(tree, i):
             divide(tree, k, leaf, eta, near, far)
 
 

@@ -10,6 +10,7 @@ from subdiff.reference_solution import direct_history_sum
 from subdiff.spatial_fem import SpatialGrid, benchmark_source, sine_mode
 from subdiff.taylor_expansion import ExpansionParams
 from subdiff.time_mesh import mesh_from_levels, uniform_mesh
+from test_clustering import COVER_TREES, children
 
 
 def perturbed_mesh(N, seed=3):
@@ -103,13 +104,18 @@ def test_commit_order_enforced():
 
 
 def holds(engine, c):
-    """Whether the engine holds c's block: a leaf's retained vectors, or a
+    """Whether the engine holds c's values: a leaf's retained vectors, or a
     non-leaf's moments in its store or in the chain accumulator."""
-    tree = engine.tree
-    nid = node_id(tree, c)
-    g = tree.generation[nid]
-    in_chain = g < tree.G and engine._chain_ids[g] == nid and engine._chain_live[g]
-    return bool(engine._live[nid]) or in_chain
+    return bool(engine._live[node_id(engine.tree, c)])
+
+
+def subtree(tree, i):
+    """Node i and every node below it."""
+    out, level = [], [i]
+    while level:
+        out += level
+        level = [k for j in level for k in children(tree, j)]
+    return out
 
 
 def test_free_semantics():
@@ -120,26 +126,75 @@ def test_free_semantics():
         engine.commit_step(n, vals[n - 1])
     leaf = Cluster(1, 4)
     assert holds(engine, leaf)
-    engine.free_cluster(node_id(tree, leaf))
+    engine.free_cluster([node_id(tree, leaf)])
     assert not holds(engine, leaf)
     live_after = engine.counters.live_values
     assert live_after == 4 * 2 + 2 * 4 * 2  # leaf C(5, 8) and the moments of C(1, 16), C(1, 8)
-    engine.free_cluster(node_id(tree, leaf))  # double free is a no-op
+    engine.free_cluster([node_id(tree, leaf)])  # double free is a no-op
     assert engine.counters.live_values == live_after
     # unallocated non-leaf free is a no-op too
-    engine.free_cluster(node_id(tree, Cluster(9, 12)))
-    engine.free_cluster(node_id(tree, Cluster(9, 16)))
+    engine.free_cluster([node_id(tree, Cluster(9, 12)), node_id(tree, Cluster(9, 16))])
     assert engine.counters.live_values == live_after
-    # allocated non-leaf free releases moments and remaining children; here
-    # C(1, 8) is still an ancestor of the current leaf, in the chain accumulator
+    # freeing a held non-leaf and its subtree releases its moments and the
+    # children still held; here C(1, 8) is still an ancestor of the current
+    # leaf, in the chain accumulator
     root_child = Cluster(1, 8)
-    engine.free_cluster(node_id(tree, root_child))
+    engine.free_cluster(subtree(tree, node_id(tree, root_child)))
     assert not holds(engine, root_child)
     assert not holds(engine, Cluster(5, 8))
     assert engine.counters.live_values == 4 * 2
     # freed vectors may no longer be read: leaf C(9, 12) has C(1, 4) as a near leaf
     with pytest.raises(AssertionError, match="freed too early"):
         engine.history_sum(9)
+
+
+def recursive_frees(tree, live, i, out):
+    """The recursive free rule, the oracle for the cover's dead mask: a held
+    node is freed, a held non-leaf after its children; a node not held
+    ends the walk."""
+    if live[i]:
+        for k in children(tree, i):
+            recursive_frees(tree, live, k, out)
+        live[i] = False
+        out.append(i)
+
+
+@pytest.mark.parametrize("name", COVER_TREES)
+def test_frees_match_recursive_rule(name, monkeypatch):
+    """At every leaf entry the engine makes at most one free_cluster call,
+    and it names exactly the ids the recursive rule frees from the same
+    held state: the subtrees below the children of the far non-leaf
+    members that are new to this cover."""
+    tree, eta = COVER_TREES[name]()
+    engine = HistoryEngine(tree, WeightEngine(KernelParams(0.5), tree.mesh), 2, eta, 1)
+    entries = []  # per leaf entered: the leaf, the held flags before, the free calls
+    enter, free = HistoryEngine._enter, HistoryEngine.free_cluster
+
+    def recorded_enter(self, leaf):
+        entries.append((leaf, self._live.copy(), []))
+        return enter(self, leaf)
+
+    def recorded_free(self, ids):
+        entries[-1][2].append(sorted(np.asarray(ids).tolist()))
+        return free(self, ids)
+
+    monkeypatch.setattr(HistoryEngine, "_enter", recorded_enter)
+    monkeypatch.setattr(HistoryEngine, "free_cluster", recorded_free)
+    engine.run_schedule(lambda n, hist: np.ones(1))
+    assert [leaf for leaf, _, _ in entries] == list(tree.leaves())
+    seen, freed = set(), 0
+    for leaf, live, calls in entries:
+        far = tree.minimal_cover(leaf, eta).far_ids
+        moments = {i for i in far if tree.generation[i] < tree.G}
+        want = []
+        for i in sorted(moments - seen):
+            for k in children(tree, i):
+                recursive_frees(tree, live, k, want)
+        seen = moments
+        assert len(calls) <= 1
+        assert (calls[0] if calls else []) == sorted(want), leaf
+        freed += len(want)
+    assert freed > 0
 
 
 def test_freed_moments_may_not_be_read():
@@ -150,7 +205,7 @@ def test_freed_moments_may_not_be_read():
     target = next(i for i in engine.cover_for(49).far_ids if tree.generation[i] < tree.G)
     for n in range(1, 49):
         engine.commit_step(n, vals[n - 1])
-    engine.free_cluster(target)
+    engine.free_cluster([target])
     with pytest.raises(AssertionError, match="freed too early"):
         engine.history_sum(49)
 
@@ -177,10 +232,11 @@ def test_run_schedule_frees_history_and_bounds_memory():
     (True, 33488, 238),
 ])
 def test_run_schedule_invariants(monkeypatch, perturbed, rhs_ops, peak_values):
-    """Over a full schedule each node is freed at most twice, phi_coeffs runs
-    at most once per step, the weights come from at most one beta_offdiag
-    call per leaf (plus the lag table on a uniform mesh), and the operation
-    and memory counts equal those of the per-step engine this one replaced."""
+    """Over a full schedule free_cluster runs at most once per leaf entered,
+    phi_coeffs at most once per step, the weights come from at most one
+    beta_offdiag call per leaf (plus the lag table on a uniform mesh), and
+    the operation and memory counts equal those of the per-step engine this
+    one replaced."""
     N, m = 256, 2
     mesh = perturbed_mesh(N) if perturbed else None
     engine, _ = make_engine(N=N, Q=2, G=5, r=3, eta=0.5, m=m, mesh=mesh)
@@ -188,9 +244,9 @@ def test_run_schedule_invariants(monkeypatch, perturbed, rhs_ops, peak_values):
     free, phi = history_engine.HistoryEngine.free_cluster, history_engine.phi_coeffs
     beta_offdiag = frac_weights.beta_offdiag
 
-    def counted_free(self, c):
+    def counted_free(self, ids):
         calls["free"] += 1
-        return free(self, c)
+        return free(self, ids)
 
     def counted_phi(*args):
         calls["phi"] += 1
@@ -205,7 +261,7 @@ def test_run_schedule_invariants(monkeypatch, perturbed, rhs_ops, peak_values):
     monkeypatch.setattr(frac_weights, "beta_offdiag", counted_weights)
     vals = random_values(N, m)
     engine.run_schedule(lambda n, hist: vals[n - 1])
-    assert calls["free"] <= 2 * len(engine.tree.nodes)
+    assert calls["free"] <= len(list(engine.tree.leaves()))
     assert 1 <= calls["phi"] <= N
     assert 1 <= calls["weights"] <= len(list(engine.tree.leaves())) + 1
     assert engine.counters.live_values <= engine.counters.high_water

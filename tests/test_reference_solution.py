@@ -106,6 +106,15 @@ def test_max_nodal_error():
         max_nodal_error(a, b[:1])
 
 
+def test_max_nodal_error_propagates_nan():
+    """A NaN in any step, after a finite error or not, makes the error NaN;
+    Python's max(0.0, nan) would have kept 0.0."""
+    zeros = [np.zeros(2)] * 3
+    assert np.isnan(max_nodal_error([np.array([np.nan, 1.0])], zeros[:1]))
+    later = [np.array([0.0, 2.0]), np.zeros(2), np.array([1.0, np.nan])]
+    assert np.isnan(max_nodal_error(later, zeros))
+
+
 def test_direct_history_sum_matches_manual_loop():
     mesh = uniform_mesh(8, 1.0)
     weights = WeightEngine(KernelParams(0.5), mesh)

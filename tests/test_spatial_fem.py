@@ -31,8 +31,9 @@ def test_grid_validation():
         SpatialGrid(dim=3, m=4, K=1.0)
     with pytest.raises(ValueError):
         SpatialGrid(dim=1, m=1, K=1.0)
-    with pytest.raises(ValueError):
-        SpatialGrid(dim=1, m=4, K=0.0)
+    for K in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="diffusivity K must be positive and finite"):
+            SpatialGrid(dim=1, m=4, K=K)
 
 
 def _mass_1d(m: int) -> np.ndarray:

@@ -43,6 +43,34 @@ def test_constructor_validation():
         uniform_mesh(4, -1.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: TimeMesh(np.array([0.0, 1.0, np.inf])),
+    lambda: TimeMesh(np.array([0.0, np.nan, 1.0])),
+    lambda: mesh_from_levels([0.0, np.nan, 1.0]),
+    lambda: mesh_from_levels([0.0, 1.0, -np.inf]),
+])
+def test_non_finite_levels_rejected(build):
+    with pytest.raises(ValueError, match="time levels must be finite"):
+        build()
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf, 0.0])
+def test_uniform_mesh_names_t(T):
+    with pytest.raises(ValueError, match="final time T must be positive and finite"):
+        uniform_mesh(4, T)
+
+
+def test_uniform_is_derived_from_the_levels():
+    """The flag is computed, never passed: steps alternating 1.0 / 1.5 are
+    not uniform however the mesh is built."""
+    levels = np.concatenate([[0.0], np.cumsum([1.0, 1.5] * 4)])
+    with pytest.raises(TypeError):
+        TimeMesh(levels, uniform=True)
+    assert not TimeMesh(levels).uniform
+    assert not mesh_from_levels(levels).uniform
+    assert TimeMesh(uniform_mesh(8, 3.0).levels).uniform
+
+
 def test_quasiuniformity_gate():
     ok = mesh_from_levels([0.0, 0.5, 1.5, 2.5])  # ratio 2
     assert not ok.uniform
