@@ -225,7 +225,11 @@ def run(spec: ExperimentSpec) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         spec = parse_args(argv)
-        return run(spec)
+        try:
+            return run(spec)
+        except MemoryError as exc:
+            raise RuntimeError(f"out of memory for a grid with m={spec.m}, dim={spec.dim} "
+                               f"at N={spec.N}: {exc}") from exc
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

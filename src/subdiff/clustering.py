@@ -44,17 +44,25 @@ class Cluster(NamedTuple):
 @dataclass(frozen=True)
 class Cover:
     """Partition of a leaf's history into near (exact) and far (low-rank)
-    parts, as node ids by generation, then time, and as their Clusters.
-    `dead` flags, per node id, the nodes under a far member: their moments
-    stand in for them now, and admissibility only grows as the leaf moves
-    right, so no later leaf needs them either."""
+    parts, as node ids by generation, then time; `near` and `far` give
+    their Clusters when read.  `dead` flags, per node id, the nodes under
+    a far member: their moments stand in for them now, and admissibility
+    only grows as the leaf moves right, so no later leaf needs them
+    either."""
 
     leaf: Cluster
     near_ids: tuple[int, ...]
     far_ids: tuple[int, ...]
-    near: tuple[Cluster, ...]
-    far: tuple[Cluster, ...]
     dead: np.ndarray = field(compare=False, repr=False)
+    nodes: list[Cluster] = field(compare=False, repr=False)  # the tree's Clusters by id
+
+    @property
+    def near(self) -> tuple[Cluster, ...]:
+        return tuple(self.nodes[i] for i in self.near_ids)
+
+    @property
+    def far(self) -> tuple[Cluster, ...]:
+        return tuple(self.nodes[i] for i in self.far_ids)
 
     def members(self) -> tuple[Cluster, ...]:
         return tuple(sorted(self.near + self.far))
@@ -90,6 +98,9 @@ class ClusterTree:
         # meshes, so admissibility ties at the threshold are exact; times otherwise
         self._x = np.arange(N + 1.0) if mesh.uniform else mesh.levels
         self._length, self._end = self._extent(self.lo, self.hi)
+        lv = mesh.levels
+        self._midpoint = 0.5 * (lv[self.lo - 1] + lv[self.hi])
+        self._first_of = np.array(self.first)[self.generation]  # per node: its generation's first id
 
     # -- structure queries ------------------------------------------------
 
@@ -116,14 +127,14 @@ class ClusterTree:
             out.append(i)
         return out[::-1]
 
-    def position(self, i: int) -> int:
-        """Place of node i in its generation's time order."""
-        return i - self.first[self.generation[i]]
+    def position(self, i):
+        """Place of node i, or of each node of an id array, in its
+        generation's time order."""
+        return i - self._first_of[i]
 
     def midpoint(self, ids) -> np.ndarray:
         """Midpoints of the nodes' time spans."""
-        lv = self.mesh.levels
-        return 0.5 * (lv[self.lo[ids] - 1] + lv[self.hi[ids]])
+        return self._midpoint[ids]
 
     # -- admissibility and covers -------------------------------------------
 
@@ -155,10 +166,7 @@ class ClusterTree:
         ids = np.flatnonzero(member & ~dead)
         far = adm[ids]
         near_ids, far_ids = tuple(ids[~far].tolist()), tuple(ids[far].tolist())
-        nodes = self.nodes
-        return Cover(leaf=leaf, near_ids=near_ids, far_ids=far_ids,
-                     near=tuple(nodes[i] for i in near_ids), far=tuple(nodes[i] for i in far_ids),
-                     dead=dead)
+        return Cover(leaf=leaf, near_ids=near_ids, far_ids=far_ids, dead=dead, nodes=self.nodes)
 
     # -- debug output -------------------------------------------------------
 

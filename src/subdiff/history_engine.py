@@ -29,18 +29,21 @@ ancestors it leaves, holds the new ones, reserves the leaf's own block,
 and builds the leaf's plan, on uniform and non-uniform meshes alike.
 Stores change only then, so the plan's views stay valid for the whole
 leaf.  The cover's members fall into runs of consecutive positions of
-one generation (on a uniform mesh one run per kind and generation), and
-the plan holds one view and one weight block per run:
+one generation (on a uniform mesh one run per kind and generation), each
+with one view and one weight block:
   - the near leaves followed by the leaf itself: exact weights, from one
     WeightEngine.offdiag call;
-  - the far leaves: low-rank weights, from one einsum of their phi
+  - the far leaves: low-rank weights, from one matmul of their phi
     coefficients with their psi tables;
   - each generation's far non-leaf members: their phi coefficients.
 One phi_coeffs call gives the phi of every far member, and one
 psi_coeffs call gives the ancestor chain's psi about the leaf's steps and
-each far leaf's psi table about its own intervals.  A step then costs one
-sequential reduction per exact run and one matrix product per far run,
-and the live value count stays logarithmic in the step count.
+each far leaf's psi table about its own intervals.  The far members lie
+wholly before the leaf, so their values are final when it is entered:
+the plan forms the far field of every step of the leaf then, one block
+product per far run, and keeps the exact runs' views.  A step then costs
+one sequential reduction per exact run plus one add of its far-field
+row, and the live value count stays logarithmic in the step count.
 
 Counters track multiply-accumulates on length-M vectors (M operations
 each), the high-water mark of live stored values, and the high-water
@@ -170,16 +173,15 @@ def _sum_rows(t: np.ndarray) -> np.ndarray:
 
 
 class _LeafPlan(NamedTuple):
-    """What every step of one leaf needs.  Weight arrays have one row per
-    step of the leaf, row s for step n = leaf.lo + s; each run pairs them
-    with a view of the store rows they multiply."""
+    """What every step of one leaf needs.  Arrays have one row per step of
+    the leaf, row s for step n = leaf.lo + s; each exact run pairs its
+    weights with a view of the store rows they multiply."""
 
     leaf: Cluster
     rows: np.ndarray  # (leaf size, M): the leaf's own block, filled by its commits
     near: int  # exact-weight columns before the leaf's own intervals
     exact: tuple  # (first column, weights, rows) per run of near leaves, the leaf's run last
-    far_leaves: tuple  # (weights, rows) per run of far leaves
-    far_moments: tuple  # (phi, moments) per run of far non-leaf members, by generation
+    far: np.ndarray | None  # (leaf size, M): each step's far field, None if the cover has none
     psi_chain: np.ndarray  # (leaf size, G, r, 1): psi about each ancestor, root first
     ops: int  # rhs_ops of a step before the leaf's own earlier intervals
 
@@ -232,8 +234,6 @@ class HistoryEngine:
         tree, r, m, G = self.tree, self.r, self.m, self.tree.G
         cover = self.cover_for(leaf.lo)
         self.free_cluster(np.flatnonzero(cover.dead & self._live))
-        far_ids = cover.far_ids  # by generation, then in time
-        nmom = sum(i < tree.first[G] for i in far_ids)  # far non-leaf members come first
         leaf_id = tree.leaf_id(leaf.lo)
         chain, old = tree.chain(leaf_id), self._chain_ids
         left = next((g for g, (a, b) in enumerate(zip(chain, old)) if a != b), len(old))
@@ -246,12 +246,13 @@ class HistoryEngine:
         self.counters.allocate((G - left) * r * m)
         rows = self._stores[G].reserve(tree.position(leaf_id))
 
-        # The near leaves and the leaf itself, then the far members, cut into
-        # runs of consecutive node ids.  The far ids restart below the leaf's,
-        # and a generation's last node ends at step N, so it is never a
-        # member: no run crosses a kind or a generation.
+        # The near leaves and the leaf itself, then the far members by
+        # generation, then in time, cut into runs of consecutive node ids.
+        # The far ids restart below the leaf's, and a generation's last node
+        # ends at step N, so it is never a member: no run crosses a kind or a
+        # generation.
         nn = len(cover.near_ids) + 1
-        ids = np.array(cover.near_ids + (leaf_id,) + far_ids)
+        ids = np.array(cover.near_ids + (leaf_id,) + cover.far_ids)
         live = self._live[ids]
         if not live.all():
             raise AssertionError(f"the blocks of {tree.nodes[ids[np.argmin(live)]]} "
@@ -262,7 +263,9 @@ class HistoryEngine:
         lv = tree.mesh.levels
         steps = np.arange(leaf.lo, leaf.hi + 1)
         t_prev, t_next = lv[leaf.lo - 1:leaf.hi], lv[leaf.lo:leaf.hi + 1]
-        far, far_leaf = ids[nn:], ids[nn + nmom:]
+        far = ids[nn:]
+        nmom = int(np.searchsorted(far, tree.first[G]))  # far non-leaf members come first
+        far_leaf = far[nmom:]
         # one psi call: the ancestors about the leaf's steps, then every far
         # leaf's psi table about its own intervals
         intervals = np.concatenate([[leaf.lo] * G, tree.lo[far_leaf]])[:, None] + np.arange(size)
@@ -273,31 +276,34 @@ class HistoryEngine:
         pairs = np.nonzero(js < steps[:, None])
         exact_w = np.zeros((size, js.size))
         exact_w[pairs] = self.weights.offdiag(steps[pairs[0]], js[pairs[1]])
+        far_sum = None
         if far.size:
             # one phi call covers every far member at every step of the leaf
             phi = phi_coeffs(self.weights.params.nu, r, tree.midpoint(far)[:, None],
                              t_prev, t_next)
             w_mom = phi[:nmom].transpose(1, 0, 2).reshape(size, nmom * r)
-            w_leaf = np.einsum("ksp,kjp->skj", phi[nmom:], psi[G:]).reshape(size, -1)
+            w_leaf = np.matmul(phi[nmom:], psi[G:].transpose(0, 2, 1))  # (far leaf, step, j)
+            w_leaf = w_leaf.transpose(1, 0, 2).reshape(size, -1)
+            far_sum = np.zeros((size, m))
 
-        exact, far_leaves, far_moments = [], [], []
+        exact = []  # far runs go straight into every step's far field
         nf = nn + nmom  # where the far leaves start
-        for i, j in zip(cuts, cuts[1:]):
-            g, p = tree.generation[ids[i]], tree.position(ids[i])
+        starts = ids[cuts[:-1]]
+        for i, j, g, p in zip(cuts, cuts[1:], tree.generation[starts].tolist(),
+                              tree.position(starts).tolist()):
             view = self._stores[g].view(p, p + j - i)
             if i < nn:
                 exact.append((i * size, exact_w[:, i * size:j * size], view))
             elif g < G:
-                far_moments.append((w_mom[:, (i - nn) * r:(j - nn) * r], view))
+                far_sum += w_mom[:, (i - nn) * r:(j - nn) * r] @ view
             else:
-                far_leaves.append((w_leaf[:, (i - nf) * size:(j - nf) * size], view))
+                far_sum += w_leaf[:, (i - nf) * size:(j - nf) * size] @ view
         return _LeafPlan(
             leaf=leaf,
             rows=rows,
             near=(nn - 1) * size,
             exact=tuple(exact),
-            far_leaves=tuple(far_leaves),
-            far_moments=tuple(far_moments),
+            far=far_sum,
             psi_chain=psi[:G].transpose(1, 0, 2)[..., None],
             ops=m * ((nn - 1 + far.size - nmom) * size + r * nmom),
         )
@@ -310,7 +316,7 @@ class HistoryEngine:
         The exact-weight terms accumulate first, one row after another in
         ascending interval order across runs, reading only the rows with
         j < n, so the all-near path matches the direct sum bit for bit; the
-        far-leaf and far-moment terms follow, one product per run.
+        step's far field, formed when the leaf was entered, follows.
         """
         if n == 1:
             return np.zeros(self.m)
@@ -325,10 +331,8 @@ class HistoryEngine:
             if acc is not None:
                 t[0] += acc
             acc = _sum_rows(t)
-        for w, rows in plan.far_leaves:
-            acc += w[s] @ rows
-        for phi, moments in plan.far_moments:
-            acc += phi[s] @ moments
+        if plan.far is not None:
+            acc += plan.far[s]
         self.counters.rhs_ops += plan.ops + self.m * s
         return acc
 

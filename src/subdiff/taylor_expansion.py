@@ -9,9 +9,11 @@ moments psi_p (polynomial averages), giving
 
 with relative error at most 2^(2-nu) (r+1) (eta/2)^r when the source
 block length is at most eta times its distance to the target block.
-Both coefficient families are generated by short recursions that avoid
-the cancellation-prone direct differences, and both take arrays, so one
-call evaluates the coefficients of many cluster/interval pairs.
+Both coefficient families avoid the cancellation-prone direct
+differences: phi through a cumulative product of kernel factors, psi
+through a recursion over the orders that updates one preallocated array
+in place.  Both take arrays, so one call evaluates the coefficients of
+many cluster/interval pairs.
 """
 
 from __future__ import annotations
@@ -67,23 +69,31 @@ def phi_coeffs(nu: float, r: int, sbar, t_prev, t_next) -> np.ndarray:
 def psi_coeffs(r: int, sbar, t_prev, t_next) -> np.ndarray:
     """Source-side moments psi_1..psi_r for the interval (t_prev, t_next].
 
-    Polynomial recursion: psi_1 = k_j and
-    psi_{p+1} = ((t_prev - sbar) psi_p + (k_j / p!) (t_next - sbar)^p) / (p+1),
-    valid for any placement of sbar relative to the interval.
+    psi_p is the integral of (s - sbar)^(p-1) / (p-1)! over the interval.
+    With a = t_prev - sbar, b = t_next - sbar and k_j = t_next - t_prev,
+    psi_1 = k_j and psi_{p+1} = (a psi_p + k_j b^p / p!) / (p+1), valid
+    for any placement of sbar relative to the interval.  The terms
+    k_j b^p / (p+1)! come from one cumulative product, and each order
+    then costs one multiply and one add in place.
 
     The arguments broadcast against each other like those of phi_coeffs:
     scalars give shape (r,), K midpoints or K intervals give (K, r).
     """
-    sbar, t_prev, t_next = np.broadcast_arrays(sbar, t_prev, t_next)
-    kj = t_next - t_prev
-    a = t_prev - sbar
-    b = t_next - sbar
-    out = [kj]
-    fact = 1.0
+    kj = np.subtract(t_next, t_prev, dtype=float)
+    a = np.subtract(t_prev, sbar, dtype=float)
+    b = np.subtract(t_next, sbar, dtype=float)
+    shape = np.broadcast(a, b).shape
+    div = np.arange(2.0, r + 1).reshape(-1, *(1,) * len(shape))  # p + 1 for p = 1 .. r-1
+    scaled_a = a / div
+    term = np.cumprod(b / div, axis=0)  # b^p / (p+1)!
+    term *= kj
+    out = np.empty((r, *shape))
+    out[0] = kj
     for p in range(1, r):
-        out.append((a * out[-1] + (kj / fact) * b**p) / (p + 1))
-        fact *= p + 1
-    return np.stack(out, axis=-1)
+        row = out[p, ...]  # a view even for scalar arguments
+        np.multiply(scaled_a[p - 1], out[p - 1], out=row)
+        row += term[p - 1]
+    return out.transpose(*range(1, out.ndim), 0)
 
 
 def tilde_beta(phi: np.ndarray, psi: np.ndarray) -> float:

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from subdiff import cli
+from subdiff import cli, dg_stepper
 from subdiff.cli import main, parse_args, run
 from subdiff.spatial_fem import SeparableSource
 
@@ -145,6 +145,22 @@ def test_main_reports_module_errors(capsys, tmp_path):
     # the solution stream opened before the failure is closed, with its header
     hdr = (tmp_path / "solution_fast_N16000.bin.hdr").read_text().splitlines()
     assert hdr[-1] == "records 0"
+
+
+def test_main_reports_a_grid_too_large_for_memory(capsys, tmp_path, monkeypatch):
+    """A grid whose solver cannot be allocated is an error naming m and dim,
+    not a traceback.  The allocation failure is simulated: a real oversized
+    grid would first build its m-sized sine modes."""
+    def no_memory(grid):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(99999, 99999) and data type int64")
+
+    monkeypatch.setattr(dg_stepper, "EllipticSolver", no_memory)
+    code = main(f"--mode slow --dim 1 --N 8 --m 100000 --out {tmp_path}".split())
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory for a grid with m=100000, dim=1 at N=8: ")
+    assert "74.5 GiB" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -8,7 +8,7 @@ from subdiff.frac_weights import KernelParams, WeightEngine
 from subdiff.history_engine import EngineCounters, HistoryEngine, SolutionSink
 from subdiff.reference_solution import direct_history_sum
 from subdiff.spatial_fem import SpatialGrid, benchmark_source, sine_mode
-from subdiff.taylor_expansion import ExpansionParams
+from subdiff.taylor_expansion import ExpansionParams, phi_coeffs, psi_coeffs
 from subdiff.time_mesh import mesh_from_levels, uniform_mesh
 from test_clustering import COVER_TREES, children
 
@@ -341,14 +341,26 @@ def test_counters_allocate_release():
     assert c.high_water == 15
 
 
-def leaf_plans(engine, vals):
-    """Commit every step and return the plan of every leaf."""
-    plans = {}
+def leaf_plans(engine, vals, monkeypatch):
+    """Commit every step; return the plan of every leaf and the number of
+    store views its entry took, one per run of cover members it multiplies."""
+    views = []
+    view = history_engine._BlockStore.view
+
+    def counted_view(self, p0, p1):
+        views.append((p0, p1))
+        return view(self, p0, p1)
+
+    monkeypatch.setattr(history_engine._BlockStore, "view", counted_view)
+    plans, runs = {}, {}
     for n, value in enumerate(vals, start=1):
+        before = len(views)
         engine.history_sum(n)
         engine.commit_step(n, value)
-        plans[engine._plan.leaf] = engine._plan
-    return plans
+        leaf = engine._plan.leaf
+        plans[leaf] = engine._plan
+        runs[leaf] = runs.get(leaf, 0) + len(views) - before
+    return plans, runs
 
 
 def run_count(tree, ids):
@@ -364,33 +376,36 @@ def run_count(tree, ids):
     (243, 3, 5, 3, 0.7),
     (64, 4, 3, 4, 0.3),
 ])
-def test_uniform_plans_have_one_run_per_kind_and_generation(N, Q, G, r, eta):
-    """On a uniform mesh every plan has one exact run, at most one far-leaf
-    run and at most one far-moment run per generation, so a step makes
-    O(G) numpy calls whatever the size of its cover."""
+def test_uniform_plans_have_one_run_per_kind_and_generation(N, Q, G, r, eta, monkeypatch):
+    """On a uniform mesh every plan keeps one exact run, and its entry
+    multiplies at most one far-leaf run and one far-moment run per
+    generation, so a step makes one exact reduction and a leaf entry O(G)
+    far products whatever the size of its cover."""
     engine, _ = make_engine(N=N, Q=Q, G=G, r=r, eta=eta, m=2)
     tree = engine.tree
-    plans = leaf_plans(engine, random_values(N, 2))
+    plans, runs = leaf_plans(engine, random_values(N, 2), monkeypatch)
     assert len(plans) == Q**G
     for leaf, plan in plans.items():
-        gens = tree.generation[list(tree.minimal_cover(leaf, eta).far_ids)]
+        far = tree.minimal_cover(leaf, eta).far_ids
+        gens = tree.generation[list(far)]
         moment_gens = set(gens[gens < G].tolist())
         assert len(plan.exact) == 1
-        assert len(plan.far_leaves) == (1 if (gens == G).any() else 0)
-        assert len(plan.far_moments) == len(moment_gens)
+        assert runs[leaf] == 1 + (1 if (gens == G).any() else 0) + len(moment_gens)
+        assert (plan.far is None) == (not far)
 
 
-def test_split_runs_on_a_perturbed_mesh():
+def test_split_runs_on_a_perturbed_mesh(monkeypatch):
     """On this +-30% mesh some leaves see their near leaves, their far
-    leaves or one generation's far members in two runs.  Each run is one
-    term of the plan, the engine stays within the rank-r bound of the
-    direct sum, and with nothing admissible it equals the direct sum."""
+    leaves or one generation's far members in two runs.  The plan keeps
+    one exact term per exact run, its entry takes one product per run, the
+    engine stays within the rank-r bound of the direct sum, and with
+    nothing admissible it equals the direct sum."""
     N, m, r, eta, nu = 64, 3, 4, 0.3, 0.5
     mesh = perturbed_mesh(N, seed=9)
     engine, weights = make_engine(Q=4, G=3, r=r, eta=eta, m=m, nu=nu, mesh=mesh)
     tree = engine.tree
     vals = random_values(N, m)
-    plans = leaf_plans(engine, vals)
+    plans, taken = leaf_plans(engine, vals, monkeypatch)
     split = {"exact": 0, "far_leaves": 0, "far_moments": 0}
     for leaf, plan in plans.items():
         cover = tree.minimal_cover(leaf, eta)
@@ -399,8 +414,8 @@ def test_split_runs_on_a_perturbed_mesh():
         runs = {"exact": run_count(tree, cover.near_ids + (tree.leaf_id(leaf.lo),)),
                 "far_leaves": run_count(tree, far_leaves),
                 "far_moments": run_count(tree, moments)}
-        for kind, count in runs.items():
-            assert len(getattr(plan, kind)) == count
+        assert len(plan.exact) == runs["exact"]
+        assert taken[leaf] == sum(runs.values())
         split["exact"] += runs["exact"] > 1
         split["far_leaves"] += runs["far_leaves"] > 1
         gens = [tree.generation[i] for i in moments]
@@ -418,6 +433,87 @@ def test_split_runs_on_a_perturbed_mesh():
         assert np.array_equal(exact.history_sum(n), want)
         engine.commit_step(n, vals[n - 1])
         exact.commit_step(n, vals[n - 1])
+
+
+FAR_BLOCK_ENGINES = {
+    # the desk problem's tree, and a +-30% mesh with Q = 4 and leaves of two steps
+    "desk": lambda: make_engine(N=2000, Q=10, G=3, r=5, eta=0.4, m=2, T=6.0),
+    "perturbed-Q4": lambda: make_engine(Q=4, G=3, r=4, eta=0.3, m=2,
+                                        mesh=perturbed_mesh(128, seed=9)),
+}
+
+
+@pytest.mark.parametrize("name", FAR_BLOCK_ENGINES)
+def test_far_block_matches_per_step_products(name, monkeypatch):
+    """The far field a plan forms when its leaf is entered equals, row by
+    row, that step's own products over the cover's far members: the
+    step's phi against each member's moments, the psi-weighted sums of the
+    member's vectors."""
+    engine, weights = FAR_BLOCK_ENGINES[name]()
+    tree, r, nu = engine.tree, engine.r, weights.params.nu
+    lv = tree.mesh.levels
+    V = np.array(random_values(tree.mesh.N, engine.m))
+    plans, _ = leaf_plans(engine, V, monkeypatch)
+    moments = {}  # node id -> (moments, the same sum taken in absolute values)
+    checked = 0
+    for leaf, plan in plans.items():
+        far = list(tree.minimal_cover(leaf, engine.eta).far_ids)
+        if not far:
+            assert plan.far is None
+            continue
+        for i in far:
+            if i not in moments:
+                lo, hi = int(tree.lo[i]), int(tree.hi[i])
+                psi = psi_coeffs(r, tree.midpoint(i), lv[lo - 1:hi], lv[lo:hi + 1])
+                moments[i] = psi.T @ V[lo - 1:hi], np.abs(psi.T) @ np.abs(V[lo - 1:hi])
+        for s, n in enumerate(range(leaf.lo, leaf.hi + 1)):
+            phi = phi_coeffs(nu, r, tree.midpoint(far), lv[n - 1], lv[n])
+            want = sum(phi[k] @ moments[i][0] for k, i in enumerate(far))
+            scale = sum(np.abs(phi[k]) @ moments[i][1] for k, i in enumerate(far))
+            assert np.all(np.abs(plan.far[s] - want) <= 1e-13 * scale), (leaf, n)
+            checked += 1
+    assert checked > len(plans) // 2
+
+
+@pytest.mark.parametrize("name", FAR_BLOCK_ENGINES)
+def test_steps_read_no_far_rows(name, monkeypatch):
+    """Once a leaf is entered, NaN in the store rows of its far members
+    changes none of its history sums: its steps read the far field the
+    entry formed, never the far rows.  The rows are restored before the
+    next entry, which may need them."""
+    make = FAR_BLOCK_ENGINES[name]
+    engine, _ = make()
+    vals = random_values(engine.tree.mesh.N, engine.m)
+    plain = []
+    for n, value in enumerate(vals, start=1):
+        plain.append(engine.history_sum(n))
+        engine.commit_step(n, value)
+
+    enter = HistoryEngine._enter
+    poisoned = []  # (block, saved copy) for the current leaf's far members
+
+    def poisoning_enter(self, leaf):
+        for block, saved in poisoned:
+            block[:] = saved
+        poisoned.clear()
+        plan = enter(self, leaf)
+        tree = self.tree
+        for i in tree.minimal_cover(leaf, self.eta).far_ids:
+            p = tree.position(i)
+            block = self._stores[tree.generation[i]].view(p, p + 1)
+            poisoned.append((block, block.copy()))
+            block.fill(np.nan)
+        return plan
+
+    monkeypatch.setattr(HistoryEngine, "_enter", poisoning_enter)
+    engine, _ = make()
+    poisoned_steps = 0
+    for n, value in enumerate(vals, start=1):
+        got = engine.history_sum(n)
+        assert np.array_equal(got, plain[n - 1]), n
+        poisoned_steps += bool(poisoned)
+        engine.commit_step(n, value)
+    assert poisoned_steps > engine.tree.mesh.N // 2
 
 
 def test_unwritten_rows_are_never_read(monkeypatch):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subdiff.frac_weights import beta_interval
 from subdiff.taylor_expansion import (
@@ -141,3 +142,38 @@ def test_phi_array_requires_separation_everywhere():
         phi_coeffs(0.5, 3, np.array([0.1, 0.2, 1.0]), 1.0, 1.5)
     with pytest.raises(ValueError, match="strictly right"):
         phi_coeffs(0.5, 3, np.array([0.1, 1.2]), 1.0, 1.5)
+
+
+def psi_recursion(r, sbar, t_prev, t_next):
+    """The recursion psi_coeffs evaluated before it updated one array in
+    place, kept as its oracle: psi_1 = k_j and
+    psi_{p+1} = ((t_prev - sbar) psi_p + (k_j / p!) (t_next - sbar)^p) / (p+1)."""
+    sbar, t_prev, t_next = np.broadcast_arrays(sbar, t_prev, t_next)
+    kj = t_next - t_prev
+    a = t_prev - sbar
+    b = t_next - sbar
+    out = [kj]
+    fact = 1.0
+    for p in range(1, r):
+        out.append((a * out[-1] + (kj / fact) * b**p) / (p + 1))
+        fact *= p + 1
+    return np.stack(out, axis=-1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(r=st.integers(1, 30), lo=st.floats(-2.0, 2.0), length=st.floats(1e-6, 1.0),
+       place=st.sampled_from(["left", "inside", "right"]), gap=st.floats(1e-6, 10.0),
+       frac=st.floats(0.0, 1.0))
+def test_psi_matches_recursion(r, lo, length, place, gap, frac):
+    """psi_coeffs agrees with the recursion for sbar left of, inside and
+    right of the interval, order by order, to 64 eps times the bound on
+    |psi_p|."""
+    hi = lo + length
+    sbar = {"left": lo - gap, "inside": lo + frac * length, "right": hi + gap}[place]
+    got, want = psi_coeffs(r, sbar, lo, hi), psi_recursion(r, sbar, lo, hi)
+    assert got.shape == want.shape == (r,)
+    # |psi_p| <= k_j max(|a|, |b|)^(p-1) / (p-1)!, scaled to a few roundings
+    reach = max(abs(lo - sbar), abs(hi - sbar))
+    bound = [(hi - lo) * reach**q / math.factorial(q) for q in range(r)]
+    assert np.all(np.abs(got - want) <= 64 * np.finfo(float).eps * np.array(bound))
+
