@@ -1,9 +1,9 @@
 """Fast history summation with clustered low-rank far fields and
 incremental memory management.
 
-Per committed step n the engine adds the new solution vector into the
-moment accumulators of every non-leaf cluster containing interval n.
-Querying the history at step n partitions the past into the current
+When a leaf's last step is committed, the engine adds the leaf's solution
+vectors into the moment accumulators of every non-leaf cluster containing
+it.  Querying the history at step n partitions the past into the current
 leaf's earlier intervals plus the near/far parts of the leaf's minimal
 cover: near intervals use exact weights against retained vectors, far
 non-leaf clusters collapse to r moment vectors, and far leaves are
@@ -15,9 +15,12 @@ a generation sits at row p - base of the store's buffer.  Blocks are
 reserved in time order and freed in roughly the same order, so the live
 blocks lie in one window of consecutive positions.  The moments of the
 current leaf's non-leaf ancestors live in one (G, r, M) chain
-accumulator instead, which each commit updates with one broadcast
-multiply-add; an ancestor's row moves into its generation's store when
-the schedule leaves it.
+accumulator instead.  A commit only stores U^n in the leaf's block; the
+moments are linear in the vectors, so the leaf's last commit adds the
+whole leaf into the chain with one (G, r, leaf size) @ (leaf size, M)
+product.  No step of a leaf reads its ancestors' moments (an ancestor is
+never in its own leaf's cover), and an ancestor's row moves into its
+generation's store when the schedule leaves it.
 
 One flag per node id records whether the engine holds the node's
 values, in its store block or in the chain accumulator.  Everything a
@@ -36,14 +39,22 @@ with one view and one weight block:
   - the far leaves: low-rank weights, from one matmul of their phi
     coefficients with their psi tables;
   - each generation's far non-leaf members: their phi coefficients.
-One phi_coeffs call gives the phi of every far member, and one
-psi_coeffs call gives the ancestor chain's psi about the leaf's steps and
-each far leaf's psi table about its own intervals.  The far members lie
-wholly before the leaf, so their values are final when it is entered:
-the plan forms the far field of every step of the leaf then, one block
-product per far run, and keeps the exact runs' views.  A step then costs
-one sequential reduction per exact run plus one add of its far-field
-row, and the live value count stays logarithmic in the step count.
+A far member's phi depends on the step's gap from its midpoint, and psi
+on each interval's offset inside the node.  On a uniform mesh both are
+fixed by the node's generation and the integer lag, so the engine builds
+one phi and one psi lag table per generation when it is made, from one
+phi_coeffs and one psi_coeffs call over the nodes that start each
+generation, and a leaf entry reads the far members' phi, the ancestor
+chain's psi about the leaf's steps and each far leaf's psi table about
+its own intervals from them by fancy indexing.  On other meshes one
+phi_coeffs call per leaf gives the phi of every far member, and one
+psi_coeffs call the psi of the chain and of the far leaves.  The far
+members lie wholly before the leaf, so their values are final when it is
+entered: the plan forms the far field of every step of the leaf then,
+one block product per far run, and keeps the exact runs' views.  A step
+then costs one sequential reduction per exact run plus one add of its
+far-field row, and the live value count stays logarithmic in the step
+count.
 
 Counters track multiply-accumulates on length-M vectors (M operations
 each), the high-water mark of live stored values, and the high-water
@@ -70,7 +81,7 @@ class EngineCounters:
     """Machine-independent cost and memory accounting."""
 
     rhs_ops: int = 0  # M ops per vector multiply-accumulate in history sums
-    update_ops: int = 0  # M ops per moment-accumulator update
+    update_ops: int = 0  # G r M per commit: its share of the leaf's moment fold
     live_values: int = 0
     high_water: int = 0
     reserved: int = 0  # values held by the stores' buffers and the chain accumulator
@@ -172,6 +183,31 @@ def _sum_rows(t: np.ndarray) -> np.ndarray:
     return np.add.reduce(t, axis=0) if t.shape[1] > 1 else np.add.accumulate(t, axis=0)[-1]
 
 
+class _LagTable(NamedTuple):
+    """Coefficients of every generation by lag, on a uniform mesh: node i
+    of generation g takes at interval n the row rows[base[g] + n - lo_i],
+    the value the generation's first node takes at the same lag."""
+
+    rows: np.ndarray  # (lags of all generations, r), generation after generation
+    base: np.ndarray  # per generation: the row of lag 0
+
+    @classmethod
+    def build(cls, tree: ClusterTree, coeffs, lo: np.ndarray, hi: np.ndarray) -> _LagTable:
+        """coeffs(sbar, t_prev, t_next) of each generation's first node, which
+        starts at interval 1, at the lags lo[g] .. hi[g] - 1, in one call."""
+        count = hi - lo
+        base = np.cumsum(count) - count - lo
+        gen = np.repeat(np.arange(count.size), count)
+        lag = np.arange(count.sum()) - base[gen]
+        lv = tree.mesh.levels
+        return cls(coeffs(tree.midpoint(np.array(tree.first[:-1]))[gen], lv[lag], lv[lag + 1]),
+                   base)
+
+    def read(self, tree: ClusterTree, ids: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Node ids[k]'s rows at the intervals of row k of at (broadcast)."""
+        return self.rows[(self.base[tree.generation[ids]] - tree.lo[ids])[:, None] + at]
+
+
 class _LeafPlan(NamedTuple):
     """What every step of one leaf needs.  Arrays have one row per step of
     the leaf, row s for step n = leaf.lo + s; each exact run pairs its
@@ -182,7 +218,7 @@ class _LeafPlan(NamedTuple):
     near: int  # exact-weight columns before the leaf's own intervals
     exact: tuple  # (first column, weights, rows) per run of near leaves, the leaf's run last
     far: np.ndarray | None  # (leaf size, M): each step's far field, None if the cover has none
-    psi_chain: np.ndarray  # (leaf size, G, r, 1): psi about each ancestor, root first
+    psi_chain: np.ndarray  # (G, r, leaf size): each ancestor's psi on the leaf, root first
     ops: int  # rhs_ops of a step before the leaf's own earlier intervals
 
 
@@ -209,10 +245,39 @@ class HistoryEngine:
         self._chain = np.zeros((G, r, m))  # moments of the current leaf's ancestors, root first
         self._chain_ids: list[int] = []  # their node ids, none before the first leaf
         self.counters.reserve(self._chain.size)
+        self._tables = self._lag_tables() if tree.mesh.uniform else None
         self.committed = 0
         self._plan: _LeafPlan | None = None
 
     # -- helpers ------------------------------------------------------------
+
+    def _lag_tables(self) -> tuple[_LagTable, _LagTable]:
+        """The phi and psi lag tables of a uniform mesh: phi at the lags
+        width .. N - 1 a far member of each generation can take (it ends
+        before the step), psi at the offsets 0 .. width - 1 inside a node."""
+        tree, r, nu = self.tree, self.r, self.weights.params.nu
+        N = tree.mesh.N
+        width = N // tree.Q ** np.arange(tree.G + 1)
+        return (_LagTable.build(tree, lambda *interval: phi_coeffs(nu, r, *interval), width,
+                                np.full_like(width, N)),
+                _LagTable.build(tree, lambda *interval: psi_coeffs(r, *interval),
+                                np.zeros_like(width), width))
+
+    def _phi(self, ids: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """phi of the nodes ids at the steps, (len(ids), len(steps), r)."""
+        if self._tables is not None:
+            return self._tables[0].read(self.tree, ids, steps)
+        lv = self.tree.mesh.levels
+        return phi_coeffs(self.weights.params.nu, self.r, self.tree.midpoint(ids)[:, None],
+                          lv[steps - 1], lv[steps])
+
+    def _psi(self, ids: np.ndarray, intervals: np.ndarray) -> np.ndarray:
+        """psi of node ids[k] on the intervals of row k, intervals.shape + (r,)."""
+        if self._tables is not None:
+            return self._tables[1].read(self.tree, ids, intervals)
+        lv = self.tree.mesh.levels
+        return psi_coeffs(self.r, self.tree.midpoint(ids)[:, None], lv[intervals - 1],
+                          lv[intervals])
 
     def cover_for(self, n: int) -> Cover:
         """The minimal cover of the leaf holding step n."""
@@ -260,17 +325,14 @@ class HistoryEngine:
         cuts = [0, *(np.flatnonzero(ids[1:] - ids[:-1] != 1) + 1).tolist(), len(ids)]
 
         size = leaf.size
-        lv = tree.mesh.levels
         steps = np.arange(leaf.lo, leaf.hi + 1)
-        t_prev, t_next = lv[leaf.lo - 1:leaf.hi], lv[leaf.lo:leaf.hi + 1]
         far = ids[nn:]
         nmom = int(np.searchsorted(far, tree.first[G]))  # far non-leaf members come first
         far_leaf = far[nmom:]
-        # one psi call: the ancestors about the leaf's steps, then every far
-        # leaf's psi table about its own intervals
+        # the ancestors' psi about the leaf's steps, then every far leaf's psi
+        # table about its own intervals
         intervals = np.concatenate([[leaf.lo] * G, tree.lo[far_leaf]])[:, None] + np.arange(size)
-        psi = psi_coeffs(r, tree.midpoint(np.concatenate([chain, far_leaf]))[:, None],
-                         lv[intervals - 1], lv[intervals])
+        psi = self._psi(np.concatenate([chain, far_leaf]), intervals)
         # one offdiag call for every step's exact weights, pairs j < n only
         js = (tree.lo[ids[:nn]][:, None] + np.arange(size)).ravel()
         pairs = np.nonzero(js < steps[:, None])
@@ -278,9 +340,7 @@ class HistoryEngine:
         exact_w[pairs] = self.weights.offdiag(steps[pairs[0]], js[pairs[1]])
         far_sum = None
         if far.size:
-            # one phi call covers every far member at every step of the leaf
-            phi = phi_coeffs(self.weights.params.nu, r, tree.midpoint(far)[:, None],
-                             t_prev, t_next)
+            phi = self._phi(far, steps)  # every far member at every step of the leaf
             w_mom = phi[:nmom].transpose(1, 0, 2).reshape(size, nmom * r)
             w_leaf = np.matmul(phi[nmom:], psi[G:].transpose(0, 2, 1))  # (far leaf, step, j)
             w_leaf = w_leaf.transpose(1, 0, 2).reshape(size, -1)
@@ -304,7 +364,7 @@ class HistoryEngine:
             near=(nn - 1) * size,
             exact=tuple(exact),
             far=far_sum,
-            psi_chain=psi[:G].transpose(1, 0, 2)[..., None],
+            psi_chain=np.ascontiguousarray(psi[:G].transpose(0, 2, 1)),
             ops=m * ((nn - 1 + far.size - nmom) * size + r * nmom),
         )
 
@@ -337,8 +397,9 @@ class HistoryEngine:
         return acc
 
     def commit_step(self, n: int, value: np.ndarray) -> None:
-        """Accept U^n: retain it in the leaf's block and fold it into the
-        moments of every non-leaf ancestor cluster."""
+        """Accept U^n: retain it in the leaf's block.  The leaf's last commit
+        folds the whole block into the moments of every non-leaf ancestor
+        cluster, with one product."""
         if n != self.committed + 1:
             raise ValueError(f"expected commit of step {self.committed + 1}, got {n}")
         value = np.asarray(value, dtype=float)
@@ -348,8 +409,9 @@ class HistoryEngine:
         s = n - plan.leaf.lo
         plan.rows[s] = value
         self.counters.allocate(self.m)
-        self._chain += plan.psi_chain[s] * value
-        self.counters.update_ops += self._chain.shape[0] * self.r * self.m
+        if n == plan.leaf.hi:
+            self._chain += plan.psi_chain @ plan.rows
+        self.counters.update_ops += self._chain.size
         self.committed = n
 
     def free_cluster(self, ids) -> None:

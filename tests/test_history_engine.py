@@ -66,12 +66,25 @@ def test_far_field_accuracy_tracks_expansion_order():
     assert prev < 1e-7
 
 
+def moment_block(engine, i):
+    """The r moment vectors the engine holds for non-leaf node i: its chain
+    row while it is an ancestor of the current leaf, its store block after."""
+    tree = engine.tree
+    g = int(tree.generation[i])
+    if i in engine._chain_ids:
+        return engine._chain[g]
+    p = tree.position(i)
+    return engine._stores[g].view(p, p + 1)
+
+
 def test_moment_accumulators_hold_weighted_sums():
     """After committing a cluster's intervals, its first moment equals the
     plain step-weighted sum of the committed vectors, in the chain
     accumulator while the cluster is an ancestor of the current leaf and,
     bit for bit the same, in its generation's store once the schedule has
-    left it."""
+    left it.  On a Q = 3 tree, after each leaf's last commit, every held
+    non-leaf moment block equals psi.T @ V over its committed intervals,
+    with psi at the node's own geometry."""
     engine, _ = make_engine(N=16, G=2, T=16.0)
     vals = random_values(16, 3)
     for n in range(1, 9):
@@ -86,6 +99,25 @@ def test_moment_accumulators_hold_weighted_sums():
     np.testing.assert_allclose(mat[1], want2, rtol=1e-12)
     engine.commit_step(9, vals[8])  # enters C(9, 12): C(1, 8) moves to the store
     assert np.array_equal(engine._stores[1].view(0, 1), mat)
+
+    engine, _ = make_engine(N=81, Q=3, G=3, r=4, eta=0.5, m=2, T=2.0)
+    tree, lv = engine.tree, engine.tree.mesh.levels
+    V = np.array(random_values(81, 2))
+    checked = 0
+    for n in range(1, 82):
+        engine.history_sum(n)
+        engine.commit_step(n, V[n - 1])
+        if n % tree.leaf_size:
+            continue
+        held = np.flatnonzero(engine._live[:tree.first[tree.G]])
+        assert held.size
+        for i in held.tolist():
+            lo, hi = int(tree.lo[i]), min(int(tree.hi[i]), n)
+            psi = psi_coeffs(engine.r, tree.midpoint(i), lv[lo - 1:hi], lv[lo:hi + 1])
+            want, scale = psi.T @ V[lo - 1:hi], np.abs(psi.T) @ np.abs(V[lo - 1:hi])
+            assert np.all(np.abs(moment_block(engine, i) - want) <= 1e-12 * scale), (n, i)
+            checked += 1
+    assert checked > 81
 
 
 def test_commit_order_enforced():
@@ -232,38 +264,38 @@ def test_run_schedule_frees_history_and_bounds_memory():
     (True, 33488, 238),
 ])
 def test_run_schedule_invariants(monkeypatch, perturbed, rhs_ops, peak_values):
-    """Over a full schedule free_cluster runs at most once per leaf entered,
-    phi_coeffs at most once per step, the weights come from at most one
-    beta_offdiag call per leaf (plus the lag table on a uniform mesh), and
-    the operation and memory counts equal those of the per-step engine this
-    one replaced."""
+    """Over a full schedule free_cluster runs at most once per leaf entered;
+    phi_coeffs and psi_coeffs run once each, for the lag tables, on a
+    uniform mesh and at most once per leaf otherwise; the weights come from
+    at most one beta_offdiag call per leaf (plus the lag table on a uniform
+    mesh); and the operation and memory counts equal those of the per-step
+    engine this one replaced."""
     N, m = 256, 2
     mesh = perturbed_mesh(N) if perturbed else None
+    calls = {"free": 0, "phi": 0, "psi": 0, "weights": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(history_engine.HistoryEngine, "free_cluster",
+                        counted("free", history_engine.HistoryEngine.free_cluster))
+    monkeypatch.setattr(history_engine, "phi_coeffs", counted("phi", history_engine.phi_coeffs))
+    monkeypatch.setattr(history_engine, "psi_coeffs", counted("psi", history_engine.psi_coeffs))
+    monkeypatch.setattr(frac_weights, "beta_offdiag",
+                        counted("weights", frac_weights.beta_offdiag))
     engine, _ = make_engine(N=N, Q=2, G=5, r=3, eta=0.5, m=m, mesh=mesh)
-    calls = {"free": 0, "phi": 0, "weights": 0}
-    free, phi = history_engine.HistoryEngine.free_cluster, history_engine.phi_coeffs
-    beta_offdiag = frac_weights.beta_offdiag
-
-    def counted_free(self, ids):
-        calls["free"] += 1
-        return free(self, ids)
-
-    def counted_phi(*args):
-        calls["phi"] += 1
-        return phi(*args)
-
-    monkeypatch.setattr(history_engine.HistoryEngine, "free_cluster", counted_free)
-    def counted_weights(*args):
-        calls["weights"] += 1
-        return beta_offdiag(*args)
-
-    monkeypatch.setattr(history_engine, "phi_coeffs", counted_phi)
-    monkeypatch.setattr(frac_weights, "beta_offdiag", counted_weights)
     vals = random_values(N, m)
     engine.run_schedule(lambda n, hist: vals[n - 1])
-    assert calls["free"] <= len(list(engine.tree.leaves()))
-    assert 1 <= calls["phi"] <= N
-    assert 1 <= calls["weights"] <= len(list(engine.tree.leaves())) + 1
+    leaves = len(list(engine.tree.leaves()))
+    assert calls["free"] <= leaves
+    if perturbed:
+        assert 1 <= calls["phi"] <= leaves and 1 <= calls["psi"] <= leaves
+    else:
+        assert calls["phi"] == calls["psi"] == 1
+    assert 1 <= calls["weights"] <= leaves + 1
     assert engine.counters.live_values <= engine.counters.high_water
     assert engine.counters.rhs_ops + engine.counters.update_ops == rhs_ops
     assert engine.counters.high_water == peak_values
@@ -448,10 +480,12 @@ def test_far_block_matches_per_step_products(name, monkeypatch):
     """The far field a plan forms when its leaf is entered equals, row by
     row, that step's own products over the cover's far members: the
     step's phi against each member's moments, the psi-weighted sums of the
-    member's vectors."""
+    member's vectors.  The coefficients come from where the engine takes
+    them: the lag tables on the uniform desk mesh, phi_coeffs and
+    psi_coeffs at each member's geometry on the perturbed one."""
     engine, weights = FAR_BLOCK_ENGINES[name]()
-    tree, r, nu = engine.tree, engine.r, weights.params.nu
-    lv = tree.mesh.levels
+    tree = engine.tree
+    assert (engine._tables is not None) == tree.mesh.uniform
     V = np.array(random_values(tree.mesh.N, engine.m))
     plans, _ = leaf_plans(engine, V, monkeypatch)
     moments = {}  # node id -> (moments, the same sum taken in absolute values)
@@ -464,15 +498,71 @@ def test_far_block_matches_per_step_products(name, monkeypatch):
         for i in far:
             if i not in moments:
                 lo, hi = int(tree.lo[i]), int(tree.hi[i])
-                psi = psi_coeffs(r, tree.midpoint(i), lv[lo - 1:hi], lv[lo:hi + 1])
+                psi = engine._psi(np.array([i]), np.arange(lo, hi + 1)[None])[0]
                 moments[i] = psi.T @ V[lo - 1:hi], np.abs(psi.T) @ np.abs(V[lo - 1:hi])
         for s, n in enumerate(range(leaf.lo, leaf.hi + 1)):
-            phi = phi_coeffs(nu, r, tree.midpoint(far), lv[n - 1], lv[n])
+            phi = engine._phi(np.array(far), np.array([n]))[:, 0]
             want = sum(phi[k] @ moments[i][0] for k, i in enumerate(far))
             scale = sum(np.abs(phi[k]) @ moments[i][1] for k, i in enumerate(far))
             assert np.all(np.abs(plan.far[s] - want) <= 1e-13 * scale), (leaf, n)
             checked += 1
     assert checked > len(plans) // 2
+
+
+LAG_TABLE_ENGINES = {
+    "desk": lambda: make_engine(N=2000, Q=10, G=3, r=5, eta=0.4, T=6.0),
+    "binary-G10": lambda: make_engine(N=4096, Q=2, G=10, r=8, eta=0.3, nu=0.3, T=3.0),
+    "ternary": lambda: make_engine(N=729, Q=3, G=5, r=6, eta=0.5, nu=0.7, T=2.0),
+}
+
+
+@pytest.mark.parametrize("name", LAG_TABLE_ENGINES)
+def test_lag_tables_match_each_nodes_own_coefficients(name):
+    """Every row of the uniform-mesh lag tables equals, to 1e-11 relative,
+    phi_coeffs and psi_coeffs at the geometry of every node that reads it:
+    phi at each step after the node ends (elementwise, phi > 0), psi on
+    each of its intervals (scaled per order by the node's largest |psi_p|,
+    since odd orders nearly vanish about an interval's own midpoint).  The
+    first node of each generation reads every row of its generation."""
+    engine, weights = LAG_TABLE_ENGINES[name]()
+    tree, r, nu, N = engine.tree, engine.r, weights.params.nu, engine.tree.mesh.N
+    lv = tree.mesh.levels
+    phi_table, psi_table = engine._tables
+    width = N // tree.Q ** np.arange(tree.G + 1)
+    assert phi_table.rows.shape == (np.sum(N - width), r)
+    assert psi_table.rows.shape == (np.sum(width), r)
+    worst = [0.0, 0.0]
+    for i in range(len(tree.nodes)):
+        lo, hi = int(tree.lo[i]), int(tree.hi[i])
+        ids, sbar = np.array([i]), tree.midpoint(i)
+        steps = np.arange(hi + 1, N + 1)
+        if steps.size:
+            want = phi_coeffs(nu, r, sbar, lv[steps - 1], lv[steps])
+            got = phi_table.read(tree, ids, steps[None])[0]
+            worst[0] = max(worst[0], float(np.max(np.abs(got - want) / want)))
+        own = np.arange(lo, hi + 1)
+        want = psi_coeffs(r, sbar, lv[own - 1], lv[own])
+        got = psi_table.read(tree, ids, own[None])[0]
+        worst[1] = max(worst[1], float(np.max(np.abs(got - want) / np.abs(want).max(axis=0))))
+    assert max(worst) <= 1e-11, worst
+
+
+def test_fast_run_without_lag_tables_agrees():
+    """A uniform 2D fast run agrees to 1e-12 relative with the same run
+    that computes phi and psi per leaf, as on a non-uniform mesh."""
+    grid = SpatialGrid(dim=2, m=6)
+    config = RunConfig(nu=0.4, mesh=uniform_mesh(243, 1.0), grid=grid, r=5, eta=0.5, Q=3, G=4)
+
+    def solutions():
+        return np.array(fast_run(config, benchmark_source(grid), sine_mode(grid, 1, 1))
+                        .solutions)
+
+    with_tables = solutions()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HistoryEngine, "_lag_tables", lambda self: None)
+        per_leaf = solutions()
+    assert np.max(np.abs(with_tables - per_leaf)) <= 1e-12 * np.max(np.abs(per_leaf))
+    assert not np.array_equal(with_tables, per_leaf)  # the two paths did run
 
 
 @pytest.mark.parametrize("name", FAR_BLOCK_ENGINES)
