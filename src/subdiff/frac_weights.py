@@ -79,42 +79,6 @@ def omega(mu: float, t: float) -> float:
     return t ** (mu - 1.0) / _gamma(mu)
 
 
-def d_mu(mu: float, x: float) -> float:
-    """D_mu(x) = 1 - (1-x)^mu, evaluated without cancellation for small x."""
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"d_mu requires 0 <= x < 1, got {x}")
-    return -math.expm1(mu * math.log1p(-x))
-
-
-def b_mu(mu: float, t: float, k: float) -> float:
-    """Local kernel average B_mu(t, k) = w_{1+mu}(t+k/2) - w_{1+mu}(t-k/2).
-
-    For positive integer mu the result is a polynomial in t, valid for any
-    real t; otherwise the interval (t-k/2, t+k/2) must avoid the kernel
-    singularity, i.e. t > k/2, and the difference is computed through
-    D_mu to avoid cancellation when k << t.
-    """
-    if k <= 0.0:
-        raise ValueError(f"b_mu requires k > 0, got {k}")
-    if mu >= 1.0 and mu == math.floor(mu):
-        return _b_int(int(mu), t, k)
-    if t <= 0.5 * k:
-        raise ValueError(f"b_mu singular branch requires t > k/2, got t={t}, k={k}")
-    a = t + 0.5 * k
-    return omega(1.0 + mu, a) * d_mu(mu, k / a)
-
-
-def _b_int(p: int, t: float, k: float) -> float:
-    # B_p(t,k) = [(t+k/2)^p - (t-k/2)^p] / p! written as a product sum,
-    # which is exact for any t and free of cancellation.
-    a = t + 0.5 * k
-    b = t - 0.5 * k
-    acc = 0.0
-    for q in range(p):
-        acc += a**q * b ** (p - 1 - q)
-    return k * acc / math.factorial(p)
-
-
 def beta_diag(params: KernelParams, mesh: TimeMesh, n: int) -> float:
     """Diagonal weight beta_nn = k_n^nu / Gamma(1+nu)."""
     k = mesh.step(n)
@@ -132,13 +96,6 @@ def _common(*arrays) -> list[np.ndarray]:
     if len({x.shape for x in arrays}) > 1:
         arrays = np.broadcast_arrays(*arrays)
     return arrays
-
-
-def _geometry(source, target) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Source step k_j, target step k_n and centre distance Delta, of the
-    endpoints' common shape."""
-    s0, s1, t0, t1 = _common(*source, *target)
-    return s1 - s0, t1 - t0, 0.5 * (t0 + t1) - 0.5 * (s0 + s1)
 
 
 def beta_adjacent(nu: float, k_prev, k_cur):
@@ -169,68 +126,59 @@ def _series_coefficients(nu: float, count: int) -> tuple[np.ndarray, np.ndarray,
     return shared
 
 
+_SERIES_CHUNK = 128  # pairs per (pairs, max_terms) block of series terms
+
+
 def _series(nu: float, kj, kn, delta, ctl: SeriesControl) -> np.ndarray:
-    """The series of beta_separated_series for 1-d arrays of separated pairs."""
-    if np.any(delta <= 0.5 * (kj + kn)):
-        raise ValueError("series branch requires disjoint source left of target")
-    kj, kn, delta = kj[:, None], kn[:, None], delta[:, None]
-    p, orders, log_coef = _series_coefficients(nu, ctl.max_terms)
-    a = delta + 0.5 * kn
-    log1p_x = np.log1p(-kn / a)
-    lead = a ** (nu - 1.0) / _gamma(nu) * np.expm1((nu - 1.0) * log1p_x) * kj  # term 0
-    # a^mu (-D_mu(x)) = (a - k_n)^mu h_p with h_p = -expm1(-mu log1p(-x)) in (0, 1)
-    log_h = np.log(-np.expm1(log1p_x * orders))
-    log_ratio = log_coef + p * (2.0 * np.log(kj / (a - kn))) + (log_h - log_h[:, :1])
-    terms = lead * np.exp(log_ratio)
-    totals = np.cumsum(terms, axis=1)
-    done = terms < ctl.rel_tol * totals
-    stop = done.argmax(axis=1)
-    rows = np.arange(stop.size)
-    failed = np.flatnonzero(~done[rows, stop])
-    if failed.size:
-        i = failed[0]
-        ratio = (terms[i, -1] / terms[i, -2] if ctl.max_terms > 1
-                 else (kj[i, 0] / (2.0 * delta[i, 0] - kn[i, 0])) ** 2)  # the limiting ratio
-        raise SeriesConvergenceError(
-            f"weight series did not reach rel_tol={ctl.rel_tol} in {ctl.max_terms} terms "
-            f"for {failed.size} pair(s) (last term ratio {ratio:.3g})",
-            last_ratio=float(ratio),
-        )
-    return totals[rows, stop]
+    """Series evaluation of beta for 1-d arrays of separated interval pairs:
+    source steps kj, target steps kn and centre distances delta.
 
-
-def beta_separated_series(nu: float, source, target, ctl: SeriesControl = SeriesControl()):
-    """Series evaluation of beta for separated interval pairs.
-
-    source = (t_{j-1}, t_j) and target = (t_{n-1}, t_n) must be disjoint
-    with the source strictly left of the target.  The expansion is in even
-    powers of the source step about the centre distance Delta,
+    Each source interval must lie strictly left of its target, disjoint
+    from it.  The expansion is in even powers of the source step about
+    the centre distance Delta,
 
         beta = sum_p a^mu (-D_mu(k_n/a)) k_j^(2p+1) / (Gamma(nu-2p) (2p+1)! 4^p)
 
-    with mu = nu-2p-1 and a = Delta + k_n/2.  Its terms are all positive,
-    with successive ratios approaching (k_j / (2*Delta - k_n))^2 < 1.  The
-    first max_terms terms of every pair form one (pairs, max_terms) array,
-    each the leading term times the exponential of its log-ratio to it, so
-    no power over- or underflows.  A pair's value is its partial sum up to
-    the first term below rel_tol times that sum.
+    with mu = nu-2p-1, a = Delta + k_n/2 and D_mu(x) = 1 - (1-x)^mu.  Its
+    terms are all positive, with successive ratios approaching
+    (k_j / (2*Delta - k_n))^2 < 1.  The first max_terms terms of up to
+    _SERIES_CHUNK pairs at a time form one (pairs, max_terms) array, each
+    the leading term times the exponential of its log-ratio to it, so no
+    power over- or underflows and the array stays small however many pairs
+    one call asks for.  A pair's value is its partial sum up to the first
+    term below rel_tol times that sum; the first chunk with a pair that
+    gets there in no term raises SeriesConvergenceError.
     """
-    kj, kn, delta = _geometry(source, target)
-    return _result(_series(nu, kj.ravel(), kn.ravel(), delta.ravel(), ctl).reshape(kj.shape))
-
-
-def beta_direct(nu: float, source: tuple[float, float], target: tuple[float, float]) -> float:
-    """Direct difference beta = B_nu(Delta - k_j/2, k_n) - B_nu(Delta + k_j/2, k_n).
-
-    Exact in real arithmetic but loses precision for well-separated
-    intervals; kept as an independent cross-check of the series branch.
-    """
-    s0, s1 = source
-    t0, t1 = target
-    kj = s1 - s0
-    kn = t1 - t0
-    delta = 0.5 * (t0 + t1) - 0.5 * (s0 + s1)
-    return b_mu(nu, delta - 0.5 * kj, kn) - b_mu(nu, delta + 0.5 * kj, kn)
+    if np.any(delta <= 0.5 * (kj + kn)):
+        raise ValueError("series branch requires disjoint source left of target")
+    out = np.empty(kj.shape)
+    p, orders, log_coef = _series_coefficients(nu, ctl.max_terms)
+    for i in range(0, kj.size, _SERIES_CHUNK):
+        part = slice(i, i + _SERIES_CHUNK)
+        k_j, k_n, dist = kj[part, None], kn[part, None], delta[part, None]
+        a = dist + 0.5 * k_n
+        log1p_x = np.log1p(-k_n / a)
+        lead = a ** (nu - 1.0) / _gamma(nu) * np.expm1((nu - 1.0) * log1p_x) * k_j  # term 0
+        # a^mu (-D_mu(x)) = (a - k_n)^mu h_p with h_p = -expm1(-mu log1p(-x)) in (0, 1)
+        log_h = np.log(-np.expm1(log1p_x * orders))
+        log_ratio = log_coef + p * (2.0 * np.log(k_j / (a - k_n))) + (log_h - log_h[:, :1])
+        terms = lead * np.exp(log_ratio)
+        totals = np.cumsum(terms, axis=1)
+        done = terms < ctl.rel_tol * totals
+        stop = done.argmax(axis=1)
+        rows = np.arange(stop.size)
+        failed = np.flatnonzero(~done[rows, stop])
+        if failed.size:
+            j = failed[0]
+            ratio = (terms[j, -1] / terms[j, -2] if ctl.max_terms > 1
+                     else (k_j[j, 0] / (2.0 * dist[j, 0] - k_n[j, 0])) ** 2)  # the limit
+            raise SeriesConvergenceError(
+                f"weight series did not reach rel_tol={ctl.rel_tol} in {ctl.max_terms} terms "
+                f"for {failed.size} pair(s) (last term ratio {ratio:.3g})",
+                last_ratio=float(ratio),
+            )
+        out[part] = totals[rows, stop]
+    return out
 
 
 def _half(kj, kn, delta):
@@ -244,11 +192,6 @@ def _half(kj, kn, delta):
         / ((rmp + rmm) * (rpp + rpm))
         * (1.0 / (rpp + rmp) + 1.0 / (rpm + rmm))
     )
-
-
-def beta_half(source, target):
-    """Closed form for nu = 1/2 built from the four corner square roots."""
-    return _result(_half(*_geometry(source, target)))
 
 
 def beta_interval(nu: float, source, target, ctl: SeriesControl = SeriesControl()):

@@ -24,18 +24,33 @@ generation's store when the schedule leaves it.
 
 One flag per node id records whether the engine holds the node's
 values, in its store block or in the chain accumulator.  Everything a
-step needs depends on its leaf alone, so when the schedule enters a leaf
-it makes one free_cluster call on the held nodes the leaf's cover marks
-dead (those under a far member, whose moments stand in for them from now
-on: the cover, not the engine, decides what is dead), retires the
-ancestors it leaves, holds the new ones, reserves the leaf's own block,
-and builds the leaf's plan, on uniform and non-uniform meshes alike.
-Stores change only then, so the plan's views stay valid for the whole
-leaf.  The cover's members fall into runs of consecutive positions of
-one generation (on a uniform mesh one run per kind and generation), each
-with one view and one weight block:
-  - the near leaves followed by the leaf itself: exact weights, from one
-    WeightEngine.offdiag call;
+step needs depends on its leaf alone, and a leaf's coefficients depend
+only on the mesh and the tree, not on the stores, so the engine plans in
+two levels, on uniform and non-uniform meshes alike:
+  - a block is the set of leaves under one node of generation G // 2.
+    When the schedule enters a block's first leaf, the engine builds the
+    covers of all its leaves and their coefficients: one
+    WeightEngine.offdiag call for the exact weights of every step of
+    every leaf against its near leaves and its own earlier intervals,
+    one phi evaluation for every (far member, step) pair, and one psi
+    evaluation for each leaf's ancestors about the leaf's steps and for
+    its far leaves about their own intervals.  The block's arrays hold
+    no M-length vector and are dropped once its last leaf is entered.
+    With about the square root of the leaf count in blocks and in leaves
+    per block, a block entry, the longest step of a run, stays a small
+    fraction of the steps;
+  - a leaf entry does what must happen at the leaf's time: one
+    free_cluster call on the held nodes the leaf's cover marks dead
+    (those under a far member, whose moments stand in for them from now
+    on: the cover, not the engine, decides what is dead), retiring the
+    ancestors the schedule leaves, holding the new ones and reserving the
+    leaf's own block.  Stores change only then, so the views it takes
+    stay valid for the whole leaf.  It builds the leaf's plan from those
+    views and the leaf's rows of the block's arrays.
+The cover's members fall into runs of consecutive positions of one
+generation (on a uniform mesh one run per kind and generation), each with
+one view and one weight block:
+  - the near leaves followed by the leaf itself: exact weights;
   - the far leaves: low-rank weights, from one matmul of their phi
     coefficients with their psi tables;
   - each generation's far non-leaf members: their phi coefficients.
@@ -44,17 +59,14 @@ on each interval's offset inside the node.  On a uniform mesh both are
 fixed by the node's generation and the integer lag, so the engine builds
 one phi and one psi lag table per generation when it is made, from one
 phi_coeffs and one psi_coeffs call over the nodes that start each
-generation, and a leaf entry reads the far members' phi, the ancestor
-chain's psi about the leaf's steps and each far leaf's psi table about
-its own intervals from them by fancy indexing.  On other meshes one
-phi_coeffs call per leaf gives the phi of every far member, and one
-psi_coeffs call the psi of the chain and of the far leaves.  The far
-members lie wholly before the leaf, so their values are final when it is
-entered: the plan forms the far field of every step of the leaf then,
-one block product per far run, and keeps the exact runs' views.  A step
-then costs one sequential reduction per exact run plus one add of its
-far-field row, and the live value count stays logarithmic in the step
-count.
+generation, and a block entry reads its phi and psi from them by fancy
+indexing.  On other meshes a block entry makes one phi_coeffs and one
+psi_coeffs call.  The far members lie wholly before the leaf, so their
+values are final when it is entered: the plan forms the far field of
+every step of the leaf then, one block product per far run, and keeps
+the exact runs' views.  A step then costs one sequential reduction per
+exact run plus one add of its far-field row, and the live value count
+stays logarithmic in the step count.
 
 Counters track multiply-accumulates on length-M vectors (M operations
 each), the high-water mark of live stored values, and the high-water
@@ -157,15 +169,17 @@ class _BlockStore:
         self.lo = lo = lo if lo < self.end else p
         cap = len(self.buf)
         if p - self.base >= cap:
-            need, kept = p + 1 - lo, max(self.end - lo, 0)
-            window = self.buf[lo - self.base:lo - self.base + kept]
+            need, kept, shift = p + 1 - lo, max(self.end - lo, 0), lo - self.base
             if 5 * need > 4 * cap:
                 grown = np.empty((need + (need + 3) // 4, *self.buf.shape[1:]))
                 self.counters.reserve(grown.size - self.buf.size)
-                grown[:kept] = window
+                grown[:kept] = self.buf[shift:shift + kept]
                 self.buf = grown
-            else:
-                self.buf[:kept] = window  # numpy copies overlapping ranges safely
+            else:  # in pieces no longer than the shift: numpy would copy an
+                # overlapping source whole into a temporary first
+                buf = self.buf
+                for i in range(0, kept, shift):
+                    buf[i:min(i + shift, kept)] = buf[i + shift:min(i + shift, kept) + shift]
             self.base = lo
         live[p] = True
         self.end = p + 1
@@ -204,14 +218,16 @@ class _LagTable(NamedTuple):
                    base)
 
     def read(self, tree: ClusterTree, ids: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """Node ids[k]'s rows at the intervals of row k of at (broadcast)."""
-        return self.rows[(self.base[tree.generation[ids]] - tree.lo[ids])[:, None] + at]
+        """The rows of nodes ids at intervals at, broadcast against each other."""
+        return self.rows[self.base[tree.generation[ids]] - tree.lo[ids] + at]
 
 
 class _LeafPlan(NamedTuple):
-    """What every step of one leaf needs.  Arrays have one row per step of
-    the leaf, row s for step n = leaf.lo + s; each exact run pairs its
-    weights with a view of the store rows they multiply."""
+    """What every step of one leaf needs, built when the leaf is entered
+    from its rows of its block's coefficients and from the store views
+    taken then.  Arrays have one row per step of the leaf, row s for step
+    n = leaf.lo + s; each exact run pairs its weights with a view of the
+    store rows they multiply."""
 
     leaf: Cluster
     rows: np.ndarray  # (leaf size, M): the leaf's own block, filled by its commits
@@ -220,6 +236,26 @@ class _LeafPlan(NamedTuple):
     far: np.ndarray | None  # (leaf size, M): each step's far field, None if the cover has none
     psi_chain: np.ndarray  # (G, r, leaf size): each ancestor's psi on the leaf, root first
     ops: int  # rhs_ops of a step before the leaf's own earlier intervals
+
+
+class _Block(NamedTuple):
+    """The covers and coefficients of the leaves under one node of
+    generation G // 2, built when the schedule enters the first of them
+    and dropped when it enters the last.  Leaf k of the block, in
+    time order, has the entry leaves[k]:
+      - its cover's node ids: the near leaves, the leaf itself, then the
+        far members;
+      - the count of near leaves plus one, and of far non-leaf members;
+      - its runs of consecutive ids, (first index, end index, generation,
+        position) per run;
+      - its ancestors' ids, root first;
+      - the held nodes its cover can newly mark dead, those its
+        predecessor's cover did not;
+      - its rows of the block's exact weights, phi and psi arrays.
+    No array holds an M-length vector."""
+
+    first: int  # node id of the block's first leaf
+    leaves: list
 
 
 class HistoryEngine:
@@ -248,6 +284,7 @@ class HistoryEngine:
         self._tables = self._lag_tables() if tree.mesh.uniform else None
         self.committed = 0
         self._plan: _LeafPlan | None = None
+        self._block: _Block | None = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -264,20 +301,21 @@ class HistoryEngine:
                                 np.zeros_like(width), width))
 
     def _phi(self, ids: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """phi of the nodes ids at the steps, (len(ids), len(steps), r)."""
+        """phi of the nodes ids at the steps, broadcast against each other,
+        with a trailing axis of length r."""
         if self._tables is not None:
             return self._tables[0].read(self.tree, ids, steps)
         lv = self.tree.mesh.levels
-        return phi_coeffs(self.weights.params.nu, self.r, self.tree.midpoint(ids)[:, None],
+        return phi_coeffs(self.weights.params.nu, self.r, self.tree.midpoint(ids),
                           lv[steps - 1], lv[steps])
 
     def _psi(self, ids: np.ndarray, intervals: np.ndarray) -> np.ndarray:
-        """psi of node ids[k] on the intervals of row k, intervals.shape + (r,)."""
+        """psi of the nodes ids on the intervals, broadcast against each
+        other, with a trailing axis of length r."""
         if self._tables is not None:
             return self._tables[1].read(self.tree, ids, intervals)
         lv = self.tree.mesh.levels
-        return psi_coeffs(self.r, self.tree.midpoint(ids)[:, None], lv[intervals - 1],
-                          lv[intervals])
+        return psi_coeffs(self.r, self.tree.midpoint(ids), lv[intervals - 1], lv[intervals])
 
     def cover_for(self, n: int) -> Cover:
         """The minimal cover of the leaf holding step n."""
@@ -292,15 +330,96 @@ class HistoryEngine:
             raise ValueError(f"step {n} lies before the current leaf {plan.leaf}")
         return plan
 
+    def _enter_block(self, leaf_id: int) -> _Block:
+        """Build the covers of the leaves in leaf_id's block and their
+        coefficients: one offdiag call for every exact pair of the block,
+        one phi call for every (far member, step) pair and one psi call for
+        the ancestors of every leaf about its steps and for its far leaves
+        about their own intervals."""
+        tree, G = self.tree, self.tree.G
+        size, per, leaf0 = tree.leaf_size, tree.Q ** (G - G // 2), tree.first[G]
+        first = leaf_id - (leaf_id - leaf0) % per
+        leaves = range(first, first + per)
+        covers = [tree.minimal_cover(tree.nodes[i], self.eta) for i in leaves]
+        lo, offsets = tree.lo[first:first + per], np.arange(size)
+        # the dead masks only grow from leaf to leaf, and the engine frees at
+        # each entry what it holds of them, so a leaf need only look at the
+        # nodes its predecessor's mask did not have
+        dead = np.array([c.dead for c in covers])
+        dead[1:] &= ~dead[:-1]
+        row, node = np.nonzero(dead)
+        dead = np.split(node, np.searchsorted(row, range(1, per)))
+        # Each leaf's near leaves and the leaf itself, then its far members by
+        # generation, then in time, cut into runs of consecutive node ids.  The
+        # far ids restart below the leaf's, and a generation's last node ends
+        # at step N, so it is never a member: no run crosses a kind or a
+        # generation.
+        ids = np.fromiter((i for c, leaf in zip(covers, leaves)
+                           for i in (*c.near_ids, leaf, *c.far_ids)), dtype=np.intp)
+        nn = np.array([len(c.near_ids) + 1 for c in covers])
+        count = nn + [len(c.far_ids) for c in covers]
+        del covers  # before the coefficient arrays are made
+        start = np.cumsum(count) - count
+        owner = np.repeat(np.arange(per), count)
+        at = np.arange(ids.size) - start[owner]  # place in its leaf's ids
+        gen = tree.generation[ids]
+        near = at < nn[owner]
+        moment = ~near & (gen < G)  # far non-leaf members come before far leaves
+        nmom = np.bincount(owner[moment], minlength=per)
+        cut = np.ones(ids.size, dtype=bool)
+        cut[1:] = ids[1:] != ids[:-1] + 1
+        cut[start] = True
+        run0 = np.flatnonzero(cut)
+        runs = np.stack([at[run0], at[run0] + np.diff(run0, append=ids.size), gen[run0],
+                         tree.position(ids[run0])], axis=1)
+        # every step's exact pairs j < n, at their place in its leaf's weights
+        width = nn * size  # exact columns per leaf
+        col0 = np.cumsum(width) - width
+        js = (tree.lo[ids[near]][:, None] + offsets).ravel()
+        col_leaf = np.repeat(owner[near], size)
+        s, c = np.nonzero(js < lo[col_leaf] + offsets[:, None])
+        k = col_leaf[c]  # the leaf of each pair
+        weights = np.zeros(size * width.sum())
+        weights[size * col0[k] + s * width[k] + c - col0[k]] = self.weights.offdiag(lo[k] + s,
+                                                                                   js[c])
+        # every far member of every leaf at each of that leaf's steps
+        far = ids[~near]
+        phi = self._phi(far[:, None], lo[owner[~near]][:, None] + offsets)
+        # per leaf, the ancestors' psi about its steps, then each far leaf's psi
+        # about its own intervals
+        chains = [tree.chain(i) for i in leaves]
+        nrows = G + count - nn - nmom
+        q0 = np.cumsum(nrows) - nrows
+        chain_rows = q0[:, None] + np.arange(G)
+        fl = ~near & ~moment
+        psi_ids = np.empty(nrows.sum(), dtype=np.intp)
+        psi_ids[chain_rows] = chains
+        psi_ids[q0[owner[fl]] + G + at[fl] - (nn + nmom)[owner[fl]]] = ids[fl]
+        psi_lo = tree.lo[psi_ids]
+        psi_lo[chain_rows] = lo[:, None]
+        psi = self._psi(psi_ids[:, None], psi_lo[:, None] + offsets)
+        nfar = np.cumsum(count - nn)
+        return _Block(first, list(zip(
+            np.split(ids, start[1:]), nn.tolist(), nmom.tolist(),
+            np.split(runs, np.searchsorted(run0, start[1:])), chains, dead,
+            np.split(weights, size * col0[1:]), np.split(phi, nfar[:-1]),
+            np.split(psi, q0[1:]))))
+
     def _enter(self, leaf: Cluster) -> _LeafPlan:
         """Free what leaf's cover marks dead, retire the ancestors the
         schedule leaves, hold the new ones, reserve the leaf's block and
-        build its plan."""
+        build its plan from its rows of its block's coefficients, entering
+        the block first if the leaf is its first."""
         tree, r, m, G = self.tree, self.r, self.m, self.tree.G
-        cover = self.cover_for(leaf.lo)
-        self.free_cluster(np.flatnonzero(cover.dead & self._live))
         leaf_id = tree.leaf_id(leaf.lo)
-        chain, old = tree.chain(leaf_id), self._chain_ids
+        if self._block is None:
+            self._block = self._enter_block(leaf_id)
+        k = leaf_id - self._block.first
+        ids, nn, nmom, runs, chain, dead, exact_w, phi, psi = self._block.leaves[k]
+        if k == len(self._block.leaves) - 1:  # the block ends with its last leaf
+            self._block = None
+        self.free_cluster(dead[self._live[dead]])
+        old = self._chain_ids
         left = next((g for g, (a, b) in enumerate(zip(chain, old)) if a != b), len(old))
         for g in range(left, len(old)):  # the ancestors the schedule leaves move to their stores
             if self._live[old[g]]:
@@ -310,37 +429,16 @@ class HistoryEngine:
         self._live[chain[left:]] = True
         self.counters.allocate((G - left) * r * m)
         rows = self._stores[G].reserve(tree.position(leaf_id))
-
-        # The near leaves and the leaf itself, then the far members by
-        # generation, then in time, cut into runs of consecutive node ids.
-        # The far ids restart below the leaf's, and a generation's last node
-        # ends at step N, so it is never a member: no run crosses a kind or a
-        # generation.
-        nn = len(cover.near_ids) + 1
-        ids = np.array(cover.near_ids + (leaf_id,) + cover.far_ids)
         live = self._live[ids]
         if not live.all():
             raise AssertionError(f"the blocks of {tree.nodes[ids[np.argmin(live)]]} "
                                  "were freed too early")
-        cuts = [0, *(np.flatnonzero(ids[1:] - ids[:-1] != 1) + 1).tolist(), len(ids)]
 
         size = leaf.size
-        steps = np.arange(leaf.lo, leaf.hi + 1)
-        far = ids[nn:]
-        nmom = int(np.searchsorted(far, tree.first[G]))  # far non-leaf members come first
-        far_leaf = far[nmom:]
-        # the ancestors' psi about the leaf's steps, then every far leaf's psi
-        # table about its own intervals
-        intervals = np.concatenate([[leaf.lo] * G, tree.lo[far_leaf]])[:, None] + np.arange(size)
-        psi = self._psi(np.concatenate([chain, far_leaf]), intervals)
-        # one offdiag call for every step's exact weights, pairs j < n only
-        js = (tree.lo[ids[:nn]][:, None] + np.arange(size)).ravel()
-        pairs = np.nonzero(js < steps[:, None])
-        exact_w = np.zeros((size, js.size))
-        exact_w[pairs] = self.weights.offdiag(steps[pairs[0]], js[pairs[1]])
+        exact_w = exact_w.reshape(size, nn * size)
+        nfar = ids.size - nn
         far_sum = None
-        if far.size:
-            phi = self._phi(far, steps)  # every far member at every step of the leaf
+        if nfar:
             w_mom = phi[:nmom].transpose(1, 0, 2).reshape(size, nmom * r)
             w_leaf = np.matmul(phi[nmom:], psi[G:].transpose(0, 2, 1))  # (far leaf, step, j)
             w_leaf = w_leaf.transpose(1, 0, 2).reshape(size, -1)
@@ -348,9 +446,7 @@ class HistoryEngine:
 
         exact = []  # far runs go straight into every step's far field
         nf = nn + nmom  # where the far leaves start
-        starts = ids[cuts[:-1]]
-        for i, j, g, p in zip(cuts, cuts[1:], tree.generation[starts].tolist(),
-                              tree.position(starts).tolist()):
+        for i, j, g, p in runs.tolist():
             view = self._stores[g].view(p, p + j - i)
             if i < nn:
                 exact.append((i * size, exact_w[:, i * size:j * size], view))
@@ -365,7 +461,7 @@ class HistoryEngine:
             exact=tuple(exact),
             far=far_sum,
             psi_chain=np.ascontiguousarray(psi[:G].transpose(0, 2, 1)),
-            ops=m * ((nn - 1 + far.size - nmom) * size + r * nmom),
+            ops=m * ((nn - 1 + nfar - nmom) * size + r * nmom),
         )
 
     # -- per-step evaluation / commit / free operations ----------------------

@@ -20,9 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .spatial_fem import SpatialGrid, sine_mode
-from .time_mesh import TimeMesh
-
 
 class ContourAccuracyError(RuntimeError):
     """Raised when the contour quadrature's error estimate is too large."""
@@ -146,13 +143,6 @@ def u11_classical(t: float) -> float:
         + (math.pi * math.exp(-t) + math.sin(math.pi * t) - math.pi * math.cos(math.pi * t))
         / (1.0 + math.pi**2)
     )
-
-
-def exact_field(grid: SpatialGrid, mesh: TimeMesh, nu: float, n: int,
-                contour: LaplaceContour = LaplaceContour()) -> np.ndarray:
-    """Nodal values of the exact benchmark solution at time level n."""
-    mode = sine_mode(grid, 1, 1 if grid.dim == 2 else None)
-    return u11(nu, mesh.level(n), contour) * mode
 
 
 def max_nodal_error(numeric: list[np.ndarray] | np.ndarray,

@@ -110,18 +110,6 @@ def l2_norm(solver: EllipticSolver, v: np.ndarray) -> float:
     return float(np.sqrt(solver.mu @ (c * c)))
 
 
-def nodal_interpolant(grid: SpatialGrid, f: Callable) -> np.ndarray:
-    """Values of f at the free nodes, lexicographic order.
-
-    1D: f(x); 2D: f(x1, x2) broadcast over the tensor grid.
-    """
-    x = grid.axis_nodes
-    if grid.dim == 1:
-        return np.asarray([f(xi) for xi in x], dtype=float)
-    x1, x2 = np.meshgrid(x, x, indexing="ij")
-    return np.asarray(f(x1, x2), dtype=float).reshape(-1)
-
-
 def sine_mode(grid: SpatialGrid, i: int, j: int | None = None) -> np.ndarray:
     """Nodal values of the Dirichlet eigenfunction sin(i pi x) (times
     sin(j pi y) in 2D)."""

@@ -10,10 +10,11 @@ moments psi_p (polynomial averages), giving
 with relative error at most 2^(2-nu) (r+1) (eta/2)^r when the source
 block length is at most eta times its distance to the target block.
 Both coefficient families avoid the cancellation-prone direct
-differences: phi through a cumulative product of kernel factors, psi
-through a recursion over the orders that updates one preallocated array
-in place.  Both take arrays, so one call evaluates the coefficients of
-many cluster/interval pairs.
+differences: phi through a running product of kernel factors, psi
+through a recursion over the orders.  Both take arrays, so one call
+evaluates the coefficients of many cluster/interval pairs, and both fill
+one preallocated result an order at a time, so a call over many pairs
+needs no other temporary of the result's size.
 """
 
 from __future__ import annotations
@@ -53,17 +54,21 @@ def phi_coeffs(nu: float, r: int, sbar, t_prev, t_next) -> np.ndarray:
     The arguments broadcast against each other; the result has their
     common shape plus a trailing axis of length r, so scalar arguments
     give shape (r,) and an array of K midpoints gives shape (K, r).
+    Each order costs a few operations on arrays of the common shape.
     """
     gap = np.asarray(t_prev, dtype=float) - sbar
     if np.any(gap <= 0.0):
         raise ValueError("target interval must lie strictly right of sbar")
     x = (t_next - t_prev) / (t_next - np.asarray(sbar, dtype=float))
     mu = np.arange(1, r + 1) - nu  # the orders p - nu of D_{p-nu}
-    d = -np.expm1(mu * np.log1p(-x)[..., None])  # D_mu(x) = 1 - (1-x)^mu
-    factors = np.empty(d.shape)
-    factors[..., 0] = gap ** (nu - 1.0) / _gamma(nu)
-    factors[..., 1:] = mu[:-1] / gap[..., None]
-    return np.cumprod(factors, axis=-1) * d
+    log1p_x = np.log1p(-x)
+    out = np.empty((*np.shape(x), r))
+    kappa = gap ** (nu - 1.0) / _gamma(nu)
+    for p in range(r):  # one order at a time, times D_mu(x) = 1 - (1-x)^mu
+        if p:
+            kappa = kappa * (mu[p - 1] / gap)
+        out[..., p] = kappa * -np.expm1(mu[p] * log1p_x)
+    return out
 
 
 def psi_coeffs(r: int, sbar, t_prev, t_next) -> np.ndarray:
@@ -72,9 +77,9 @@ def psi_coeffs(r: int, sbar, t_prev, t_next) -> np.ndarray:
     psi_p is the integral of (s - sbar)^(p-1) / (p-1)! over the interval.
     With a = t_prev - sbar, b = t_next - sbar and k_j = t_next - t_prev,
     psi_1 = k_j and psi_{p+1} = (a psi_p + k_j b^p / p!) / (p+1), valid
-    for any placement of sbar relative to the interval.  The terms
-    k_j b^p / (p+1)! come from one cumulative product, and each order
-    then costs one multiply and one add in place.
+    for any placement of sbar relative to the interval.  Each order
+    extends the running product b^p / (p+1)! and costs one multiply and
+    one add into its row of the result.
 
     The arguments broadcast against each other like those of phi_coeffs:
     scalars give shape (r,), K midpoints or K intervals give (K, r).
@@ -82,17 +87,14 @@ def psi_coeffs(r: int, sbar, t_prev, t_next) -> np.ndarray:
     kj = np.subtract(t_next, t_prev, dtype=float)
     a = np.subtract(t_prev, sbar, dtype=float)
     b = np.subtract(t_next, sbar, dtype=float)
-    shape = np.broadcast(a, b).shape
-    div = np.arange(2.0, r + 1).reshape(-1, *(1,) * len(shape))  # p + 1 for p = 1 .. r-1
-    scaled_a = a / div
-    term = np.cumprod(b / div, axis=0)  # b^p / (p+1)!
-    term *= kj
-    out = np.empty((r, *shape))
+    out = np.empty((r, *np.broadcast(a, b).shape))
     out[0] = kj
+    power = 1.0
     for p in range(1, r):
+        power = power * (b / (p + 1))  # b^p / (p+1)!
         row = out[p, ...]  # a view even for scalar arguments
-        np.multiply(scaled_a[p - 1], out[p - 1], out=row)
-        row += term[p - 1]
+        np.multiply(a / (p + 1), out[p - 1], out=row)
+        row += power * kj
     return out.transpose(*range(1, out.ndim), 0)
 
 

@@ -60,10 +60,6 @@ class TimeMesh:
     def k_min(self) -> float:
         return float(self.steps.min())
 
-    @property
-    def k_max(self) -> float:
-        return float(self.steps.max())
-
     def step(self, n: int) -> float:
         self._check_index(n)
         return float(self.levels[n] - self.levels[n - 1])

@@ -6,23 +6,20 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma
 
+from subdiff import frac_weights
 from subdiff.frac_weights import (
     KernelParams,
     SeriesControl,
     SeriesConvergenceError,
     WeightEngine,
-    b_mu,
     beta_adjacent,
     beta_diag,
-    beta_direct,
-    beta_half,
     beta_interval,
     beta_offdiag,
-    beta_separated_series,
-    d_mu,
     omega,
 )
 from subdiff.time_mesh import mesh_from_levels, uniform_mesh
+from weight_oracles import b_mu, beta_direct, beta_half, beta_separated_series, d_mu
 
 
 def beta_quadrature(nu, source, target):
@@ -295,3 +292,21 @@ def test_array_series_matches_scalar_loop(nu, kj, kn, gaps):
     for start, g in zip(starts, got):
         assert g == pytest.approx(series_loop(nu, source, (start, start + kn), ctl),
                                   rel=16 * np.finfo(float).eps)
+
+
+def test_series_in_chunks_equals_one_pair_at_a_time():
+    """An array call longer than one chunk of the series gives, bit for bit,
+    what one call per pair gives, and a pair that fails to converge in a
+    later chunk still raises."""
+    rng = np.random.default_rng(11)
+    pairs = 3 * frac_weights._SERIES_CHUNK + 17
+    kj, kn = rng.uniform(0.5, 1.5, pairs), rng.uniform(0.5, 1.5, pairs)
+    starts = kj + rng.uniform(0.6, 30.0, pairs) * kj
+    got = beta_separated_series(0.3, (0.0, kj), (starts, starts + kn))
+    want = [beta_separated_series(0.3, (0.0, a), (s, s + b)) for a, b, s in zip(kj, kn, starts)]
+    assert np.array_equal(got, want)
+    starts = 40.0 * kj  # far enough for three terms
+    starts[-1] = kj[-1] + 0.05  # barely separated: too slow for three terms
+    with pytest.raises(SeriesConvergenceError, match="1 pair"):
+        beta_separated_series(0.5, (0.0, kj), (starts, starts + kn),
+                              SeriesControl(rel_tol=1e-6, max_terms=3))

@@ -266,10 +266,10 @@ def test_run_schedule_frees_history_and_bounds_memory():
 def test_run_schedule_invariants(monkeypatch, perturbed, rhs_ops, peak_values):
     """Over a full schedule free_cluster runs at most once per leaf entered;
     phi_coeffs and psi_coeffs run once each, for the lag tables, on a
-    uniform mesh and at most once per leaf otherwise; the weights come from
-    at most one beta_offdiag call per leaf (plus the lag table on a uniform
-    mesh); and the operation and memory counts equal those of the per-step
-    engine this one replaced."""
+    uniform mesh and once per block of leaves otherwise; the weights come
+    from one beta_offdiag call per block (the lag table's alone on a
+    uniform mesh); and the operation and memory counts equal those of the
+    per-step engine this one replaced."""
     N, m = 256, 2
     mesh = perturbed_mesh(N) if perturbed else None
     calls = {"free": 0, "phi": 0, "psi": 0, "weights": 0}
@@ -291,11 +291,8 @@ def test_run_schedule_invariants(monkeypatch, perturbed, rhs_ops, peak_values):
     engine.run_schedule(lambda n, hist: vals[n - 1])
     leaves = len(list(engine.tree.leaves()))
     assert calls["free"] <= leaves
-    if perturbed:
-        assert 1 <= calls["phi"] <= leaves and 1 <= calls["psi"] <= leaves
-    else:
-        assert calls["phi"] == calls["psi"] == 1
-    assert 1 <= calls["weights"] <= leaves + 1
+    blocks = 2 ** (5 // 2)  # the nodes of generation G // 2
+    assert calls["phi"] == calls["psi"] == calls["weights"] == (blocks if perturbed else 1)
     assert engine.counters.live_values <= engine.counters.high_water
     assert engine.counters.rhs_ops + engine.counters.update_ops == rhs_ops
     assert engine.counters.high_water == peak_values
@@ -501,7 +498,7 @@ def test_far_block_matches_per_step_products(name, monkeypatch):
                 psi = engine._psi(np.array([i]), np.arange(lo, hi + 1)[None])[0]
                 moments[i] = psi.T @ V[lo - 1:hi], np.abs(psi.T) @ np.abs(V[lo - 1:hi])
         for s, n in enumerate(range(leaf.lo, leaf.hi + 1)):
-            phi = engine._phi(np.array(far), np.array([n]))[:, 0]
+            phi = engine._phi(np.array(far), np.array([n]))
             want = sum(phi[k] @ moments[i][0] for k, i in enumerate(far))
             scale = sum(np.abs(phi[k]) @ moments[i][1] for k, i in enumerate(far))
             assert np.all(np.abs(plan.far[s] - want) <= 1e-13 * scale), (leaf, n)
@@ -649,3 +646,104 @@ def test_reserved_storage_tracks_counted_peak(N, Q, G, r, eta):
     c = engine.counters
     one_block_each = (G * r + engine.tree.leaf_size) * m
     assert c.high_water <= c.reserved_high_water <= 1.25 * c.high_water + one_block_each
+
+
+def per_leaf_plan(engine, leaf):
+    """The exact weights (leaf size, exact columns), the far field and
+    psi_chain of leaf, each from calls for this leaf alone: one offdiag
+    call, one phi and one psi evaluation (lag-table reads on a uniform
+    mesh), and the products over the far runs read from the stores as they
+    are at the leaf's entry."""
+    tree, r, G, size = engine.tree, engine.r, engine.tree.G, leaf.size
+    cover = tree.minimal_cover(leaf, engine.eta)
+    leaf_id = tree.leaf_id(leaf.lo)
+    nn = len(cover.near_ids) + 1
+    ids = np.array(cover.near_ids + (leaf_id,) + cover.far_ids)
+    steps = np.arange(leaf.lo, leaf.hi + 1)
+    js = (tree.lo[ids[:nn]][:, None] + np.arange(size)).ravel()
+    s, c = np.nonzero(js < steps[:, None])
+    exact_w = np.zeros((size, js.size))
+    exact_w[s, c] = engine.weights.offdiag(steps[s], js[c])
+    far = ids[nn:]
+    nmom = int(np.searchsorted(far, tree.first[G]))
+    chain = np.array(tree.chain(leaf_id), dtype=int)
+    rows = np.concatenate([chain, far[nmom:]])
+    intervals = np.concatenate([[leaf.lo] * G, tree.lo[far[nmom:]]])[:, None] + np.arange(size)
+    psi = engine._psi(rows[:, None], intervals)
+    far_sum = None
+    if far.size:
+        phi = engine._phi(far[:, None], steps)
+        w_mom = phi[:nmom].transpose(1, 0, 2).reshape(size, nmom * r)
+        w_leaf = np.matmul(phi[nmom:], psi[G:].transpose(0, 2, 1))
+        w_leaf = w_leaf.transpose(1, 0, 2).reshape(size, -1)
+        far_sum = np.zeros((size, engine.m))
+        cuts = [0, *(np.flatnonzero(far[1:] - far[:-1] != 1) + 1).tolist(), far.size]
+        for i, j in zip(cuts, cuts[1:]):
+            g, p = int(tree.generation[far[i]]), int(tree.position(far[i]))
+            view = engine._stores[g].view(p, p + j - i)
+            w = (w_mom[:, i * r:j * r] if g < G
+                 else w_leaf[:, (i - nmom) * size:(j - nmom) * size])
+            far_sum += w @ view
+    return exact_w, far_sum, np.ascontiguousarray(psi[:G].transpose(0, 2, 1))
+
+
+BLOCK_ENGINES = {
+    "desk": lambda: make_engine(N=2000, Q=10, G=3, r=5, eta=0.4, m=2, T=6.0),
+    "perturbed-Q2": lambda: make_engine(Q=2, G=5, r=6, eta=0.5, m=2, nu=0.3,
+                                        mesh=perturbed_mesh(256, seed=4)),
+    "perturbed-Q3": lambda: make_engine(Q=3, G=4, r=5, eta=0.6, m=2, nu=0.7,
+                                        mesh=perturbed_mesh(243, seed=5)),
+    "perturbed-Q4": lambda: make_engine(Q=4, G=3, r=4, eta=0.3, m=2,
+                                        mesh=perturbed_mesh(128, seed=9)),
+    "G1": lambda: make_engine(Q=8, G=1, r=5, eta=0.5, m=2, mesh=perturbed_mesh(64, seed=6)),
+    "leaf-size-1": lambda: make_engine(Q=2, G=7, r=5, eta=0.5, m=2, nu=0.4,
+                                       mesh=perturbed_mesh(128, seed=7)),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_ENGINES)
+def test_block_plans_equal_per_leaf_plans(name, monkeypatch):
+    """Every leaf's exact weights, far field and psi_chain, sliced from its
+    block's arrays, equal bit for bit what calls for that leaf alone give;
+    on a non-uniform mesh the engine makes one offdiag, one phi_coeffs and
+    one psi_coeffs call per block, a block being the leaves under one node
+    of generation G // 2."""
+    engine, _ = BLOCK_ENGINES[name]()
+    tree = engine.tree
+    calls = {"offdiag": 0, "phi": 0, "psi": 0}
+    entering = []  # set while the engine enters a leaf, so the oracle's calls go uncounted
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += bool(entering)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(WeightEngine, "offdiag", counted("offdiag", WeightEngine.offdiag))
+    monkeypatch.setattr(history_engine, "phi_coeffs", counted("phi", history_engine.phi_coeffs))
+    monkeypatch.setattr(history_engine, "psi_coeffs", counted("psi", history_engine.psi_coeffs))
+    enter = HistoryEngine._enter
+    checked = []
+
+    def checked_enter(self, leaf):
+        entering.append(leaf)
+        plan = enter(self, leaf)
+        entering.clear()
+        exact_w, far, psi_chain = per_leaf_plan(self, leaf)
+        got = np.concatenate([w for _, w, _ in plan.exact], axis=1)
+        assert np.array_equal(got, exact_w), leaf
+        assert (plan.far is None) == (far is None) and (far is None
+                                                        or np.array_equal(plan.far, far)), leaf
+        assert np.array_equal(plan.psi_chain, psi_chain), leaf
+        checked.append(far is not None)
+        return plan
+
+    monkeypatch.setattr(HistoryEngine, "_enter", checked_enter)
+    V = random_values(tree.mesh.N, engine.m)
+    engine.run_schedule(lambda n, hist: V[n - 1])
+    assert len(checked) == tree.Q ** tree.G and 2 * sum(checked) >= len(checked)
+    blocks = tree.Q ** (tree.G // 2)
+    if tree.mesh.uniform:
+        assert calls == {"offdiag": blocks, "phi": 0, "psi": 0}  # phi and psi: the lag tables
+    else:
+        assert calls == {"offdiag": blocks, "phi": blocks, "psi": blocks}

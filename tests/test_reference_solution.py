@@ -8,13 +8,11 @@ from subdiff.reference_solution import (
     ContourAccuracyError,
     LaplaceContour,
     direct_history_sum,
-    exact_field,
     max_nodal_error,
     mittag_leffler_series,
     u11,
     u11_classical,
 )
-from subdiff.spatial_fem import SpatialGrid, sine_mode
 from subdiff.time_mesh import uniform_mesh
 
 
@@ -88,14 +86,6 @@ def test_mittag_leffler_series_known_values():
     x = 0.7
     want = math.exp(x * x) * erfc(x)
     assert mittag_leffler_series(0.5, -x) == pytest.approx(want, rel=1e-10)
-
-
-def test_exact_field_is_separable():
-    grid = SpatialGrid(dim=2, m=6, K=1.0 / (2 * math.pi**2))
-    mesh = uniform_mesh(4, 2.0)
-    field = exact_field(grid, mesh, 0.5, 3)
-    np.testing.assert_allclose(field, u11(0.5, 1.5) * sine_mode(grid, 1, 1),
-                               rtol=1e-14)
 
 
 def test_max_nodal_error():

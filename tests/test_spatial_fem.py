@@ -15,7 +15,6 @@ from subdiff.spatial_fem import (
     SpatialGrid,
     l2_norm,
     load_average,
-    nodal_interpolant,
     sin_plus_one_average,
     sine_mode,
     benchmark_source,
@@ -173,6 +172,18 @@ def test_import_leaves_sparse_and_fft_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def nodal_interpolant(grid, f):
+    """Values of f at the free nodes, lexicographic order.
+
+    1D: f(x); 2D: f(x1, x2) broadcast over the tensor grid.
+    """
+    x = grid.axis_nodes
+    if grid.dim == 1:
+        return np.asarray([f(xi) for xi in x], dtype=float)
+    x1, x2 = np.meshgrid(x, x, indexing="ij")
+    return np.asarray(f(x1, x2), dtype=float).reshape(-1)
+
+
 def test_nodal_interpolant_ordering():
     grid = SpatialGrid(dim=2, m=3, K=1.0)
     vals = nodal_interpolant(grid, lambda x, y: 10.0 * x + y)
@@ -182,6 +193,10 @@ def test_nodal_interpolant_ordering():
         [10 * xi + yi
          for xi in (1 / 3, 2 / 3) for yi in (1 / 3, 2 / 3)],
     )
+    # sine_mode numbers the nodes the same way
+    grid = SpatialGrid(dim=2, m=5, K=1.0)
+    want = nodal_interpolant(grid, lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y))
+    np.testing.assert_allclose(sine_mode(grid, 1, 2), want, rtol=1e-14, atol=1e-15)
 
 
 def test_sin_plus_one_average_matches_quadrature():

@@ -11,6 +11,7 @@ from subdiff.taylor_expansion import (
     psi_coeffs,
     tilde_beta,
 )
+from weight_oracles import b_mu
 
 
 def test_expansion_params_validation():
@@ -49,8 +50,6 @@ def test_psi_are_monomial_averages():
 def test_phi_matches_kernel_average_differences():
     """phi_p reproduces the p-th kernel derivative average computed from the
     local averages of the order-(nu-p) kernel: phi_p = (-1)^p B_{nu-p}."""
-    from subdiff.frac_weights import b_mu
-
     nu, sbar = 0.5, 0.0
     t_prev, t_next = 4.0, 5.0
     phi = phi_coeffs(nu, 4, sbar, t_prev, t_next)
