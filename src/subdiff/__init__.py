@@ -13,7 +13,6 @@ modules.
 
 from .clustering import max_depth
 from .dg_stepper import RunConfig, RunResult, fast_run, optimal_eta, slow_run
-from .frac_weights import SeriesControl
 from .history_engine import SolutionSink
 from .reference_solution import LaplaceContour, max_nodal_error, u11
 from .spatial_fem import SeparableSource, SpatialGrid, benchmark_source, sine_mode
@@ -24,7 +23,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "SeparableSource",
-    "SeriesControl",
     "SolutionSink",
     "SpatialGrid",
     "TimeMesh",

@@ -119,16 +119,21 @@ REPORT_COLUMNS = ["mode", "r", "eta", "N", "max_nodal_error", "setup_s",
                   "rhs_s", "solver_s", "total_s", "rhs_ops", "peak_values"]
 
 
+def _config(spec: ExperimentSpec, N: int, r: int | None) -> RunConfig:
+    """The configuration of one run with N steps and expansion order r."""
+    grid = SpatialGrid(dim=spec.dim, m=spec.m, K=spec.diffusivity())
+    return RunConfig(nu=spec.nu, mesh=uniform_mesh(N, spec.T), grid=grid, r=r,
+                     eta=spec.eta, Q=spec.Q, G=spec.G)
+
+
 def _single_run(spec: ExperimentSpec, mode: str, N: int, r: int | None,
                 out: Path) -> tuple[dict, list[tuple[int, float, float]]]:
     """Execute one run and return its report row and per-step L2 errors."""
-    mesh = uniform_mesh(N, spec.T)
-    grid = SpatialGrid(dim=spec.dim, m=spec.m, K=spec.diffusivity())
+    config = _config(spec, N, r)
+    mesh, grid = config.mesh, config.grid
     source = benchmark_source(grid)
     j = 1 if spec.dim == 2 else None
     u0 = sine_mode(grid, 1, j)
-    config = RunConfig(nu=spec.nu, mesh=mesh, grid=grid, r=r, eta=spec.eta,
-                       Q=spec.Q, G=spec.G)
     if mode == "slow":
         result = slow_run(config, source, u0)
         r_used, eta_used = "", ""
@@ -168,26 +173,26 @@ def _single_run(spec: ExperimentSpec, mode: str, N: int, r: int | None,
 
 def run(spec: ExperimentSpec) -> int:
     out = spec.out
-    out.mkdir(parents=True, exist_ok=True)
     modes = ["slow", "fast"] if spec.mode == "both" else [spec.mode]
     n_values = spec.sweep_N or [spec.N]
+    runs = [(N, mode, r) for N in n_values for mode in modes
+            for r in ((spec.sweep_r or [spec.r]) if mode == "fast" else [None])]
+    for N, mode, r in runs:  # a fast run's bad setup fails before any run starts
+        if mode == "fast":
+            config = _config(spec, N, r)
+            config.resolved_params()
+            ClusterTree(config.mesh, spec.Q, config.resolved_depth())
+    out.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
     error_rows: list[dict] = []
-    for N in n_values:
-        for mode in modes:
-            r_values: list[int | None]
-            if mode == "fast" and spec.sweep_r:
-                r_values = list(spec.sweep_r)
-            else:
-                r_values = [spec.r if mode == "fast" else None]
-            for r in r_values:
-                row, step_errors = _single_run(spec, mode, N, r, out)
-                rows.append(row)
-                for n, t, err in step_errors:
-                    error_rows.append({
-                        "mode": mode, "r": row["r"], "N": N, "step": n,
-                        "t": f"{t:.12g}", "l2_error": f"{err:.12e}",
-                    })
+    for N, mode, r in runs:
+        row, step_errors = _single_run(spec, mode, N, r, out)
+        rows.append(row)
+        for n, t, err in step_errors:
+            error_rows.append({
+                "mode": mode, "r": row["r"], "N": N, "step": n,
+                "t": f"{t:.12g}", "l2_error": f"{err:.12e}",
+            })
     with (out / "report.csv").open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
         writer.writeheader()
@@ -198,14 +203,11 @@ def run(spec: ExperimentSpec) -> int:
         writer.writerows(error_rows)
 
     if spec.diag_stability:
-        grid = SpatialGrid(dim=spec.dim, m=spec.m, K=spec.diffusivity())
         lines = []
         for N in n_values:
-            mesh = uniform_mesh(N, spec.T)
-            config = RunConfig(nu=spec.nu, mesh=mesh, grid=grid, r=spec.r,
-                               eta=spec.eta, Q=spec.Q, G=spec.G)
+            config = _config(spec, N, spec.r)
             report = stability_diagnostic(config)
-            tree = ClusterTree(mesh, spec.Q, config.resolved_depth())
+            tree = ClusterTree(config.mesh, spec.Q, config.resolved_depth())
             lines += [
                 f"N {N}",
                 f"r {report.r}",

@@ -56,20 +56,6 @@ class KernelParams:
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation control for the separated-interval series."""
-
-    rel_tol: float = 1e-15
-    max_terms: int = 50
-
-    def __post_init__(self):
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
 def omega(mu: float, t: float) -> float:
     """Kernel w_mu(t) = t^(mu-1) / Gamma(mu) for t > 0."""
     if t <= 0.0:
@@ -126,10 +112,12 @@ def _series_coefficients(nu: float, count: int) -> tuple[np.ndarray, np.ndarray,
     return shared
 
 
-_SERIES_CHUNK = 128  # pairs per (pairs, max_terms) block of series terms
+_SERIES_CHUNK = 128  # pairs per (pairs, _MAX_TERMS) block of series terms
+_REL_TOL = 1e-15  # a pair's series stops at its first term below _REL_TOL times its sum
+_MAX_TERMS = 50
 
 
-def _series(nu: float, kj, kn, delta, ctl: SeriesControl) -> np.ndarray:
+def _series(nu: float, kj, kn, delta) -> np.ndarray:
     """Series evaluation of beta for 1-d arrays of separated interval pairs:
     source steps kj, target steps kn and centre distances delta.
 
@@ -141,18 +129,18 @@ def _series(nu: float, kj, kn, delta, ctl: SeriesControl) -> np.ndarray:
 
     with mu = nu-2p-1, a = Delta + k_n/2 and D_mu(x) = 1 - (1-x)^mu.  Its
     terms are all positive, with successive ratios approaching
-    (k_j / (2*Delta - k_n))^2 < 1.  The first max_terms terms of up to
-    _SERIES_CHUNK pairs at a time form one (pairs, max_terms) array, each
+    (k_j / (2*Delta - k_n))^2 < 1.  The first _MAX_TERMS terms of up to
+    _SERIES_CHUNK pairs at a time form one (pairs, _MAX_TERMS) array, each
     the leading term times the exponential of its log-ratio to it, so no
     power over- or underflows and the array stays small however many pairs
     one call asks for.  A pair's value is its partial sum up to the first
-    term below rel_tol times that sum; the first chunk with a pair that
+    term below _REL_TOL times that sum; the first chunk with a pair that
     gets there in no term raises SeriesConvergenceError.
     """
     if np.any(delta <= 0.5 * (kj + kn)):
         raise ValueError("series branch requires disjoint source left of target")
     out = np.empty(kj.shape)
-    p, orders, log_coef = _series_coefficients(nu, ctl.max_terms)
+    p, orders, log_coef = _series_coefficients(nu, _MAX_TERMS)
     for i in range(0, kj.size, _SERIES_CHUNK):
         part = slice(i, i + _SERIES_CHUNK)
         k_j, k_n, dist = kj[part, None], kn[part, None], delta[part, None]
@@ -164,16 +152,15 @@ def _series(nu: float, kj, kn, delta, ctl: SeriesControl) -> np.ndarray:
         log_ratio = log_coef + p * (2.0 * np.log(k_j / (a - k_n))) + (log_h - log_h[:, :1])
         terms = lead * np.exp(log_ratio)
         totals = np.cumsum(terms, axis=1)
-        done = terms < ctl.rel_tol * totals
+        done = terms < _REL_TOL * totals
         stop = done.argmax(axis=1)
         rows = np.arange(stop.size)
         failed = np.flatnonzero(~done[rows, stop])
         if failed.size:
             j = failed[0]
-            ratio = (terms[j, -1] / terms[j, -2] if ctl.max_terms > 1
-                     else (k_j[j, 0] / (2.0 * dist[j, 0] - k_n[j, 0])) ** 2)  # the limit
+            ratio = terms[j, -1] / terms[j, -2]
             raise SeriesConvergenceError(
-                f"weight series did not reach rel_tol={ctl.rel_tol} in {ctl.max_terms} terms "
+                f"weight series did not reach rel_tol={_REL_TOL} in {_MAX_TERMS} terms "
                 f"for {failed.size} pair(s) (last term ratio {ratio:.3g})",
                 last_ratio=float(ratio),
             )
@@ -194,7 +181,7 @@ def _half(kj, kn, delta):
     )
 
 
-def beta_interval(nu: float, source, target, ctl: SeriesControl = SeriesControl()):
+def beta_interval(nu: float, source, target):
     """Stable weight for source/target interval pairs.
 
     Dispatch per pair: adjacent closed form where the intervals touch,
@@ -210,7 +197,7 @@ def beta_interval(nu: float, source, target, ctl: SeriesControl = SeriesControl(
     sep = ~adj
     if sep.any():
         pairs = kj[sep], kn[sep], delta[sep]
-        out[sep] = _half(*pairs) if nu == 0.5 else _series(nu, *pairs, ctl)
+        out[sep] = _half(*pairs) if nu == 0.5 else _series(nu, *pairs)
     return _result(out)
 
 
@@ -230,12 +217,12 @@ def _pairs(mesh: TimeMesh, n, j) -> tuple[np.ndarray, np.ndarray]:
     return n, j
 
 
-def beta_offdiag(params: KernelParams, mesh: TimeMesh, ctl: SeriesControl, n, j):
+def beta_offdiag(params: KernelParams, mesh: TimeMesh, n, j):
     """History weights beta_nj for 1 <= j <= n-1; n and j broadcast, and
     the result has their common shape."""
     n, j = _pairs(mesh, n, j)
     lv = mesh.levels
-    return beta_interval(params.nu, (lv[j - 1], lv[j]), (lv[n - 1], lv[n]), ctl)
+    return beta_interval(params.nu, (lv[j - 1], lv[j]), (lv[n - 1], lv[n]))
 
 
 class WeightEngine:
@@ -250,11 +237,9 @@ class WeightEngine:
     the queries.  Other meshes evaluate each query's pairs directly.
     """
 
-    def __init__(self, params: KernelParams, mesh: TimeMesh,
-                 ctl: SeriesControl = SeriesControl()):
+    def __init__(self, params: KernelParams, mesh: TimeMesh):
         self.params = params
         self.mesh = mesh
-        self.ctl = ctl
         self._lags: np.ndarray | None = None  # uniform meshes: entry L is lag L's weight
 
     def diag(self, n: int) -> float:
@@ -262,10 +247,10 @@ class WeightEngine:
 
     def offdiag(self, n, j):
         if not self.mesh.uniform:
-            return beta_offdiag(self.params, self.mesh, self.ctl, n, j)
+            return beta_offdiag(self.params, self.mesh, n, j)
         n, j = _pairs(self.mesh, n, j)
         if self._lags is None:
             targets = np.arange(2, self.mesh.N + 1)  # n = L+1 for j = 1
             self._lags = np.concatenate(
-                [[np.nan], beta_offdiag(self.params, self.mesh, self.ctl, targets, 1)])
+                [[np.nan], beta_offdiag(self.params, self.mesh, targets, 1)])
         return _result(self._lags[n - j])

@@ -26,7 +26,7 @@ One flag per node id records whether the engine holds the node's
 values, in its store block or in the chain accumulator.  Everything a
 step needs depends on its leaf alone, and a leaf's coefficients depend
 only on the mesh and the tree, not on the stores, so the engine plans in
-two levels, on uniform and non-uniform meshes alike:
+two levels, one path on every mesh:
   - a block is the set of leaves under one node of generation G // 2.
     When the schedule enters a block's first leaf, the engine builds the
     covers of all its leaves and their coefficients: one
@@ -52,21 +52,14 @@ generation (on a uniform mesh one run per kind and generation), each with
 one view and one weight block:
   - the near leaves followed by the leaf itself: exact weights;
   - the far leaves: low-rank weights, from one matmul of their phi
-    coefficients with their psi tables;
+    coefficients with their psi coefficients;
   - each generation's far non-leaf members: their phi coefficients.
-A far member's phi depends on the step's gap from its midpoint, and psi
-on each interval's offset inside the node.  On a uniform mesh both are
-fixed by the node's generation and the integer lag, so the engine builds
-one phi and one psi lag table per generation when it is made, from one
-phi_coeffs and one psi_coeffs call over the nodes that start each
-generation, and a block entry reads its phi and psi from them by fancy
-indexing.  On other meshes a block entry makes one phi_coeffs and one
-psi_coeffs call.  The far members lie wholly before the leaf, so their
-values are final when it is entered: the plan forms the far field of
-every step of the leaf then, one block product per far run, and keeps
-the exact runs' views.  A step then costs one sequential reduction per
-exact run plus one add of its far-field row, and the live value count
-stays logarithmic in the step count.
+The far members lie wholly before the leaf, so their values are final
+when it is entered: the plan forms the far field of every step of the
+leaf then, one block product per far run, and keeps the exact runs'
+views.  A step then costs one sequential reduction per exact run plus
+one add of its far-field row, and the live value count stays
+logarithmic in the step count.
 
 Counters track multiply-accumulates on length-M vectors (M operations
 each), the high-water mark of live stored values, and the high-water
@@ -197,31 +190,6 @@ def _sum_rows(t: np.ndarray) -> np.ndarray:
     return np.add.reduce(t, axis=0) if t.shape[1] > 1 else np.add.accumulate(t, axis=0)[-1]
 
 
-class _LagTable(NamedTuple):
-    """Coefficients of every generation by lag, on a uniform mesh: node i
-    of generation g takes at interval n the row rows[base[g] + n - lo_i],
-    the value the generation's first node takes at the same lag."""
-
-    rows: np.ndarray  # (lags of all generations, r), generation after generation
-    base: np.ndarray  # per generation: the row of lag 0
-
-    @classmethod
-    def build(cls, tree: ClusterTree, coeffs, lo: np.ndarray, hi: np.ndarray) -> _LagTable:
-        """coeffs(sbar, t_prev, t_next) of each generation's first node, which
-        starts at interval 1, at the lags lo[g] .. hi[g] - 1, in one call."""
-        count = hi - lo
-        base = np.cumsum(count) - count - lo
-        gen = np.repeat(np.arange(count.size), count)
-        lag = np.arange(count.sum()) - base[gen]
-        lv = tree.mesh.levels
-        return cls(coeffs(tree.midpoint(np.array(tree.first[:-1]))[gen], lv[lag], lv[lag + 1]),
-                   base)
-
-    def read(self, tree: ClusterTree, ids: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """The rows of nodes ids at intervals at, broadcast against each other."""
-        return self.rows[self.base[tree.generation[ids]] - tree.lo[ids] + at]
-
-
 class _LeafPlan(NamedTuple):
     """What every step of one leaf needs, built when the leaf is entered
     from its rows of its block's coefficients and from the store views
@@ -281,30 +249,15 @@ class HistoryEngine:
         self._chain = np.zeros((G, r, m))  # moments of the current leaf's ancestors, root first
         self._chain_ids: list[int] = []  # their node ids, none before the first leaf
         self.counters.reserve(self._chain.size)
-        self._tables = self._lag_tables() if tree.mesh.uniform else None
         self.committed = 0
         self._plan: _LeafPlan | None = None
         self._block: _Block | None = None
 
     # -- helpers ------------------------------------------------------------
 
-    def _lag_tables(self) -> tuple[_LagTable, _LagTable]:
-        """The phi and psi lag tables of a uniform mesh: phi at the lags
-        width .. N - 1 a far member of each generation can take (it ends
-        before the step), psi at the offsets 0 .. width - 1 inside a node."""
-        tree, r, nu = self.tree, self.r, self.weights.params.nu
-        N = tree.mesh.N
-        width = N // tree.Q ** np.arange(tree.G + 1)
-        return (_LagTable.build(tree, lambda *interval: phi_coeffs(nu, r, *interval), width,
-                                np.full_like(width, N)),
-                _LagTable.build(tree, lambda *interval: psi_coeffs(r, *interval),
-                                np.zeros_like(width), width))
-
     def _phi(self, ids: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """phi of the nodes ids at the steps, broadcast against each other,
         with a trailing axis of length r."""
-        if self._tables is not None:
-            return self._tables[0].read(self.tree, ids, steps)
         lv = self.tree.mesh.levels
         return phi_coeffs(self.weights.params.nu, self.r, self.tree.midpoint(ids),
                           lv[steps - 1], lv[steps])
@@ -312,8 +265,6 @@ class HistoryEngine:
     def _psi(self, ids: np.ndarray, intervals: np.ndarray) -> np.ndarray:
         """psi of the nodes ids on the intervals, broadcast against each
         other, with a trailing axis of length r."""
-        if self._tables is not None:
-            return self._tables[1].read(self.tree, ids, intervals)
         lv = self.tree.mesh.levels
         return psi_coeffs(self.r, self.tree.midpoint(ids), lv[intervals - 1], lv[intervals])
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_MESH_RATIO = 2.0
+_MAX_STEP_RATIO = 2.0  # largest max k_n / min k_n mesh_from_levels accepts
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,6 @@ class TimeMesh:
             raise ValueError(f"level index {n} outside 0..{self.N}")
         return float(self.levels[n])
 
-    def midpoint(self, n: int) -> float:
-        """Midpoint of interval n, (t_{n-1} + t_n)/2."""
-        self._check_index(n)
-        return float(0.5 * (self.levels[n - 1] + self.levels[n]))
-
     def _check_index(self, n: int) -> None:
         if not 1 <= n <= self.N:
             raise ValueError(f"interval index {n} outside 1..{self.N}")
@@ -88,17 +83,18 @@ def uniform_mesh(N: int, T: float) -> TimeMesh:
     return TimeMesh(np.linspace(0.0, T, N + 1))
 
 
-def mesh_from_levels(levels, max_ratio: float = DEFAULT_MESH_RATIO) -> TimeMesh:
+def mesh_from_levels(levels) -> TimeMesh:
     """Validating constructor for an arbitrary quasiuniform partition.
 
-    Rejects meshes whose step ratio max k_n / min k_n exceeds max_ratio,
-    since the fast summation cost analysis assumes quasiuniformity.
+    Rejects meshes whose step ratio max k_n / min k_n exceeds
+    _MAX_STEP_RATIO, since the fast summation cost analysis assumes
+    quasiuniformity.
     """
     mesh = TimeMesh(levels)
     steps = mesh.steps
     ratio = steps.max() / steps.min()
-    if ratio > max_ratio * (1.0 + 1e-12):
+    if ratio > _MAX_STEP_RATIO * (1.0 + 1e-12):
         raise ValueError(
-            f"mesh is not quasiuniform: step ratio {ratio:.6g} exceeds {max_ratio:.6g}"
+            f"mesh is not quasiuniform: step ratio {ratio:.6g} exceeds {_MAX_STEP_RATIO:.6g}"
         )
     return mesh

@@ -142,9 +142,26 @@ def test_main_reports_module_errors(capsys, tmp_path):
     assert code == 1
     err = capsys.readouterr().err
     assert "largest admissible G is 7" in err
-    # the solution stream opened before the failure is closed, with its header
-    hdr = (tmp_path / "solution_fast_N16000.bin.hdr").read_text().splitlines()
-    assert hdr[-1] == "records 0"
+
+
+@pytest.mark.parametrize("flags, message", [
+    ("--G 5", "largest admissible G is 4"),
+    ("--r 5 --eta 2", "eta must lie in (0, 1]"),
+    ("--sweep-N 32,48 --G 5", "largest admissible G is 4"),  # the second N fails
+])
+def test_bad_fast_setup_fails_before_any_run(capsys, tmp_path, monkeypatch, flags, message):
+    """With --mode both, a fast run whose tree or (r, eta) cannot be built
+    is an error before the slow run starts, and no file is written."""
+    def no_slow_run(*args):
+        raise AssertionError("slow_run called")
+
+    monkeypatch.setattr(cli, "slow_run", no_slow_run)
+    out = tmp_path / "out"
+    code = main(f"--nu 0.5 --T 1 --N 80 --dim 1 --m 4 --mode both {flags} "
+                f"--out {out}".split())
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_reports_a_grid_too_large_for_memory(capsys, tmp_path, monkeypatch):

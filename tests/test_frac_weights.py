@@ -9,7 +9,6 @@ from scipy.special import gamma
 from subdiff import frac_weights
 from subdiff.frac_weights import (
     KernelParams,
-    SeriesControl,
     SeriesConvergenceError,
     WeightEngine,
     beta_adjacent,
@@ -90,11 +89,17 @@ def test_separated_series_matches_direct():
             assert s == pytest.approx(d, rel=1e-12)
 
 
-def test_separated_series_convergence_error():
+def short_series(monkeypatch, rel_tol, max_terms):
+    """Truncate the weight series to max_terms terms at rel_tol."""
+    monkeypatch.setattr(frac_weights, "_REL_TOL", rel_tol)
+    monkeypatch.setattr(frac_weights, "_MAX_TERMS", max_terms)
+
+
+def test_separated_series_convergence_error(monkeypatch):
     # barely separated intervals converge too slowly for a tiny term budget
+    short_series(monkeypatch, 1e-15, 3)
     with pytest.raises(SeriesConvergenceError) as info:
-        beta_separated_series(0.5, (0.0, 1.0), (1.05, 2.05),
-                              SeriesControl(rel_tol=1e-15, max_terms=3))
+        beta_separated_series(0.5, (0.0, 1.0), (1.05, 2.05))
     assert 0.0 < info.value.last_ratio
 
 
@@ -107,12 +112,11 @@ def test_half_order_closed_form():
 
 
 def test_beta_interval_dispatch_consistency():
-    ctl = SeriesControl()
     src, tgt = (1.0, 2.0), (5.0, 6.0)
-    assert beta_interval(0.5, src, tgt, ctl) == pytest.approx(beta_half(src, tgt), rel=1e-13)
-    assert beta_interval(0.3, src, tgt, ctl) == pytest.approx(
-        beta_separated_series(0.3, src, tgt, ctl), rel=1e-14)
-    adj = beta_interval(0.3, (0.0, 1.0), (1.0, 2.0), ctl)
+    assert beta_interval(0.5, src, tgt) == pytest.approx(beta_half(src, tgt), rel=1e-13)
+    assert beta_interval(0.3, src, tgt) == pytest.approx(
+        beta_separated_series(0.3, src, tgt), rel=1e-14)
+    adj = beta_interval(0.3, (0.0, 1.0), (1.0, 2.0))
     assert adj == pytest.approx(beta_adjacent(0.3, 1.0, 1.0), rel=1e-14)
 
 
@@ -127,11 +131,10 @@ def test_weights_match_quadrature_oracle(nu, perturbed):
     else:
         mesh = uniform_mesh(N, float(N))
     params = KernelParams(nu)
-    ctl = SeriesControl()
     lv = mesh.levels
     for n in range(2, N + 1):
         for j in range(1, n):
-            got = beta_offdiag(params, mesh, ctl, n, j)
+            got = beta_offdiag(params, mesh, n, j)
             want = beta_quadrature(nu, (lv[j - 1], lv[j]), (lv[n - 1], lv[n]))
             assert got == pytest.approx(want, rel=1e-12), (n, j)
 
@@ -221,14 +224,14 @@ def test_array_weights_match_oracles(nu, seed):
                 assert g == pytest.approx(beta_direct(nu, source, target), rel=1e-12), (nn, jj)
 
 
-def test_array_series_reports_the_pair_that_fails_to_converge():
-    ctl = SeriesControl(rel_tol=1e-6, max_terms=3)
+def test_array_series_reports_the_pair_that_fails_to_converge(monkeypatch):
+    short_series(monkeypatch, 1e-6, 3)
     s0 = np.array([0.0, 0.0, 0.0])
     t0 = np.array([20.0, 40.0, 1.05])  # the last pair is barely separated
-    assert beta_separated_series(0.5, (s0[:2], s0[:2] + 1.0), (t0[:2], t0[:2] + 1.0),
-                                 ctl).shape == (2,)
+    assert beta_separated_series(0.5, (s0[:2], s0[:2] + 1.0),
+                                 (t0[:2], t0[:2] + 1.0)).shape == (2,)
     with pytest.raises(SeriesConvergenceError, match="1 pair") as info:
-        beta_separated_series(0.5, (s0, s0 + 1.0), (t0, t0 + 1.0), ctl)
+        beta_separated_series(0.5, (s0, s0 + 1.0), (t0, t0 + 1.0))
     assert info.value.last_ratio > 0.0
 
 
@@ -241,7 +244,7 @@ def test_out_of_range_pairs_name_the_first_bad_pair(uniform):
         with pytest.raises(ValueError, match=bad):
             engine.offdiag(np.array(n), np.array(j))
         with pytest.raises(ValueError, match=bad):
-            beta_offdiag(engine.params, mesh, SeriesControl(), np.array(n), np.array(j))
+            beta_offdiag(engine.params, mesh, np.array(n), np.array(j))
 
 
 def test_uniform_weights_do_not_depend_on_query_order():
@@ -258,21 +261,21 @@ def test_uniform_weights_do_not_depend_on_query_order():
     # every lag's weight is that of the pair (L+1, 1)
     lags = np.arange(1, 40)
     assert np.array_equal(first.offdiag(n, j),
-                          beta_offdiag(first.params, mesh, first.ctl, lags + 1, 1)[n - j - 1])
+                          beta_offdiag(first.params, mesh, lags + 1, 1)[n - j - 1])
 
 
-def series_loop(nu, source, target, ctl):
+def series_loop(nu, source, target):
     """The scalar term-by-term series the array form replaced: terms in
-    ascending order, stopping at the first below rel_tol times the sum."""
+    ascending order, stopping at the first below _REL_TOL times the sum."""
     (s0, s1), (t0, t1) = source, target
     kj, kn = s1 - s0, t1 - t0
     delta = 0.5 * (t0 + t1) - 0.5 * (s0 + s1)
     total = 0.0
-    for p in range(ctl.max_terms):
+    for p in range(frac_weights._MAX_TERMS):
         term = -b_mu(nu - 2 * p - 1, delta, kn) * kj ** (2 * p + 1) / (
             math.factorial(2 * p + 1) * 4**p)
         total += term
-        if abs(term) < ctl.rel_tol * abs(total):
+        if abs(term) < frac_weights._REL_TOL * abs(total):
             return total
     raise SeriesConvergenceError("no convergence", last_ratio=0.0)
 
@@ -284,17 +287,16 @@ def test_array_series_matches_scalar_loop(nu, kj, kn, gaps):
     """Both forms sum the same terms in the same order; only the rounding of
     the terms after the first differs (the array forms them from
     log-ratios), so the sums agree to a few ulps.  Gaps of at least k_j/2
-    keep the term ratio at most 1/4, inside the default max_terms."""
-    ctl = SeriesControl()
+    keep the term ratio at most 1/4, inside _MAX_TERMS."""
     source = (0.0, kj)
     starts = kj + kj * np.array(gaps)
-    got = beta_separated_series(nu, source, (starts, starts + kn), ctl)
+    got = beta_separated_series(nu, source, (starts, starts + kn))
     for start, g in zip(starts, got):
-        assert g == pytest.approx(series_loop(nu, source, (start, start + kn), ctl),
+        assert g == pytest.approx(series_loop(nu, source, (start, start + kn)),
                                   rel=16 * np.finfo(float).eps)
 
 
-def test_series_in_chunks_equals_one_pair_at_a_time():
+def test_series_in_chunks_equals_one_pair_at_a_time(monkeypatch):
     """An array call longer than one chunk of the series gives, bit for bit,
     what one call per pair gives, and a pair that fails to converge in a
     later chunk still raises."""
@@ -307,6 +309,6 @@ def test_series_in_chunks_equals_one_pair_at_a_time():
     assert np.array_equal(got, want)
     starts = 40.0 * kj  # far enough for three terms
     starts[-1] = kj[-1] + 0.05  # barely separated: too slow for three terms
+    short_series(monkeypatch, 1e-6, 3)
     with pytest.raises(SeriesConvergenceError, match="1 pair"):
-        beta_separated_series(0.5, (0.0, kj), (starts, starts + kn),
-                              SeriesControl(rel_tol=1e-6, max_terms=3))
+        beta_separated_series(0.5, (0.0, kj), (starts, starts + kn))

@@ -8,7 +8,7 @@ from subdiff.frac_weights import KernelParams, WeightEngine
 from subdiff.history_engine import EngineCounters, HistoryEngine, SolutionSink
 from subdiff.reference_solution import direct_history_sum
 from subdiff.spatial_fem import SpatialGrid, benchmark_source, sine_mode
-from subdiff.taylor_expansion import ExpansionParams, phi_coeffs, psi_coeffs
+from subdiff.taylor_expansion import ExpansionParams, psi_coeffs
 from subdiff.time_mesh import mesh_from_levels, uniform_mesh
 from test_clustering import COVER_TREES, children
 
@@ -265,11 +265,10 @@ def test_run_schedule_frees_history_and_bounds_memory():
 ])
 def test_run_schedule_invariants(monkeypatch, perturbed, rhs_ops, peak_values):
     """Over a full schedule free_cluster runs at most once per leaf entered;
-    phi_coeffs and psi_coeffs run once each, for the lag tables, on a
-    uniform mesh and once per block of leaves otherwise; the weights come
-    from one beta_offdiag call per block (the lag table's alone on a
-    uniform mesh); and the operation and memory counts equal those of the
-    per-step engine this one replaced."""
+    phi_coeffs and psi_coeffs run once per block of leaves on every mesh;
+    the weights come from one beta_offdiag call per block (the weight lag
+    table's alone on a uniform mesh); and the operation and memory counts
+    equal those of the per-step engine this one replaced."""
     N, m = 256, 2
     mesh = perturbed_mesh(N) if perturbed else None
     calls = {"free": 0, "phi": 0, "psi": 0, "weights": 0}
@@ -292,7 +291,8 @@ def test_run_schedule_invariants(monkeypatch, perturbed, rhs_ops, peak_values):
     leaves = len(list(engine.tree.leaves()))
     assert calls["free"] <= leaves
     blocks = 2 ** (5 // 2)  # the nodes of generation G // 2
-    assert calls["phi"] == calls["psi"] == calls["weights"] == (blocks if perturbed else 1)
+    assert calls["phi"] == calls["psi"] == blocks
+    assert calls["weights"] == (blocks if perturbed else 1)
     assert engine.counters.live_values <= engine.counters.high_water
     assert engine.counters.rhs_ops + engine.counters.update_ops == rhs_ops
     assert engine.counters.high_water == peak_values
@@ -477,12 +477,10 @@ def test_far_block_matches_per_step_products(name, monkeypatch):
     """The far field a plan forms when its leaf is entered equals, row by
     row, that step's own products over the cover's far members: the
     step's phi against each member's moments, the psi-weighted sums of the
-    member's vectors.  The coefficients come from where the engine takes
-    them: the lag tables on the uniform desk mesh, phi_coeffs and
-    psi_coeffs at each member's geometry on the perturbed one."""
+    member's vectors, with phi_coeffs and psi_coeffs at each member's
+    geometry."""
     engine, weights = FAR_BLOCK_ENGINES[name]()
     tree = engine.tree
-    assert (engine._tables is not None) == tree.mesh.uniform
     V = np.array(random_values(tree.mesh.N, engine.m))
     plans, _ = leaf_plans(engine, V, monkeypatch)
     moments = {}  # node id -> (moments, the same sum taken in absolute values)
@@ -504,62 +502,6 @@ def test_far_block_matches_per_step_products(name, monkeypatch):
             assert np.all(np.abs(plan.far[s] - want) <= 1e-13 * scale), (leaf, n)
             checked += 1
     assert checked > len(plans) // 2
-
-
-LAG_TABLE_ENGINES = {
-    "desk": lambda: make_engine(N=2000, Q=10, G=3, r=5, eta=0.4, T=6.0),
-    "binary-G10": lambda: make_engine(N=4096, Q=2, G=10, r=8, eta=0.3, nu=0.3, T=3.0),
-    "ternary": lambda: make_engine(N=729, Q=3, G=5, r=6, eta=0.5, nu=0.7, T=2.0),
-}
-
-
-@pytest.mark.parametrize("name", LAG_TABLE_ENGINES)
-def test_lag_tables_match_each_nodes_own_coefficients(name):
-    """Every row of the uniform-mesh lag tables equals, to 1e-11 relative,
-    phi_coeffs and psi_coeffs at the geometry of every node that reads it:
-    phi at each step after the node ends (elementwise, phi > 0), psi on
-    each of its intervals (scaled per order by the node's largest |psi_p|,
-    since odd orders nearly vanish about an interval's own midpoint).  The
-    first node of each generation reads every row of its generation."""
-    engine, weights = LAG_TABLE_ENGINES[name]()
-    tree, r, nu, N = engine.tree, engine.r, weights.params.nu, engine.tree.mesh.N
-    lv = tree.mesh.levels
-    phi_table, psi_table = engine._tables
-    width = N // tree.Q ** np.arange(tree.G + 1)
-    assert phi_table.rows.shape == (np.sum(N - width), r)
-    assert psi_table.rows.shape == (np.sum(width), r)
-    worst = [0.0, 0.0]
-    for i in range(len(tree.nodes)):
-        lo, hi = int(tree.lo[i]), int(tree.hi[i])
-        ids, sbar = np.array([i]), tree.midpoint(i)
-        steps = np.arange(hi + 1, N + 1)
-        if steps.size:
-            want = phi_coeffs(nu, r, sbar, lv[steps - 1], lv[steps])
-            got = phi_table.read(tree, ids, steps[None])[0]
-            worst[0] = max(worst[0], float(np.max(np.abs(got - want) / want)))
-        own = np.arange(lo, hi + 1)
-        want = psi_coeffs(r, sbar, lv[own - 1], lv[own])
-        got = psi_table.read(tree, ids, own[None])[0]
-        worst[1] = max(worst[1], float(np.max(np.abs(got - want) / np.abs(want).max(axis=0))))
-    assert max(worst) <= 1e-11, worst
-
-
-def test_fast_run_without_lag_tables_agrees():
-    """A uniform 2D fast run agrees to 1e-12 relative with the same run
-    that computes phi and psi per leaf, as on a non-uniform mesh."""
-    grid = SpatialGrid(dim=2, m=6)
-    config = RunConfig(nu=0.4, mesh=uniform_mesh(243, 1.0), grid=grid, r=5, eta=0.5, Q=3, G=4)
-
-    def solutions():
-        return np.array(fast_run(config, benchmark_source(grid), sine_mode(grid, 1, 1))
-                        .solutions)
-
-    with_tables = solutions()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(HistoryEngine, "_lag_tables", lambda self: None)
-        per_leaf = solutions()
-    assert np.max(np.abs(with_tables - per_leaf)) <= 1e-12 * np.max(np.abs(per_leaf))
-    assert not np.array_equal(with_tables, per_leaf)  # the two paths did run
 
 
 @pytest.mark.parametrize("name", FAR_BLOCK_ENGINES)
@@ -650,10 +592,9 @@ def test_reserved_storage_tracks_counted_peak(N, Q, G, r, eta):
 
 def per_leaf_plan(engine, leaf):
     """The exact weights (leaf size, exact columns), the far field and
-    psi_chain of leaf, each from calls for this leaf alone: one offdiag
-    call, one phi and one psi evaluation (lag-table reads on a uniform
-    mesh), and the products over the far runs read from the stores as they
-    are at the leaf's entry."""
+    psi_chain of leaf, each from calls for this leaf alone: one offdiag,
+    one phi_coeffs and one psi_coeffs call, and the products over the far
+    runs read from the stores as they are at the leaf's entry."""
     tree, r, G, size = engine.tree, engine.r, engine.tree.G, leaf.size
     cover = tree.minimal_cover(leaf, engine.eta)
     leaf_id = tree.leaf_id(leaf.lo)
@@ -698,6 +639,7 @@ BLOCK_ENGINES = {
     "G1": lambda: make_engine(Q=8, G=1, r=5, eta=0.5, m=2, mesh=perturbed_mesh(64, seed=6)),
     "leaf-size-1": lambda: make_engine(Q=2, G=7, r=5, eta=0.5, m=2, nu=0.4,
                                        mesh=perturbed_mesh(128, seed=7)),
+    "uniform-leaf-size-1": lambda: make_engine(N=128, Q=2, G=7, r=5, eta=0.5, m=2, nu=0.4),
 }
 
 
@@ -705,9 +647,9 @@ BLOCK_ENGINES = {
 def test_block_plans_equal_per_leaf_plans(name, monkeypatch):
     """Every leaf's exact weights, far field and psi_chain, sliced from its
     block's arrays, equal bit for bit what calls for that leaf alone give;
-    on a non-uniform mesh the engine makes one offdiag, one phi_coeffs and
-    one psi_coeffs call per block, a block being the leaves under one node
-    of generation G // 2."""
+    on every mesh the engine makes one offdiag, one phi_coeffs and one
+    psi_coeffs call per block, a block being the leaves under one node of
+    generation G // 2."""
     engine, _ = BLOCK_ENGINES[name]()
     tree = engine.tree
     calls = {"offdiag": 0, "phi": 0, "psi": 0}
@@ -743,7 +685,4 @@ def test_block_plans_equal_per_leaf_plans(name, monkeypatch):
     engine.run_schedule(lambda n, hist: V[n - 1])
     assert len(checked) == tree.Q ** tree.G and 2 * sum(checked) >= len(checked)
     blocks = tree.Q ** (tree.G // 2)
-    if tree.mesh.uniform:
-        assert calls == {"offdiag": blocks, "phi": 0, "psi": 0}  # phi and psi: the lag tables
-    else:
-        assert calls == {"offdiag": blocks, "phi": blocks, "psi": blocks}
+    assert calls == {"offdiag": blocks, "phi": blocks, "psi": blocks}

@@ -15,7 +15,6 @@ def test_uniform_mesh_basic():
     assert mesh.k_min == mesh.steps.max() == 0.5
     assert mesh.step(1) == 0.5
     assert mesh.level(0) == 0.0
-    assert mesh.midpoint(3) == pytest.approx(1.25)
 
 
 def test_index_bounds():

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 
-from subdiff.frac_weights import SeriesControl, _common, _half, _result, _series, omega
+from subdiff.frac_weights import _common, _half, _result, _series, omega
 
 
 def d_mu(mu: float, x: float) -> float:
@@ -72,10 +72,10 @@ def beta_half(source, target):
     return _result(_half(*_geometry(source, target)))
 
 
-def beta_separated_series(nu: float, source, target, ctl: SeriesControl = SeriesControl()):
+def beta_separated_series(nu: float, source, target):
     """The series branch of the weights for separated pairs given by their
     endpoints, source = (t_{j-1}, t_j) and target = (t_{n-1}, t_n), which
     broadcast against each other; frac_weights._series describes it."""
     kj, kn, delta = _geometry(source, target)
-    return _result(_series(nu, kj.ravel(), kn.ravel(), delta.ravel(), ctl).reshape(kj.shape))
+    return _result(_series(nu, kj.ravel(), kn.ravel(), delta.ravel()).reshape(kj.shape))
 
