@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None, help="expansion order (default: auto)")
     p.add_argument("--eta", type=float, default=None,
                    help="admissibility parameter (default: auto; requires --r)")
-    p.add_argument("--Q", type=int, default=2, help="cluster tree branching factor")
+    p.add_argument("--Q", type=int, default=None,
+                   help="cluster tree branching factor (default: 2)")
     p.add_argument("--G", type=int, default=None, help="cluster tree depth (default: auto)")
     p.add_argument("--diag-stability", action="store_true",
                    help="run the quadratic-cost stability diagnostic and dump the tree")
@@ -103,13 +104,18 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
         parser.error("--r applies to the fast scheme only and conflicts with --mode slow")
     if args.sweep_r is not None and args.mode == "slow":
         parser.error("--sweep-r applies to the fast scheme only and conflicts with --mode slow")
+    for flag, value in (("--Q", args.Q), ("--G", args.G)):
+        if value is not None and args.mode == "slow" and not args.diag_stability:
+            parser.error(f"{flag} applies to the fast scheme and --diag-stability only; "
+                         "with --mode slow it needs --diag-stability")
     if not 0.0 < args.nu < 1.0:
         parser.error("--nu must lie in (0, 1)")
-    if args.Q < 2:
+    Q = 2 if args.Q is None else args.Q
+    if Q < 2:
         parser.error("--Q must be at least 2")
     return ExperimentSpec(
         nu=args.nu, T=args.T, N=args.N, dim=args.dim, m=args.m, K=args.K,
-        mode=args.mode, r=args.r, eta=args.eta, Q=args.Q, G=args.G,
+        mode=args.mode, r=args.r, eta=args.eta, Q=Q, G=args.G,
         diag_stability=args.diag_stability, out=args.out,
         sweep_N=args.sweep_N or [], sweep_r=args.sweep_r or [],
     )
@@ -117,6 +123,7 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
 
 REPORT_COLUMNS = ["mode", "r", "eta", "N", "max_nodal_error", "setup_s",
                   "rhs_s", "solver_s", "total_s", "rhs_ops", "peak_values"]
+CHUNK_VALUES = 1 << 17  # solution values read back at a time for the errors
 
 
 def _config(spec: ExperimentSpec, N: int, r: int | None) -> RunConfig:
@@ -137,6 +144,9 @@ def _single_run(spec: ExperimentSpec, mode: str, N: int, r: int | None,
     if mode == "slow":
         result = slow_run(config, source, u0)
         r_used, eta_used = "", ""
+
+        def read(lo: int, hi: int) -> np.ndarray:
+            return np.asarray(result.solutions[lo:hi])
     else:
         tag = f"_r{r}" if r is not None else ""
         sink = SolutionSink(out / f"solution_fast_N{N}{tag}.bin",
@@ -147,17 +157,20 @@ def _single_run(spec: ExperimentSpec, mode: str, N: int, r: int | None,
         finally:
             sink.close()
         r_used, eta_used = result.r, f"{result.eta:.12g}"
+        read = sink.read  # the stream, not result.solutions: its map would stay resident
 
     solver = EllipticSolver(grid)
     mode_vals = u11(spec.nu, mesh.levels[1:])
     shape = sine_mode(grid, 1, j)
     max_err = 0.0
     step_errors = []
-    for n, u in enumerate(result.solutions, start=1):
-        exact = mode_vals[n - 1] * shape
-        diff = u - exact
+    chunk = max(1, CHUNK_VALUES // grid.M)
+    for lo in range(0, N, chunk):
+        hi = min(lo + chunk, N)
+        diff = read(lo, hi) - np.outer(mode_vals[lo:hi], shape)
         max_err = np.maximum(max_err, np.max(np.abs(diff)))  # keeps a NaN, unlike max()
-        step_errors.append((n, float(mesh.levels[n]), l2_norm(solver, diff)))
+        step_errors += [(n, float(mesh.levels[n]), l2_norm(solver, d))
+                        for n, d in enumerate(diff, start=lo + 1)]
     row = {
         "mode": mode, "r": r_used, "eta": eta_used, "N": N,
         "max_nodal_error": f"{max_err:.12e}",
@@ -177,11 +190,13 @@ def run(spec: ExperimentSpec) -> int:
     n_values = spec.sweep_N or [spec.N]
     runs = [(N, mode, r) for N in n_values for mode in modes
             for r in ((spec.sweep_r or [spec.r]) if mode == "fast" else [None])]
-    for N, mode, r in runs:  # a fast run's bad setup fails before any run starts
-        if mode == "fast":
-            config = _config(spec, N, r)
-            config.resolved_params()
-            ClusterTree(config.mesh, spec.Q, config.resolved_depth())
+    setups = [(N, r) for N, mode, r in runs if mode == "fast"]
+    if spec.diag_stability:
+        setups += [(N, spec.r) for N in n_values]
+    for N, r in setups:  # a bad fast or diagnostic setup fails before any run starts
+        config = _config(spec, N, r)
+        config.resolved_params()
+        ClusterTree(config.mesh, spec.Q, config.resolved_depth())
     out.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
     error_rows: list[dict] = []

@@ -10,11 +10,11 @@ where it is elementwise:
            / (mu + beta_nn * sigma),    U^n = S u^_n,
 
 with S the DST-I and s^ = S spatial.  The history stays nodal: H_n is
-transformed as it enters the step, and U^n is what is retained, written
-to the sink and handed back to the history.  Both schemes take that same
-step; they differ only in how H_n is computed.  The slow scheme evaluates
-H_n directly over every retained solution vector; the fast scheme
-delegates H_n to the history engine.
+transformed as it enters the step, and U^n is what is kept (in memory,
+or in the sink when there is one) and handed back to the history.  Both
+schemes take that same step; they differ only in how H_n is computed.
+The slow scheme evaluates H_n directly over every retained solution
+vector; the fast scheme delegates H_n to the history engine.
 """
 
 from __future__ import annotations
@@ -62,9 +62,13 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    """Solutions plus phase accounting for one run."""
+    """Solutions plus phase accounting for one run.
 
-    solutions: list[np.ndarray]
+    solutions holds U^1..U^N: a list in memory, or, for a run given a
+    SolutionSink, the sink's read-only (N, M) memory map of its records.
+    """
+
+    solutions: list[np.ndarray] | np.ndarray
     setup_seconds: float = 0.0
     rhs_seconds: float = 0.0
     solver_seconds: float = 0.0
@@ -144,11 +148,12 @@ def _march(config: RunConfig, weights: WeightEngine, source: SeparableSource | N
     """The DG step both schemes share, driven by drive(step).
 
     drive must call step(n, H_n) for n = 1..N in order, with H_n in nodal
-    values; step solves for U^n, retains it in res.solutions, writes it to
-    the sink and returns it.  Set-up time runs from t0 to the first step;
-    solver_seconds covers each solve and its transform back to nodal
-    values, rhs_seconds all time between two of those (history work in
-    drive included), so the three phases add up to the whole run.
+    values; step solves for U^n, writes it to the sink if there is one and
+    appends it to res.solutions otherwise, and returns it.  Set-up time
+    runs from t0 to the first step; solver_seconds covers each solve and
+    its transform back to nodal values, rhs_seconds all time between two
+    of those (history work in drive included), so the three phases add up
+    to the whole run.
     """
     mesh, grid = config.mesh, config.grid
     solver = EllipticSolver(grid)
@@ -169,8 +174,9 @@ def _march(config: RunConfig, weights: WeightEngine, source: SeparableSource | N
         u = solver.transform(u_hat)
         mark = time.perf_counter()
         res.solver_seconds += mark - t
-        res.solutions.append(u)
-        if sink is not None:
+        if sink is None:
+            res.solutions.append(u)
+        else:
             sink.write(u)
         return u
 
@@ -198,14 +204,18 @@ def slow_run(config: RunConfig, source: SeparableSource | None,
 def fast_run(config: RunConfig, source: SeparableSource | None,
              u0: np.ndarray | None, sink: SolutionSink | None = None) -> RunResult:
     """Clustered scheme with low-rank far-field history.  The sink, if
-    given, receives every U^n; the caller that opened it closes it."""
+    given, receives every U^n instead of the result, whose solutions then
+    map the records back from it; the caller that opened it closes it."""
     t0 = time.perf_counter()
+    first = 0 if sink is None else sink.records
     r, eta = config.resolved_params()
     weights = WeightEngine(KernelParams(config.nu), config.mesh)
     tree = ClusterTree(config.mesh, config.Q, config.resolved_depth())
     engine = HistoryEngine(tree, weights, r, eta, config.grid.M)
     res = _march(config, weights, source, u0, sink, RunResult(solutions=[], r=r, eta=eta),
                  t0, engine.run_schedule)
+    if sink is not None:
+        res.solutions = sink.read(first)
     res.rhs_ops = engine.counters.rhs_ops + engine.counters.update_ops
     res.peak_values = engine.counters.high_water
     return res

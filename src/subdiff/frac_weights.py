@@ -114,7 +114,28 @@ def _series_coefficients(nu: float, count: int) -> tuple[np.ndarray, np.ndarray,
 
 _SERIES_CHUNK = 128  # pairs per (pairs, _MAX_TERMS) block of series terms
 _REL_TOL = 1e-15  # a pair's series stops at its first term below _REL_TOL times its sum
+_FIRST_TERMS = 16  # terms of a first pass; most pairs stop within it
 _MAX_TERMS = 50
+
+
+def _partial_sums(nu: float, kj, kn, delta, rows, count: int):
+    """The first count terms of the series (see _series) of the pairs at
+    index rows, each pair's partial sum up to its first term below
+    _REL_TOL times that sum, and whether it got there within count terms."""
+    k_j, k_n, dist = kj[rows, None], kn[rows, None], delta[rows, None]
+    p, orders, log_coef = (x[:count] for x in _series_coefficients(nu, _MAX_TERMS))
+    a = dist + 0.5 * k_n
+    log1p_x = np.log1p(-k_n / a)
+    lead = a ** (nu - 1.0) / _gamma(nu) * np.expm1((nu - 1.0) * log1p_x) * k_j  # term 0
+    # a^mu (-D_mu(x)) = (a - k_n)^mu h_p with h_p = -expm1(-mu log1p(-x)) in (0, 1)
+    log_h = np.log(-np.expm1(log1p_x * orders))
+    log_ratio = log_coef + p * (2.0 * np.log(k_j / (a - k_n))) + (log_h - log_h[:, :1])
+    terms = lead * np.exp(log_ratio)
+    totals = np.cumsum(terms, axis=1)
+    done = terms < _REL_TOL * totals
+    stop = done.argmax(axis=1)
+    at = np.arange(stop.size)
+    return terms, totals[at, stop], done[at, stop]
 
 
 def _series(nu: float, kj, kn, delta) -> np.ndarray:
@@ -129,42 +150,42 @@ def _series(nu: float, kj, kn, delta) -> np.ndarray:
 
     with mu = nu-2p-1, a = Delta + k_n/2 and D_mu(x) = 1 - (1-x)^mu.  Its
     terms are all positive, with successive ratios approaching
-    (k_j / (2*Delta - k_n))^2 < 1.  The first _MAX_TERMS terms of up to
-    _SERIES_CHUNK pairs at a time form one (pairs, _MAX_TERMS) array, each
-    the leading term times the exponential of its log-ratio to it, so no
-    power over- or underflows and the array stays small however many pairs
-    one call asks for.  A pair's value is its partial sum up to the first
-    term below _REL_TOL times that sum; the first chunk with a pair that
-    gets there in no term raises SeriesConvergenceError.
+    (k_j / (2*Delta - k_n))^2 < 1.  Each term is the leading term times
+    the exponential of its log-ratio to it, so no power over- or
+    underflows.  A pair's value is its partial sum up to the first term
+    below _REL_TOL times that sum.  A first pass forms _FIRST_TERMS terms
+    of every pair; the pairs that do not stop within them, a few percent
+    on quasiuniform meshes, are formed again with _MAX_TERMS terms, up to
+    _SERIES_CHUNK pairs at a time.  The partial sums are sequential, so a
+    pair gets the same value from either pass.  Neither pass forms more
+    than _SERIES_CHUNK * _MAX_TERMS terms at once, however many pairs one
+    call asks for.  If a pair stops in no term, SeriesConvergenceError
+    reports the pairs that fail among the first failing one's
+    _SERIES_CHUNK consecutive pairs.
     """
     if np.any(delta <= 0.5 * (kj + kn)):
         raise ValueError("series branch requires disjoint source left of target")
-    out = np.empty(kj.shape)
-    p, orders, log_coef = _series_coefficients(nu, _MAX_TERMS)
-    for i in range(0, kj.size, _SERIES_CHUNK):
-        part = slice(i, i + _SERIES_CHUNK)
-        k_j, k_n, dist = kj[part, None], kn[part, None], delta[part, None]
-        a = dist + 0.5 * k_n
-        log1p_x = np.log1p(-k_n / a)
-        lead = a ** (nu - 1.0) / _gamma(nu) * np.expm1((nu - 1.0) * log1p_x) * k_j  # term 0
-        # a^mu (-D_mu(x)) = (a - k_n)^mu h_p with h_p = -expm1(-mu log1p(-x)) in (0, 1)
-        log_h = np.log(-np.expm1(log1p_x * orders))
-        log_ratio = log_coef + p * (2.0 * np.log(k_j / (a - k_n))) + (log_h - log_h[:, :1])
-        terms = lead * np.exp(log_ratio)
-        totals = np.cumsum(terms, axis=1)
-        done = terms < _REL_TOL * totals
-        stop = done.argmax(axis=1)
-        rows = np.arange(stop.size)
-        failed = np.flatnonzero(~done[rows, stop])
-        if failed.size:
-            j = failed[0]
+    out, done = np.empty(kj.shape), np.empty(kj.shape, dtype=bool)
+    first = min(_FIRST_TERMS, _MAX_TERMS)
+    step = _SERIES_CHUNK * _MAX_TERMS // first
+    for i in range(0, kj.size, step):
+        part = slice(i, i + step)
+        _, out[part], done[part] = _partial_sums(nu, kj, kn, delta, part, first)
+    rest = np.flatnonzero(~done)
+    for i in range(0, rest.size, _SERIES_CHUNK):
+        rows = rest[i:i + _SERIES_CHUNK]
+        _, out[rows], ok = _partial_sums(nu, kj, kn, delta, rows, _MAX_TERMS)
+        if not ok.all():
+            chunk = rows[np.argmin(ok)] // _SERIES_CHUNK
+            rows = rest[rest // _SERIES_CHUNK == chunk]
+            terms, _, ok = _partial_sums(nu, kj, kn, delta, rows, _MAX_TERMS)
+            j = np.argmin(ok)
             ratio = terms[j, -1] / terms[j, -2]
             raise SeriesConvergenceError(
                 f"weight series did not reach rel_tol={_REL_TOL} in {_MAX_TERMS} terms "
-                f"for {failed.size} pair(s) (last term ratio {ratio:.3g})",
+                f"for {np.count_nonzero(~ok)} pair(s) (last term ratio {ratio:.3g})",
                 last_ratio=float(ratio),
             )
-        out[part] = totals[rows, stop]
     return out
 
 

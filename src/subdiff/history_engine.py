@@ -110,7 +110,8 @@ class SolutionSink:
     """Sequential binary stream of solution records.
 
     Each record is M little-endian float64 values; a text sidecar header
-    (written on close) records the run parameters.
+    (written on close) records the run parameters.  read maps records
+    back from the file, before or after close.
     """
 
     def __init__(self, path: str | Path, header: dict):
@@ -118,12 +119,32 @@ class SolutionSink:
         self.header = dict(header)
         self._fh: io.BufferedWriter | None = self.path.open("wb")
         self.records = 0
+        self.width = 0  # M, set by the first record
 
     def write(self, vec: np.ndarray) -> None:
         if self._fh is None:
             raise ValueError("sink already closed")
-        self._fh.write(np.asarray(vec, dtype="<f8").tobytes())
+        data = np.asarray(vec, dtype="<f8")
+        if self.records and data.size != self.width:
+            raise ValueError(f"record of {data.size} values in a stream of {self.width}")
+        self._fh.write(data.tobytes())
+        self.width = data.size
         self.records += 1
+
+    def read(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Records lo..hi-1 (all from lo by default) as a read-only
+        (hi - lo, M) memory map of the file.  Each call maps anew, and
+        pages count as resident only once touched, so a caller that reads
+        a long stream a few records at a time holds only those."""
+        hi = self.records if hi is None else hi
+        if not 0 <= lo <= hi <= self.records:
+            raise IndexError(f"records {lo}..{hi} outside a stream of {self.records}")
+        if self._fh is not None:
+            self._fh.flush()
+        if lo == hi:
+            return np.empty((0, self.width))
+        return np.memmap(self.path, dtype="<f8", mode="r", offset=8 * lo * self.width,
+                         shape=(hi - lo, self.width))
 
     def close(self) -> None:
         if self._fh is not None:

@@ -89,3 +89,31 @@ def test_traced_cli_run_reaches_every_name(monkeypatch, tmp_path):
     finally:
         tracer.uninstall()
     assert tracer.missing(CLI) == []
+
+
+def test_cli_fast_run_passes_the_benchmark_gate(monkeypatch, tmp_path):
+    """bench/worker.py runs the desk2d-fast-cli workload as cli.main with
+    cli.fast_run captured, then requires complete output files and N
+    solutions in the captured result.  A small run of the desk command
+    (fewer steps, a coarser grid and a shallower tree) must pass both."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from worker import check_cli_output
+    from workloads import DESK_ARGV
+
+    from subdiff import cli
+
+    run_fast, results = cli.fast_run, []
+
+    def capture(*args, **kwargs):
+        results.append(run_fast(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "fast_run", capture)
+    N, m = 200, 8
+    argv = DESK_ARGV + ["--N", str(N), "--m", str(m), "--G", "2", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    problems, row = check_cli_output(tmp_path, N, (m - 1) ** 2)
+    assert problems == []
+    assert 0.0 < float(row["max_nodal_error"]) < 0.05
+    result, = results
+    assert len(result.solutions) == N

@@ -48,12 +48,42 @@ def test_parse_full_flag_set():
         ["--sweep-N", "a,b"],
         ["--Q", "1"],
         ["--Q", "0"],
+        ["--Q", "3", "--mode", "slow"],
+        ["--G", "2", "--mode", "slow"],
     ],
 )
 def test_usage_errors(argv):
     with pytest.raises(SystemExit) as info:
         parse_args(argv)
     assert info.value.code == 2
+
+
+def test_tree_flags_with_slow_mode_need_the_diagnostic(capsys, tmp_path):
+    """--Q and --G shape only the fast runs' tree and the diagnostic's, so
+    --mode slow rejects them unless --diag-stability is given."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(f"--mode slow --Q 3 --G 2 --N 16 --dim 1 --m 4 --out {out}".split())
+    assert info.value.code == 2
+    assert "--Q applies to the fast scheme and --diag-stability only" in capsys.readouterr().err
+    assert not out.exists()
+    spec = parse_args("--mode slow --Q 3 --G 2 --N 16 --diag-stability".split())
+    assert (spec.Q, spec.G) == (3, 2)
+
+
+def test_bad_diagnostic_setup_fails_before_any_run(capsys, tmp_path, monkeypatch):
+    """A --diag-stability tree that cannot be built is an error before the
+    slow run starts, and no file is written."""
+    def no_slow_run(*args):
+        raise AssertionError("slow_run called")
+
+    monkeypatch.setattr(cli, "slow_run", no_slow_run)
+    out = tmp_path / "out"
+    code = main(f"--mode slow --N 16 --T 1 --G 5 --dim 1 --m 4 --diag-stability "
+                f"--out {out}".split())
+    assert code == 1
+    assert "largest admissible G is 4" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_writes_artifacts(tmp_path):

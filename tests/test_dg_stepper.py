@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from subdiff.dg_stepper import (
     stability_threshold,
 )
 from subdiff.frac_weights import KernelParams, WeightEngine
+from subdiff.history_engine import SolutionSink
 from subdiff.reference_solution import direct_history_sum, u11
 from subdiff.spatial_fem import (
     EllipticSolver,
@@ -190,6 +192,49 @@ def test_fast_run_bitwise_equals_slow_with_degenerate_eta():
                               Q=2, G=3), src, u0)
     for a, b in zip(slow.solutions, fast.solutions):
         assert np.array_equal(a, b)
+
+
+def test_streamed_fast_run_equals_in_memory_run(tmp_path):
+    """Given a sink, the result's solutions are the stream mapped back:
+    bitwise the in-memory run's, N rows of M, read-only."""
+    mesh = perturbed_mesh(96, seed=11)
+    grid = SpatialGrid(dim=2, m=6, K=1.0 / (2 * math.pi**2))
+    config = RunConfig(nu=0.3, mesh=mesh, grid=grid, Q=2)
+    src, u0 = benchmark_source(grid), sine_mode(grid, 1, 1)
+    plain = fast_run(config, src, u0)
+    sink = SolutionSink(tmp_path / "stream.bin", {"N": 96})
+    try:
+        streamed = fast_run(config, src, u0, sink=sink)
+    finally:
+        sink.close()
+    assert isinstance(plain.solutions, list)
+    assert len(streamed.solutions) == 96 and np.shape(streamed.solutions) == (96, grid.M)
+    assert not streamed.solutions.flags.writeable
+    assert np.array_equal(np.asarray(streamed.solutions), np.asarray(plain.solutions))
+    assert all(np.array_equal(a, b) for a, b in zip(streamed.solutions, plain.solutions))
+    assert (streamed.rhs_ops, streamed.peak_values) == (plain.rhs_ops, plain.peak_values)
+
+
+def test_streamed_fast_run_keeps_no_solutions_in_memory(tmp_path):
+    """The Python heap peak of a streamed 2D fast run stays well below the
+    N M float64 values of its solutions; without a sink it does not."""
+    mesh, grid, src, u0 = problem(N=1024, m=16, dim=2)
+    config = RunConfig(nu=0.5, mesh=mesh, grid=grid, r=5, eta=0.4, Q=2)
+    solution_bytes = mesh.N * grid.M * 8
+    fast_run(config, src, u0)  # caches filled before tracing
+    peaks = []
+    for sink in (None, SolutionSink(tmp_path / "stream.bin", {})):
+        tracemalloc.start()
+        try:
+            fast_run(config, src, u0, sink=sink)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+            if sink is not None:
+                sink.close()
+    in_memory, streamed = peaks
+    assert in_memory > solution_bytes
+    assert streamed < 0.6 * solution_bytes
 
 
 def test_fast_run_eta_requires_r():

@@ -312,3 +312,17 @@ def test_series_in_chunks_equals_one_pair_at_a_time(monkeypatch):
     short_series(monkeypatch, 1e-6, 3)
     with pytest.raises(SeriesConvergenceError, match="1 pair"):
         beta_separated_series(0.5, (0.0, kj), (starts, starts + kn))
+
+
+def test_series_failure_reports_the_first_failing_chunk(monkeypatch):
+    """Pairs that fail to converge in two chunks of the series: the error
+    counts those of the first failing pair's chunk, not all of them."""
+    size = frac_weights._SERIES_CHUNK
+    pairs = 3 * size + 17
+    kj = np.ones(pairs)
+    starts = 40.0 * kj  # far enough for three terms
+    for i in (size + 2, size + 9, 3 * size + 1):
+        starts[i] = 1.05  # barely separated: too slow for three terms
+    short_series(monkeypatch, 1e-6, 3)
+    with pytest.raises(SeriesConvergenceError, match="for 2 pair"):
+        beta_separated_series(0.5, (0.0, kj), (starts, starts + kj))

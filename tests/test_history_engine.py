@@ -351,6 +351,31 @@ def test_solution_sink_roundtrip(tmp_path):
         sink.write(result.solutions[0])
 
 
+def test_solution_sink_reads_back_its_records(tmp_path):
+    rng = np.random.default_rng(5)
+    records = rng.standard_normal((9, 4))
+    path = tmp_path / "stream.bin"
+    sink = SolutionSink(path, {"N": 9})
+    try:
+        for i, vec in enumerate(records):
+            sink.write(vec)
+            # readable while open: every record written so far
+            assert np.array_equal(sink.read(), records[:i + 1])
+        assert np.array_equal(sink.read(3, 7), records[3:7])
+        with pytest.raises(ValueError, match="record of 5 values"):
+            sink.write(np.zeros(5))
+    finally:
+        sink.close()
+    view = sink.read()
+    assert view.shape == (9, 4) and not view.flags.writeable
+    assert np.array_equal(view, records)
+    assert [row.tolist() for row in view] == records.tolist()
+    assert sink.read(9).shape == (0, 4)
+    with pytest.raises(IndexError):
+        sink.read(2, 10)
+    assert (tmp_path / "stream.bin.hdr").read_text().splitlines() == ["N 9", "records 9"]
+
+
 def test_engine_validation():
     mesh = uniform_mesh(8, 1.0)
     weights = WeightEngine(KernelParams(0.5), mesh)
