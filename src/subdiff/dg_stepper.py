@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterTree, auto_depth
-from .frac_weights import KernelParams, WeightEngine
+from .frac_weights import KernelParams, WeightEngine, gamma
 from .history_engine import HistoryEngine, SolutionSink
 from .reference_solution import direct_history_sum
 from .spatial_fem import EllipticSolver, SeparableSource, SpatialGrid, load_average
@@ -105,8 +105,6 @@ def optimal_eta(r: int) -> float:
 def stability_threshold(nu: float, mesh: TimeMesh) -> float:
     """Bound on (r+1)(eta/2)^r below which the perturbed scheme is provably
     stable: 2^(nu-2) Gamma(nu+1) rho_nu (k_min/T)^(1-nu)."""
-    from scipy.special import gamma
-
     return (
         2.0 ** (nu - 2.0)
         * gamma(nu + 1.0)

@@ -27,10 +27,50 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import gammaln as _gammaln
 
 from .time_mesh import TimeMesh
+
+# Cephes' rational approximation P(x)/Q(x) of Gamma(2 + x) on 0 <= x < 1,
+# highest power first: the one scipy.special.gamma evaluates.
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
+            4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
+            1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.00000000000000000320e0)
+_EULER = 0.5772156649015329
+
+
+def gamma(x: float) -> float:
+    """Gamma(x) for real x off the poles, |x| <= 171: Cephes' rational
+    approximation on [2, 3], reached through Gamma(x+1) = x Gamma(x), or
+    1/((1 + Euler x) x) once the recurrence brings x within 1e-9 of 0,
+    near a pole.  For |x| <= 33 this is the evaluation of
+    scipy.special.gamma, bit for bit; beyond, Cephes switches to
+    Stirling's formula and the two may differ in the last bits."""
+    x = float(x)
+    if not abs(x) <= 171.0:
+        raise ValueError(f"gamma is evaluated for |x| <= 171, got {x}")
+    if x <= 0.0 and x == math.floor(x):
+        raise ValueError(f"Gamma pole at x = {x}")
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 2.0:
+        if -1e-9 < x < 1e-9:
+            return z / ((1.0 + _EULER * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    p = q = 0.0
+    for c in _GAMMA_P:
+        p = p * x + c
+    for c in _GAMMA_Q:
+        q = q * x + c
+    return z * p / q
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -60,15 +100,13 @@ def omega(mu: float, t: float) -> float:
     """Kernel w_mu(t) = t^(mu-1) / Gamma(mu) for t > 0."""
     if t <= 0.0:
         raise ValueError(f"omega requires t > 0, got {t}")
-    if mu <= 0.0 and mu == math.floor(mu):
-        raise ValueError(f"Gamma pole at mu = {mu}")
-    return t ** (mu - 1.0) / _gamma(mu)
+    return t ** (mu - 1.0) / gamma(mu)
 
 
 def beta_diag(params: KernelParams, mesh: TimeMesh, n: int) -> float:
     """Diagonal weight beta_nn = k_n^nu / Gamma(1+nu)."""
     k = mesh.step(n)
-    return k**params.nu / _gamma(1.0 + params.nu)
+    return k**params.nu / gamma(1.0 + params.nu)
 
 
 def _result(x: np.ndarray):
@@ -96,7 +134,7 @@ def beta_adjacent(nu: float, k_prev, k_cur):
     # (1+x)^nu = 1 + y^nu with y < x, so the bracket is y^nu * ((x/y)^nu - 1).
     y = np.exp(np.log(np.expm1(nu * np.log1p(x))) / nu)
     bracket = y**nu * np.expm1(nu * np.log(x / y))
-    return _result(k_hi**nu / _gamma(1.0 + nu) * bracket)
+    return _result(k_hi**nu / gamma(1.0 + nu) * bracket)
 
 
 @functools.lru_cache(maxsize=16)
@@ -105,7 +143,8 @@ def _series_coefficients(nu: float, count: int) -> tuple[np.ndarray, np.ndarray,
     1/(Gamma(nu-2p) (2p+1)! 4^p) over the first, for p < count; computed
     once for all the series calls of one kernel order."""
     p = np.arange(count)
-    log_coef = -(_gammaln(nu - 2.0 * p) + _gammaln(2.0 * p + 2.0) + p * math.log(4.0))
+    log_coef = np.array([-(math.lgamma(nu - 2.0 * q) + math.lgamma(2.0 * q + 2.0)
+                           + q * math.log(4.0)) for q in range(count)])
     shared = p, 2.0 * p + 1.0 - nu, log_coef - log_coef[0]
     for x in shared:
         x.flags.writeable = False
@@ -126,7 +165,7 @@ def _partial_sums(nu: float, kj, kn, delta, rows, count: int):
     p, orders, log_coef = (x[:count] for x in _series_coefficients(nu, _MAX_TERMS))
     a = dist + 0.5 * k_n
     log1p_x = np.log1p(-k_n / a)
-    lead = a ** (nu - 1.0) / _gamma(nu) * np.expm1((nu - 1.0) * log1p_x) * k_j  # term 0
+    lead = a ** (nu - 1.0) / gamma(nu) * np.expm1((nu - 1.0) * log1p_x) * k_j  # term 0
     # a^mu (-D_mu(x)) = (a - k_n)^mu h_p with h_p = -expm1(-mu log1p(-x)) in (0, 1)
     log_h = np.log(-np.expm1(log1p_x * orders))
     log_ratio = log_coef + p * (2.0 * np.log(k_j / (a - k_n))) + (log_h - log_h[:, :1])
@@ -194,7 +233,7 @@ def _half(kj, kn, delta):
     rpm = np.sqrt(delta + 0.5 * kj - 0.5 * kn)
     rmp = np.sqrt(delta - 0.5 * kj + 0.5 * kn)
     rmm = np.sqrt(delta - 0.5 * kj - 0.5 * kn)
-    g32 = _gamma(1.5)
+    g32 = gamma(1.5)
     return (
         kn * kj / g32
         / ((rmp + rmm) * (rpp + rpm))
@@ -262,9 +301,11 @@ class WeightEngine:
         self.params = params
         self.mesh = mesh
         self._lags: np.ndarray | None = None  # uniform meshes: entry L is lag L's weight
+        self._gamma_diag = gamma(1.0 + params.nu)  # every step's diagonal weight divides by it
 
     def diag(self, n: int) -> float:
-        return beta_diag(self.params, self.mesh, n)
+        """beta_nn, as beta_diag gives it."""
+        return self.mesh.step(n) ** self.params.nu / self._gamma_diag
 
     def offdiag(self, n, j):
         if not self.mesh.uniform:

@@ -35,7 +35,9 @@ two levels, one path on every mesh:
     one phi evaluation for every (far member, step) pair, and one psi
     evaluation for each leaf's ancestors about the leaf's steps and for
     its far leaves about their own intervals.  The block's arrays hold
-    no M-length vector and are dropped once its last leaf is entered.
+    no M-length vector and are dropped when the next block is entered,
+    just before its arrays are built, so that they are freed within the
+    block entry, not within an ordinary step.
     With about the square root of the leaf count in blocks and in leaves
     per block, a block entry, the longest step of a run, stays a small
     fraction of the steps;
@@ -230,8 +232,8 @@ class _LeafPlan(NamedTuple):
 class _Block(NamedTuple):
     """The covers and coefficients of the leaves under one node of
     generation G // 2, built when the schedule enters the first of them
-    and dropped when it enters the last.  Leaf k of the block, in
-    time order, has the entry leaves[k]:
+    and dropped when it enters the next block's first.  Leaf k of the
+    block, in time order, has the entry leaves[k]:
       - its cover's node ids: the near leaves, the leaf itself, then the
         far members;
       - the count of near leaves plus one, and of far non-leaf members;
@@ -384,12 +386,11 @@ class HistoryEngine:
         the block first if the leaf is its first."""
         tree, r, m, G = self.tree, self.r, self.m, self.tree.G
         leaf_id = tree.leaf_id(leaf.lo)
-        if self._block is None:
-            self._block = self._enter_block(leaf_id)
-        k = leaf_id - self._block.first
-        ids, nn, nmom, runs, chain, dead, exact_w, phi, psi = self._block.leaves[k]
-        if k == len(self._block.leaves) - 1:  # the block ends with its last leaf
-            self._block = None
+        block = self._block
+        if block is None or leaf_id - block.first >= len(block.leaves):
+            block = self._block = None  # the old block's arrays go before the new one's come
+            block = self._block = self._enter_block(leaf_id)
+        ids, nn, nmom, runs, chain, dead, exact_w, phi, psi = block.leaves[leaf_id - block.first]
         self.free_cluster(dead[self._live[dead]])
         old = self._chain_ids
         left = next((g for g, (a, b) in enumerate(zip(chain, old)) if a != b), len(old))

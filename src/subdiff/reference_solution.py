@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
+
+from .frac_weights import gamma
 
 
 class ContourAccuracyError(RuntimeError):
@@ -132,7 +133,7 @@ def _u11_eval(nu: float, t: np.ndarray, contour: LaplaceContour, forced: bool,
 def mittag_leffler_series(nu: float, x: float, terms: int = 60) -> float:
     """Truncated power series of E_nu(x); adequate for |x| <= 1."""
     ks = np.arange(terms)
-    return float(np.sum(x**ks / _gamma(1.0 + nu * ks)))
+    return float(np.sum(x**ks / np.array([gamma(1.0 + nu * k) for k in range(terms)])))
 
 
 def u11_classical(t: float) -> float:

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
+
+from .frac_weights import gamma
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ def phi_coeffs(nu: float, r: int, sbar, t_prev, t_next) -> np.ndarray:
     mu = np.arange(1, r + 1) - nu  # the orders p - nu of D_{p-nu}
     log1p_x = np.log1p(-x)
     out = np.empty((*np.shape(x), r))
-    kappa = gap ** (nu - 1.0) / _gamma(nu)
+    kappa = gap ** (nu - 1.0) / gamma(nu)
     for p in range(r):  # one order at a time, times D_mu(x) = 1 - (1-x)^mu
         if p:
             kappa = kappa * (mu[p - 1] / gap)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import gamma
+from scipy.special import gamma, gammaln
 
 from subdiff import frac_weights
 from subdiff.frac_weights import (
@@ -70,6 +70,46 @@ def test_diag_weight():
     mesh = uniform_mesh(4, 2.0)
     params = KernelParams(0.75)
     assert beta_diag(params, mesh, 2) == pytest.approx(0.5**0.75 / gamma(1.75))
+
+
+def test_gamma_is_bitwise_scipy_gamma():
+    """The package's gamma evaluates scipy.special.gamma's Cephes path:
+    equal bit for bit on a dense grid of (0, 33] and of non-integer
+    [-33, 0), near 0 included."""
+    rng = np.random.default_rng(14)
+    pos = np.concatenate([np.linspace(0.0, 33.0, 100_001)[1:], rng.uniform(0.0, 33.0, 20_000),
+                          np.geomspace(1e-300, 1e-6, 500), np.arange(1.0, 34.0)])
+    neg = np.concatenate([-np.linspace(0.0, 33.0, 40_001)[1:] + 1e-7,
+                          rng.uniform(-33.0, 0.0, 20_000), -np.geomspace(1e-300, 1e-6, 500),
+                          np.arange(-33.0, 0.0) + 0.5])
+    neg = neg[neg != np.floor(neg)]
+    for x in (pos, neg):
+        got = np.array([frac_weights.gamma(v) for v in x])
+        bad = np.flatnonzero(got != gamma(x))
+        assert bad.size == 0, x[bad[:5]]
+    for pole in (0.0, -1.0, -7.0):
+        with pytest.raises(ValueError, match="pole"):
+            frac_weights.gamma(pole)
+    for x in (172.0, -200.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            frac_weights.gamma(x)
+
+
+@pytest.mark.parametrize("nu", [0.02, 0.3, 0.5, 0.98])
+def test_series_coefficients_match_gammaln(nu):
+    p, orders, log_coef = frac_weights._series_coefficients(nu, frac_weights._MAX_TERMS)
+    ref = -(gammaln(nu - 2.0 * p) + gammaln(2.0 * p + 2.0) + p * math.log(4.0))
+    np.testing.assert_allclose(log_coef, ref - ref[0], rtol=0.0, atol=2e-13)
+    assert np.array_equal(orders, 2.0 * p + 1.0 - nu)
+
+
+def test_engine_diag_is_beta_diag_bitwise():
+    steps = 0.1 * (1.0 + 0.3 * np.random.default_rng(2).uniform(-1.0, 1.0, 40))
+    mesh = mesh_from_levels(np.concatenate([[0.0], np.cumsum(steps)]))
+    for nu in (0.1, 0.5, 0.9):
+        engine = WeightEngine(KernelParams(nu), mesh)
+        for n in range(1, mesh.N + 1):
+            assert engine.diag(n) == beta_diag(engine.params, mesh, n)
 
 
 @pytest.mark.parametrize("nu", [0.25, 0.5, 0.75])

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -711,3 +713,35 @@ def test_block_plans_equal_per_leaf_plans(name, monkeypatch):
     assert len(checked) == tree.Q ** tree.G and 2 * sum(checked) >= len(checked)
     blocks = tree.Q ** (tree.G // 2)
     assert calls == {"offdiag": blocks, "phi": blocks, "psi": blocks}
+
+
+@pytest.mark.parametrize("name", ["perturbed-Q3", "uniform-leaf-size-1", "G1"])
+def test_one_block_is_held_and_replaced_at_a_block_entry(name, monkeypatch):
+    """The engine holds at most one block: the previous block is gone when
+    the next one is built, and the held block changes only when the
+    schedule enters a block's first leaf, so the last leaf of a block
+    keeps it."""
+    engine, _ = BLOCK_ENGINES[name]()
+    tree = engine.tree
+    per, leaf0 = tree.Q ** (tree.G - tree.G // 2), tree.first[tree.G]
+    enter, enter_block = HistoryEngine._enter, HistoryEngine._enter_block
+    built = []
+
+    def checked_enter_block(self, leaf_id):
+        gc.collect()
+        assert not [o for o in gc.get_objects() if type(o) is history_engine._Block], leaf_id
+        built.append(leaf_id)
+        return enter_block(self, leaf_id)
+
+    def checked_enter(self, leaf):
+        before = self._block and self._block.first  # no reference to the block itself
+        plan = enter(self, leaf)
+        first = (tree.leaf_id(leaf.lo) - leaf0) % per == 0
+        assert self._block is not None and (self._block.first != before) == first, leaf
+        return plan
+
+    monkeypatch.setattr(HistoryEngine, "_enter_block", checked_enter_block)
+    monkeypatch.setattr(HistoryEngine, "_enter", checked_enter)
+    V = random_values(tree.mesh.N, engine.m)
+    engine.run_schedule(lambda n, hist: V[n - 1])
+    assert built == list(range(leaf0, leaf0 + tree.Q ** tree.G, per))
