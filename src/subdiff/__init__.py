@@ -14,12 +14,11 @@ modules.
 from .clustering import max_depth
 from .dg_stepper import RunConfig, RunResult, fast_run, optimal_eta, slow_run
 from .history_engine import SolutionSink
-from .reference_solution import LaplaceContour, max_nodal_error, u11
+from .reference_solution import max_nodal_error, u11
 from .spatial_fem import SeparableSource, SpatialGrid, benchmark_source, sine_mode
 from .time_mesh import TimeMesh, mesh_from_levels, uniform_mesh
 
 __all__ = [
-    "LaplaceContour",
     "RunConfig",
     "RunResult",
     "SeparableSource",

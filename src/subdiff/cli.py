@@ -13,45 +13,15 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .clustering import ClusterTree
 from .dg_stepper import RunConfig, fast_run, slow_run, stability_diagnostic
 from .history_engine import SolutionSink
 from .reference_solution import u11
 from .spatial_fem import EllipticSolver, SpatialGrid, l2_norm, sine_mode, benchmark_source
 from .time_mesh import uniform_mesh
-
-
-@dataclass
-class ExperimentSpec:
-    """Full description of one CLI invocation."""
-
-    nu: float = 0.5
-    T: float = 6.0
-    N: int = 2000
-    dim: int = 2
-    m: int = 40
-    K: float | None = None
-    mode: str = "both"
-    r: int | None = None
-    eta: float | None = None
-    Q: int = 2
-    G: int | None = None
-    diag_stability: bool = False
-    out: Path = Path(".")
-    sweep_N: list[int] = field(default_factory=list)
-    sweep_r: list[int] = field(default_factory=list)
-
-    def diffusivity(self) -> float:
-        # default puts the lowest Laplacian eigenvalue at 1, matching the
-        # closed-form reference solution
-        if self.K is not None:
-            return self.K
-        return 1.0 / (self.dim * math.pi**2)
 
 
 def _int_list(text: str) -> list[int]:
@@ -61,6 +31,8 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError("list must be nonempty")
+    if len(set(values)) < len(values):  # two runs would write one stream file
+        raise argparse.ArgumentTypeError(f"values must be distinct, got {text!r}")
     return values
 
 
@@ -93,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The parsed command line, with Q and K given their defaults."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.eta is not None and args.mode == "slow":
@@ -110,15 +83,15 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
                          "with --mode slow it needs --diag-stability")
     if not 0.0 < args.nu < 1.0:
         parser.error("--nu must lie in (0, 1)")
-    Q = 2 if args.Q is None else args.Q
-    if Q < 2:
+    if args.Q is None:
+        args.Q = 2
+    if args.Q < 2:
         parser.error("--Q must be at least 2")
-    return ExperimentSpec(
-        nu=args.nu, T=args.T, N=args.N, dim=args.dim, m=args.m, K=args.K,
-        mode=args.mode, r=args.r, eta=args.eta, Q=Q, G=args.G,
-        diag_stability=args.diag_stability, out=args.out,
-        sweep_N=args.sweep_N or [], sweep_r=args.sweep_r or [],
-    )
+    if args.K is None:
+        # puts the lowest Laplacian eigenvalue at 1, matching the
+        # closed-form reference solution
+        args.K = 1.0 / (args.dim * math.pi**2)
+    return args
 
 
 REPORT_COLUMNS = ["mode", "r", "eta", "N", "max_nodal_error", "setup_s",
@@ -126,21 +99,19 @@ REPORT_COLUMNS = ["mode", "r", "eta", "N", "max_nodal_error", "setup_s",
 CHUNK_VALUES = 1 << 17  # solution values read back at a time for the errors
 
 
-def _config(spec: ExperimentSpec, N: int, r: int | None) -> RunConfig:
+def _config(spec: argparse.Namespace, N: int, r: int | None) -> RunConfig:
     """The configuration of one run with N steps and expansion order r."""
-    grid = SpatialGrid(dim=spec.dim, m=spec.m, K=spec.diffusivity())
+    grid = SpatialGrid(dim=spec.dim, m=spec.m, K=spec.K)
     return RunConfig(nu=spec.nu, mesh=uniform_mesh(N, spec.T), grid=grid, r=r,
                      eta=spec.eta, Q=spec.Q, G=spec.G)
 
 
-def _single_run(spec: ExperimentSpec, mode: str, N: int, r: int | None,
+def _single_run(spec: argparse.Namespace, mode: str, config: RunConfig,
                 out: Path) -> tuple[dict, list[tuple[int, float, float]]]:
     """Execute one run and return its report row and per-step L2 errors."""
-    config = _config(spec, N, r)
-    mesh, grid = config.mesh, config.grid
+    mesh, grid, N = config.mesh, config.grid, config.mesh.N
     source = benchmark_source(grid)
-    j = 1 if spec.dim == 2 else None
-    u0 = sine_mode(grid, 1, j)
+    u0 = sine_mode(grid, 1, 1 if spec.dim == 2 else None)
     if mode == "slow":
         result = slow_run(config, source, u0)
         r_used, eta_used = "", ""
@@ -148,7 +119,7 @@ def _single_run(spec: ExperimentSpec, mode: str, N: int, r: int | None,
         def read(lo: int, hi: int) -> np.ndarray:
             return np.asarray(result.solutions[lo:hi])
     else:
-        tag = f"_r{r}" if r is not None else ""
+        tag = f"_r{config.r}" if config.r is not None else ""
         sink = SolutionSink(out / f"solution_fast_N{N}{tag}.bin",
                             {"nu": spec.nu, "T": spec.T, "N": N,
                              "dim": spec.dim, "m": spec.m, "M": grid.M})
@@ -161,13 +132,12 @@ def _single_run(spec: ExperimentSpec, mode: str, N: int, r: int | None,
 
     solver = EllipticSolver(grid)
     mode_vals = u11(spec.nu, mesh.levels[1:])
-    shape = sine_mode(grid, 1, j)
     max_err = 0.0
     step_errors = []
     chunk = max(1, CHUNK_VALUES // grid.M)
     for lo in range(0, N, chunk):
         hi = min(lo + chunk, N)
-        diff = read(lo, hi) - np.outer(mode_vals[lo:hi], shape)
+        diff = read(lo, hi) - np.outer(mode_vals[lo:hi], u0)  # u0 is the mode's shape
         max_err = np.maximum(max_err, np.max(np.abs(diff)))  # keeps a NaN, unlike max()
         step_errors += [(n, float(mesh.levels[n]), l2_norm(solver, d))
                         for n, d in enumerate(diff, start=lo + 1)]
@@ -184,28 +154,30 @@ def _single_run(spec: ExperimentSpec, mode: str, N: int, r: int | None,
     return row, step_errors
 
 
-def run(spec: ExperimentSpec) -> int:
+def run(spec: argparse.Namespace) -> int:
     out = spec.out
     modes = ["slow", "fast"] if spec.mode == "both" else [spec.mode]
     n_values = spec.sweep_N or [spec.N]
-    runs = [(N, mode, r) for N in n_values for mode in modes
+    runs = [(mode, _config(spec, N, r)) for N in n_values for mode in modes
             for r in ((spec.sweep_r or [spec.r]) if mode == "fast" else [None])]
-    setups = [(N, r) for N, mode, r in runs if mode == "fast"]
-    if spec.diag_stability:
-        setups += [(N, spec.r) for N in n_values]
-    for N, r in setups:  # a bad fast or diagnostic setup fails before any run starts
-        config = _config(spec, N, r)
+    diagnostics = [_config(spec, N, spec.r) for N in n_values] if spec.diag_stability else []
+    # a bad fast or diagnostic setup fails before any run starts
+    for config in [c for mode, c in runs if mode == "fast"] + diagnostics:
         config.resolved_params()
-        ClusterTree(config.mesh, spec.Q, config.resolved_depth())
+        config.tree()
     out.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
     error_rows: list[dict] = []
-    for N, mode, r in runs:
-        row, step_errors = _single_run(spec, mode, N, r, out)
+    for mode, config in runs:
+        try:
+            row, step_errors = _single_run(spec, mode, config, out)
+        except MemoryError as exc:
+            raise RuntimeError(f"out of memory for a grid with m={spec.m}, dim={spec.dim} "
+                               f"at N={config.mesh.N}: {exc}") from exc
         rows.append(row)
         for n, t, err in step_errors:
             error_rows.append({
-                "mode": mode, "r": row["r"], "N": N, "step": n,
+                "mode": mode, "r": row["r"], "N": row["N"], "step": n,
                 "t": f"{t:.12g}", "l2_error": f"{err:.12e}",
             })
     with (out / "report.csv").open("w", newline="") as fh:
@@ -217,14 +189,13 @@ def run(spec: ExperimentSpec) -> int:
         writer.writeheader()
         writer.writerows(error_rows)
 
-    if spec.diag_stability:
+    if diagnostics:
         lines = []
-        for N in n_values:
-            config = _config(spec, N, spec.r)
+        for config in diagnostics:
             report = stability_diagnostic(config)
-            tree = ClusterTree(config.mesh, spec.Q, config.resolved_depth())
+            tree = config.tree()
             lines += [
-                f"N {N}",
+                f"N {config.mesh.N}",
                 f"r {report.r}",
                 f"eta {report.eta:.12g}",
                 f"row_ratio {report.row_ratio:.6e}",
@@ -241,13 +212,8 @@ def run(spec: ExperimentSpec) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        spec = parse_args(argv)
-        try:
-            return run(spec)
-        except MemoryError as exc:
-            raise RuntimeError(f"out of memory for a grid with m={spec.m}, dim={spec.dim} "
-                               f"at N={spec.N}: {exc}") from exc
-    except (ValueError, RuntimeError, OSError) as exc:
+        return run(parse_args(argv))
+    except (MemoryError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -46,8 +46,10 @@ class RunConfig:
     Q: int = 2
     G: int | None = None
 
-    def resolved_depth(self) -> int:
-        return self.G if self.G is not None else auto_depth(self.mesh.N, self.Q)
+    def tree(self) -> ClusterTree:
+        """The run's (Q, G)-uniform cluster tree, G automatic when None."""
+        return ClusterTree(self.mesh, self.Q,
+                           self.G if self.G is not None else auto_depth(self.mesh.N, self.Q))
 
     def resolved_params(self) -> tuple[int, float]:
         """Validated expansion order and admissibility parameter: those of
@@ -119,8 +121,10 @@ def accuracy_threshold(nu: float, mesh: TimeMesh) -> float:
     return mesh.N ** (nu - 2.0)
 
 
-def select_params(nu: float, mesh: TimeMesh, r: int | None = None,
-                  r_cap: int = 30) -> tuple[int, float]:
+_R_CAP = 30  # the highest expansion order the automatic choice tries
+
+
+def select_params(nu: float, mesh: TimeMesh, r: int | None = None) -> tuple[int, float]:
     """Expansion order and admissibility parameter.
 
     With r given, eta is the cost-optimal value.  Otherwise r grows from 1
@@ -130,12 +134,12 @@ def select_params(nu: float, mesh: TimeMesh, r: int | None = None,
     if r is not None:
         return r, optimal_eta(r)
     gate = min(stability_threshold(nu, mesh), accuracy_threshold(nu, mesh))
-    for r_try in range(1, r_cap + 1):
+    for r_try in range(1, _R_CAP + 1):
         eta = optimal_eta(r_try)
         if (r_try + 1) * (eta / 2.0) ** r_try <= gate:
             return r_try, eta
     raise ValueError(
-        f"no expansion order up to {r_cap} meets the threshold {gate:.3g}; "
+        f"no expansion order up to {_R_CAP} meets the threshold {gate:.3g}; "
         "the mesh is too fine for the accuracy constant 1"
     )
 
@@ -208,8 +212,7 @@ def fast_run(config: RunConfig, source: SeparableSource | None,
     first = 0 if sink is None else sink.records
     r, eta = config.resolved_params()
     weights = WeightEngine(KernelParams(config.nu), config.mesh)
-    tree = ClusterTree(config.mesh, config.Q, config.resolved_depth())
-    engine = HistoryEngine(tree, weights, r, eta, config.grid.M)
+    engine = HistoryEngine(config.tree(), weights, r, eta, config.grid.M)
     res = _march(config, weights, source, u0, sink, RunResult(solutions=[], r=r, eta=eta),
                  t0, engine.run_schedule)
     if sink is not None:
@@ -243,7 +246,7 @@ def stability_diagnostic(config: RunConfig) -> StabilityReport:
     mesh = config.mesh
     r, eta = config.resolved_params()
     weights = WeightEngine(KernelParams(config.nu), mesh)
-    tree = ClusterTree(mesh, config.Q, config.resolved_depth())
+    tree = config.tree()
 
     N = mesh.N
     row = np.zeros(N + 1)

@@ -103,12 +103,6 @@ def omega(mu: float, t: float) -> float:
     return t ** (mu - 1.0) / gamma(mu)
 
 
-def beta_diag(params: KernelParams, mesh: TimeMesh, n: int) -> float:
-    """Diagonal weight beta_nn = k_n^nu / Gamma(1+nu)."""
-    k = mesh.step(n)
-    return k**params.nu / gamma(1.0 + params.nu)
-
-
 def _result(x: np.ndarray):
     """A float for a 0-d result, the array otherwise."""
     return float(x) if x.ndim == 0 else x
@@ -304,7 +298,7 @@ class WeightEngine:
         self._gamma_diag = gamma(1.0 + params.nu)  # every step's diagonal weight divides by it
 
     def diag(self, n: int) -> float:
-        """beta_nn, as beta_diag gives it."""
+        """Diagonal weight beta_nn = k_n^nu / Gamma(1+nu)."""
         return self.mesh.step(n) ** self.params.nu / self._gamma_diag
 
     def offdiag(self, n, j):

@@ -80,7 +80,7 @@ import numpy as np
 
 from .clustering import Cluster, ClusterTree, Cover
 from .frac_weights import WeightEngine
-from .taylor_expansion import phi_coeffs, psi_coeffs
+from .taylor_expansion import ExpansionParams, phi_coeffs, psi_coeffs
 
 
 @dataclass
@@ -254,10 +254,7 @@ class HistoryEngine:
 
     def __init__(self, tree: ClusterTree, weights: WeightEngine, r: int,
                  eta: float, m: int):
-        if r < 1:
-            raise ValueError("expansion order r must be at least 1")
-        if not 0.0 < eta <= 1.0 or eta != eta:
-            raise ValueError("eta must lie in (0, 1]")
+        ExpansionParams(r, eta)  # rejects an r or eta out of range
         self.tree = tree
         self.weights = weights
         self.r = r

@@ -15,7 +15,6 @@ sees the branch cut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,44 +25,32 @@ class ContourAccuracyError(RuntimeError):
     """Raised when the contour quadrature's error estimate is too large."""
 
 
-@dataclass(frozen=True)
-class LaplaceContour:
-    """Hyperbolic contour z(x) = scale/t * (1 + sin(i x - angle)).
+# Hyperbolic contour z(x) = scale/t * (1 + sin(i x - angle)) with the
+# standard optimized parameters for integrands analytic off the negative
+# real axis: scale 4.4921 * nodes, asymptotic half-angle 1.1721, uniform
+# step 1.0818 / nodes.  u11 sums it at _NODES and 2 * _NODES nodes.
+_NODES = 32
+_SCALE = 4.4921
+_ANGLE = 1.1721
 
-    Defaults follow the standard optimized parameters for integrands
-    analytic off the negative real axis: scale 4.4921 * nodes, asymptotic
-    half-angle 1.1721, uniform step 1.0818 / nodes.
+
+def _quadrature(t, nodes: int):
+    """Contour points and trapezoid weights (z, w), 2 * nodes + 1 of each,
+    for time t; the inversion is sum of Re(w * e^{z t} * fhat(z)).  An
+    array of times gives one row of points and weights per time.
+
+    The contour size is set from _NODES, not from nodes, so raising nodes
+    refines the rule on a fixed contour: the exponential factor on the
+    contour grows like exp((1 - sin(angle)) * scale * _NODES), and a
+    larger contour would amplify roundoff (near 1e-11 at 32 nodes).
     """
-
-    nodes: int = 32
-    scale: float = 4.4921
-    angle: float = 1.1721
-
-    def __post_init__(self):
-        if self.nodes < 8:
-            raise ValueError("need at least 8 quadrature nodes")
-
-    def quadrature(self, t, nodes: int | None = None):
-        """Contour points and trapezoid weights (z, w) for time t; the
-        inversion is sum of Re(w * e^{z t} * fhat(z)).  An array of times
-        gives one row of points and weights per time.
-
-        The contour size is always set from the base node count, so that
-        raising `nodes` refines the rule on a fixed contour; growing the
-        contour with the node count would amplify roundoff instead.
-        """
-        K = self.nodes if nodes is None else nodes
-        hstep = 1.0818 / K
-        # The exponential factor on the contour grows like
-        # exp((1 - sin(angle)) * scale * K_mu), so the contour size is
-        # capped at its 32-node value to keep roundoff near 1e-11;
-        # node counts beyond that only refine the quadrature rule.
-        mu = self.scale * min(self.nodes, 32) / np.asarray(t, dtype=float)[..., None]
-        x = hstep * np.arange(-K, K + 1)
-        z = mu * (1.0 + np.sin(1j * x - self.angle))
-        dz = 1j * mu * np.cos(1j * x - self.angle)
-        w = hstep * dz / (2j * np.pi)
-        return z, w
+    hstep = 1.0818 / nodes
+    mu = _SCALE * _NODES / np.asarray(t, dtype=float)[..., None]
+    x = hstep * np.arange(-nodes, nodes + 1)
+    z = mu * (1.0 + np.sin(1j * x - _ANGLE))
+    dz = 1j * mu * np.cos(1j * x - _ANGLE)
+    w = hstep * dz / (2j * np.pi)
+    return z, w
 
 
 def _u11_hat(nu: float, z, forced: bool):
@@ -85,8 +72,7 @@ def _forcing_residue(nu: float) -> complex:
 _BLOCK_BYTES = 2**17
 
 
-def u11(nu: float, t, contour: LaplaceContour = LaplaceContour(),
-        forced: bool = True):
+def u11(nu: float, t, forced: bool = True):
     """Time factor of the exact benchmark solution at time t > 0: a float
     for a scalar t, an array of the same shape for an array of times.
 
@@ -100,11 +86,11 @@ def u11(nu: float, t, contour: LaplaceContour = LaplaceContour(),
     if np.any(flat <= 0.0):
         raise ValueError("u11 requires t > 0")
     out = np.empty(flat.size)
-    block = max(1, _BLOCK_BYTES // (16 * (4 * contour.nodes + 1)))
+    block = max(1, _BLOCK_BYTES // (16 * (4 * _NODES + 1)))
     for lo in range(0, flat.size, block):
         tb = flat[lo:lo + block]
-        base = _u11_eval(nu, tb, contour, forced, contour.nodes)
-        fine = _u11_eval(nu, tb, contour, forced, 2 * contour.nodes)
+        base = _u11_eval(nu, tb, forced, _NODES)
+        fine = _u11_eval(nu, tb, forced, 2 * _NODES)
         err = np.abs(fine - base)
         bad = np.flatnonzero(err > 1e-8)
         if bad.size:
@@ -116,10 +102,9 @@ def u11(nu: float, t, contour: LaplaceContour = LaplaceContour(),
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
-def _u11_eval(nu: float, t: np.ndarray, contour: LaplaceContour, forced: bool,
-              nodes: int) -> np.ndarray:
-    """The contour sum at each time of the 1D array t."""
-    z, w = contour.quadrature(t, nodes)
+def _u11_eval(nu: float, t: np.ndarray, forced: bool, nodes: int) -> np.ndarray:
+    """The contour sum with nodes nodes at each time of the 1D array t."""
+    z, w = _quadrature(t, nodes)
     vals = _u11_hat(nu, z, forced)
     pole_part = 0.0
     if forced:

@@ -1,11 +1,13 @@
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from subdiff import cli, dg_stepper
-from subdiff.cli import main, parse_args, run
-from subdiff.spatial_fem import SeparableSource
+from subdiff.cli import build_parser, main, parse_args, run
+from subdiff.spatial_fem import EllipticSolver, SeparableSource
 
 
 def test_parse_defaults():
@@ -17,7 +19,8 @@ def test_parse_defaults():
     assert spec.m == 40
     assert spec.mode == "both"
     assert spec.r is None and spec.eta is None
-    assert spec.diffusivity() == pytest.approx(1.0 / (2 * np.pi**2))
+    assert spec.Q == 2 and spec.G is None
+    assert spec.K == pytest.approx(1.0 / (2 * np.pi**2))
 
 
 def test_parse_full_flag_set():
@@ -28,11 +31,18 @@ def test_parse_full_flag_set():
     )
     assert spec.nu == 0.25
     assert spec.K == 0.5
-    assert spec.diffusivity() == 0.5
     assert spec.Q == 4 and spec.G == 3
     assert spec.sweep_N == [64, 128]
     assert spec.sweep_r == [4, 5]
     assert spec.diag_stability
+
+
+def test_readme_command_line_section_names_every_option():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = re.search(r"^## Command line$(.*?)^## ", readme, re.M | re.S).group(1)
+    options = [o for a in build_parser()._actions if a.dest != "help" for o in a.option_strings]
+    missing = [o for o in options if not re.search(re.escape(o) + r"(?![\w-])", section)]
+    assert not missing
 
 
 @pytest.mark.parametrize(
@@ -50,6 +60,8 @@ def test_parse_full_flag_set():
         ["--Q", "0"],
         ["--Q", "3", "--mode", "slow"],
         ["--G", "2", "--mode", "slow"],
+        ["--sweep-N", "16,16"],  # both runs would write solution_fast_N16.bin
+        ["--sweep-r", "3,4,3", "--mode", "fast"],
     ],
 )
 def test_usage_errors(argv):
@@ -195,19 +207,28 @@ def test_bad_fast_setup_fails_before_any_run(capsys, tmp_path, monkeypatch, flag
 
 
 def test_main_reports_a_grid_too_large_for_memory(capsys, tmp_path, monkeypatch):
-    """A grid whose solver cannot be allocated is an error naming m and dim,
-    not a traceback.  The allocation failure is simulated: a real oversized
-    grid would first build its m-sized sine modes."""
-    def no_memory(grid):
-        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
-                          "(99999, 99999) and data type int64")
+    """A grid whose solver cannot be allocated is an error naming m, dim and
+    the failing run's N, not a traceback.  The allocation failure is
+    simulated, after `solvers` solvers were built: a real oversized grid
+    would first build its m-sized sine modes."""
+    for flags, m, solvers, failing_N in [("--N 8", 100000, 0, 8),
+                                         ("--sweep-N 8,16", 4, 1, 16)]:  # the second run fails
+        built = []
 
-    monkeypatch.setattr(dg_stepper, "EllipticSolver", no_memory)
-    code = main(f"--mode slow --dim 1 --N 8 --m 100000 --out {tmp_path}".split())
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: out of memory for a grid with m=100000, dim=1 at N=8: ")
-    assert "74.5 GiB" in err and "Traceback" not in err
+        def no_memory(grid):
+            if len(built) == solvers:
+                raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                                  "(99999, 99999) and data type int64")
+            built.append(grid)
+            return EllipticSolver(grid)
+
+        monkeypatch.setattr(dg_stepper, "EllipticSolver", no_memory)
+        code = main(f"--mode slow --dim 1 {flags} --m {m} --out {tmp_path}".split())
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out of memory for a grid with m={m}, dim=1 "
+                              f"at N={failing_N}: ")
+        assert "74.5 GiB" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -233,7 +233,7 @@ def perturbed_levels(N, seed):
 def auto_tree(levels, nu, Q):
     """The tree, with automatic (r, eta) and depth, that fast_run builds."""
     config = RunConfig(nu=nu, mesh=mesh_from_levels(levels), grid=SpatialGrid(dim=1, m=8), Q=Q)
-    return ClusterTree(config.mesh, Q, config.resolved_depth()), config.resolved_params()[1]
+    return config.tree(), config.resolved_params()[1]
 
 
 COVER_TREES = {

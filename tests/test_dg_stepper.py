@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from subdiff import dg_stepper
 from subdiff.clustering import ClusterTree
 from subdiff.dg_stepper import (
     RunConfig,
@@ -68,10 +69,11 @@ def test_select_params_auto_meets_both_gates():
     assert (r2 + 1) * (optimal_eta(r2) / 2.0) ** r2 > gate
 
 
-def test_select_params_r_cap():
+def test_select_params_r_cap(monkeypatch):
+    monkeypatch.setattr(dg_stepper, "_R_CAP", 3)
     mesh = uniform_mesh(4096, 1.0)
-    with pytest.raises(ValueError, match="expansion order"):
-        select_params(0.5, mesh, r_cap=3)
+    with pytest.raises(ValueError, match="no expansion order up to 3"):
+        select_params(0.5, mesh)
 
 
 def problem(N=32, m=16, dim=1, nu=0.5, T=1.0):

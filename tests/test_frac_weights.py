@@ -12,13 +12,12 @@ from subdiff.frac_weights import (
     SeriesConvergenceError,
     WeightEngine,
     beta_adjacent,
-    beta_diag,
     beta_interval,
     beta_offdiag,
     omega,
 )
 from subdiff.time_mesh import mesh_from_levels, uniform_mesh
-from weight_oracles import b_mu, beta_direct, beta_half, beta_separated_series, d_mu
+from weight_oracles import b_mu, beta_diag, beta_direct, beta_half, beta_separated_series, d_mu
 
 
 def beta_quadrature(nu, source, target):

@@ -382,10 +382,11 @@ def test_engine_validation():
     mesh = uniform_mesh(8, 1.0)
     weights = WeightEngine(KernelParams(0.5), mesh)
     tree = ClusterTree(mesh, 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="r must be at least 1"):
         HistoryEngine(tree, weights, r=0, eta=0.5, m=1)
-    with pytest.raises(ValueError):
-        HistoryEngine(tree, weights, r=3, eta=1.5, m=1)
+    for eta in (1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\]"):
+            HistoryEngine(tree, weights, r=3, eta=eta, m=1)
 
 
 def test_counters_allocate_release():

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from subdiff import reference_solution
 from subdiff.frac_weights import KernelParams, WeightEngine
 from subdiff.reference_solution import (
     ContourAccuracyError,
-    LaplaceContour,
+    _u11_eval,
     direct_history_sum,
     max_nodal_error,
     mittag_leffler_series,
@@ -38,17 +39,17 @@ def test_u11_initial_value_and_positivity():
 
 
 def test_node_doubling_invariance():
-    base = LaplaceContour()
-    rich = LaplaceContour(nodes=64)
-    for t in (3.75e-4, 0.01, 1.0, 6.0):
-        assert u11(0.5, t, base) == pytest.approx(u11(0.5, t, rich), abs=5e-10)
+    """u11's sum (64 nodes) agrees with one of twice the nodes on the same
+    contour."""
+    t = np.array([3.75e-4, 0.01, 1.0, 6.0])
+    np.testing.assert_allclose(_u11_eval(0.5, t, True, 64), _u11_eval(0.5, t, True, 128),
+                               rtol=0, atol=5e-10)
+    np.testing.assert_array_equal(u11(0.5, t), _u11_eval(0.5, t, True, 64))
 
 
 def test_u11_validation():
     with pytest.raises(ValueError):
         u11(0.5, 0.0)
-    with pytest.raises(ValueError):
-        LaplaceContour(nodes=4)
 
 
 def test_u11_array_form_matches_scalar_calls():
@@ -67,14 +68,14 @@ def test_u11_array_form_matches_scalar_calls():
         u11(0.5, np.array([1.0, 0.0]))
 
 
-def test_contour_error_names_first_failing_time():
+def test_contour_error_names_first_failing_time(monkeypatch):
     """With 9 nodes the estimate passes at t = 0.1 and fails from t = 0.5
     on; the first failure in array order is named, past a block boundary."""
-    coarse = LaplaceContour(nodes=9)
+    monkeypatch.setattr(reference_solution, "_NODES", 9)
     with pytest.raises(ContourAccuracyError, match=r"at t=2\.0$"):
-        u11(0.5, np.r_[np.full(1800, 0.1), 2.0, 0.5], coarse)
+        u11(0.5, np.r_[np.full(1800, 0.1), 2.0, 0.5])
     with pytest.raises(ContourAccuracyError, match=r"at t=0\.5$"):
-        u11(0.5, 0.5, coarse)
+        u11(0.5, 0.5)
 
 
 def test_mittag_leffler_series_known_values():

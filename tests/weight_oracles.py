@@ -1,13 +1,21 @@
 """Scalar and closed-form cross-checks of the history weights, used only
-by the tests: the local kernel averages B_mu, the direct difference of
-two of them, the nu = 1/2 square-root form and the separated-interval
-series as a function of interval endpoints."""
+by the tests: the diagonal weight beta_nn, the local kernel averages
+B_mu, the direct difference of two of them, the nu = 1/2 square-root
+form and the separated-interval series as a function of interval
+endpoints."""
 
 from __future__ import annotations
 
 import math
 
-from subdiff.frac_weights import _common, _half, _result, _series, omega
+from subdiff.frac_weights import KernelParams, _common, _half, _result, _series, gamma, omega
+from subdiff.time_mesh import TimeMesh
+
+
+def beta_diag(params: KernelParams, mesh: TimeMesh, n: int) -> float:
+    """Diagonal weight beta_nn = k_n^nu / Gamma(1+nu)."""
+    k = mesh.step(n)
+    return k**params.nu / gamma(1.0 + params.nu)
 
 
 def d_mu(mu: float, x: float) -> float:
