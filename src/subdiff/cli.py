@@ -166,6 +166,9 @@ def run(spec: argparse.Namespace) -> int:
         config.resolved_params()
         config.tree()
     out.mkdir(parents=True, exist_ok=True)
+    # a run that fails partway must leave no summary of an earlier run
+    for name in ("report.csv", "errors.csv", "tree_dump.txt"):
+        (out / name).unlink(missing_ok=True)
     rows: list[dict] = []
     error_rows: list[dict] = []
     for mode, config in runs:
@@ -202,11 +205,15 @@ def run(spec: argparse.Namespace) -> int:
                 f"col_ratio {report.col_ratio:.6e}",
                 f"certified {report.certified}",
                 "",
+                tree.dump(),
             ]
             for leaf in tree.leaves():
-                lines.append(f"leaf {leaf}")
-                lines.append(tree.dump(tree.minimal_cover(leaf, report.eta)))
-        (out / "tree_dump.txt").write_text("\n".join(lines) + "\n")
+                cover = tree.minimal_cover(leaf, report.eta)
+                near, far = ("".join(f" C({c.lo},{c.hi})" for c in part)
+                             for part in (cover.near, cover.far))
+                lines.append(f"leaf C({leaf.lo},{leaf.hi}) near{near} far{far}")
+            lines.append("")
+        (out / "tree_dump.txt").write_text("\n".join(lines))
     return 0
 
 

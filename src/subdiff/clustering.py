@@ -15,8 +15,10 @@ parent nor nearer to the leaf, so admissibility is monotone from parent to
 child, and a node is in the cover exactly when it lies in the history, is
 admissible or a leaf, and its parent is not admissible: one boolean mask
 over the node arrays per leaf.  The nodes whose parent is admissible are
-exactly those under a far member; the cover carries them as `dead`, the
-nodes whose values neither this leaf nor any later one needs.
+exactly those under a far member, and admissibility only grows as the
+leaf moves right, so neither this leaf nor any later one needs their
+values: `parent_admissible` answers that one query, for the cover's
+members and for the history engine's frees alike.
 """
 
 from __future__ import annotations
@@ -45,15 +47,11 @@ class Cluster(NamedTuple):
 class Cover:
     """Partition of a leaf's history into near (exact) and far (low-rank)
     parts, as node ids by generation, then time; `near` and `far` give
-    their Clusters when read.  `dead` flags, per node id, the nodes under
-    a far member: their moments stand in for them now, and admissibility
-    only grows as the leaf moves right, so no later leaf needs them
-    either."""
+    their Clusters when read."""
 
     leaf: Cluster
     near_ids: tuple[int, ...]
     far_ids: tuple[int, ...]
-    dead: np.ndarray = field(compare=False, repr=False)
     nodes: list[Cluster] = field(compare=False, repr=False)  # the tree's Clusters by id
 
     @property
@@ -98,6 +96,10 @@ class ClusterTree:
         # meshes, so admissibility ties at the threshold are exact; times otherwise
         self._x = np.arange(N + 1.0) if mesh.uniform else mesh.levels
         self._length, self._end = self._extent(self.lo, self.hi)
+        # the extent of each node's parent; the root stands in for its own,
+        # which ends at step N, so it is never admissible
+        parent = np.maximum(np.arange(self.first[-1]) - 1, 0) // Q
+        self._parent_length, self._parent_end = self._length[parent], self._end[parent]
         lv = mesh.levels
         self._midpoint = 0.5 * (lv[self.lo - 1] + lv[self.hi])
         self._first_of = np.array(self.first)[self.generation]  # per node: its generation's first id
@@ -159,29 +161,27 @@ class ClusterTree:
             raise ValueError(f"{leaf} is not a leaf of this tree")
         h, leaf0 = leaf.lo - 1, self.first[self.G]
         adm = self._admissible(self._length, self._end, h, eta)
-        dead = np.zeros_like(adm)
-        dead[1:] = np.repeat(adm[:leaf0], self.Q)  # node i's parent is (i - 1) // Q
         member = adm.copy()
         member[leaf0:] |= self.hi[leaf0:] <= h
-        ids = np.flatnonzero(member & ~dead)
+        ids = np.flatnonzero(member & ~self.parent_admissible(np.s_[:], h, eta))
         far = adm[ids]
         near_ids, far_ids = tuple(ids[~far].tolist()), tuple(ids[far].tolist())
-        return Cover(leaf=leaf, near_ids=near_ids, far_ids=far_ids, dead=dead, nodes=self.nodes)
+        return Cover(leaf=leaf, near_ids=near_ids, far_ids=far_ids, nodes=self.nodes)
+
+    def parent_admissible(self, ids, h: int, eta: float) -> np.ndarray:
+        """Whether the parent of each node in ids, an id array or a slice
+        of the ids, is admissible for the history (0, t_h]: true exactly
+        for the nodes under a far member of the cover of the leaf starting
+        at step h + 1, and still true for every later leaf.  False for
+        the root."""
+        return self._admissible(self._parent_length[ids], self._parent_end[ids], h, eta)
 
     # -- debug output -------------------------------------------------------
 
-    def dump(self, cover: Cover | None = None) -> str:
-        """Indented one-node-per-line rendering, optionally tagging a cover."""
-        tags: dict[int, str] = {}
-        if cover is not None:
-            tags.update(dict.fromkeys(cover.near_ids, "NEAR"))
-            tags.update(dict.fromkeys(cover.far_ids, "FAR"))
-            tags[self.leaf_id(cover.leaf.lo)] = "LEAF*"
-        lines = []
-        for i, (c, g) in enumerate(zip(self.nodes, self.generation.tolist())):
-            tag = f"  [{tags[i]}]" if i in tags else ""
-            lines.append(f"{'  ' * g}gen{g} C({c.lo},{c.hi}){tag}")
-        return "\n".join(lines) + "\n"
+    def dump(self) -> str:
+        """Indented one-node-per-line rendering of the tree."""
+        return "".join(f"{'  ' * g}gen{g} C({c.lo},{c.hi})\n"
+                       for c, g in zip(self.nodes, self.generation.tolist()))
 
 
 def max_depth(N: int, Q: int) -> int:

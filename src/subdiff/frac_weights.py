@@ -7,11 +7,11 @@ scheme couples step n to past step j through the weight
 
 with diagonal weight beta_nn = k_n^nu / Gamma(1+nu).  Direct evaluation of
 beta_nj loses precision once the step sizes are small relative to the
-separation of the intervals, so three stable routes are provided:
+separation of the intervals, so two stable routes are provided, for
+every nu alike:
 
 * an exact closed form for adjacent intervals (j = n-1),
-* an even-power series in the source step for separated intervals,
-* a square-root closed form special to nu = 1/2.
+* an even-power series in the source step for separated intervals.
 
 The weight functions take arrays: the interval endpoints given to
 beta_interval, and the indices n, j given to beta_offdiag and
@@ -222,25 +222,11 @@ def _series(nu: float, kj, kn, delta) -> np.ndarray:
     return out
 
 
-def _half(kj, kn, delta):
-    rpp = np.sqrt(delta + 0.5 * kj + 0.5 * kn)
-    rpm = np.sqrt(delta + 0.5 * kj - 0.5 * kn)
-    rmp = np.sqrt(delta - 0.5 * kj + 0.5 * kn)
-    rmm = np.sqrt(delta - 0.5 * kj - 0.5 * kn)
-    g32 = gamma(1.5)
-    return (
-        kn * kj / g32
-        / ((rmp + rmm) * (rpp + rpm))
-        * (1.0 / (rpp + rmp) + 1.0 / (rpm + rmm))
-    )
-
-
 def beta_interval(nu: float, source, target):
     """Stable weight for source/target interval pairs.
 
     Dispatch per pair: adjacent closed form where the intervals touch,
-    otherwise the nu = 1/2 square-root form when applicable, else the
-    even-power series.
+    otherwise the even-power series.
     """
     s0, s1, t0, t1 = _common(*source, *target)
     kj, kn, delta = s1 - s0, t1 - t0, 0.5 * (t0 + t1) - 0.5 * (s0 + s1)
@@ -250,8 +236,7 @@ def beta_interval(nu: float, source, target):
         out[adj] = beta_adjacent(nu, kj[adj], kn[adj])
     sep = ~adj
     if sep.any():
-        pairs = kj[sep], kn[sep], delta[sep]
-        out[sep] = _half(*pairs) if nu == 0.5 else _series(nu, *pairs)
+        out[sep] = _series(nu, kj[sep], kn[sep], delta[sep])
     return _result(out)
 
 

@@ -42,9 +42,10 @@ two levels, one path on every mesh:
     per block, a block entry, the longest step of a run, stays a small
     fraction of the steps;
   - a leaf entry does what must happen at the leaf's time: one
-    free_cluster call on the held nodes the leaf's cover marks dead
-    (those under a far member, whose moments stand in for them from now
-    on: the cover, not the engine, decides what is dead), retiring the
+    free_cluster call on the held nodes whose parent is admissible for
+    the leaf (those under a far member, whose moments stand in for them
+    from now on; ClusterTree.parent_admissible is the rule, and
+    admissibility only grows as the leaf moves right), retiring the
     ancestors the schedule leaves, holding the new ones and reserving the
     leaf's own block.  Stores change only then, so the views it takes
     stay valid for the whole leaf.  It builds the leaf's plan from those
@@ -240,8 +241,6 @@ class _Block(NamedTuple):
       - its runs of consecutive ids, (first index, end index, generation,
         position) per run;
       - its ancestors' ids, root first;
-      - the held nodes its cover can newly mark dead, those its
-        predecessor's cover did not;
       - its rows of the block's exact weights, phi and psi arrays.
     No array holds an M-length vector."""
 
@@ -313,13 +312,6 @@ class HistoryEngine:
         leaves = range(first, first + per)
         covers = [tree.minimal_cover(tree.nodes[i], self.eta) for i in leaves]
         lo, offsets = tree.lo[first:first + per], np.arange(size)
-        # the dead masks only grow from leaf to leaf, and the engine frees at
-        # each entry what it holds of them, so a leaf need only look at the
-        # nodes its predecessor's mask did not have
-        dead = np.array([c.dead for c in covers])
-        dead[1:] &= ~dead[:-1]
-        row, node = np.nonzero(dead)
-        dead = np.split(node, np.searchsorted(row, range(1, per)))
         # Each leaf's near leaves and the leaf itself, then its far members by
         # generation, then in time, cut into runs of consecutive node ids.  The
         # far ids restart below the leaf's, and a generation's last node ends
@@ -372,23 +364,24 @@ class HistoryEngine:
         nfar = np.cumsum(count - nn)
         return _Block(first, list(zip(
             np.split(ids, start[1:]), nn.tolist(), nmom.tolist(),
-            np.split(runs, np.searchsorted(run0, start[1:])), chains, dead,
+            np.split(runs, np.searchsorted(run0, start[1:])), chains,
             np.split(weights, size * col0[1:]), np.split(phi, nfar[:-1]),
             np.split(psi, q0[1:]))))
 
     def _enter(self, leaf: Cluster) -> _LeafPlan:
-        """Free what leaf's cover marks dead, retire the ancestors the
-        schedule leaves, hold the new ones, reserve the leaf's block and
-        build its plan from its rows of its block's coefficients, entering
-        the block first if the leaf is its first."""
+        """Free the held nodes under the leaf's far members, retire the
+        ancestors the schedule leaves, hold the new ones, reserve the
+        leaf's block and build its plan from its rows of its block's
+        coefficients, entering the block first if the leaf is its first."""
         tree, r, m, G = self.tree, self.r, self.m, self.tree.G
         leaf_id = tree.leaf_id(leaf.lo)
         block = self._block
         if block is None or leaf_id - block.first >= len(block.leaves):
             block = self._block = None  # the old block's arrays go before the new one's come
             block = self._block = self._enter_block(leaf_id)
-        ids, nn, nmom, runs, chain, dead, exact_w, phi, psi = block.leaves[leaf_id - block.first]
-        self.free_cluster(dead[self._live[dead]])
+        ids, nn, nmom, runs, chain, exact_w, phi, psi = block.leaves[leaf_id - block.first]
+        held = np.flatnonzero(self._live)
+        self.free_cluster(held[tree.parent_admissible(held, leaf.lo - 1, self.eta)])
         old = self._chain_ids
         left = next((g for g, (a, b) in enumerate(zip(chain, old)) if a != b), len(old))
         for g in range(left, len(old)):  # the ancestors the schedule leaves move to their stores
@@ -487,6 +480,8 @@ class HistoryEngine:
         tree = self.tree
         ids = np.asarray(ids, dtype=np.intp)
         ids = ids[self._live[ids]]
+        if not ids.size:  # most leaf entries free nothing
+            return
         self._live[ids] = False
         lo = tree.lo[ids[ids >= tree.first[tree.G]]]  # the leaves among them
         kept = np.minimum(np.maximum(self.committed + 1 - lo, 0), tree.leaf_size).sum()

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subdiff import cli, dg_stepper
+from subdiff import cli, dg_stepper, history_engine
 from subdiff.cli import build_parser, main, parse_args, run
 from subdiff.spatial_fem import EllipticSolver, SeparableSource
 
@@ -146,8 +146,14 @@ def test_diag_stability_artifacts(tmp_path):
     assert run(spec) == 0
     text = (tmp_path / "tree_dump.txt").read_text()
     assert "certified True" in text
-    assert "gen0 C(1,32)" in text
-    assert "[FAR]" in text
+    assert text.count("gen0 C(1,32)") == 1  # the tree once, not once per leaf
+    leaves = [line for line in text.splitlines() if line.startswith("leaf ")]
+    assert len(leaves) == 8
+    assert leaves[0] == "leaf C(1,4) near far"
+    assert leaves[1] == "leaf C(5,8) near C(1,4) far"
+    # at eta 0.573 the last leaf sums its two predecessors exactly, and the
+    # far members come by generation, then time
+    assert leaves[-1] == "leaf C(29,32) near C(21,24) C(25,28) far C(1,8) C(9,12) C(13,16) C(17,20)"
 
 
 def test_diag_stability_follows_sweep_n(tmp_path):
@@ -229,6 +235,28 @@ def test_main_reports_a_grid_too_large_for_memory(capsys, tmp_path, monkeypatch)
         assert err.startswith(f"error: out of memory for a grid with m={m}, dim=1 "
                               f"at N={failing_N}: ")
         assert "74.5 GiB" in err and "Traceback" not in err
+
+
+def test_failed_run_leaves_no_stale_summary(tmp_path, monkeypatch):
+    """A run that fails partway, in a directory holding a complete earlier
+    run, exits 1 and leaves no report.csv, errors.csv or tree_dump.txt:
+    only its own stream, whose header counts the records written."""
+    argv = (f"--nu 0.5 --T 1 --N 16 --dim 1 --m 4 --mode fast --r 3 --Q 2 --G 2 "
+            f"--diag-stability --out {tmp_path}").split()
+    summaries = ["report.csv", "errors.csv", "tree_dump.txt"]
+    assert main(argv) == 0
+    assert all((tmp_path / name).exists() for name in summaries)
+    write = history_engine.SolutionSink.write
+
+    def fail_at_step_9(self, vec):
+        if self.records == 8:
+            raise MemoryError("simulated")
+        write(self, vec)
+
+    monkeypatch.setattr(history_engine.SolutionSink, "write", fail_at_step_9)
+    assert main(argv) == 1
+    assert [name for name in summaries if (tmp_path / name).exists()] == []
+    assert "records 8" in (tmp_path / "solution_fast_N16_r3.bin.hdr").read_text()
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -240,15 +240,16 @@ COVER_TREES = {
     "desk": lambda: (ClusterTree(uniform_mesh(2000, 6.0), 10, 3), 0.4),
     "binary-G10": lambda: (ClusterTree(uniform_mesh(4096, 6.0), 2, 10), 0.3),
     "long1d": lambda: auto_tree(perturbed_levels(4096, seed=1), 0.3, 2),
+    "long1d-seed2": lambda: auto_tree(perturbed_levels(4096, seed=2), 0.3, 2),
     "ternary-perturbed": lambda: auto_tree(perturbed_levels(729, seed=2), 0.5, 3),
 }
 
 
-@pytest.mark.parametrize("name", COVER_TREES)
-def test_cover_matches_recursive_rule(name):
+def assert_covers_match_recursive_rule(tree, eta):
     """For every leaf, the mask gives the near and far node ids of the
-    recursive rule, in id order, with Cluster views of the same ids."""
-    tree, eta = COVER_TREES[name]()
+    recursive rule, in id order, with Cluster views of the same ids.
+    Returns whether any cover has a far member."""
+    far_seen = False
     for leaf in tree.leaves():
         near, far = [], []
         divide(tree, 0, leaf, eta, near, far)
@@ -257,13 +258,30 @@ def test_cover_matches_recursive_rule(name):
         assert cover.far_ids == tuple(sorted(far))
         assert cover.near == tuple(tree.nodes[i] for i in cover.near_ids)
         assert cover.far == tuple(tree.nodes[i] for i in cover.far_ids)
+        far_seen |= bool(far)
+    return far_seen
 
 
-def test_dump_marks_cover_roles():
+@pytest.mark.parametrize("name", COVER_TREES)
+def test_cover_matches_recursive_rule(name):
+    assert_covers_match_recursive_rule(*COVER_TREES[name]())
+
+
+@pytest.mark.parametrize("eta", [1e-300, 0.25, 0.4, 0.688, 1.0])
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("N,Q,G", [(1024, 2, 8), (729, 3, 5)])
+def test_cover_matches_recursive_rule_over_eta(N, Q, G, perturbed, eta):
+    """The same over the admissibility parameter, from the vanishing limit
+    (no far member) to 1, on uniform and +-30% meshes."""
+    mesh = mesh_from_levels(perturbed_levels(N, seed=3)) if perturbed else uniform_mesh(N, 6.0)
+    assert assert_covers_match_recursive_rule(ClusterTree(mesh, Q, G), eta) == (eta > 1e-300)
+
+
+def test_dump_renders_the_tree():
+    """One line per node in id order, indented by generation, and no cover."""
     tree = tree_of(8, 2, 3)
-    cover = tree.minimal_cover(tree.leaf_of(8), 1.0)
-    text = tree.dump(cover)
-    assert "gen0 C(1,8)" in text
-    assert "C(1,2)  [FAR]" in text
-    assert "C(7,7)  [NEAR]" in text
-    assert "C(8,8)  [LEAF*]" in text
+    lines = tree.dump().splitlines()
+    assert len(lines) == len(tree.nodes)
+    assert lines[:3] == ["gen0 C(1,8)", "  gen1 C(1,4)", "  gen1 C(5,8)"]
+    assert lines[-1] == "      gen3 C(8,8)"
+    assert "[" not in tree.dump()

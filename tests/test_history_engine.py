@@ -183,7 +183,7 @@ def test_free_semantics():
 
 
 def recursive_frees(tree, live, i, out):
-    """The recursive free rule, the oracle for the cover's dead mask: a held
+    """The recursive free rule, the oracle for the engine's parent rule: a held
     node is freed, a held non-leaf after its children; a node not held
     ends the walk."""
     if live[i]:
@@ -195,8 +195,8 @@ def recursive_frees(tree, live, i, out):
 
 @pytest.mark.parametrize("name", COVER_TREES)
 def test_frees_match_recursive_rule(name, monkeypatch):
-    """At every leaf entry the engine makes at most one free_cluster call,
-    and it names exactly the ids the recursive rule frees from the same
+    """At every leaf entry the engine makes one free_cluster call, and it
+    names exactly the ids the recursive rule frees from the same
     held state: the subtrees below the children of the far non-leaf
     members that are new to this cover."""
     tree, eta = COVER_TREES[name]()
@@ -225,8 +225,7 @@ def test_frees_match_recursive_rule(name, monkeypatch):
             for k in children(tree, i):
                 recursive_frees(tree, live, k, want)
         seen = moments
-        assert len(calls) <= 1
-        assert (calls[0] if calls else []) == sorted(want), leaf
+        assert calls == [sorted(want)], leaf
         freed += len(want)
     assert freed > 0
 
@@ -266,7 +265,7 @@ def test_run_schedule_frees_history_and_bounds_memory():
     (True, 33488, 238),
 ])
 def test_run_schedule_invariants(monkeypatch, perturbed, rhs_ops, peak_values):
-    """Over a full schedule free_cluster runs at most once per leaf entered;
+    """Over a full schedule free_cluster runs once per leaf entered;
     phi_coeffs and psi_coeffs run once per block of leaves on every mesh;
     the weights come from one beta_offdiag call per block (the weight lag
     table's alone on a uniform mesh); and the operation and memory counts
@@ -291,7 +290,7 @@ def test_run_schedule_invariants(monkeypatch, perturbed, rhs_ops, peak_values):
     vals = random_values(N, m)
     engine.run_schedule(lambda n, hist: vals[n - 1])
     leaves = len(list(engine.tree.leaves()))
-    assert calls["free"] <= leaves
+    assert calls["free"] == leaves
     blocks = 2 ** (5 // 2)  # the nodes of generation G // 2
     assert calls["phi"] == calls["psi"] == blocks
     assert calls["weights"] == (blocks if perturbed else 1)

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import math
 
-from subdiff.frac_weights import KernelParams, _common, _half, _result, _series, gamma, omega
+import numpy as np
+
+from subdiff.frac_weights import KernelParams, _common, _result, _series, gamma, omega
 from subdiff.time_mesh import TimeMesh
 
 
@@ -76,8 +78,16 @@ def beta_direct(nu: float, source: tuple[float, float], target: tuple[float, flo
 
 
 def beta_half(source, target):
-    """Closed form for nu = 1/2 built from the four corner square roots."""
-    return _result(_half(*_geometry(source, target)))
+    """Closed form for nu = 1/2 built from the four corner square roots;
+    an independent cross-check of the series branch at that order."""
+    kj, kn, delta = _geometry(source, target)
+    rpp = np.sqrt(delta + 0.5 * kj + 0.5 * kn)
+    rpm = np.sqrt(delta + 0.5 * kj - 0.5 * kn)
+    rmp = np.sqrt(delta - 0.5 * kj + 0.5 * kn)
+    rmm = np.sqrt(delta - 0.5 * kj - 0.5 * kn)
+    return _result(kn * kj / gamma(1.5)
+                   / ((rmp + rmm) * (rpp + rpm))
+                   * (1.0 / (rpp + rmp) + 1.0 / (rpm + rmm)))
 
 
 def beta_separated_series(nu: float, source, target):
