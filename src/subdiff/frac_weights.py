@@ -145,30 +145,8 @@ def _series_coefficients(nu: float, count: int) -> tuple[np.ndarray, np.ndarray,
     return shared
 
 
-_SERIES_CHUNK = 128  # pairs per (pairs, _MAX_TERMS) block of series terms
 _REL_TOL = 1e-15  # a pair's series stops at its first term below _REL_TOL times its sum
-_FIRST_TERMS = 16  # terms of a first pass; most pairs stop within it
 _MAX_TERMS = 50
-
-
-def _partial_sums(nu: float, kj, kn, delta, rows, count: int):
-    """The first count terms of the series (see _series) of the pairs at
-    index rows, each pair's partial sum up to its first term below
-    _REL_TOL times that sum, and whether it got there within count terms."""
-    k_j, k_n, dist = kj[rows, None], kn[rows, None], delta[rows, None]
-    p, orders, log_coef = (x[:count] for x in _series_coefficients(nu, _MAX_TERMS))
-    a = dist + 0.5 * k_n
-    log1p_x = np.log1p(-k_n / a)
-    lead = a ** (nu - 1.0) / gamma(nu) * np.expm1((nu - 1.0) * log1p_x) * k_j  # term 0
-    # a^mu (-D_mu(x)) = (a - k_n)^mu h_p with h_p = -expm1(-mu log1p(-x)) in (0, 1)
-    log_h = np.log(-np.expm1(log1p_x * orders))
-    log_ratio = log_coef + p * (2.0 * np.log(k_j / (a - k_n))) + (log_h - log_h[:, :1])
-    terms = lead * np.exp(log_ratio)
-    totals = np.cumsum(terms, axis=1)
-    done = terms < _REL_TOL * totals
-    stop = done.argmax(axis=1)
-    at = np.arange(stop.size)
-    return terms, totals[at, stop], done[at, stop]
 
 
 def _series(nu: float, kj, kn, delta) -> np.ndarray:
@@ -186,40 +164,41 @@ def _series(nu: float, kj, kn, delta) -> np.ndarray:
     (k_j / (2*Delta - k_n))^2 < 1.  Each term is the leading term times
     the exponential of its log-ratio to it, so no power over- or
     underflows.  A pair's value is its partial sum up to the first term
-    below _REL_TOL times that sum.  A first pass forms _FIRST_TERMS terms
-    of every pair; the pairs that do not stop within them, a few percent
-    on quasiuniform meshes, are formed again with _MAX_TERMS terms, up to
-    _SERIES_CHUNK pairs at a time.  The partial sums are sequential, so a
-    pair gets the same value from either pass.  Neither pass forms more
-    than _SERIES_CHUNK * _MAX_TERMS terms at once, however many pairs one
-    call asks for.  If a pair stops in no term, SeriesConvergenceError
-    reports the pairs that fail among the first failing one's
-    _SERIES_CHUNK consecutive pairs.
+    below _REL_TOL times that sum.  The terms are added one order at a
+    time over the pairs still summing, and a pair drops out at its
+    stopping term, so no array holds more than one value per pair.  If
+    pairs are still summing after _MAX_TERMS terms,
+    SeriesConvergenceError counts them.
     """
     if np.any(delta <= 0.5 * (kj + kn)):
         raise ValueError("series branch requires disjoint source left of target")
-    out, done = np.empty(kj.shape), np.empty(kj.shape, dtype=bool)
-    first = min(_FIRST_TERMS, _MAX_TERMS)
-    step = _SERIES_CHUNK * _MAX_TERMS // first
-    for i in range(0, kj.size, step):
-        part = slice(i, i + step)
-        _, out[part], done[part] = _partial_sums(nu, kj, kn, delta, part, first)
-    rest = np.flatnonzero(~done)
-    for i in range(0, rest.size, _SERIES_CHUNK):
-        rows = rest[i:i + _SERIES_CHUNK]
-        _, out[rows], ok = _partial_sums(nu, kj, kn, delta, rows, _MAX_TERMS)
-        if not ok.all():
-            chunk = rows[np.argmin(ok)] // _SERIES_CHUNK
-            rows = rest[rest // _SERIES_CHUNK == chunk]
-            terms, _, ok = _partial_sums(nu, kj, kn, delta, rows, _MAX_TERMS)
-            j = np.argmin(ok)
-            ratio = terms[j, -1] / terms[j, -2]
-            raise SeriesConvergenceError(
-                f"weight series did not reach rel_tol={_REL_TOL} in {_MAX_TERMS} terms "
-                f"for {np.count_nonzero(~ok)} pair(s) (last term ratio {ratio:.3g})",
-                last_ratio=float(ratio),
-            )
-    return out
+    _, orders, log_coef = _series_coefficients(nu, _MAX_TERMS)
+    a = delta + 0.5 * kn
+    log1p_x = np.log1p(-kn / a)
+    lead = a ** (nu - 1.0) / gamma(nu) * np.expm1((nu - 1.0) * log1p_x) * kj  # term 0
+    log_q = 2.0 * np.log(kj / (a - kn))  # term p's log-ratio has p of these
+    # a^mu (-D_mu(x)) = (a - k_n)^mu h_p with h_p = -expm1(-mu log1p(-x)) in (0, 1)
+    log_h0 = np.log(-np.expm1(log1p_x * orders[0]))
+    out, total, term = np.empty(kj.shape), np.zeros(kj.shape), np.zeros(kj.shape)
+    rows = np.arange(kj.size)  # the pairs still summing
+    for p in range(_MAX_TERMS):
+        log_h = np.log(-np.expm1(log1p_x * orders[p]))
+        prev, term = term, lead * np.exp(log_coef[p] + p * log_q + (log_h - log_h0))
+        total += term
+        done = term < _REL_TOL * total
+        if done.any():
+            out[rows[done]] = total[done]
+            go = ~done
+            rows, total, prev, term, lead, log1p_x, log_q, log_h0 = (
+                x[go] for x in (rows, total, prev, term, lead, log1p_x, log_q, log_h0))
+        if not rows.size:
+            return out
+    ratio = term[0] / prev[0]
+    raise SeriesConvergenceError(
+        f"weight series did not reach rel_tol={_REL_TOL} in {_MAX_TERMS} terms "
+        f"for {rows.size} pair(s) (last term ratio {ratio:.3g})",
+        last_ratio=float(ratio),
+    )
 
 
 def beta_interval(nu: float, source, target):

@@ -13,20 +13,19 @@ Storage is one block store per tree generation: a leaf's block holds its
 retained vectors, a non-leaf's block its r moment vectors, and block p of
 a generation sits at row p - base of the store's buffer.  Blocks are
 reserved in time order and freed in roughly the same order, so the live
-blocks lie in one window of consecutive positions.  The moments of the
-current leaf's non-leaf ancestors live in one (G, r, M) chain
-accumulator instead.  A commit only stores U^n in the leaf's block; the
-moments are linear in the vectors, so the leaf's last commit adds the
-whole leaf into the chain with one (G, r, leaf size) @ (leaf size, M)
-product.  No step of a leaf reads its ancestors' moments (an ancestor is
-never in its own leaf's cover), and an ancestor's row moves into its
-generation's store when the schedule leaves it.
+blocks lie in one window of consecutive positions.  A non-leaf's block
+is reserved, zeroed, when the schedule enters its first leaf, and the
+engine keeps the blocks of the current leaf's G ancestors.  A commit only
+stores U^n in the leaf's block; the moments are linear in the vectors, so
+the leaf's last commit adds the whole leaf into its ancestors' blocks
+with one (G, r, leaf size) @ (leaf size, M) product.  No step of a leaf
+reads its ancestors' moments (an ancestor is never in its own leaf's
+cover).
 
-One flag per node id records whether the engine holds the node's
-values, in its store block or in the chain accumulator.  Everything a
-step needs depends on its leaf alone, and a leaf's coefficients depend
-only on the mesh and the tree, not on the stores, so the engine plans in
-two levels, one path on every mesh:
+One flag per node id records whether the engine holds the node's store
+block.  Everything a step needs depends on its leaf alone, and a leaf's
+coefficients depend only on the mesh and the tree, not on the stores, so
+the engine plans in two levels, one path on every mesh:
   - a block is the set of leaves under one node of generation G // 2.
     When the schedule enters a block's first leaf, the engine builds the
     covers of all its leaves and their coefficients: one
@@ -45,10 +44,12 @@ two levels, one path on every mesh:
     free_cluster call on the held nodes whose parent is admissible for
     the leaf (those under a far member, whose moments stand in for them
     from now on; ClusterTree.parent_admissible is the rule, and
-    admissibility only grows as the leaf moves right), retiring the
-    ancestors the schedule leaves, holding the new ones and reserving the
-    leaf's own block.  Stores change only then, so the views it takes
-    stay valid for the whole leaf.  It builds the leaf's plan from those
+    admissibility only grows as the leaf moves right), reserving the
+    blocks of the ancestors whose first leaf it is and the leaf's own
+    block.  Stores change only then, and a store reserves a non-leaf
+    block only when its generation's ancestor changes, so the views the
+    entry takes, and the blocks of the ancestors that continue, stay
+    valid for the whole leaf.  It builds the leaf's plan from those
     views and the leaf's rows of the block's arrays.
 The cover's members fall into runs of consecutive positions of one
 generation (on a uniform mesh one run per kind and generation), each with
@@ -66,8 +67,8 @@ logarithmic in the step count.
 
 Counters track multiply-accumulates on length-M vectors (M operations
 each), the high-water mark of live stored values, and the high-water
-mark of values the stores and the chain accumulator actually reserve, so
-the cost and memory bounds can be checked machine-independently.
+mark of values the stores actually reserve, so the cost and memory
+bounds can be checked machine-independently.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class EngineCounters:
     update_ops: int = 0  # G r M per commit: its share of the leaf's moment fold
     live_values: int = 0
     high_water: int = 0
-    reserved: int = 0  # values held by the stores' buffers and the chain accumulator
+    reserved: int = 0  # values held by the stores' buffers
     reserved_high_water: int = 0
 
     def allocate(self, count: int) -> None:
@@ -113,8 +114,10 @@ class SolutionSink:
     """Sequential binary stream of solution records.
 
     Each record is M little-endian float64 values; a text sidecar header
-    (written on close) records the run parameters.  read maps records
-    back from the file, before or after close.
+    (written on close) records the run parameters, the record count and,
+    if the parameters name the run's step count N, whether the stream is
+    complete: `complete 1` once it holds N records, `complete 0` before.
+    read maps records back from the file, before or after close.
     """
 
     def __init__(self, path: str | Path, header: dict):
@@ -155,6 +158,8 @@ class SolutionSink:
             self._fh = None
             lines = [f"{k} {v}" for k, v in self.header.items()]
             lines.append(f"records {self.records}")
+            if "N" in self.header:
+                lines.append(f"complete {int(self.records == self.header['N'])}")
             self.path.with_suffix(self.path.suffix + ".hdr").write_text(
                 "\n".join(lines) + "\n"
             )
@@ -165,8 +170,7 @@ class _BlockStore:
 
     Block p sits at buf[p - base].  Blocks are reserved in ascending
     position order and freed by clearing their live flag, so the live ones
-    lie in the window [lo, end); a flag set past end marks the node whose
-    moments the chain accumulator holds.  Only reserve changes the buffer:
+    lie in the window [lo, end).  Only reserve changes the buffer:
     when a block would fall past its end, the window moves to the front,
     or, if it would fill more than four fifths of the buffer, moves into a
     new buffer about a quarter larger than the window.
@@ -265,9 +269,7 @@ class HistoryEngine:
         self._stores = [_BlockStore(self._live[first[g]:first[g + 1]],
                                     r if g < G else tree.leaf_size, m, self.counters)
                         for g in range(G + 1)]
-        self._chain = np.zeros((G, r, m))  # moments of the current leaf's ancestors, root first
-        self._chain_ids: list[int] = []  # their node ids, none before the first leaf
-        self.counters.reserve(self._chain.size)
+        self._ancestors: list = [None] * G  # the current leaf's ancestors' blocks, root first
         self.committed = 0
         self._plan: _LeafPlan | None = None
         self._block: _Block | None = None
@@ -369,9 +371,9 @@ class HistoryEngine:
             np.split(psi, q0[1:]))))
 
     def _enter(self, leaf: Cluster) -> _LeafPlan:
-        """Free the held nodes under the leaf's far members, retire the
-        ancestors the schedule leaves, hold the new ones, reserve the
-        leaf's block and build its plan from its rows of its block's
+        """Free the held nodes under the leaf's far members, reserve the
+        blocks of the ancestors whose first leaf this is and the leaf's
+        block, and build its plan from its rows of its block's
         coefficients, entering the block first if the leaf is its first."""
         tree, r, m, G = self.tree, self.r, self.m, self.tree.G
         leaf_id = tree.leaf_id(leaf.lo)
@@ -382,15 +384,11 @@ class HistoryEngine:
         ids, nn, nmom, runs, chain, exact_w, phi, psi = block.leaves[leaf_id - block.first]
         held = np.flatnonzero(self._live)
         self.free_cluster(held[tree.parent_admissible(held, leaf.lo - 1, self.eta)])
-        old = self._chain_ids
-        left = next((g for g, (a, b) in enumerate(zip(chain, old)) if a != b), len(old))
-        for g in range(left, len(old)):  # the ancestors the schedule leaves move to their stores
-            if self._live[old[g]]:
-                self._stores[g].reserve(tree.position(old[g]))[:] = self._chain[g]
-        self._chain[left:] = 0.0
-        self._chain_ids = chain
-        self._live[chain[left:]] = True
-        self.counters.allocate((G - left) * r * m)
+        new = [g for g, i in enumerate(chain) if tree.lo[i] == leaf.lo]  # ancestors first met here
+        for g in new:
+            moments = self._ancestors[g] = self._stores[g].reserve(tree.position(chain[g]))
+            moments.fill(0.0)
+        self.counters.allocate(len(new) * r * m)
         rows = self._stores[G].reserve(tree.position(leaf_id))
         live = self._live[ids]
         if not live.all():
@@ -458,7 +456,8 @@ class HistoryEngine:
     def commit_step(self, n: int, value: np.ndarray) -> None:
         """Accept U^n: retain it in the leaf's block.  The leaf's last commit
         folds the whole block into the moments of every non-leaf ancestor
-        cluster, with one product."""
+        cluster, with one product, adding each ancestor's row into its
+        block."""
         if n != self.committed + 1:
             raise ValueError(f"expected commit of step {self.committed + 1}, got {n}")
         value = np.asarray(value, dtype=float)
@@ -469,8 +468,9 @@ class HistoryEngine:
         plan.rows[s] = value
         self.counters.allocate(self.m)
         if n == plan.leaf.hi:
-            self._chain += plan.psi_chain @ plan.rows
-        self.counters.update_ops += self._chain.size
+            for block, moments in zip(self._ancestors, plan.psi_chain @ plan.rows):
+                block += moments
+        self.counters.update_ops += self.tree.G * self.r * self.m
         self.committed = n
 
     def free_cluster(self, ids) -> None:

@@ -1,10 +1,10 @@
 """Independent oracles: the exact separable benchmark solution and the
 direct quadratic-cost history summation.
 
-The benchmark problem (unit-coefficient initial mode, eigenvalue 1,
+The benchmark problem (unit-coefficient initial mode of eigenvalue lam,
 forcing 1 + sin(pi t)) has the Laplace transform
 
-    uhat(z) = (1 + 1/z + pi/(z^2 + pi^2)) / (z + z^(1-nu)),
+    uhat(z) = (1 + 1/z + pi/(z^2 + pi^2)) / (z + lam z^(1-nu)),
 
 inverted numerically on a hyperbolic contour wrapped around the negative
 real axis.  The imaginary-axis pole pair from the forcing is removed
@@ -53,16 +53,16 @@ def _quadrature(t, nodes: int):
     return z, w
 
 
-def _u11_hat(nu: float, z, forced: bool):
+def _u11_hat(nu: float, z, forced: bool, lam: float):
     """uhat at the contour points z (a complex scalar or array)."""
     num = 1.0 + (1.0 / z + np.pi / (z * z + np.pi**2) if forced else 0.0)
-    return num / (z + z ** (1.0 - nu))
+    return num / (z + lam * z ** (1.0 - nu))
 
 
-def _forcing_residue(nu: float) -> complex:
+def _forcing_residue(nu: float, lam: float) -> complex:
     # residue of uhat at z = i pi, from the pi/(z^2+pi^2) forcing term
     zp = 1j * math.pi
-    return 1.0 / (2j * (zp + zp ** (1.0 - nu)))
+    return 1.0 / (2j * (zp + lam * zp ** (1.0 - nu)))
 
 
 # u11 evaluates its times in blocks small enough that each complex
@@ -72,12 +72,14 @@ def _forcing_residue(nu: float) -> complex:
 _BLOCK_BYTES = 2**17
 
 
-def u11(nu: float, t, forced: bool = True):
+def u11(nu: float, t, forced: bool = True, lam: float = 1.0):
     """Time factor of the exact benchmark solution at time t > 0: a float
     for a scalar t, an array of the same shape for an array of times.
 
+    lam is the eigenvalue of the initial mode under -K Laplace, K dim pi^2
+    for the principal sine mode; the default 1 is the benchmark's.
     forced=False gives the homogeneous relaxation (the Mittag-Leffler
-    function of -t^nu).  Raises ContourAccuracyError, naming the first
+    function of -lam t^nu).  Raises ContourAccuracyError, naming the first
     failing time, if the internal half-node-count estimate of the
     quadrature error exceeds 1e-8 at any time.
     """
@@ -89,8 +91,8 @@ def u11(nu: float, t, forced: bool = True):
     block = max(1, _BLOCK_BYTES // (16 * (4 * _NODES + 1)))
     for lo in range(0, flat.size, block):
         tb = flat[lo:lo + block]
-        base = _u11_eval(nu, tb, forced, _NODES)
-        fine = _u11_eval(nu, tb, forced, 2 * _NODES)
+        base = _u11_eval(nu, tb, forced, _NODES, lam)
+        fine = _u11_eval(nu, tb, forced, 2 * _NODES, lam)
         err = np.abs(fine - base)
         bad = np.flatnonzero(err > 1e-8)
         if bad.size:
@@ -102,13 +104,14 @@ def u11(nu: float, t, forced: bool = True):
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
-def _u11_eval(nu: float, t: np.ndarray, forced: bool, nodes: int) -> np.ndarray:
+def _u11_eval(nu: float, t: np.ndarray, forced: bool, nodes: int,
+              lam: float = 1.0) -> np.ndarray:
     """The contour sum with nodes nodes at each time of the 1D array t."""
     z, w = _quadrature(t, nodes)
-    vals = _u11_hat(nu, z, forced)
+    vals = _u11_hat(nu, z, forced, lam)
     pole_part = 0.0
     if forced:
-        res = _forcing_residue(nu)
+        res = _forcing_residue(nu, lam)
         zp = 1j * math.pi
         vals = vals - res / (z - zp) - res.conjugate() / (z + zp)
         pole_part = 2.0 * (res * np.exp(zp * t)).real

@@ -7,6 +7,7 @@ import pytest
 
 from subdiff import cli, dg_stepper, history_engine
 from subdiff.cli import build_parser, main, parse_args, run
+from subdiff.frac_weights import SeriesConvergenceError
 from subdiff.spatial_fem import EllipticSolver, SeparableSource
 
 
@@ -122,7 +123,8 @@ def test_run_writes_artifacts(tmp_path):
     stream = tmp_path / "solution_fast_N32_r4.bin"
     data = np.fromfile(stream, dtype="<f8")
     assert data.shape == (32 * 7,)
-    assert "records 32" in (stream.parent / "solution_fast_N32_r4.bin.hdr").read_text()
+    hdr = (stream.parent / "solution_fast_N32_r4.bin.hdr").read_text().splitlines()
+    assert hdr[-2:] == ["records 32", "complete 1"]
 
 
 def test_run_sweeps(tmp_path):
@@ -240,23 +242,38 @@ def test_main_reports_a_grid_too_large_for_memory(capsys, tmp_path, monkeypatch)
 def test_failed_run_leaves_no_stale_summary(tmp_path, monkeypatch):
     """A run that fails partway, in a directory holding a complete earlier
     run, exits 1 and leaves no report.csv, errors.csv or tree_dump.txt:
-    only its own stream, whose header counts the records written."""
+    only its own stream, whose header counts the records written and says
+    the stream is incomplete.  The failure is a MemoryError in the ninth
+    stream write, or a SeriesConvergenceError in the engine's second block
+    entry, also at step 9 (two blocks of two 4-step leaves)."""
     argv = (f"--nu 0.5 --T 1 --N 16 --dim 1 --m 4 --mode fast --r 3 --Q 2 --G 2 "
             f"--diag-stability --out {tmp_path}").split()
     summaries = ["report.csv", "errors.csv", "tree_dump.txt"]
-    assert main(argv) == 0
-    assert all((tmp_path / name).exists() for name in summaries)
+    hdr = tmp_path / "solution_fast_N16_r3.bin.hdr"
     write = history_engine.SolutionSink.write
+    enter_block = history_engine.HistoryEngine._enter_block
 
     def fail_at_step_9(self, vec):
         if self.records == 8:
             raise MemoryError("simulated")
         write(self, vec)
 
-    monkeypatch.setattr(history_engine.SolutionSink, "write", fail_at_step_9)
-    assert main(argv) == 1
-    assert [name for name in summaries if (tmp_path / name).exists()] == []
-    assert "records 8" in (tmp_path / "solution_fast_N16_r3.bin.hdr").read_text()
+    def fail_at_block_2(self, leaf_id):
+        if leaf_id != self.tree.first[self.tree.G]:
+            raise SeriesConvergenceError("simulated", last_ratio=0.9)
+        return enter_block(self, leaf_id)
+
+    for owner, attr, failing in [(history_engine.SolutionSink, "write", fail_at_step_9),
+                                 (history_engine.HistoryEngine, "_enter_block",
+                                  fail_at_block_2)]:
+        with monkeypatch.context() as patch:
+            assert main(argv) == 0
+            assert all((tmp_path / name).exists() for name in summaries)
+            assert hdr.read_text().splitlines()[-2:] == ["records 16", "complete 1"]
+            patch.setattr(owner, attr, failing)
+            assert main(argv) == 1
+            assert [name for name in summaries if (tmp_path / name).exists()] == []
+            assert hdr.read_text().splitlines()[-2:] == ["records 8", "complete 0"], attr
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -313,4 +330,19 @@ def test_run_failing_midway_closes_solution_stream(capsys, tmp_path, monkeypatch
     stream = tmp_path / "solution_fast_N16_r3.bin"
     assert np.fromfile(stream, dtype="<f8").shape == ((k - 1) * 3,)
     hdr = (tmp_path / "solution_fast_N16_r3.bin.hdr").read_text().splitlines()
-    assert hdr[-1] == f"records {k - 1}"
+    assert hdr[-2:] == [f"records {k - 1}", "complete 0"]
+
+
+def test_errors_are_measured_at_any_K(tmp_path):
+    """The reference solution follows --K through the mode's eigenvalue
+    K dim pi^2, so a non-default K reads the solver's error, which falls
+    with the step count."""
+    errors = []
+    for N in (64, 256):
+        out = tmp_path / f"N{N}"
+        assert main(f"--mode slow --N {N} --T 1 --dim 1 --m 16 --K 0.5 "
+                    f"--out {out}".split()) == 0
+        with (out / "report.csv").open() as fh:
+            row, = csv.DictReader(fh)
+        errors.append(float(row["max_nodal_error"]))
+    assert errors[0] < 5e-2 and errors[1] < errors[0], errors

@@ -336,11 +336,11 @@ def test_array_series_matches_scalar_loop(nu, kj, kn, gaps):
 
 
 def test_series_in_chunks_equals_one_pair_at_a_time(monkeypatch):
-    """An array call longer than one chunk of the series gives, bit for bit,
-    what one call per pair gives, and a pair that fails to converge in a
-    later chunk still raises."""
+    """An array call over hundreds of pairs, which stop at different
+    terms, gives bit for bit what one call per pair gives, and a pair that
+    fails to converge after all the others have stopped still raises."""
     rng = np.random.default_rng(11)
-    pairs = 3 * frac_weights._SERIES_CHUNK + 17
+    pairs = 401
     kj, kn = rng.uniform(0.5, 1.5, pairs), rng.uniform(0.5, 1.5, pairs)
     starts = kj + rng.uniform(0.6, 30.0, pairs) * kj
     got = beta_separated_series(0.3, (0.0, kj), (starts, starts + kn))
@@ -353,15 +353,14 @@ def test_series_in_chunks_equals_one_pair_at_a_time(monkeypatch):
         beta_separated_series(0.5, (0.0, kj), (starts, starts + kn))
 
 
-def test_series_failure_reports_the_first_failing_chunk(monkeypatch):
-    """Pairs that fail to converge in two chunks of the series: the error
-    counts those of the first failing pair's chunk, not all of them."""
-    size = frac_weights._SERIES_CHUNK
-    pairs = 3 * size + 17
+def test_series_failure_counts_every_failing_pair(monkeypatch):
+    """Pairs that fail to converge, spread through a long array call: the
+    error counts every one of them."""
+    pairs = 401
     kj = np.ones(pairs)
     starts = 40.0 * kj  # far enough for three terms
-    for i in (size + 2, size + 9, 3 * size + 1):
+    for i in (130, 137, 385):
         starts[i] = 1.05  # barely separated: too slow for three terms
     short_series(monkeypatch, 1e-6, 3)
-    with pytest.raises(SeriesConvergenceError, match="for 2 pair"):
+    with pytest.raises(SeriesConvergenceError, match="for 3 pair"):
         beta_separated_series(0.5, (0.0, kj), (starts, starts + kj))

@@ -69,57 +69,68 @@ def test_far_field_accuracy_tracks_expansion_order():
 
 
 def moment_block(engine, i):
-    """The r moment vectors the engine holds for non-leaf node i: its chain
-    row while it is an ancestor of the current leaf, its store block after."""
+    """The r moment vectors the engine holds for non-leaf node i, in its
+    generation's store."""
     tree = engine.tree
-    g = int(tree.generation[i])
-    if i in engine._chain_ids:
-        return engine._chain[g]
     p = tree.position(i)
-    return engine._stores[g].view(p, p + 1)
+    return engine._stores[int(tree.generation[i])].view(p, p + 1)
 
 
-def test_moment_accumulators_hold_weighted_sums():
+def test_moment_accumulators_hold_weighted_sums(monkeypatch):
     """After committing a cluster's intervals, its first moment equals the
-    plain step-weighted sum of the committed vectors, in the chain
-    accumulator while the cluster is an ancestor of the current leaf and,
-    bit for bit the same, in its generation's store once the schedule has
-    left it.  On a Q = 3 tree, after each leaf's last commit, every held
-    non-leaf moment block equals psi.T @ V over its committed intervals,
-    with psi at the node's own geometry."""
+    plain step-weighted sum of the committed vectors, in its generation's
+    store, and stays there bit for bit once the schedule has left it.  On
+    Q = 3 trees over a uniform and a +-30% mesh, every ancestor of a
+    leaf is held inside its store's live window from the leaf's entry on,
+    and after each leaf's last commit every held non-leaf moment block
+    equals psi.T @ V over its committed intervals, with psi at the node's
+    own geometry."""
     engine, _ = make_engine(N=16, G=2, T=16.0)
     vals = random_values(16, 3)
     for n in range(1, 9):
         engine.commit_step(n, vals[n - 1])
-    assert engine._chain_ids[1] == node_id(engine.tree, Cluster(1, 8))
-    mat = engine._chain[1].copy()
+    mat = moment_block(engine, node_id(engine.tree, Cluster(1, 8))).copy()
     want = sum(vals[j] for j in range(8))  # psi_1 = k_j = 1 on this mesh
     np.testing.assert_allclose(mat[0], want, rtol=1e-13)
     # second moment: integral of (s - sbar) over each unit interval, times value
     sbar = 4.0
     want2 = sum((j + 0.5 - sbar) * vals[j] for j in range(8))
     np.testing.assert_allclose(mat[1], want2, rtol=1e-12)
-    engine.commit_step(9, vals[8])  # enters C(9, 12): C(1, 8) moves to the store
-    assert np.array_equal(engine._stores[1].view(0, 1), mat)
+    engine.commit_step(9, vals[8])  # enters C(9, 12) and reserves C(9, 16) after C(1, 8)
+    assert np.array_equal(moment_block(engine, node_id(engine.tree, Cluster(1, 8))), mat)
 
-    engine, _ = make_engine(N=81, Q=3, G=3, r=4, eta=0.5, m=2, T=2.0)
-    tree, lv = engine.tree, engine.tree.mesh.levels
-    V = np.array(random_values(81, 2))
-    checked = 0
-    for n in range(1, 82):
-        engine.history_sum(n)
-        engine.commit_step(n, V[n - 1])
-        if n % tree.leaf_size:
-            continue
-        held = np.flatnonzero(engine._live[:tree.first[tree.G]])
-        assert held.size
-        for i in held.tolist():
-            lo, hi = int(tree.lo[i]), min(int(tree.hi[i]), n)
-            psi = psi_coeffs(engine.r, tree.midpoint(i), lv[lo - 1:hi], lv[lo:hi + 1])
-            want, scale = psi.T @ V[lo - 1:hi], np.abs(psi.T) @ np.abs(V[lo - 1:hi])
-            assert np.all(np.abs(moment_block(engine, i) - want) <= 1e-12 * scale), (n, i)
-            checked += 1
-    assert checked > 81
+    enter = HistoryEngine._enter
+    entered = []
+
+    def checked_enter(self, leaf):
+        plan = enter(self, leaf)
+        tree = self.tree
+        for i in tree.chain(tree.leaf_id(leaf.lo)):
+            store = self._stores[int(tree.generation[i])]
+            assert self._live[i] and store.lo <= tree.position(i) < store.end, (leaf, i)
+        entered.append(leaf)
+        return plan
+
+    monkeypatch.setattr(HistoryEngine, "_enter", checked_enter)
+    for mesh in (uniform_mesh(81, 2.0), perturbed_mesh(81, seed=6)):
+        engine, _ = make_engine(Q=3, G=3, r=4, eta=0.5, m=2, mesh=mesh)
+        tree, lv = engine.tree, mesh.levels
+        V = np.array(random_values(81, 2))
+        checked, entered[:] = 0, []
+        for n in range(1, 82):
+            engine.history_sum(n)
+            engine.commit_step(n, V[n - 1])
+            if n % tree.leaf_size:
+                continue
+            held = np.flatnonzero(engine._live[:tree.first[tree.G]])
+            assert held.size
+            for i in held.tolist():
+                lo, hi = int(tree.lo[i]), min(int(tree.hi[i]), n)
+                psi = psi_coeffs(engine.r, tree.midpoint(i), lv[lo - 1:hi], lv[lo:hi + 1])
+                want, scale = psi.T @ V[lo - 1:hi], np.abs(psi.T) @ np.abs(V[lo - 1:hi])
+                assert np.all(np.abs(moment_block(engine, i) - want) <= 1e-12 * scale), (n, i)
+                checked += 1
+        assert checked > 81 and entered == list(tree.leaves())
 
 
 def test_commit_order_enforced():
@@ -138,8 +149,8 @@ def test_commit_order_enforced():
 
 
 def holds(engine, c):
-    """Whether the engine holds c's values: a leaf's retained vectors, or a
-    non-leaf's moments in its store or in the chain accumulator."""
+    """Whether the engine holds c's values in its store: a leaf's retained
+    vectors, or a non-leaf's moments."""
     return bool(engine._live[node_id(engine.tree, c)])
 
 
@@ -171,7 +182,7 @@ def test_free_semantics():
     assert engine.counters.live_values == live_after
     # freeing a held non-leaf and its subtree releases its moments and the
     # children still held; here C(1, 8) is still an ancestor of the current
-    # leaf, in the chain accumulator
+    # leaf, whose block its last commit fills
     root_child = Cluster(1, 8)
     engine.free_cluster(subtree(tree, node_id(tree, root_child)))
     assert not holds(engine, root_child)
@@ -347,7 +358,7 @@ def test_solution_sink_roundtrip(tmp_path):
     data = np.fromfile(path, dtype="<f8").reshape(8, grid.M)
     np.testing.assert_array_equal(data, np.vstack(result.solutions))
     header = (path.parent / "stream.bin.hdr").read_text().splitlines()
-    assert header == ["N 8", "M 3", "records 8"]
+    assert header == ["N 8", "M 3", "records 8", "complete 1"]
     with pytest.raises(ValueError, match="closed"):
         sink.write(result.solutions[0])
 
@@ -374,7 +385,8 @@ def test_solution_sink_reads_back_its_records(tmp_path):
     assert sink.read(9).shape == (0, 4)
     with pytest.raises(IndexError):
         sink.read(2, 10)
-    assert (tmp_path / "stream.bin.hdr").read_text().splitlines() == ["N 9", "records 9"]
+    assert (tmp_path / "stream.bin.hdr").read_text().splitlines() == ["N 9", "records 9",
+                                                                      "complete 1"]
 
 
 def test_engine_validation():
@@ -605,9 +617,9 @@ def test_unwritten_rows_are_never_read(monkeypatch):
     (1024, 2, 8, 6, 0.5),
 ])
 def test_reserved_storage_tracks_counted_peak(N, Q, G, r, eta):
-    """The values the stores and the chain accumulator reserve stay within
-    a quarter of the counted peak plus one block per generation, so the
-    O(M log N) bound holds for the memory actually held."""
+    """The values the stores reserve stay within a quarter of the counted
+    peak plus one block per generation, so the O(M log N) bound holds for
+    the memory actually held."""
     m = 2
     engine, _ = make_engine(N=N, Q=Q, G=G, r=r, eta=eta, m=m)
     vals = random_values(N, m)

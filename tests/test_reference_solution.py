@@ -20,9 +20,11 @@ from subdiff.time_mesh import uniform_mesh
 @pytest.mark.parametrize("nu", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
 def test_homogeneous_case_matches_mittag_leffler(nu, t):
-    got = u11(nu, t, forced=False)
-    want = mittag_leffler_series(nu, -(t**nu))
-    assert got == pytest.approx(want, abs=1e-10)
+    """Unforced, the mode of eigenvalue lam relaxes as E_nu(-lam t^nu)."""
+    assert u11(nu, t, forced=False) == pytest.approx(mittag_leffler_series(nu, -(t**nu)),
+                                                     abs=1e-10)
+    assert u11(nu, t, forced=False, lam=0.5) == pytest.approx(
+        mittag_leffler_series(nu, -0.5 * t**nu), abs=1e-10)
 
 
 def test_forced_case_matches_classical_limit():
