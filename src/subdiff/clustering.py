@@ -12,13 +12,13 @@ breadth-first id order, and this module alone knows that numbering: the
 children of node i are Q i + 1 .. Q i + Q, so parent, ancestor-chain
 and position queries are id arithmetic.  A child is never longer than its
 parent nor nearer to the leaf, so admissibility is monotone from parent to
-child, and a node is in the cover exactly when it lies in the history, is
-admissible or a leaf, and its parent is not admissible: one boolean mask
-over the node arrays per leaf.  The nodes whose parent is admissible are
-exactly those under a far member, and admissibility only grows as the
-leaf moves right, so neither this leaf nor any later one needs their
-values: `parent_admissible` answers that one query, for the cover's
-members and for the history engine's frees alike.
+child, and it only grows as the leaf moves right.  So each node has a
+lifetime: it enters the covers at the first leaf for which it is
+admissible (a leaf node: at the leaf after it, summed exactly until it is
+admissible) and leaves them at the first leaf for which its parent is,
+never to return; no later leaf needs its values then.  `lifetimes` finds
+these leaf indices for every node at once, by bisection over the leaves,
+once per eta, and a leaf's cover is the nodes whose lifetime holds it.
 """
 
 from __future__ import annotations
@@ -96,10 +96,7 @@ class ClusterTree:
         # meshes, so admissibility ties at the threshold are exact; times otherwise
         self._x = np.arange(N + 1.0) if mesh.uniform else mesh.levels
         self._length, self._end = self._extent(self.lo, self.hi)
-        # the extent of each node's parent; the root stands in for its own,
-        # which ends at step N, so it is never admissible
-        parent = np.maximum(np.arange(self.first[-1]) - 1, 0) // Q
-        self._parent_length, self._parent_end = self._length[parent], self._end[parent]
+        self._lifetimes = None  # (eta, its lifetimes), for the last eta asked about
         lv = mesh.levels
         self._midpoint = 0.5 * (lv[self.lo - 1] + lv[self.hi])
         self._first_of = np.array(self.first)[self.generation]  # per node: its generation's first id
@@ -120,14 +117,6 @@ class ClusterTree:
     def leaf_of(self, n: int) -> Cluster:
         """The unique leaf containing interval n."""
         return self.nodes[self.leaf_id(n)]
-
-    def chain(self, i: int) -> list[int]:
-        """Ids of node i's ancestors, root first."""
-        out = []
-        while i > 0:
-            i = (i - 1) // self.Q
-            out.append(i)
-        return out[::-1]
 
     def position(self, i):
         """Place of node i, or of each node of an id array, in its
@@ -154,27 +143,42 @@ class ClusterTree:
         """Containment in the leaf's history plus Len(C) <= eta * Dist(C, L)."""
         return bool(self._admissible(*self._extent(c.lo, c.hi), leaf.lo - 1, eta))
 
+    def lifetimes(self, eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per node id, three indices of leaves in time order (leaf k has
+        the history (0, t_h], h = k * leaf_size), or the leaf count for
+        none: the first leaf whose cover holds the node, the first for
+        which it is admissible, and the first for which its parent is,
+        which frees it.  Admissibility is monotone in h, so a bisection
+        over the leaves finds them with O(log leaves) evaluations over all
+        nodes.  Read-only, and kept for the last eta asked about."""
+        if self._lifetimes is None or self._lifetimes[0] != eta:
+            L = self.Q ** self.G
+            lo, hi = np.zeros(len(self.nodes), dtype=np.intp), np.full(len(self.nodes), L)
+            for _ in range(L.bit_length()):  # the answer lies in [lo, hi]
+                mid = (lo + hi) // 2
+                adm = self._admissible(self._length, self._end, mid * self.leaf_size, eta)
+                hi, lo = np.where(adm, mid, hi), np.where(adm, lo, np.minimum(mid + 1, hi))
+            enter = hi.copy()  # a leaf is summed exactly from the leaf after it on
+            enter[self.first[self.G]:] = np.arange(1, L + 1)
+            # the root is never admissible, and stands in for its own parent
+            free = hi[np.maximum(np.arange(len(self.nodes)) - 1, 0) // self.Q]
+            for x in (enter, hi, free):
+                x.flags.writeable = False
+            self._lifetimes = eta, (enter, hi, free)
+        return self._lifetimes[1]
+
     def minimal_cover(self, leaf: Cluster, eta: float) -> Cover:
         """The unique minimal admissible cover of History(leaf), split into
-        near (non-admissible leaves) and far (admissible) parts."""
+        near (non-admissible leaves) and far (admissible) parts: the nodes
+        whose lifetime holds the leaf."""
         if not self.is_leaf(leaf):
             raise ValueError(f"{leaf} is not a leaf of this tree")
-        h, leaf0 = leaf.lo - 1, self.first[self.G]
-        adm = self._admissible(self._length, self._end, h, eta)
-        member = adm.copy()
-        member[leaf0:] |= self.hi[leaf0:] <= h
-        ids = np.flatnonzero(member & ~self.parent_admissible(np.s_[:], h, eta))
-        far = adm[ids]
-        near_ids, far_ids = tuple(ids[~far].tolist()), tuple(ids[far].tolist())
+        k = (leaf.lo - 1) // self.leaf_size
+        enter, far, free = self.lifetimes(eta)
+        ids = ((enter <= k) & (k < free)).nonzero()[0]
+        is_far = far[ids] <= k
+        near_ids, far_ids = tuple(ids[~is_far].tolist()), tuple(ids[is_far].tolist())
         return Cover(leaf=leaf, near_ids=near_ids, far_ids=far_ids, nodes=self.nodes)
-
-    def parent_admissible(self, ids, h: int, eta: float) -> np.ndarray:
-        """Whether the parent of each node in ids, an id array or a slice
-        of the ids, is admissible for the history (0, t_h]: true exactly
-        for the nodes under a far member of the cover of the leaf starting
-        at step h + 1, and still true for every later leaf.  False for
-        the root."""
-        return self._admissible(self._parent_length[ids], self._parent_end[ids], h, eta)
 
     # -- debug output -------------------------------------------------------
 
@@ -199,9 +203,15 @@ def max_depth(N: int, Q: int) -> int:
 
 def auto_depth(N: int, Q: int) -> int:
     """Default tree depth: round(log_Q N) - 2, lowered to the nearest depth
-    dividing N, at least 1."""
+    dividing N, at least 1.  If N is not divisible by Q, the error names
+    the nearest step count, the larger on a tie, with a tree of the
+    depth asked for."""
     deepest = max_depth(N, Q)  # rejects Q < 2 before the logarithm does
-    g = min(max(1, round(math.log(N, Q)) - 2), deepest)
+    want = max(1, round(math.log(N, Q)) - 2)
+    g = min(want, deepest)
     if g < 1:
-        raise ValueError(f"N={N} admits no uniform tree with Q={Q}")
+        span = Q**want
+        nearest = max(span, (2 * N + span) // (2 * span) * span)  # ties round up
+        raise ValueError(f"N={N} admits no uniform tree with Q={Q}; "
+                         f"N={nearest} has one of depth {want}")
     return g

@@ -165,10 +165,11 @@ def _series(nu: float, kj, kn, delta) -> np.ndarray:
     the exponential of its log-ratio to it, so no power over- or
     underflows.  A pair's value is its partial sum up to the first term
     below _REL_TOL times that sum.  The terms are added one order at a
-    time over the pairs still summing, and a pair drops out at its
-    stopping term, so no array holds more than one value per pair.  If
-    pairs are still summing after _MAX_TERMS terms,
-    SeriesConvergenceError counts them.
+    time over one value per pair; a pair's sum is taken at its stopping
+    term, and the stopped pairs leave the arrays only once three quarters
+    of those in them have stopped, since copying the arrays costs more
+    than summing a few terms too many.  If pairs are still summing after
+    _MAX_TERMS terms, SeriesConvergenceError counts them.
     """
     if np.any(delta <= 0.5 * (kj + kn)):
         raise ValueError("series branch requires disjoint source left of target")
@@ -180,23 +181,31 @@ def _series(nu: float, kj, kn, delta) -> np.ndarray:
     # a^mu (-D_mu(x)) = (a - k_n)^mu h_p with h_p = -expm1(-mu log1p(-x)) in (0, 1)
     log_h0 = np.log(-np.expm1(log1p_x * orders[0]))
     out, total, term = np.empty(kj.shape), np.zeros(kj.shape), np.zeros(kj.shape)
-    rows = np.arange(kj.size)  # the pairs still summing
+    rows = np.arange(kj.size)  # the pairs in the arrays; a stopped one's total is -inf
+    summing = kj.size
     for p in range(_MAX_TERMS):
-        log_h = np.log(-np.expm1(log1p_x * orders[p]))
-        prev, term = term, lead * np.exp(log_coef[p] + p * log_q + (log_h - log_h0))
+        log_h = log1p_x * orders[p]  # then log_h - log_h0, in place
+        np.log(np.negative(np.expm1(log_h, out=log_h), out=log_h), out=log_h)
+        log_h -= log_h0
+        prev, term = term, lead * np.exp(log_coef[p] + p * log_q + log_h)
         total += term
         done = term < _REL_TOL * total
-        if done.any():
+        stopped = np.count_nonzero(done)
+        if stopped:
             out[rows[done]] = total[done]
-            go = ~done
-            rows, total, prev, term, lead, log1p_x, log_q, log_h0 = (
-                x[go] for x in (rows, total, prev, term, lead, log1p_x, log_q, log_h0))
-        if not rows.size:
+            total[done] = -np.inf  # so that the pair never stops again
+            summing -= stopped
+            if summing and 4 * summing <= rows.size:  # three quarters have stopped
+                go = total != -np.inf
+                rows, total, term, prev, lead, log1p_x, log_q, log_h0 = (
+                    x[go] for x in (rows, total, term, prev, lead, log1p_x, log_q, log_h0))
+        if not summing:
             return out
-    ratio = term[0] / prev[0]
+    first = np.argmax(total != -np.inf)  # the first pair still summing
+    ratio = term[first] / prev[first]
     raise SeriesConvergenceError(
         f"weight series did not reach rel_tol={_REL_TOL} in {_MAX_TERMS} terms "
-        f"for {rows.size} pair(s) (last term ratio {ratio:.3g})",
+        f"for {summing} pair(s) (last term ratio {ratio:.3g})",
         last_ratio=float(ratio),
     )
 

@@ -24,33 +24,35 @@ cover).
 
 One flag per node id records whether the engine holds the node's store
 block.  Everything a step needs depends on its leaf alone, and a leaf's
-coefficients depend only on the mesh and the tree, not on the stores, so
-the engine plans in two levels, one path on every mesh:
+cover and coefficients depend only on the mesh, the tree and eta, not
+on the stores, so the engine plans ahead, one path on every mesh:
+  - per run, one argsort of the leaves that free the nodes (their
+    lifetimes' third index: their parent turns admissible, and its
+    moments or a far member above stand in for them) gives every leaf a
+    static free list;
   - a block is the set of leaves under one node of generation G // 2.
     When the schedule enters a block's first leaf, the engine builds the
-    covers of all its leaves and their coefficients: one
-    WeightEngine.offdiag call for the exact weights of every step of
-    every leaf against its near leaves and its own earlier intervals,
-    one phi evaluation for every (far member, step) pair, and one psi
-    evaluation for each leaf's ancestors about the leaf's steps and for
-    its far leaves about their own intervals.  The block's arrays hold
+    covers of all its leaves and their weights: one WeightEngine.offdiag
+    call for the exact weights of every step of every leaf against its
+    near leaves and its own earlier intervals, one phi evaluation for
+    every (far member, step) pair, one psi evaluation for each leaf's
+    ancestors about the leaf's steps and for its far leaves about their
+    own intervals, and one batched product of the far leaves' phi and
+    psi; a leaf's weights are views into these.  The block's arrays hold
     no M-length vector and are dropped when the next block is entered,
     just before its arrays are built, so that they are freed within the
-    block entry, not within an ordinary step.
-    With about the square root of the leaf count in blocks and in leaves
-    per block, a block entry, the longest step of a run, stays a small
-    fraction of the steps;
+    block entry, not within an ordinary step.  With about the square
+    root of the leaf count in blocks and in leaves per block, a block
+    entry, the longest step of a run, stays a small fraction of the steps;
   - a leaf entry does what must happen at the leaf's time: one
-    free_cluster call on the held nodes whose parent is admissible for
-    the leaf (those under a far member, whose moments stand in for them
-    from now on; ClusterTree.parent_admissible is the rule, and
-    admissibility only grows as the leaf moves right), reserving the
-    blocks of the ancestors whose first leaf it is and the leaf's own
-    block.  Stores change only then, and a store reserves a non-leaf
-    block only when its generation's ancestor changes, so the views the
-    entry takes, and the blocks of the ancestors that continue, stay
-    valid for the whole leaf.  It builds the leaf's plan from those
-    views and the leaf's rows of the block's arrays.
+    free_cluster call on its free list, reserving the blocks of the
+    ancestors whose first leaf it is (by arithmetic on its place in
+    time) and its own block, and checking that its cover is still held.
+    Stores change only then, and a store reserves a non-leaf block only
+    when its generation's ancestor changes, so the views the entry
+    takes, and the blocks of the ancestors that continue, stay valid for
+    the whole leaf.  It builds the leaf's plan from those views and its
+    weights.
 The cover's members fall into runs of consecutive positions of one
 generation (on a uniform mesh one run per kind and generation), each with
 one view and one weight block:
@@ -238,17 +240,26 @@ class _Block(NamedTuple):
     """The covers and coefficients of the leaves under one node of
     generation G // 2, built when the schedule enters the first of them
     and dropped when it enters the next block's first.  Leaf k of the
-    block, in time order, has the entry leaves[k]:
-      - its cover's node ids: the near leaves, the leaf itself, then the
-        far members;
-      - the count of near leaves plus one, and of far non-leaf members;
-      - its runs of consecutive ids, (first index, end index, generation,
-        position) per run;
-      - its ancestors' ids, root first;
-      - its rows of the block's exact weights, phi and psi arrays.
-    No array holds an M-length vector."""
+    block, in time order, has the offsets leaves[k] into the arrays:
+      - ids[i0:i1]: its cover's node ids, the near leaves, the leaf
+        itself, then the far members;
+      - runs[r0:r1]: its runs of consecutive ids, each (generation, first
+        and end position, kind, first and end column in its weights of
+        that kind);
+      - its weights of the three kinds, one row per step: exact[e0:e1]
+        for its near leaves and itself, phi[:, m0:m1] with r columns per
+        far moment member, and far_leaves[:, f0:f1], phi @ psi.T;
+    then its exact columns before its own intervals and the rhs_ops of a
+    step before those.  psi[k G:(k + 1) G] is its ancestors' psi about
+    its steps, root first.  No array holds an M-length vector."""
 
     first: int  # node id of the block's first leaf
+    ids: np.ndarray
+    runs: np.ndarray
+    exact: np.ndarray
+    phi: np.ndarray  # (step, far member, r)
+    far_leaves: np.ndarray  # (step, far leaf, interval)
+    psi: np.ndarray  # (ancestor or far leaf, interval, r)
     leaves: list
 
 
@@ -270,6 +281,11 @@ class HistoryEngine:
                                     r if g < G else tree.leaf_size, m, self.counters)
                         for g in range(G + 1)]
         self._ancestors: list = [None] * G  # the current leaf's ancestors' blocks, root first
+        self._spans = [tree.Q ** (G - g) for g in range(G)]  # leaves under a generation-g node
+        # leaf k, in time order, frees _frees[_free_at[k]:_free_at[k + 1]]
+        free = tree.lifetimes(eta)[2]
+        self._frees = np.argsort(free, kind="stable")
+        self._free_at = np.searchsorted(free[self._frees], np.arange(tree.Q**G + 1))
         self.committed = 0
         self._plan: _LeafPlan | None = None
         self._block: _Block | None = None
@@ -297,6 +313,7 @@ class HistoryEngine:
         """The plan of the leaf holding step n, built when that leaf is entered."""
         plan = self._plan
         if plan is None or n > plan.leaf.hi:
+            self._plan = plan = None  # its views of a block's arrays go before a new block's come
             plan = self._plan = self._enter(self.tree.leaf_of(n))
         elif n < plan.leaf.lo:
             raise ValueError(f"step {n} lies before the current leaf {plan.leaf}")
@@ -305,38 +322,50 @@ class HistoryEngine:
     def _enter_block(self, leaf_id: int) -> _Block:
         """Build the covers of the leaves in leaf_id's block and their
         coefficients: one offdiag call for every exact pair of the block,
-        one phi call for every (far member, step) pair and one psi call for
+        one phi call for every (far member, step) pair, one psi call for
         the ancestors of every leaf about its steps and for its far leaves
-        about their own intervals."""
-        tree, G = self.tree, self.tree.G
-        size, per, leaf0 = tree.leaf_size, tree.Q ** (G - G // 2), tree.first[G]
+        about their own intervals, and one batched product of the far
+        leaves' phi with their psi."""
+        tree, G, r = self.tree, self.tree.G, self.r
+        size, per, leaf0 = tree.leaf_size, self._spans[G // 2], tree.first[G]
         first = leaf_id - (leaf_id - leaf0) % per
-        leaves = range(first, first + per)
-        covers = [tree.minimal_cover(tree.nodes[i], self.eta) for i in leaves]
+        leaf_ids = range(first, first + per)
+        covers = [tree.minimal_cover(tree.nodes[i], self.eta) for i in leaf_ids]
         lo, offsets = tree.lo[first:first + per], np.arange(size)
         # Each leaf's near leaves and the leaf itself, then its far members by
         # generation, then in time, cut into runs of consecutive node ids.  The
         # far ids restart below the leaf's, and a generation's last node ends
         # at step N, so it is never a member: no run crosses a kind or a
         # generation.
-        ids = np.fromiter((i for c, leaf in zip(covers, leaves)
+        ids = np.fromiter((i for c, leaf in zip(covers, leaf_ids)
                            for i in (*c.near_ids, leaf, *c.far_ids)), dtype=np.intp)
         nn = np.array([len(c.near_ids) + 1 for c in covers])
         count = nn + [len(c.far_ids) for c in covers]
-        del covers  # before the coefficient arrays are made
+        del covers
         start = np.cumsum(count) - count
         owner = np.repeat(np.arange(per), count)
-        at = np.arange(ids.size) - start[owner]  # place in its leaf's ids
         gen = tree.generation[ids]
+        at = np.arange(ids.size) - start[owner]  # place in its leaf's ids
         near = at < nn[owner]
         moment = ~near & (gen < G)  # far non-leaf members come before far leaves
         nmom = np.bincount(owner[moment], minlength=per)
+        nfl = count - nn - nmom
+        # each member's kind (0 exact, 1 far moments, 2 far leaf) and its
+        # first column in its leaf's weights of that kind, whose members come
+        # together: one column per interval of a leaf, r per far moment member
+        kind = 2 - 2 * near - moment
+        unit = np.where(moment, r, size)
+        col = (at - np.where(near, 0, nn[owner] + np.where(moment, 0, nmom[owner]))) * unit
         cut = np.ones(ids.size, dtype=bool)
         cut[1:] = ids[1:] != ids[:-1] + 1
         cut[start] = True
         run0 = np.flatnonzero(cut)
-        runs = np.stack([at[run0], at[run0] + np.diff(run0, append=ids.size), gen[run0],
-                         tree.position(ids[run0])], axis=1)
+        length = np.diff(run0, append=ids.size)
+        p0, c0 = tree.position(ids[run0]), col[run0]
+        runs = np.stack([gen[run0], p0, p0 + length, kind[run0], c0, c0 + length * unit[run0]],
+                        axis=1)
+        run_at = np.append(np.searchsorted(run0, start), len(runs))
+        del at, gen, kind, unit, col, cut, run0  # before the coefficient arrays are made
         # every step's exact pairs j < n, at their place in its leaf's weights
         width = nn * size  # exact columns per leaf
         col0 = np.cumsum(width) - width
@@ -344,86 +373,71 @@ class HistoryEngine:
         col_leaf = np.repeat(owner[near], size)
         s, c = np.nonzero(js < lo[col_leaf] + offsets[:, None])
         k = col_leaf[c]  # the leaf of each pair
-        weights = np.zeros(size * width.sum())
-        weights[size * col0[k] + s * width[k] + c - col0[k]] = self.weights.offdiag(lo[k] + s,
-                                                                                   js[c])
-        # every far member of every leaf at each of that leaf's steps
-        far = ids[~near]
-        phi = self._phi(far[:, None], lo[owner[~near]][:, None] + offsets)
-        # per leaf, the ancestors' psi about its steps, then each far leaf's psi
-        # about its own intervals
-        chains = [tree.chain(i) for i in leaves]
-        nrows = G + count - nn - nmom
-        q0 = np.cumsum(nrows) - nrows
-        chain_rows = q0[:, None] + np.arange(G)
-        fl = ~near & ~moment
-        psi_ids = np.empty(nrows.sum(), dtype=np.intp)
-        psi_ids[chain_rows] = chains
-        psi_ids[q0[owner[fl]] + G + at[fl] - (nn + nmom)[owner[fl]]] = ids[fl]
-        psi_lo = tree.lo[psi_ids]
-        psi_lo[chain_rows] = lo[:, None]
+        exact = np.zeros(size * width.sum())
+        exact[size * col0[k] + s * width[k] + c - col0[k]] = self.weights.offdiag(lo[k] + s, js[c])
+        # phi at each leaf step of the far moment members, then of the far
+        # leaves, step first: a leaf's run of moment members is a (leaf
+        # size, r per member) view
+        far = np.concatenate([np.flatnonzero(moment), np.flatnonzero(~near & ~moment)])
+        nm = int(nmom.sum())
+        phi = self._phi(ids[far], lo[owner[far]] + offsets[:, None])  # (step, member, r)
+        # the ancestors' psi about each leaf's steps, then each far leaf's
+        # psi about its own intervals
+        chains = np.array(tree.first[:G]) + (np.arange(per) + first - leaf0)[:, None] // self._spans
+        psi_ids = np.concatenate([chains.ravel(), ids[far[nm:]]])
+        psi_lo = np.concatenate([np.repeat(lo, G), tree.lo[psi_ids[per * G:]]])
         psi = self._psi(psi_ids[:, None], psi_lo[:, None] + offsets)
-        nfar = np.cumsum(count - nn)
-        return _Block(first, list(zip(
-            np.split(ids, start[1:]), nn.tolist(), nmom.tolist(),
-            np.split(runs, np.searchsorted(run0, start[1:])), chains,
-            np.split(weights, size * col0[1:]), np.split(phi, nfar[:-1]),
-            np.split(psi, q0[1:]))))
+        # every far leaf's phi @ psi.T, step first: a leaf's far leaves are a
+        # (leaf size, one per interval) view
+        leaf_w = np.empty((size, far.size - nm, size))
+        np.matmul(phi[:, nm:].transpose(1, 0, 2), psi[per * G:].transpose(0, 2, 1),
+                  out=leaf_w.transpose(1, 0, 2))
+        m0, f0 = np.cumsum(nmom) - nmom, np.cumsum(nfl) - nfl
+        bounds = np.stack([start, start + count, run_at[:-1], run_at[1:], size * col0,
+                           size * (col0 + width), m0, m0 + nmom, f0, f0 + nfl, size * (nn - 1),
+                           self.m * ((nn - 1 + nfl) * size + r * nmom)], axis=1)
+        return _Block(first, ids, runs, exact, phi, leaf_w, psi, bounds.tolist())
 
     def _enter(self, leaf: Cluster) -> _LeafPlan:
-        """Free the held nodes under the leaf's far members, reserve the
-        blocks of the ancestors whose first leaf this is and the leaf's
-        block, and build its plan from its rows of its block's
-        coefficients, entering the block first if the leaf is its first."""
+        """Free the leaf's free list (the nodes whose parent turns admissible
+        for it), reserve the blocks of the ancestors whose first leaf this
+        is and the leaf's block, and build its plan from its block entry,
+        entering the block first if the leaf is its first."""
         tree, r, m, G = self.tree, self.r, self.m, self.tree.G
         leaf_id = tree.leaf_id(leaf.lo)
         block = self._block
         if block is None or leaf_id - block.first >= len(block.leaves):
             block = self._block = None  # the old block's arrays go before the new one's come
             block = self._block = self._enter_block(leaf_id)
-        ids, nn, nmom, runs, chain, exact_w, phi, psi = block.leaves[leaf_id - block.first]
-        held = np.flatnonzero(self._live)
-        self.free_cluster(held[tree.parent_admissible(held, leaf.lo - 1, self.eta)])
-        new = [g for g, i in enumerate(chain) if tree.lo[i] == leaf.lo]  # ancestors first met here
+        b = leaf_id - block.first
+        i0, i1, r0, r1, e0, e1, m0, m1, f0, f1, near, ops = block.leaves[b]
+        ids, size = block.ids[i0:i1], leaf.size
+        weights = (block.exact[e0:e1].reshape(size, -1), block.phi[:, m0:m1].reshape(size, -1),
+                   block.far_leaves[:, f0:f1].reshape(size, -1))
+        k = leaf_id - tree.first[G]  # the leaf's place in time
+        self.free_cluster(self._frees[self._free_at[k]:self._free_at[k + 1]])
+        new = [g for g, span in enumerate(self._spans) if k % span == 0]  # ancestors first met here
         for g in new:
-            moments = self._ancestors[g] = self._stores[g].reserve(tree.position(chain[g]))
+            moments = self._ancestors[g] = self._stores[g].reserve(k // self._spans[g])
             moments.fill(0.0)
         self.counters.allocate(len(new) * r * m)
-        rows = self._stores[G].reserve(tree.position(leaf_id))
+        rows = self._stores[G].reserve(k)
         live = self._live[ids]
         if not live.all():
             raise AssertionError(f"the blocks of {tree.nodes[ids[np.argmin(live)]]} "
                                  "were freed too early")
 
-        size = leaf.size
-        exact_w = exact_w.reshape(size, nn * size)
-        nfar = ids.size - nn
-        far_sum = None
-        if nfar:
-            w_mom = phi[:nmom].transpose(1, 0, 2).reshape(size, nmom * r)
-            w_leaf = np.matmul(phi[nmom:], psi[G:].transpose(0, 2, 1))  # (far leaf, step, j)
-            w_leaf = w_leaf.transpose(1, 0, 2).reshape(size, -1)
-            far_sum = np.zeros((size, m))
-
-        exact = []  # far runs go straight into every step's far field
-        nf = nn + nmom  # where the far leaves start
-        for i, j, g, p in runs.tolist():
-            view = self._stores[g].view(p, p + j - i)
-            if i < nn:
-                exact.append((i * size, exact_w[:, i * size:j * size], view))
-            elif g < G:
-                far_sum += w_mom[:, (i - nn) * r:(j - nn) * r] @ view
+        exact, far_sum = [], None  # far runs go straight into every step's far field
+        for g, p0, p1, kind, c0, c1 in block.runs[r0:r1].tolist():
+            view, w = self._stores[g].view(p0, p1), weights[kind][:, c0:c1]
+            if not kind:  # near leaves, or ending with the leaf itself
+                exact.append((c0, w, view))
             else:
-                far_sum += w_leaf[:, (i - nf) * size:(j - nf) * size] @ view
-        return _LeafPlan(
-            leaf=leaf,
-            rows=rows,
-            near=(nn - 1) * size,
-            exact=tuple(exact),
-            far=far_sum,
-            psi_chain=np.ascontiguousarray(psi[:G].transpose(0, 2, 1)),
-            ops=m * ((nn - 1 + nfar - nmom) * size + r * nmom),
-        )
+                if far_sum is None:
+                    far_sum = np.zeros((size, m))
+                far_sum += w @ view
+        return _LeafPlan(leaf, rows, near, tuple(exact), far_sum,
+                         block.psi[b * G:(b + 1) * G].transpose(0, 2, 1), ops)
 
     # -- per-step evaluation / commit / free operations ----------------------
 
@@ -480,12 +494,12 @@ class HistoryEngine:
         tree = self.tree
         ids = np.asarray(ids, dtype=np.intp)
         ids = ids[self._live[ids]]
-        if not ids.size:  # most leaf entries free nothing
+        if not ids.size:  # many leaf entries free nothing
             return
         self._live[ids] = False
-        lo = tree.lo[ids[ids >= tree.first[tree.G]]]  # the leaves among them
-        kept = np.minimum(np.maximum(self.committed + 1 - lo, 0), tree.leaf_size).sum()
-        self.counters.release(self.m * int(kept) + self.r * self.m * (ids.size - lo.size))
+        lo = tree.lo[ids[ids >= tree.first[tree.G]]].tolist()  # the leaves among them, few
+        kept = sum(min(max(self.committed + 1 - j, 0), tree.leaf_size) for j in lo)
+        self.counters.release(self.m * kept + self.r * self.m * (ids.size - len(lo)))
 
     def run_schedule(self, step_callback) -> None:
         """Full N-step loop: per step, evaluate the history, hand it to the

@@ -18,6 +18,15 @@ def children(tree, i):
     return range(tree.Q * i + 1, tree.Q * i + tree.Q + 1)
 
 
+def chain(tree, i):
+    """Ids of node i's ancestors, root first."""
+    out = []
+    while i > 0:
+        i = (i - 1) // tree.Q
+        out.append(i)
+    return out[::-1]
+
+
 def test_node_counts_and_structure():
     tree = tree_of(16, 2, 3)
     assert len(tree.nodes) == 2**4 - 1
@@ -29,7 +38,7 @@ def test_node_counts_and_structure():
     assert leaves[-1] == Cluster(15, 16)
     for i, c in enumerate(tree.nodes):
         assert (tree.lo[i], tree.hi[i]) == c
-        assert tree.generation[i] == len(tree.chain(i))
+        assert tree.generation[i] == len(chain(tree, i))
         assert tree.position(i) == (c.lo - 1) // c.size
         kids = [tree.nodes[k] for k in children(tree, i)]
         if tree.is_leaf(c):
@@ -38,7 +47,7 @@ def test_node_counts_and_structure():
             assert len(kids) == 2
             assert kids[0].lo == c.lo and kids[-1].hi == c.hi
             assert kids[0].hi + 1 == kids[1].lo
-            assert all(tree.chain(k)[-1] == i for k in children(tree, i))
+            assert all(chain(tree, k)[-1] == i for k in children(tree, i))
     # every interval maps to the leaf containing it
     for n in range(1, 17):
         leaf = tree.leaf_of(n)
@@ -55,7 +64,7 @@ def test_ternary_tree():
         kids = [tree.nodes[k] for k in children(tree, i)]
         assert [k.size for k in kids] == [tree.nodes[i].size // 3] * 3
         assert (kids[0].lo, kids[-1].hi) == tree.nodes[i]
-    assert [tree.nodes[i] for i in tree.chain(tree.leaf_id(14))] == [
+    assert [tree.nodes[i] for i in chain(tree, tree.leaf_id(14))] == [
         Cluster(1, 27), Cluster(10, 18), Cluster(13, 15)]
 
 
@@ -174,9 +183,9 @@ def test_update_subtree_is_root_first_ancestor_chain():
     """The non-leaf clusters whose span holds interval n are the ancestor
     chain of n's leaf, root first."""
     tree = tree_of(16, 2, 3)
-    chain = [tree.nodes[i] for i in tree.chain(tree.leaf_id(11))]
-    assert chain == [Cluster(1, 16), Cluster(9, 16), Cluster(9, 12)]
-    assert all(not tree.is_leaf(c) for c in chain)
+    ancestors = [tree.nodes[i] for i in chain(tree, tree.leaf_id(11))]
+    assert ancestors == [Cluster(1, 16), Cluster(9, 16), Cluster(9, 12)]
+    assert all(not tree.is_leaf(c) for c in ancestors)
 
 
 def lifetime(tree, eta, c):
@@ -198,6 +207,18 @@ def test_lifetime_contiguity():
     assert lifetime(tree, 1.0, Cluster(15, 16)) is None
 
 
+def admissible(tree, c, h, eta):
+    """Whether cluster c lies in the history (0, t_h] with Len(C) <= eta *
+    Dist(C, t_h), in interval counts on uniform meshes and in time
+    otherwise; h may be an array of history ends."""
+    lv = tree.mesh.levels
+    if tree.mesh.uniform:
+        fits = c.size <= eta * (h - c.hi)
+    else:
+        fits = float(lv[c.hi] - lv[c.lo - 1]) <= eta * (lv[h] - float(lv[c.hi]))
+    return (c.hi <= h) & fits
+
+
 def divide(tree, i, leaf, eta, near, far):
     """The recursive cover rule, the oracle for the mask.  Accept node i
     into far when it is admissible, or into near when it is a leaf lying
@@ -205,17 +226,12 @@ def divide(tree, i, leaf, eta, near, far):
     Nodes starting right of the target's history are dropped.
     Admissibility is evaluated here on its own, in interval counts on
     uniform meshes and in time otherwise."""
-    c, lv = tree.nodes[i], tree.mesh.levels
+    c = tree.nodes[i]
     if c.lo > leaf.lo:
         return
-    left_of = c.hi <= leaf.lo - 1
-    if tree.mesh.uniform:
-        admissible = c.size <= eta * (leaf.lo - 1 - c.hi)
-    else:
-        admissible = float(lv[c.hi] - lv[c.lo - 1]) <= eta * float(lv[leaf.lo - 1] - lv[c.hi])
-    if left_of and admissible:
+    if admissible(tree, c, leaf.lo - 1, eta):
         far.append(i)
-    elif left_of and tree.generation[i] == tree.G:
+    elif c.hi <= leaf.lo - 1 and tree.generation[i] == tree.G:
         near.append(i)
     else:
         for k in children(tree, i):
@@ -275,6 +291,73 @@ def test_cover_matches_recursive_rule_over_eta(N, Q, G, perturbed, eta):
     (no far member) to 1, on uniform and +-30% meshes."""
     mesh = mesh_from_levels(perturbed_levels(N, seed=3)) if perturbed else uniform_mesh(N, 6.0)
     assert assert_covers_match_recursive_rule(ClusterTree(mesh, Q, G), eta) == (eta > 1e-300)
+
+
+def assert_lifetimes_match_recursive_rule(tree, eta):
+    """Each node is in the recursive rule's cover of exactly the leaves of
+    its lifetime, from its first index up to, not including, its third,
+    and far in those from its second on.  The second is the first leaf
+    for which the node is admissible by hand, and the third its parent's
+    (the root's is the leaf count)."""
+    enter, far, free = tree.lifetimes(eta)
+    leaves = list(tree.leaves())
+    held, as_far = [[] for _ in tree.nodes], [[] for _ in tree.nodes]
+    for k, leaf in enumerate(leaves):
+        near_ids, far_ids = [], []
+        divide(tree, 0, leaf, eta, near_ids, far_ids)
+        for i in near_ids + far_ids:
+            held[i].append(k)
+        for i in far_ids:
+            as_far[i].append(k)
+    h = np.array([leaf.lo - 1 for leaf in leaves])
+    first_far = [int(np.argmax(np.append(admissible(tree, c, h, eta), True))) for c in tree.nodes]
+    for i, c in enumerate(tree.nodes):
+        assert far[i] == first_far[i], c
+        assert free[i] == (first_far[(i - 1) // tree.Q] if i else len(leaves)), c
+        assert held[i] == list(range(enter[i], free[i])), c
+        assert as_far[i] == list(range(far[i], free[i])), c
+
+
+@pytest.mark.parametrize("name", COVER_TREES)
+def test_lifetimes_match_recursive_rule(name):
+    assert_lifetimes_match_recursive_rule(*COVER_TREES[name]())
+
+
+@pytest.mark.parametrize("eta", [1e-300, 0.25, 0.4, 0.688, 1.0])
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("N,Q,G", [(1024, 2, 8), (729, 3, 5)])
+def test_lifetimes_match_recursive_rule_over_eta(N, Q, G, perturbed, eta):
+    mesh = mesh_from_levels(perturbed_levels(N, seed=3)) if perturbed else uniform_mesh(N, 6.0)
+    assert_lifetimes_match_recursive_rule(ClusterTree(mesh, Q, G), eta)
+
+
+def test_lifetimes_admit_an_exact_tie():
+    """On the desk tree at eta = 0.4, C(1, 20) is 20 steps long and lies 50
+    steps before the leaf C(71, 72), and 20 <= 0.4 * 50 holds exactly in
+    floating point: the tie is admissible, so leaf 35 is the first that
+    holds C(1, 20) as a far member.  (A two-step leaf would tie at a gap
+    of 5, but desk leaves lie an even number of steps apart.)  The
+    lifetimes are kept for the last eta asked about."""
+    tree, eta = COVER_TREES["desk"]()
+    assert 0.4 * 50 == 20.0 and eta == 0.4
+    i = tree.nodes.index(Cluster(1, 20))
+    enter, far, free = tree.lifetimes(eta)
+    assert (enter[i], far[i], tree.nodes[tree.first[tree.G] + 35]) == (35, 35, Cluster(71, 72))
+    assert i in tree.minimal_cover(Cluster(71, 72), eta).far_ids
+    assert i not in tree.minimal_cover(Cluster(69, 70), eta).far_ids
+    assert tree.lifetimes(eta)[1] is far
+    assert tree.lifetimes(0.39)[1][i] == 36 and tree.lifetimes(eta)[1] is not far
+
+
+def test_auto_depth_error_names_a_nearby_step_count():
+    """A step count with no uniform tree is rejected with the nearest one
+    that has a tree of the depth asked for, round(log_Q N) - 2."""
+    for N, Q, nearest, depth in [(2003, 2, 2048, 9), (7, 2, 8, 1), (2001, 10, 2000, 1),
+                                 (1, 2, 2, 1)]:
+        with pytest.raises(ValueError, match=f"^N={N} admits no uniform tree with Q={Q}; "
+                                             f"N={nearest} has one of depth {depth}$"):
+            auto_depth(N, Q)
+        assert auto_depth(nearest, Q) >= depth
 
 
 def test_dump_renders_the_tree():

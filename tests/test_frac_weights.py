@@ -335,9 +335,10 @@ def test_array_series_matches_scalar_loop(nu, kj, kn, gaps):
                                   rel=16 * np.finfo(float).eps)
 
 
-def test_series_in_chunks_equals_one_pair_at_a_time(monkeypatch):
+def test_series_over_many_pairs_equals_one_pair_at_a_time(monkeypatch):
     """An array call over hundreds of pairs, which stop at different
-    terms, gives bit for bit what one call per pair gives, and a pair that
+    terms, gives bit for bit what one call per pair gives, although the
+    stopped pairs stay in its arrays for some orders, and a pair that
     fails to converge after all the others have stopped still raises."""
     rng = np.random.default_rng(11)
     pairs = 401

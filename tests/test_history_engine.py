@@ -12,7 +12,7 @@ from subdiff.reference_solution import direct_history_sum
 from subdiff.spatial_fem import SpatialGrid, benchmark_source, sine_mode
 from subdiff.taylor_expansion import ExpansionParams, psi_coeffs
 from subdiff.time_mesh import mesh_from_levels, uniform_mesh
-from test_clustering import COVER_TREES, children
+from test_clustering import COVER_TREES, admissible, chain, children, perturbed_levels
 
 
 def perturbed_mesh(N, seed=3):
@@ -105,7 +105,7 @@ def test_moment_accumulators_hold_weighted_sums(monkeypatch):
     def checked_enter(self, leaf):
         plan = enter(self, leaf)
         tree = self.tree
-        for i in tree.chain(tree.leaf_id(leaf.lo)):
+        for i in chain(tree, tree.leaf_id(leaf.lo)):
             store = self._stores[int(tree.generation[i])]
             assert self._live[i] and store.lo <= tree.position(i) < store.end, (leaf, i)
         entered.append(leaf)
@@ -252,6 +252,84 @@ def test_freed_moments_may_not_be_read():
     engine.free_cluster([target])
     with pytest.raises(AssertionError, match="freed too early"):
         engine.history_sum(49)
+
+
+def held_values(engine):
+    """The values the engine holds by its flags: r per held non-leaf, and
+    per held leaf one per committed step, times M."""
+    tree, n = engine.tree, engine.committed
+    held = np.flatnonzero(engine._live)
+    lo = tree.lo[held[held >= tree.first[tree.G]]]
+    steps = np.clip(n + 1 - lo, 0, tree.leaf_size).sum()
+    return engine.m * (int(steps) + engine.r * (held.size - lo.size))
+
+
+@pytest.mark.parametrize("name", ["ternary-perturbed", "desk"])
+def test_static_frees_follow_the_held_scan(name, monkeypatch):
+    """Over a full run, each leaf entry frees exactly the held nodes whose
+    parent the leaf's history admits, found by hand from the held flags
+    (the scan the static free lists replace), so each node is released
+    once, at the first entry that admits its parent.  After every entry
+    and commit the live values equal those the held flags give, and the
+    high-water mark their running maximum."""
+    tree, eta = COVER_TREES[name]()
+    engine = HistoryEngine(tree, WeightEngine(KernelParams(0.5), tree.mesh), 3, eta, 2)
+    enter, free, commit = HistoryEngine._enter, HistoryEngine.free_cluster, HistoryEngine.commit_step
+    freed, peak = [], [0]
+
+    def checked(self):
+        live = held_values(self)
+        peak[0] = max(peak[0], live)
+        assert (self.counters.live_values, self.counters.high_water) == (live, peak[0])
+
+    def scanned_enter(self, leaf):
+        held = np.flatnonzero(self._live[1:]) + 1  # the root is never freed
+        parents = [tree.nodes[(i - 1) // tree.Q] for i in held.tolist()]
+        want = sorted(i for i, c in zip(held.tolist(), parents)
+                      if admissible(tree, c, leaf.lo - 1, eta))
+        before = len(freed)
+        plan = enter(self, leaf)
+        assert sorted(freed[before:]) == want, leaf
+        checked(self)
+        return plan
+
+    def recorded_free(self, ids):
+        ids = np.asarray(ids)
+        freed.extend(ids[self._live[ids]].tolist())
+        return free(self, ids)
+
+    def checked_commit(self, n, value):
+        commit(self, n, value)
+        checked(self)
+
+    monkeypatch.setattr(HistoryEngine, "_enter", scanned_enter)
+    monkeypatch.setattr(HistoryEngine, "free_cluster", recorded_free)
+    monkeypatch.setattr(HistoryEngine, "commit_step", checked_commit)
+    engine.run_schedule(lambda n, hist: np.ones(2))
+    assert freed and len(freed) == len(set(freed))
+    assert engine.counters.high_water == peak[0]
+
+
+def test_leaf_entries_ask_no_admissibility_question(monkeypatch):
+    """A long1d-shaped fast run (N = 4096, Q = 2, 1,024 leaves) evaluates
+    ClusterTree._admissible O(log leaves) times, once per bisection step of
+    the lifetimes, not once or more per leaf."""
+    calls = []
+    predicate = ClusterTree._admissible
+
+    def counted(self, *args):
+        calls.append(args)
+        return predicate(self, *args)
+
+    monkeypatch.setattr(ClusterTree, "_admissible", counted)
+    grid = SpatialGrid(dim=1, m=8)
+    config = RunConfig(nu=0.3, mesh=mesh_from_levels(perturbed_levels(4096, seed=1)), grid=grid,
+                       Q=2)
+    leaves = config.tree().Q ** config.tree().G
+    calls.clear()
+    result = fast_run(config, benchmark_source(grid), sine_mode(grid, 1))
+    assert leaves >= 1024 and len(result.solutions) == 4096
+    assert 0 < len(calls) <= 2 * leaves.bit_length(), len(calls)
 
 
 def test_run_schedule_frees_history_and_bounds_memory():
@@ -646,8 +724,7 @@ def per_leaf_plan(engine, leaf):
     exact_w[s, c] = engine.weights.offdiag(steps[s], js[c])
     far = ids[nn:]
     nmom = int(np.searchsorted(far, tree.first[G]))
-    chain = np.array(tree.chain(leaf_id), dtype=int)
-    rows = np.concatenate([chain, far[nmom:]])
+    rows = np.concatenate([np.array(chain(tree, leaf_id), dtype=int), far[nmom:]])
     intervals = np.concatenate([[leaf.lo] * G, tree.lo[far[nmom:]]])[:, None] + np.arange(size)
     psi = engine._psi(rows[:, None], intervals)
     far_sum = None
