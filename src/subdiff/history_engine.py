@@ -38,7 +38,8 @@ on the stores, so the engine plans ahead, one path on every mesh:
     every (far member, step) pair, one psi evaluation for each leaf's
     ancestors about the leaf's steps and for its far leaves about their
     own intervals, and one batched product of the far leaves' phi and
-    psi; a leaf's weights are views into these.  The block's arrays hold
+    psi; a leaf's weights are views into these, and its far group's (see
+    below) are laid out at the group's first leaf.  The block's arrays hold
     no M-length vector and are dropped when the next block is entered,
     just before its arrays are built, so that they are freed within the
     block entry, not within an ordinary step.  With about the square
@@ -53,17 +54,22 @@ on the stores, so the engine plans ahead, one path on every mesh:
     takes, and the blocks of the ancestors that continue, stay valid for
     the whole leaf.  It builds the leaf's plan from those views and its
     weights.
-The cover's members fall into runs of consecutive positions of one
-generation (on a uniform mesh one run per kind and generation), each with
-one view and one weight block:
+A leaf's near leaves followed by the leaf itself, and the far members of
+a far group (the union of its leaves'), fall into runs of consecutive
+positions of one generation (on a uniform mesh one run per kind and
+generation), each with one view and one weight block:
   - the near leaves followed by the leaf itself: exact weights;
   - the far leaves: low-rank weights, from one matmul of their phi
     coefficients with their psi coefficients;
   - each generation's far non-leaf members: their phi coefficients.
-The far members lie wholly before the leaf, so their values are final
-when it is entered: the plan forms the far field of every step of the
-leaf then, one block product per far run, and keeps the exact runs'
-views.  A step then costs one sequential reduction per exact run plus
+A far group is a run of a block's leaves that ends at the first leaf for
+which one of its leaves is admissible (the running minimum of their
+lifetimes' second index), or at the block's end.  So its far members lie
+wholly before its first leaf, and their values are final, and held, when
+that leaf is entered: that entry forms the far field of every step of the
+group, one block product per far run, from weights with one row per step
+that are zero where a member is not in the step's leaf's cover.  Each
+leaf of the group keeps its rows of it and its exact runs' views.  A step then costs one sequential reduction per exact run plus
 one add of its far-field row, and the live value count stays
 logarithmic in the step count.
 
@@ -125,7 +131,8 @@ class SolutionSink:
     def __init__(self, path: str | Path, header: dict):
         self.path = Path(path)
         self.header = dict(header)
-        self._fh: io.BufferedWriter | None = self.path.open("wb")
+        # a desk record (12 KB) outgrows the default buffer: 128 KiB hold 10
+        self._fh: io.BufferedWriter | None = self.path.open("wb", buffering=1 << 17)
         self.records = 0
         self.width = 0  # M, set by the first record
 
@@ -222,43 +229,44 @@ def _sum_rows(t: np.ndarray) -> np.ndarray:
 
 class _LeafPlan(NamedTuple):
     """What every step of one leaf needs, built when the leaf is entered
-    from its rows of its block's coefficients and from the store views
-    taken then.  Arrays have one row per step of the leaf, row s for step
-    n = leaf.lo + s; each exact run pairs its weights with a view of the
-    store rows they multiply."""
+    from its rows of its block's coefficients, from the store views taken
+    then and from its rows of its far group's far field.  Arrays have one
+    row per step of the leaf, row s for step n = leaf.lo + s; each exact
+    run pairs its weights with a view of the store rows they multiply."""
 
     leaf: Cluster
     rows: np.ndarray  # (leaf size, M): the leaf's own block, filled by its commits
     near: int  # exact-weight columns before the leaf's own intervals
     exact: tuple  # (first column, weights, rows) per run of near leaves, the leaf's run last
-    far: np.ndarray | None  # (leaf size, M): each step's far field, None if the cover has none
+    far: np.ndarray | None  # (leaf size, M): each step's far field, None if its cover has none
     psi_chain: np.ndarray  # (G, r, leaf size): each ancestor's psi on the leaf, root first
     ops: int  # rhs_ops of a step before the leaf's own earlier intervals
 
 
 class _Block(NamedTuple):
-    """The covers and coefficients of the leaves under one node of
-    generation G // 2, built when the schedule enters the first of them
-    and dropped when it enters the next block's first.  Leaf k of the
+    """The covers, far groups and coefficients of the leaves under one
+    node of generation G // 2, built when the schedule enters the first of
+    them and dropped when it enters the next block's first.  Leaf k of the
     block, in time order, has the offsets leaves[k] into the arrays:
       - ids[i0:i1]: its cover's node ids, the near leaves, the leaf
-        itself, then the far members;
+        itself, then the far members, and at a far group's first leaf the
+        group's far members;
       - runs[r0:r1]: its runs of consecutive ids, each (generation, first
         and end position, kind, first and end column in its weights of
-        that kind);
-      - its weights of the three kinds, one row per step: exact[e0:e1]
-        for its near leaves and itself, phi[:, m0:m1] with r columns per
-        far moment member, and far_leaves[:, f0:f1], phi @ psi.T;
-    then its exact columns before its own intervals and the rhs_ops of a
-    step before those.  psi[k G:(k + 1) G] is its ancestors' psi about
-    its steps, root first.  No array holds an M-length vector."""
+        that kind), and at a group's first leaf the group's far runs;
+      - exact[e0:e1]: its exact weights, one row per step;
+    then its first row in its group's far field, its far member count,
+    its exact columns before its own intervals and the rhs_ops of a step
+    before those, which count its cover, not the group's zero weights.
+    far[k] holds, at a group's first leaf, the group's phi and phi @ psi.T,
+    one row per step of the group.  psi[k G:(k + 1) G] is its ancestors'
+    psi about its steps, root first.  No array holds an M-length vector."""
 
     first: int  # node id of the block's first leaf
     ids: np.ndarray
     runs: np.ndarray
     exact: np.ndarray
-    phi: np.ndarray  # (step, far member, r)
-    far_leaves: np.ndarray  # (step, far leaf, interval)
+    far: list  # per leaf: (), or at a far group's first its two far weight arrays
     psi: np.ndarray  # (ancestor or far leaf, interval, r)
     leaves: list
 
@@ -289,6 +297,7 @@ class HistoryEngine:
         self.committed = 0
         self._plan: _LeafPlan | None = None
         self._block: _Block | None = None
+        self._far: np.ndarray | None = None  # the current far group's far field
 
     # -- helpers ------------------------------------------------------------
 
@@ -320,23 +329,27 @@ class HistoryEngine:
         return plan
 
     def _enter_block(self, leaf_id: int) -> _Block:
-        """Build the covers of the leaves in leaf_id's block and their
-        coefficients: one offdiag call for every exact pair of the block,
-        one phi call for every (far member, step) pair, one psi call for
-        the ancestors of every leaf about its steps and for its far leaves
-        about their own intervals, and one batched product of the far
-        leaves' phi with their psi."""
+        """Build the covers of the leaves in leaf_id's block, their far
+        groups and coefficients: one offdiag call for every exact pair of
+        the block, one phi call for every (far member, step) pair, one psi
+        call for the ancestors of every leaf about its steps and for its
+        far leaves about their own intervals, and one batched product of
+        the far leaves' phi with their psi."""
         tree, G, r = self.tree, self.tree.G, self.r
         size, per, leaf0 = tree.leaf_size, self._spans[G // 2], tree.first[G]
         first = leaf_id - (leaf_id - leaf0) % per
         leaf_ids = range(first, first + per)
         covers = [tree.minimal_cover(tree.nodes[i], self.eta) for i in leaf_ids]
         lo, offsets = tree.lo[first:first + per], np.arange(size)
-        # Each leaf's near leaves and the leaf itself, then its far members by
-        # generation, then in time, cut into runs of consecutive node ids.  The
-        # far ids restart below the leaf's, and a generation's last node ends
-        # at step N, so it is never a member: no run crosses a kind or a
-        # generation.
+        # each leaf's far group, by the group's first leaf: a group ends at the
+        # first leaf for which one of its leaves is admissible, or at the block's end
+        reach = tree.lifetimes(self.eta)[1][first:first + per] - (first - leaf0)
+        group, end = np.empty(per, dtype=np.intp), 0
+        for b, f in enumerate(reach.tolist()):
+            group_first, end = (b, f) if b >= end else (group_first, min(end, f))
+            group[b] = group_first
+        # each leaf's near leaves and the leaf itself, then its far members by
+        # generation, then in time
         ids = np.fromiter((i for c, leaf in zip(covers, leaf_ids)
                            for i in (*c.near_ids, leaf, *c.far_ids)), dtype=np.intp)
         nn = np.array([len(c.near_ids) + 1 for c in covers])
@@ -344,28 +357,46 @@ class HistoryEngine:
         del covers
         start = np.cumsum(count) - count
         owner = np.repeat(np.arange(per), count)
-        gen = tree.generation[ids]
         at = np.arange(ids.size) - start[owner]  # place in its leaf's ids
         near = at < nn[owner]
-        moment = ~near & (gen < G)  # far non-leaf members come before far leaves
+        moment = ~near & (ids < leaf0)  # far non-leaf members come before far leaves
         nmom = np.bincount(owner[moment], minlength=per)
         nfl = count - nn - nmom
-        # each member's kind (0 exact, 1 far moments, 2 far leaf) and its
-        # first column in its leaf's weights of that kind, whose members come
-        # together: one column per interval of a leaf, r per far moment member
-        kind = 2 - 2 * near - moment
-        unit = np.where(moment, r, size)
-        col = (at - np.where(near, 0, nn[owner] + np.where(moment, 0, nmom[owner]))) * unit
-        cut = np.ones(ids.size, dtype=bool)
-        cut[1:] = ids[1:] != ids[:-1] + 1
-        cut[start] = True
+        far = np.concatenate([np.flatnonzero(moment), np.flatnonzero(~near & ~moment)])
+        nm = int(nmom.sum())
+        # each group's far members, the union of its leaves', by generation,
+        # then in time; slot maps each leaf's far member to its union entry
+        union, slot = np.unique(group[owner[far]] * len(tree.nodes) + ids[far],
+                                return_inverse=True)
+        ugroup, union = np.divmod(union, len(tree.nodes))
+        uleaf = union >= leaf0
+        ukind = 2 * ugroup + uleaf  # moment members come before far leaves
+        unmom, unfl = np.bincount(ukind, minlength=2 * per).reshape(per, 2).T  # at group firsts
+        uat = np.arange(union.size) - np.searchsorted(ukind, ukind)  # place among its kind's
+        # Each leaf's ids, then at a group's first leaf the group's far
+        # members, cut into runs of consecutive node ids: each leaf's exact
+        # runs (kind 0) and each group's runs of moment members (kind 1) and
+        # of far leaves (kind 2); a leaf's own far members (kind 3) are only
+        # checked.  The far ids restart below the leaf's, and a generation's
+        # last node ends at step N, so it is never a member: no run crosses a
+        # kind or a generation.
+        seg = np.concatenate([2 * owner, 2 * ugroup + 1])
+        order = np.argsort(seg, kind="stable")
+        seg, members = seg[order], np.concatenate([ids, union])[order]
+        kind = np.concatenate([3 - 3 * near, 1 + uleaf])[order]
+        col = np.concatenate([at * size, uat * np.where(uleaf, size, r)])[order]
+        unit = np.where(kind == 1, r, size)
+        cut = np.ones(members.size, dtype=bool)
+        cut[1:] = (members[1:] != members[:-1] + 1) | (seg[1:] != seg[:-1])
         run0 = np.flatnonzero(cut)
-        length = np.diff(run0, append=ids.size)
-        p0, c0 = tree.position(ids[run0]), col[run0]
-        runs = np.stack([gen[run0], p0, p0 + length, kind[run0], c0, c0 + length * unit[run0]],
-                        axis=1)
-        run_at = np.append(np.searchsorted(run0, start), len(runs))
-        del at, gen, kind, unit, col, cut, run0  # before the coefficient arrays are made
+        length = np.diff(run0, append=members.size)[kind[run0] < 3]
+        run0 = run0[kind[run0] < 3]
+        p0, c0 = tree.position(members[run0]), col[run0]
+        runs = np.stack([tree.generation[members[run0]], p0, p0 + length, kind[run0], c0,
+                         c0 + length * unit[run0]], axis=1)
+        ids_at = np.searchsorted(seg, 2 * np.arange(per + 1))
+        run_at = np.searchsorted(seg[run0], 2 * np.arange(per + 1))
+        del at, seg, order, kind, col, unit, cut, run0  # before the coefficient arrays are made
         # every step's exact pairs j < n, at their place in its leaf's weights
         width = nn * size  # exact columns per leaf
         col0 = np.cumsum(width) - width
@@ -375,11 +406,7 @@ class HistoryEngine:
         k = col_leaf[c]  # the leaf of each pair
         exact = np.zeros(size * width.sum())
         exact[size * col0[k] + s * width[k] + c - col0[k]] = self.weights.offdiag(lo[k] + s, js[c])
-        # phi at each leaf step of the far moment members, then of the far
-        # leaves, step first: a leaf's run of moment members is a (leaf
-        # size, r per member) view
-        far = np.concatenate([np.flatnonzero(moment), np.flatnonzero(~near & ~moment)])
-        nm = int(nmom.sum())
+        # phi at each leaf step of the far moment members, then of the far leaves
         phi = self._phi(ids[far], lo[owner[far]] + offsets[:, None])  # (step, member, r)
         # the ancestors' psi about each leaf's steps, then each far leaf's
         # psi about its own intervals
@@ -387,22 +414,34 @@ class HistoryEngine:
         psi_ids = np.concatenate([chains.ravel(), ids[far[nm:]]])
         psi_lo = np.concatenate([np.repeat(lo, G), tree.lo[psi_ids[per * G:]]])
         psi = self._psi(psi_ids[:, None], psi_lo[:, None] + offsets)
-        # every far leaf's phi @ psi.T, step first: a leaf's far leaves are a
-        # (leaf size, one per interval) view
-        leaf_w = np.empty((size, far.size - nm, size))
-        np.matmul(phi[:, nm:].transpose(1, 0, 2), psi[per * G:].transpose(0, 2, 1),
-                  out=leaf_w.transpose(1, 0, 2))
-        m0, f0 = np.cumsum(nmom) - nmom, np.cumsum(nfl) - nfl
-        bounds = np.stack([start, start + count, run_at[:-1], run_at[1:], size * col0,
-                           size * (col0 + width), m0, m0 + nmom, f0, f0 + nfl, size * (nn - 1),
-                           self.m * ((nn - 1 + nfl) * size + r * nmom)], axis=1)
-        return _Block(first, ids, runs, exact, phi, leaf_w, psi, bounds.tolist())
+        # A group's far weights of each kind have one row per step of its
+        # leaves and r columns per moment member (phi) or one per interval of
+        # each far leaf (phi @ psi.T), zero where the member is not in that
+        # step's leaf's cover; each far member's weights at a step of its
+        # leaf are one row of r or leaf size values there.
+        steps = size * np.bincount(group, minlength=per)
+        nw = steps * np.stack([unmom, unfl])  # rows of each kind per group, at its first leaf
+        w0 = np.cumsum(nw, axis=1) - nw
+        q = group[owner[far]]
+        row = w0[uleaf[slot].astype(int), q] + uat[slot] + np.where(
+            uleaf[slot], unfl[q], unmom[q]) * ((owner[far] - q) * size + offsets[:, None])
+        far_moments, far_leaves = np.zeros((nw[0].sum(), r)), np.zeros((nw[1].sum(), size))
+        far_moments[row[:, :nm]] = phi[:, :nm]
+        far_leaves[row[:, nm:]] = np.matmul(
+            phi[:, nm:].transpose(1, 0, 2), psi[per * G:].transpose(0, 2, 1)).transpose(1, 0, 2)
+        far_w = [(far_moments[a:a + x].reshape(st, -1), far_leaves[c:c + y].reshape(st, -1))
+                 if st else () for a, c, x, y, st in zip(*w0.tolist(), *nw.tolist(), steps.tolist())]
+        bounds = np.stack([ids_at[:-1], ids_at[1:], run_at[:-1], run_at[1:], size * col0,
+                           size * (col0 + width), size * (np.arange(per) - group), count - nn,
+                           size * (nn - 1), self.m * ((nn - 1 + nfl) * size + r * nmom)], axis=1)
+        return _Block(first, members, runs, exact, far_w, psi, bounds.tolist())
 
     def _enter(self, leaf: Cluster) -> _LeafPlan:
         """Free the leaf's free list (the nodes whose parent turns admissible
         for it), reserve the blocks of the ancestors whose first leaf this
         is and the leaf's block, and build its plan from its block entry,
-        entering the block first if the leaf is its first."""
+        entering the block first if the leaf is its first.  A far group's
+        first leaf forms the group's far field, which its leaves read."""
         tree, r, m, G = self.tree, self.r, self.m, self.tree.G
         leaf_id = tree.leaf_id(leaf.lo)
         block = self._block
@@ -410,10 +449,8 @@ class HistoryEngine:
             block = self._block = None  # the old block's arrays go before the new one's come
             block = self._block = self._enter_block(leaf_id)
         b = leaf_id - block.first
-        i0, i1, r0, r1, e0, e1, m0, m1, f0, f1, near, ops = block.leaves[b]
+        i0, i1, r0, r1, e0, e1, row, nfar, near, ops = block.leaves[b]
         ids, size = block.ids[i0:i1], leaf.size
-        weights = (block.exact[e0:e1].reshape(size, -1), block.phi[:, m0:m1].reshape(size, -1),
-                   block.far_leaves[:, f0:f1].reshape(size, -1))
         k = leaf_id - tree.first[G]  # the leaf's place in time
         self.free_cluster(self._frees[self._free_at[k]:self._free_at[k + 1]])
         new = [g for g, span in enumerate(self._spans) if k % span == 0]  # ancestors first met here
@@ -427,16 +464,17 @@ class HistoryEngine:
             raise AssertionError(f"the blocks of {tree.nodes[ids[np.argmin(live)]]} "
                                  "were freed too early")
 
-        exact, far_sum = [], None  # far runs go straight into every step's far field
+        weights = (block.exact[e0:e1].reshape(size, -1), *block.far[b])
+        if not row:  # the group's first leaf: its far runs go straight into the far field
+            self._far = np.zeros((len(weights[1]), m))
+        exact = []
         for g, p0, p1, kind, c0, c1 in block.runs[r0:r1].tolist():
             view, w = self._stores[g].view(p0, p1), weights[kind][:, c0:c1]
             if not kind:  # near leaves, or ending with the leaf itself
                 exact.append((c0, w, view))
             else:
-                if far_sum is None:
-                    far_sum = np.zeros((size, m))
-                far_sum += w @ view
-        return _LeafPlan(leaf, rows, near, tuple(exact), far_sum,
+                self._far += w @ view
+        return _LeafPlan(leaf, rows, near, tuple(exact), self._far[row:row + size] if nfar else None,
                          block.psi[b * G:(b + 1) * G].transpose(0, 2, 1), ops)
 
     # -- per-step evaluation / commit / free operations ----------------------

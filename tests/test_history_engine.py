@@ -254,6 +254,25 @@ def test_freed_moments_may_not_be_read():
         engine.history_sum(49)
 
 
+def test_group_entry_checks_its_leaves_far_members():
+    """A far group's first entry reads the far members of all its leaves: a
+    moment block freed before it stops that entry, though the first leaf's
+    own cover does not hold it (leaves 4..6 form a group, and C(1, 16) is
+    far for leaf 6 only)."""
+    engine, _ = make_engine(N=64, G=3, eta=0.6)
+    tree = engine.tree
+    assert (4, 7) in far_groups(tree, engine.eta)
+    target = node_id(tree, Cluster(1, 16))
+    assert target in engine.cover_for(49).far_ids
+    assert target not in engine.cover_for(33).near_ids + engine.cover_for(33).far_ids
+    vals = random_values(64, 3)
+    for n in range(1, 33):
+        engine.commit_step(n, vals[n - 1])
+    engine.free_cluster([target])
+    with pytest.raises(AssertionError, match="freed too early"):
+        engine.history_sum(33)
+
+
 def held_values(engine):
     """The values the engine holds by its flags: r per held non-leaf, and
     per held leaf one per committed step, times M."""
@@ -509,11 +528,75 @@ def leaf_plans(engine, vals, monkeypatch):
     return plans, runs
 
 
+def leaf_entries(engine, vals, monkeypatch):
+    """Commit every step; return, per leaf in time order, its plan, the
+    number of store views its entry took (one per run of cover members it
+    multiplies), the far field the engine held after the entry (its far
+    group's) and the held flags then."""
+    views = []
+    view, enter = history_engine._BlockStore.view, HistoryEngine._enter
+
+    def counted_view(self, p0, p1):
+        views.append((p0, p1))
+        return view(self, p0, p1)
+
+    entries = []
+
+    def recorded_enter(self, leaf):
+        before = len(views)
+        plan = enter(self, leaf)
+        entries.append((plan, len(views) - before, self._far, self._live.copy()))
+        return plan
+
+    monkeypatch.setattr(history_engine._BlockStore, "view", counted_view)
+    monkeypatch.setattr(HistoryEngine, "_enter", recorded_enter)
+    for n, value in enumerate(vals, start=1):
+        engine.history_sum(n)
+        engine.commit_step(n, value)
+    return entries
+
+
+def groups_of(entries):
+    """(first, end) leaf places of the runs of leaf entries that read one far field."""
+    starts = [k for k, e in enumerate(entries) if not k or e[2] is not entries[k - 1][2]]
+    return list(zip(starts, starts[1:] + [len(entries)]))
+
+
+def far_groups(tree, eta):
+    """The far groups by hand, as (first, end) leaf places: a group runs from
+    its first leaf up to the first leaf for which one of its leaves is
+    admissible, or to the end of its block (the leaves under one node of
+    generation G // 2)."""
+    leaves, per = list(tree.leaves()), tree.Q ** (tree.G - tree.G // 2)
+    groups, k = [], 0
+    while k < len(leaves):
+        e = k + 1
+        while e % per and not any(admissible(tree, leaves[j], leaves[e].lo - 1, eta)
+                                  for j in range(k, e)):
+            e += 1
+        groups.append((k, e))
+        k = e
+    return groups
+
+
+def group_far_ids(tree, eta, k0, k1):
+    """The far members of leaves k0..k1-1, the union of their covers', by id."""
+    leaves = list(tree.leaves())[k0:k1]
+    return sorted(set().union(*(tree.minimal_cover(leaf, eta).far_ids for leaf in leaves)))
+
+
 def run_count(tree, ids):
     """Number of runs of consecutive node ids of one generation."""
     ids = sorted(ids)
     return sum(1 for a, b in zip([None] + ids, ids)
                if a is None or b != a + 1 or tree.generation[a] != tree.generation[b])
+
+
+def far_runs(tree, ids):
+    """Runs of consecutive far leaves, and of moment members, among ids."""
+    gens = tree.generation[ids]
+    return (run_count(tree, [i for i, g in zip(ids, gens) if g == tree.G]),
+            run_count(tree, [i for i, g in zip(ids, gens) if g < tree.G]))
 
 
 @pytest.mark.parametrize("N, Q, G, r, eta", [
@@ -523,49 +606,52 @@ def run_count(tree, ids):
     (64, 4, 3, 4, 0.3),
 ])
 def test_uniform_plans_have_one_run_per_kind_and_generation(N, Q, G, r, eta, monkeypatch):
-    """On a uniform mesh every plan keeps one exact run, and its entry
-    multiplies at most one far-leaf run and one far-moment run per
-    generation, so a step makes one exact reduction and a leaf entry O(G)
-    far products whatever the size of its cover."""
+    """On a uniform mesh every plan keeps one exact run; the first leaf
+    entry of a far group multiplies at most one far-leaf run and one
+    far-moment run per generation of the group's far members, and its other
+    leaf entries none, so a step makes one exact reduction and a group
+    entry O(G) far products whatever the size of its covers."""
     engine, _ = make_engine(N=N, Q=Q, G=G, r=r, eta=eta, m=2)
     tree = engine.tree
-    plans, runs = leaf_plans(engine, random_values(N, 2), monkeypatch)
-    assert len(plans) == Q**G
-    for leaf, plan in plans.items():
-        far = tree.minimal_cover(leaf, eta).far_ids
-        gens = tree.generation[list(far)]
-        moment_gens = set(gens[gens < G].tolist())
-        assert len(plan.exact) == 1
-        assert runs[leaf] == 1 + (1 if (gens == G).any() else 0) + len(moment_gens)
-        assert (plan.far is None) == (not far)
+    entries = leaf_entries(engine, random_values(N, 2), monkeypatch)
+    assert len(entries) == Q**G
+    for k0, k1 in groups_of(entries):
+        far = group_far_ids(tree, eta, k0, k1)
+        gens = tree.generation[far]
+        kinds = (1 if (gens == G).any() else 0) + len(set(gens[gens < G].tolist()))
+        assert sum(far_runs(tree, far)) == kinds
+        for k, (plan, taken, _, _) in enumerate(entries[k0:k1], start=k0):
+            assert len(plan.exact) == 1
+            assert taken == 1 + (kinds if k == k0 else 0)
+            assert (plan.far is None) == (not tree.minimal_cover(plan.leaf, eta).far_ids)
 
 
 def test_split_runs_on_a_perturbed_mesh(monkeypatch):
-    """On this +-30% mesh some leaves see their near leaves, their far
-    leaves or one generation's far members in two runs.  The plan keeps
-    one exact term per exact run, its entry takes one product per run, the
-    engine stays within the rank-r bound of the direct sum, and with
-    nothing admissible it equals the direct sum."""
+    """On this +-30% mesh some leaves see their near leaves, and some far
+    groups their far leaves or one generation's far members, in two runs.
+    The plan keeps one exact term per exact run, a group's first entry
+    takes one product per far run of the group, the engine stays within
+    the rank-r bound of the direct sum, and with nothing admissible it
+    equals the direct sum."""
     N, m, r, eta, nu = 64, 3, 4, 0.3, 0.5
     mesh = perturbed_mesh(N, seed=9)
     engine, weights = make_engine(Q=4, G=3, r=r, eta=eta, m=m, nu=nu, mesh=mesh)
     tree = engine.tree
     vals = random_values(N, m)
-    plans, taken = leaf_plans(engine, vals, monkeypatch)
+    entries = leaf_entries(engine, vals, monkeypatch)
     split = {"exact": 0, "far_leaves": 0, "far_moments": 0}
-    for leaf, plan in plans.items():
-        cover = tree.minimal_cover(leaf, eta)
-        far_leaves = [i for i in cover.far_ids if tree.generation[i] == tree.G]
-        moments = [i for i in cover.far_ids if tree.generation[i] < tree.G]
-        runs = {"exact": run_count(tree, cover.near_ids + (tree.leaf_id(leaf.lo),)),
-                "far_leaves": run_count(tree, far_leaves),
-                "far_moments": run_count(tree, moments)}
-        assert len(plan.exact) == runs["exact"]
-        assert taken[leaf] == sum(runs.values())
-        split["exact"] += runs["exact"] > 1
-        split["far_leaves"] += runs["far_leaves"] > 1
-        gens = [tree.generation[i] for i in moments]
-        split["far_moments"] += runs["far_moments"] > len(set(gens))
+    for k0, k1 in groups_of(entries):
+        far = group_far_ids(tree, eta, k0, k1)
+        runs = far_runs(tree, far)
+        for k, (plan, taken, _, _) in enumerate(entries[k0:k1], start=k0):
+            exact = run_count(tree, tree.minimal_cover(plan.leaf, eta).near_ids
+                              + (tree.leaf_id(plan.leaf.lo),))
+            assert len(plan.exact) == exact
+            assert taken == exact + (sum(runs) if k == k0 else 0)
+            split["exact"] += exact > 1
+        split["far_leaves"] += runs[0] > 1
+        split["far_moments"] += runs[1] > len(set(tree.generation[far][tree.generation[far]
+                                                                       < tree.G].tolist()))
     assert all(split.values()), split
 
     bound = ExpansionParams(r, eta).error_factor(nu)
@@ -708,11 +794,12 @@ def test_reserved_storage_tracks_counted_peak(N, Q, G, r, eta):
 
 
 def per_leaf_plan(engine, leaf):
-    """The exact weights (leaf size, exact columns), the far field and
+    """The exact weights (leaf size, exact columns), the far weights and
     psi_chain of leaf, each from calls for this leaf alone: one offdiag,
-    one phi_coeffs and one psi_coeffs call, and the products over the far
-    runs read from the stores as they are at the leaf's entry."""
-    tree, r, G, size = engine.tree, engine.r, engine.tree.G, leaf.size
+    one phi_coeffs and one psi_coeffs call.  The far weights map each far
+    member to its phi, (leaf size, r), or to a far leaf's phi @ psi.T,
+    (leaf size, leaf size)."""
+    tree, G, size = engine.tree, engine.tree.G, leaf.size
     cover = tree.minimal_cover(leaf, engine.eta)
     leaf_id = tree.leaf_id(leaf.lo)
     nn = len(cover.near_ids) + 1
@@ -727,21 +814,39 @@ def per_leaf_plan(engine, leaf):
     rows = np.concatenate([np.array(chain(tree, leaf_id), dtype=int), far[nmom:]])
     intervals = np.concatenate([[leaf.lo] * G, tree.lo[far[nmom:]]])[:, None] + np.arange(size)
     psi = engine._psi(rows[:, None], intervals)
-    far_sum = None
+    far_w = {}
     if far.size:
-        phi = engine._phi(far[:, None], steps)
-        w_mom = phi[:nmom].transpose(1, 0, 2).reshape(size, nmom * r)
+        phi = engine._phi(far[:, None], steps)  # (member, step, r)
         w_leaf = np.matmul(phi[nmom:], psi[G:].transpose(0, 2, 1))
-        w_leaf = w_leaf.transpose(1, 0, 2).reshape(size, -1)
-        far_sum = np.zeros((size, engine.m))
-        cuts = [0, *(np.flatnonzero(far[1:] - far[:-1] != 1) + 1).tolist(), far.size]
-        for i, j in zip(cuts, cuts[1:]):
-            g, p = int(tree.generation[far[i]]), int(tree.position(far[i]))
-            view = engine._stores[g].view(p, p + j - i)
-            w = (w_mom[:, i * r:j * r] if g < G
-                 else w_leaf[:, (i - nmom) * size:(j - nmom) * size])
-            far_sum += w @ view
-    return exact_w, far_sum, np.ascontiguousarray(psi[:G].transpose(0, 2, 1))
+        far_w = dict(zip(far.tolist(), [*phi[:nmom], *w_leaf]))
+    return exact_w, far_w, np.ascontiguousarray(psi[:G].transpose(0, 2, 1))
+
+
+def group_far_field(engine, far_ws):
+    """The far field of a far group's steps from its leaves' far weights
+    (far_ws, in time order), placed in the group's layout: the group's far
+    members by id, r columns per moment member, then one per interval of
+    each far leaf, and a leaf's weights at its own rows, zero where the
+    member is not in its cover; then one product per run of consecutive
+    ids, with the stores as they are now, at the group's first entry."""
+    tree, r, size = engine.tree, engine.r, engine.tree.leaf_size
+    far = sorted(set().union(*far_ws))
+    moments = int(np.searchsorted(far, tree.first[tree.G]))
+    field = np.zeros((size * len(far_ws), engine.m))
+    weights = [np.zeros((len(field), r * moments)), np.zeros((len(field), size * (len(far) - moments)))]
+    for b, far_w in enumerate(far_ws):
+        for c, i in enumerate(far):
+            kind, width = (0, r) if c < moments else (1, size)
+            c = c if c < moments else c - moments
+            if i in far_w:
+                weights[kind][b * size:(b + 1) * size, c * width:(c + 1) * width] = far_w[i]
+    cuts = [c for c in range(len(far)) if not c or far[c] != far[c - 1] + 1 or c == moments]
+    for c0, c1 in zip(cuts, cuts[1:] + [len(far)]):
+        g, p = int(tree.generation[far[c0]]), int(tree.position(far[c0]))
+        kind, width, base = (0, r, 0) if c0 < moments else (1, size, moments)
+        w = weights[kind][:, (c0 - base) * width:(c1 - base) * width]
+        field += w @ engine._stores[g].view(p, p + c1 - c0)
+    return field
 
 
 BLOCK_ENGINES = {
@@ -761,13 +866,15 @@ BLOCK_ENGINES = {
 
 @pytest.mark.parametrize("name", BLOCK_ENGINES)
 def test_block_plans_equal_per_leaf_plans(name, monkeypatch):
-    """Every leaf's exact weights, far field and psi_chain, sliced from its
-    block's arrays, equal bit for bit what calls for that leaf alone give;
-    on every mesh the engine makes one offdiag, one phi_coeffs and one
-    psi_coeffs call per block, a block being the leaves under one node of
-    generation G // 2."""
+    """Every leaf's exact weights and psi_chain, sliced from its block's
+    arrays, equal bit for bit what calls for that leaf alone give, and its
+    far field equals bit for bit its rows of its far group's far field
+    formed from those leaves' own far weights; on every mesh the engine
+    makes one offdiag, one phi_coeffs and one psi_coeffs call per block,
+    a block being the leaves under one node of generation G // 2."""
     engine, _ = BLOCK_ENGINES[name]()
     tree = engine.tree
+    leaves, groups = list(tree.leaves()), dict(far_groups(tree, engine.eta))
     calls = {"offdiag": 0, "phi": 0, "psi": 0}
     entering = []  # set while the engine enters a leaf, so the oracle's calls go uncounted
 
@@ -781,19 +888,26 @@ def test_block_plans_equal_per_leaf_plans(name, monkeypatch):
     monkeypatch.setattr(history_engine, "phi_coeffs", counted("phi", history_engine.phi_coeffs))
     monkeypatch.setattr(history_engine, "psi_coeffs", counted("psi", history_engine.psi_coeffs))
     enter = HistoryEngine._enter
-    checked = []
+    checked, field = [], [None, 0]  # the current group's far field and first leaf
 
     def checked_enter(self, leaf):
         entering.append(leaf)
+        before = self._far
         plan = enter(self, leaf)
         entering.clear()
-        exact_w, far, psi_chain = per_leaf_plan(self, leaf)
+        k = leaves.index(leaf)
+        assert (self._far is not before) == (k in groups), leaf
+        if k in groups:
+            far_ws = [per_leaf_plan(self, c)[1] for c in leaves[k:groups[k]]]
+            field[:] = group_far_field(self, far_ws), k
+        exact_w, far_w, psi_chain = per_leaf_plan(self, leaf)
         got = np.concatenate([w for _, w, _ in plan.exact], axis=1)
         assert np.array_equal(got, exact_w), leaf
-        assert (plan.far is None) == (far is None) and (far is None
-                                                        or np.array_equal(plan.far, far)), leaf
+        rows = field[0][(k - field[1]) * leaf.size:(k - field[1] + 1) * leaf.size]
+        assert (plan.far is None) == (not far_w) and (not far_w
+                                                      or np.array_equal(plan.far, rows)), leaf
         assert np.array_equal(plan.psi_chain, psi_chain), leaf
-        checked.append(far is not None)
+        checked.append(bool(far_w))
         return plan
 
     monkeypatch.setattr(HistoryEngine, "_enter", checked_enter)
@@ -802,6 +916,47 @@ def test_block_plans_equal_per_leaf_plans(name, monkeypatch):
     assert len(checked) == tree.Q ** tree.G and 2 * sum(checked) >= len(checked)
     blocks = tree.Q ** (tree.G // 2)
     assert calls == {"offdiag": blocks, "phi": blocks, "psi": blocks}
+
+
+FAR_GROUP_TREES = {
+    "desk": COVER_TREES["desk"],
+    "long1d": COVER_TREES["long1d"],
+    "long1d-seed2": COVER_TREES["long1d-seed2"],
+    "ternary-perturbed": COVER_TREES["ternary-perturbed"],
+    "perturbed-Q4": lambda: (ClusterTree(perturbed_mesh(128, seed=9), 4, 3), 0.3),
+    # leaves of alternately two and one units: a short leaf is admissible
+    # sooner than the long one before it, so a group ends at its second leaf's
+    "two-speed": lambda: (ClusterTree(mesh_from_levels(np.r_[0.0, np.cumsum(np.repeat(
+        np.resize([2.0, 1.0], 32), 4))]), 2, 5), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", FAR_GROUP_TREES)
+def test_far_groups_are_maximal_and_read_final_held_members(name, monkeypatch):
+    """The leaves that share one far field are the far groups found by
+    hand: they partition each block's leaves, and each runs up to the first
+    leaf for which one of its leaves is admissible, or to its block's end.
+    Every far member of the group's leaves ends before the group's first
+    step and is held at its entry, which takes one product per run of them
+    (on a uniform mesh at most one per kind and generation); the group's
+    other leaf entries take none."""
+    tree, eta = FAR_GROUP_TREES[name]()
+    engine = HistoryEngine(tree, WeightEngine(KernelParams(0.5), tree.mesh), 3, eta, 1)
+    entries = leaf_entries(engine, random_values(tree.mesh.N, 1), monkeypatch)
+    groups = groups_of(entries)
+    assert groups == far_groups(tree, eta)
+    leaves, multi = list(tree.leaves()), 0
+    for k0, k1 in groups:
+        far = group_far_ids(tree, eta, k0, k1)
+        assert (tree.hi[far] < leaves[k0].lo).all() and entries[k0][3][far].all(), k0
+        runs = sum(far_runs(tree, far))
+        if tree.mesh.uniform:
+            gens = tree.generation[far]
+            assert runs <= (gens == tree.G).any() + len(set(gens[gens < tree.G].tolist()))
+        for k, (plan, taken, _, _) in enumerate(entries[k0:k1], start=k0):
+            assert taken == len(plan.exact) + (runs if k == k0 else 0), k
+        multi += k1 - k0 > 1
+    assert 2 * multi >= len(groups)
 
 
 @pytest.mark.parametrize("name", ["perturbed-Q3", "uniform-leaf-size-1", "G1"])

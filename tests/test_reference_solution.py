@@ -7,7 +7,7 @@ from subdiff import reference_solution
 from subdiff.frac_weights import KernelParams, WeightEngine
 from subdiff.reference_solution import (
     ContourAccuracyError,
-    _u11_eval,
+    _u11_terms,
     direct_history_sum,
     max_nodal_error,
     mittag_leffler_series,
@@ -15,6 +15,12 @@ from subdiff.reference_solution import (
     u11_classical,
 )
 from subdiff.time_mesh import uniform_mesh
+
+
+def contour_sum(nu, t, forced, nodes, lam=1.0):
+    """The contour sum with nodes nodes at each time of the 1D array t."""
+    terms, pole_part = _u11_terms(nu, t, forced, nodes, lam)
+    return np.sum(terms, axis=1).real + pole_part
 
 
 @pytest.mark.parametrize("nu", [0.25, 0.5, 0.75])
@@ -44,9 +50,9 @@ def test_node_doubling_invariance():
     """u11's sum (64 nodes) agrees with one of twice the nodes on the same
     contour."""
     t = np.array([3.75e-4, 0.01, 1.0, 6.0])
-    np.testing.assert_allclose(_u11_eval(0.5, t, True, 64), _u11_eval(0.5, t, True, 128),
+    np.testing.assert_allclose(contour_sum(0.5, t, True, 64), contour_sum(0.5, t, True, 128),
                                rtol=0, atol=5e-10)
-    np.testing.assert_array_equal(u11(0.5, t), _u11_eval(0.5, t, True, 64))
+    np.testing.assert_array_equal(u11(0.5, t), contour_sum(0.5, t, True, 64))
 
 
 def test_u11_validation():
@@ -125,3 +131,23 @@ def test_direct_history_sum_of_empty_history_is_m_zeros():
     np.testing.assert_array_equal(got, np.zeros(4))
     with pytest.raises(ValueError):  # step 3 needs two past values
         direct_history_sum(weights, [np.ones(4)], 3, m=4)
+
+
+@pytest.mark.parametrize("forced", [True, False])
+@pytest.mark.parametrize("nu", [0.02, 0.3, 0.5, 0.98])
+def test_one_contour_evaluation_gives_both_sums(nu, forced):
+    """u11 evaluates the contour once per block of times, at twice the
+    nodes, and reads the sum at the nodes from every other point with
+    twice the weight: on the desk levels both sums equal the separate
+    evaluations bit for bit, and u11 the finer one."""
+    t = 6.0 * np.arange(1, 2001) / 2000
+    nodes = reference_solution._NODES
+    block = reference_solution._BLOCK_BYTES // (16 * (4 * nodes + 1))
+    fine = []
+    for tb in np.split(t, range(block, t.size, block)):
+        terms, pole_part = _u11_terms(nu, tb, forced, 2 * nodes)
+        coarse = np.sum(2 * terms[:, ::2], axis=1).real + pole_part
+        np.testing.assert_array_equal(coarse, contour_sum(nu, tb, forced, nodes))
+        fine.append(contour_sum(nu, tb, forced, 2 * nodes))
+        np.testing.assert_array_equal(np.sum(terms, axis=1).real + pole_part, fine[-1])
+    np.testing.assert_array_equal(u11(nu, t, forced=forced), np.concatenate(fine))
