@@ -126,8 +126,13 @@ def beta_adjacent(nu: float, k_prev, k_cur):
     k_hi = np.maximum(k_prev, k_cur)
     x = np.minimum(k_prev, k_cur) / k_hi
     # (1+x)^nu = 1 + y^nu with y < x, so the bracket is y^nu * ((x/y)^nu - 1).
-    y = np.exp(np.log(np.expm1(nu * np.log1p(x))) / nu)
-    bracket = y**nu * np.expm1(nu * np.log(x / y))
+    # For small nu, y underflows (nu = 0.005: y < 1e-308), and the bracket
+    # is formed from e = y^nu instead.
+    e = np.expm1(nu * np.log1p(x))
+    y = np.exp(np.log(e) / nu)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # in the form not taken
+        bracket = np.where(y < np.finfo(float).tiny, e * np.expm1(nu * np.log(x) - np.log(e)),
+                           y**nu * np.expm1(nu * np.log(x / y)))
     return _result(k_hi**nu / gamma(1.0 + nu) * bracket)
 
 

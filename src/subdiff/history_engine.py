@@ -12,10 +12,16 @@ approximated from their still-retained vectors.
 Storage is one block store per tree generation: a leaf's block holds its
 retained vectors, a non-leaf's block its r moment vectors, and block p of
 a generation sits at row p - base of the store's buffer.  Blocks are
-reserved in time order and freed in roughly the same order, so the live
-blocks lie in one window of consecutive positions.  A non-leaf's block
-is reserved, zeroed, when the schedule enters its first leaf, and the
-engine keeps the blocks of the current leaf's G ancestors.  A commit only
+reserved in time order and freed in roughly the same order, so the held
+blocks lie in one window of consecutive positions.  The lifetimes fix
+every window before the first step: entering leaf k, a generation holds
+its blocks from the first position whose freeing leaf lies past k, one
+bisection of the running maximum of those leaves, to its newest.  So
+each buffer is allocated once, a quarter wider than its widest window
+(at most the whole generation), and a reserve that would fall past its
+end moves the window to the front.  A non-leaf's block is reserved,
+zeroed, when the schedule enters its first leaf, and the engine keeps
+the blocks of the current leaf's G ancestors.  A commit only
 stores U^n in the leaf's block; the moments are linear in the vectors, so
 the leaf's last commit adds the whole leaf into its ancestors' blocks
 with one (G, r, leaf size) @ (leaf size, M) product.  No step of a leaf
@@ -74,9 +80,9 @@ one add of its far-field row, and the live value count stays
 logarithmic in the step count.
 
 Counters track multiply-accumulates on length-M vectors (M operations
-each), the high-water mark of live stored values, and the high-water
-mark of values the stores actually reserve, so the cost and memory
-bounds can be checked machine-independently.
+each), the high-water mark of live stored values, and the values the
+stores' buffers hold, so the cost and memory bounds can be checked
+machine-independently.
 """
 
 from __future__ import annotations
@@ -95,13 +101,14 @@ from .taylor_expansion import ExpansionParams, phi_coeffs, psi_coeffs
 
 @dataclass
 class EngineCounters:
-    """Machine-independent cost and memory accounting."""
+    """Machine-independent cost and memory accounting.  The stores' buffers
+    are allocated when the engine is built, which sets reserved_high_water
+    to the values they hold."""
 
     rhs_ops: int = 0  # M ops per vector multiply-accumulate in history sums
     update_ops: int = 0  # G r M per commit: its share of the leaf's moment fold
     live_values: int = 0
     high_water: int = 0
-    reserved: int = 0  # values held by the stores' buffers
     reserved_high_water: int = 0
 
     def allocate(self, count: int) -> None:
@@ -111,11 +118,6 @@ class EngineCounters:
 
     def release(self, count: int) -> None:
         self.live_values -= count
-
-    def reserve(self, count: int) -> None:
-        self.reserved += count
-        if self.reserved > self.reserved_high_water:
-            self.reserved_high_water = self.reserved
 
 
 class SolutionSink:
@@ -175,44 +177,24 @@ class SolutionSink:
 
 
 class _BlockStore:
-    """The blocks of one tree generation, each `rows` vectors of length m.
+    """Room for `blocks` blocks of one tree generation, each `rows` vectors
+    of length m; block p sits at buf[p - base].  Blocks are reserved one
+    after another, and only reserve changes the buffer."""
 
-    Block p sits at buf[p - base].  Blocks are reserved in ascending
-    position order and freed by clearing their live flag, so the live ones
-    lie in the window [lo, end).  Only reserve changes the buffer:
-    when a block would fall past its end, the window moves to the front,
-    or, if it would fill more than four fifths of the buffer, moves into a
-    new buffer about a quarter larger than the window.
-    """
+    def __init__(self, blocks: int, rows: int, m: int):
+        self.buf = np.empty((blocks, rows, m))
+        self.base = 0
 
-    def __init__(self, live: np.ndarray, rows: int, m: int, counters: EngineCounters):
-        self.buf = np.empty((0, rows, m))
-        self.live = live  # one flag per position
-        self.base = self.lo = self.end = 0
-        self.counters = counters
-
-    def reserve(self, p: int) -> np.ndarray:
-        """Mark block p, past every block reserved so far, live and return it."""
-        lo, live = self.lo, self.live
-        while lo < self.end and not live[lo]:
-            lo += 1
-        self.lo = lo = lo if lo < self.end else p
-        cap = len(self.buf)
-        if p - self.base >= cap:
-            need, kept, shift = p + 1 - lo, max(self.end - lo, 0), lo - self.base
-            if 5 * need > 4 * cap:
-                grown = np.empty((need + (need + 3) // 4, *self.buf.shape[1:]))
-                self.counters.reserve(grown.size - self.buf.size)
-                grown[:kept] = self.buf[shift:shift + kept]
-                self.buf = grown
-            else:  # in pieces no longer than the shift: numpy would copy an
-                # overlapping source whole into a temporary first
-                buf = self.buf
-                for i in range(0, kept, shift):
-                    buf[i:min(i + shift, kept)] = buf[i + shift:min(i + shift, kept) + shift]
+    def reserve(self, p: int, lo: int) -> np.ndarray:
+        """Block p, the one after p - 1, when the blocks held are lo..p-1;
+        if p falls past the buffer's end, those move to its front first, in
+        pieces no longer than the shift: numpy would copy an overlapping
+        source whole into a temporary first."""
+        if p - self.base >= len(self.buf):
+            buf, kept, shift = self.buf, p - lo, lo - self.base
+            for i in range(0, kept, shift):
+                buf[i:min(i + shift, kept)] = buf[i + shift:min(i + shift, kept) + shift]
             self.base = lo
-        live[p] = True
-        self.end = p + 1
         return self.buf[p - self.base]
 
     def view(self, p0: int, p1: int) -> np.ndarray:
@@ -285,13 +267,21 @@ class HistoryEngine:
         self.counters = EngineCounters()
         G, first = tree.G, tree.first
         self._live = np.zeros(len(tree.nodes), dtype=bool)  # per node id: values held, not freed
-        self._stores = [_BlockStore(self._live[first[g]:first[g + 1]],
-                                    r if g < G else tree.leaf_size, m, self.counters)
-                        for g in range(G + 1)]
         self._ancestors: list = [None] * G  # the current leaf's ancestors' blocks, root first
         self._spans = [tree.Q ** (G - g) for g in range(G)]  # leaves under a generation-g node
-        # leaf k, in time order, frees _frees[_free_at[k]:_free_at[k + 1]]
         free = tree.lifetimes(eta)[2]
+        # entering leaf k, store g holds its blocks from the first whose freeing
+        # leaf lies past k, _reach[g].searchsorted(k, "right"), to k // span
+        self._reach, self._stores = [], []
+        for g, span in enumerate(self._spans + [1]):
+            reach = np.maximum.accumulate(free[first[g]:first[g + 1]])
+            p = np.arange(len(reach))
+            w = int((p + 1 - np.searchsorted(reach, p * span, side="right")).max())
+            self._reach.append(reach)
+            self._stores.append(_BlockStore(min(w + w // 4, len(reach)),
+                                            r if g < G else tree.leaf_size, m))
+        self.counters.reserved_high_water = sum(s.buf.size for s in self._stores)
+        # leaf k, in time order, frees _frees[_free_at[k]:_free_at[k + 1]]
         self._frees = np.argsort(free, kind="stable")
         self._free_at = np.searchsorted(free[self._frees], np.arange(tree.Q**G + 1))
         self.committed = 0
@@ -313,6 +303,11 @@ class HistoryEngine:
         other, with a trailing axis of length r."""
         lv = self.tree.mesh.levels
         return psi_coeffs(self.r, self.tree.midpoint(ids), lv[intervals - 1], lv[intervals])
+
+    def _reserve(self, g: int, p: int, k: int) -> np.ndarray:
+        """Hold block p of store g, the generation's newest, at leaf k's entry."""
+        self._live[self.tree.first[g] + p] = True
+        return self._stores[g].reserve(p, int(self._reach[g].searchsorted(k, "right")))
 
     def cover_for(self, n: int) -> Cover:
         """The minimal cover of the leaf holding step n."""
@@ -455,10 +450,10 @@ class HistoryEngine:
         self.free_cluster(self._frees[self._free_at[k]:self._free_at[k + 1]])
         new = [g for g, span in enumerate(self._spans) if k % span == 0]  # ancestors first met here
         for g in new:
-            moments = self._ancestors[g] = self._stores[g].reserve(k // self._spans[g])
+            moments = self._ancestors[g] = self._reserve(g, k // self._spans[g], k)
             moments.fill(0.0)
         self.counters.allocate(len(new) * r * m)
-        rows = self._stores[G].reserve(k)
+        rows = self._reserve(G, k, k)
         live = self._live[ids]
         if not live.all():
             raise AssertionError(f"the blocks of {tree.nodes[ids[np.argmin(live)]]} "

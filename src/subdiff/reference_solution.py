@@ -82,7 +82,7 @@ def u11(nu: float, t, forced: bool = True, lam: float = 1.0):
     forced=False gives the homogeneous relaxation (the Mittag-Leffler
     function of -lam t^nu).  Raises ContourAccuracyError, naming the first
     failing time, if the internal half-node-count estimate of the
-    quadrature error exceeds 1e-8 at any time.
+    quadrature error exceeds 1e-8, or is not finite, at any time.
     """
     ts = np.asarray(t, dtype=float)
     flat = ts.reshape(-1)
@@ -92,11 +92,14 @@ def u11(nu: float, t, forced: bool = True, lam: float = 1.0):
     block = max(1, _BLOCK_BYTES // (16 * (4 * _NODES + 1)))
     for lo in range(0, flat.size, block):
         tb = flat[lo:lo + block]
-        terms, pole_part = _u11_terms(nu, tb, forced, 2 * _NODES, lam)
-        fine = np.sum(terms, axis=1).real + pole_part
-        # the _NODES rule's terms are exactly twice every other one of these
-        err = np.abs(fine - (np.sum(2 * terms[:, ::2], axis=1).real + pole_part))
-        bad = np.flatnonzero(err > 1e-8)
+        # a time too small or too large for the contour overflows it, and
+        # the estimate, then NaN or inf, fails below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            terms, pole_part = _u11_terms(nu, tb, forced, 2 * _NODES, lam)
+            fine = np.sum(terms, axis=1).real + pole_part
+            # the _NODES rule's terms are exactly twice every other one of these
+            err = np.abs(fine - (np.sum(2 * terms[:, ::2], axis=1).real + pole_part))
+        bad = np.flatnonzero(~(err <= 1e-8))  # NaN fails too
         if bad.size:
             i = bad[0]
             raise ContourAccuracyError(

@@ -169,6 +169,7 @@ def test_fast_run_tracks_slow_run():
     pytest.param(0.1, 2, 256, id="0.1"),
     pytest.param(0.5, 2, 256, id="0.5"),
     pytest.param(0.9, 2, 256, id="0.9"),
+    (0.001, 3, 243),
     (0.02, 3, 243),
     (0.98, 3, 243),
     (0.02, 4, 256),
@@ -183,7 +184,7 @@ def test_fast_run_tracks_slow_run_on_perturbed_mesh(nu, Q, N):
     src, u0 = benchmark_source(grid), sine_mode(grid, 1)
     slow = slow_run(RunConfig(nu=nu, mesh=mesh, grid=grid), src, u0)
     fast = fast_run(RunConfig(nu=nu, mesh=mesh, grid=grid, Q=Q), src, u0)
-    gap = max(float(np.max(np.abs(a - b))) for a, b in zip(slow.solutions, fast.solutions))
+    gap = np.max(np.abs(np.array(slow.solutions) - np.array(fast.solutions)))  # keeps a NaN
     assert gap <= 1e-6
 
 

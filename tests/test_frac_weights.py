@@ -111,7 +111,7 @@ def test_engine_diag_is_beta_diag_bitwise():
             assert engine.diag(n) == beta_diag(engine.params, mesh, n)
 
 
-@pytest.mark.parametrize("nu", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("nu", [1e-6, 1e-3, 5e-3, 0.25, 0.5, 0.75])
 def test_adjacent_weight_against_quadrature(nu):
     for k_prev, k_cur in [(1.0, 1.0), (0.5, 1.0), (1.0, 0.5), (0.3, 0.45)]:
         got = beta_adjacent(nu, k_prev, k_cur)

@@ -105,9 +105,11 @@ def test_moment_accumulators_hold_weighted_sums(monkeypatch):
     def checked_enter(self, leaf):
         plan = enter(self, leaf)
         tree = self.tree
-        for i in chain(tree, tree.leaf_id(leaf.lo)):
-            store = self._stores[int(tree.generation[i])]
-            assert self._live[i] and store.lo <= tree.position(i) < store.end, (leaf, i)
+        k = tree.leaf_id(leaf.lo) - tree.first[tree.G]
+        for i in chain(tree, tree.leaf_id(leaf.lo)):  # the ancestors: each its store's newest
+            g, p = int(tree.generation[i]), tree.position(i)
+            store, lo = self._stores[g], self._reach[g].searchsorted(k, "right")
+            assert self._live[i] and store.base <= lo <= p < store.base + len(store.buf), (leaf, i)
         entered.append(leaf)
         return plan
 
@@ -766,8 +768,8 @@ def test_unwritten_rows_are_never_read(monkeypatch):
     plain = solutions()
     reserve = history_engine._BlockStore.reserve
 
-    def poisoned(self, p):
-        block = reserve(self, p)
+    def poisoned(self, p, lo):
+        block = reserve(self, p, lo)
         block.fill(np.nan)
         return block
 
@@ -989,3 +991,50 @@ def test_one_block_is_held_and_replaced_at_a_block_entry(name, monkeypatch):
     V = random_values(tree.mesh.N, engine.m)
     engine.run_schedule(lambda n, hist: V[n - 1])
     assert built == list(range(leaf0, leaf0 + tree.Q ** tree.G, per))
+
+
+@pytest.mark.parametrize("name", ["desk", "long1d", "long1d-seed2", "ternary-perturbed",
+                                  "two-speed"])
+def test_store_windows_are_planned(name, monkeypatch):
+    """Each store's buffer is allocated when the engine is built and never
+    replaced.  At every leaf entry, each store's planned window, from the
+    bisection of its running maximum of freeing leaves to its newest block,
+    is the window the held flags give and lies in its buffer, and a store
+    that reserves is told that window.  The buffers hold
+    reserved_high_water values from the start: a quarter more than the
+    widest window of each store, at most the whole generation."""
+    tree, eta = FAR_GROUP_TREES[name]()
+    engine = HistoryEngine(tree, WeightEngine(KernelParams(0.5), tree.mesh), 3, eta, 1)
+    bufs = [store.buf for store in engine._stores]
+    reserved = engine.counters.reserved_high_water
+    G, leaf0 = tree.G, tree.first[tree.G]
+    spans = [tree.Q ** (G - g) for g in range(G + 1)]
+    enter, reserve = HistoryEngine._enter, history_engine._BlockStore.reserve
+    told, widest = {}, [0] * (G + 1)
+
+    def recorded_reserve(self, p, lo):
+        told[next(g for g, store in enumerate(engine._stores) if store is self)] = (lo, p + 1)
+        return reserve(self, p, lo)
+
+    def checked_enter(self, leaf):
+        told.clear()
+        plan = enter(self, leaf)
+        k = tree.leaf_id(leaf.lo) - leaf0
+        assert set(told) == {g for g, span in enumerate(spans) if k % span == 0}, leaf
+        for g, (span, store) in enumerate(zip(spans, self._stores)):
+            held = np.flatnonzero(self._live[tree.first[g]:tree.first[g + 1]])
+            window = (int(held[0]), int(held[-1]) + 1)
+            assert (self._reach[g].searchsorted(k, "right"), k // span + 1) == window, (leaf, g)
+            assert told.get(g, window) == window, (leaf, g)
+            assert store.base <= window[0] and window[1] <= store.base + len(store.buf)
+            widest[g] = max(widest[g], window[1] - window[0])
+        return plan
+
+    monkeypatch.setattr(history_engine._BlockStore, "reserve", recorded_reserve)
+    monkeypatch.setattr(HistoryEngine, "_enter", checked_enter)
+    V = random_values(tree.mesh.N, 1)
+    engine.run_schedule(lambda n, hist: V[n - 1])
+    assert all(store.buf is buf for store, buf in zip(engine._stores, bufs))
+    rows = [engine.r] * G + [tree.leaf_size]
+    assert reserved == engine.counters.reserved_high_water == sum(
+        min(w + w // 4, tree.Q**g) * n for g, (w, n) in enumerate(zip(widest, rows)))

@@ -78,12 +78,18 @@ def test_u11_array_form_matches_scalar_calls():
 
 def test_contour_error_names_first_failing_time(monkeypatch):
     """With 9 nodes the estimate passes at t = 0.1 and fails from t = 0.5
-    on; the first failure in array order is named, past a block boundary."""
+    on; the first failure in array order is named, past a block boundary.
+    A time at which the contour overflows fails with a NaN estimate."""
     monkeypatch.setattr(reference_solution, "_NODES", 9)
     with pytest.raises(ContourAccuracyError, match=r"at t=2\.0$"):
         u11(0.5, np.r_[np.full(1800, 0.1), 2.0, 0.5])
     with pytest.raises(ContourAccuracyError, match=r"at t=0\.5$"):
         u11(0.5, 0.5)
+    # times the contour overflows at give a NaN estimate, which fails too
+    with pytest.raises(ContourAccuracyError, match=r"nan at t=1e-300$"):
+        u11(0.5, np.r_[0.1, 1e-300])
+    with pytest.raises(ContourAccuracyError, match=r"nan at t=1e\+300$"):
+        u11(0.5, 1e300)
 
 
 def test_mittag_leffler_series_known_values():
