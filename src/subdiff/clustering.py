@@ -170,7 +170,9 @@ class ClusterTree:
     def minimal_cover(self, leaf: Cluster, eta: float) -> Cover:
         """The unique minimal admissible cover of History(leaf), split into
         near (non-admissible leaves) and far (admissible) parts: the nodes
-        whose lifetime holds the leaf."""
+        whose lifetime holds the leaf, O(nodes) per call.  The history
+        engine calls it once per block; the CLI tree dump, criterion 3,
+        stability_diagnostic and bench/worker.py (via cover_for) per leaf."""
         if not self.is_leaf(leaf):
             raise ValueError(f"{leaf} is not a leaf of this tree")
         k = (leaf.lo - 1) // self.leaf_size

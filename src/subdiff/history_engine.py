@@ -35,26 +35,33 @@ on the stores, so the engine plans ahead, one path on every mesh:
   - per run, one argsort of the leaves that free the nodes (their
     lifetimes' third index: their parent turns admissible, and its
     moments or a far member above stand in for them) gives every leaf a
-    static free list;
+    static free list, and one of the leaves whose cover first holds them
+    (the first index) a static enter list;
   - a block is the set of leaves under one node of generation G // 2.
     When the schedule enters a block's first leaf, the engine builds the
-    covers of all its leaves and their weights: one WeightEngine.offdiag
-    call for the exact weights of every step of every leaf against its
-    near leaves and its own earlier intervals, one phi evaluation for
-    every (far member, step) pair, one psi evaluation for each leaf's
-    ancestors about the leaf's steps and for its far leaves about their
-    own intervals, and one batched product of the far leaves' phi and
-    psi; a leaf's weights are views into these, and its far group's (see
-    below) are laid out at the group's first leaf.  The block's arrays hold
-    no M-length vector and are dropped when the next block is entered,
-    just before its arrays are built, so that they are freed within the
-    block entry, not within an ordinary step.  With about the square
-    root of the leaf count in blocks and in leaves per block, a block
-    entry, the longest step of a run, stays a small fraction of the steps;
+    covers of all its leaves from one membership matrix, a row per leaf
+    k and a column per candidate node: those held at the first leaf (its
+    minimal_cover) or on a later leaf's enter list.  A node is held where
+    its lifetime has enter <= k < free, and far where also adm <= k; the
+    covers, the far groups and the runs are read from it.  Then the
+    weights: one WeightEngine.offdiag call for the exact weights of every
+    step of every leaf against its near leaves and its own earlier
+    intervals, one phi evaluation for every (far member, step) pair, one
+    psi evaluation for each leaf's ancestors about the leaf's steps and
+    for its far leaves about their own intervals, and one batched product
+    of the far leaves' phi and psi; a leaf's weights are views into these,
+    and its far group's (see below) are laid out at the group's first
+    leaf.  The block's arrays hold no M-length vector and are dropped
+    when the next block is entered, just before its arrays are built, so
+    that they are freed within the block entry, not within an ordinary
+    step.  With about the square root of the leaf count in blocks and in
+    leaves per block, a block entry, the longest step of a run, stays a
+    small fraction of the steps;
   - a leaf entry does what must happen at the leaf's time: one
     free_cluster call on its free list, reserving the blocks of the
     ancestors whose first leaf it is (by arithmetic on its place in
-    time) and its own block, and checking that its cover is still held.
+    time) and its own block, and checking that its cover's row of the
+    matrix, and at a far group's first leaf the group's row, are held.
     Stores change only then, and a store reserves a non-leaf block only
     when its generation's ancestor changes, so the views the entry
     takes, and the blocks of the ancestors that continue, stay valid for
@@ -228,14 +235,15 @@ class _LeafPlan(NamedTuple):
 class _Block(NamedTuple):
     """The covers, far groups and coefficients of the leaves under one
     node of generation G // 2, built when the schedule enters the first of
-    them and dropped when it enters the next block's first.  Leaf k of the
-    block, in time order, has the offsets leaves[k] into the arrays:
-      - ids[i0:i1]: its cover's node ids, the near leaves, the leaf
-        itself, then the far members, and at a far group's first leaf the
-        group's far members;
+    them and dropped when it enters the next block's first.  ids are its
+    candidate nodes, by id.  Leaf k of the block, in time order, has its
+    cover's row held[k] and, at a far group's first leaf, the group's far
+    members' row union[k], which its entry checks are held; and the
+    offsets leaves[k] into the arrays:
       - runs[r0:r1]: its runs of consecutive ids, each (generation, first
         and end position, kind, first and end column in its weights of
-        that kind), and at a group's first leaf the group's far runs;
+        that kind), the near leaves and the leaf itself, then at a group's
+        first leaf the group's far runs;
       - exact[e0:e1]: its exact weights, one row per step;
     then its first row in its group's far field, its far member count,
     its exact columns before its own intervals and the rhs_ops of a step
@@ -246,6 +254,8 @@ class _Block(NamedTuple):
 
     first: int  # node id of the block's first leaf
     ids: np.ndarray
+    held: np.ndarray  # (leaves, candidates) bool
+    union: np.ndarray
     runs: np.ndarray
     exact: np.ndarray
     far: list  # per leaf: (), or at a far group's first its two far weight arrays
@@ -269,7 +279,7 @@ class HistoryEngine:
         self._live = np.zeros(len(tree.nodes), dtype=bool)  # per node id: values held, not freed
         self._ancestors: list = [None] * G  # the current leaf's ancestors' blocks, root first
         self._spans = [tree.Q ** (G - g) for g in range(G)]  # leaves under a generation-g node
-        free = tree.lifetimes(eta)[2]
+        enter, _, free = tree.lifetimes(eta)
         # entering leaf k, store g holds its blocks from the first whose freeing
         # leaf lies past k, _reach[g].searchsorted(k, "right"), to k // span
         self._reach, self._stores = [], []
@@ -281,9 +291,11 @@ class HistoryEngine:
             self._stores.append(_BlockStore(min(w + w // 4, len(reach)),
                                             r if g < G else tree.leaf_size, m))
         self.counters.reserved_high_water = sum(s.buf.size for s in self._stores)
-        # leaf k, in time order, frees _frees[_free_at[k]:_free_at[k + 1]]
-        self._frees = np.argsort(free, kind="stable")
+        # leaf k, in time order, frees _frees[_free_at[k]:_free_at[k + 1]], and its
+        # cover is the first to hold _enters[_enter_at[k]:_enter_at[k + 1]]
+        self._frees, self._enters = (np.argsort(x, kind="stable") for x in (free, enter))
         self._free_at = np.searchsorted(free[self._frees], np.arange(tree.Q**G + 1))
+        self._enter_at = np.searchsorted(enter[self._enters], np.arange(tree.Q**G + 1))
         self.committed = 0
         self._plan: _LeafPlan | None = None
         self._block: _Block | None = None
@@ -310,7 +322,8 @@ class HistoryEngine:
         return self._stores[g].reserve(p, int(self._reach[g].searchsorted(k, "right")))
 
     def cover_for(self, n: int) -> Cover:
-        """The minimal cover of the leaf holding step n."""
+        """The minimal cover of the leaf holding step n, for bench/worker.py's
+        cover statistics; the engine reads covers from its block matrices."""
         return self.tree.minimal_cover(self.tree.leaf_of(n), self.eta)
 
     def _plan_for(self, n: int) -> _LeafPlan:
@@ -324,89 +337,72 @@ class HistoryEngine:
         return plan
 
     def _enter_block(self, leaf_id: int) -> _Block:
-        """Build the covers of the leaves in leaf_id's block, their far
-        groups and coefficients: one offdiag call for every exact pair of
-        the block, one phi call for every (far member, step) pair, one psi
-        call for the ancestors of every leaf about its steps and for its
-        far leaves about their own intervals, and one batched product of
-        the far leaves' phi with their psi."""
+        """Build the covers of the leaves in leaf_id's block from one
+        minimal_cover call and the lifetimes, their far groups and their
+        coefficients: one offdiag call for every exact pair of the block, one
+        phi call for every (far member, step) pair, one psi call for the
+        ancestors of every leaf about its steps and for its far leaves about
+        their own intervals, and one batched product of their phi and psi."""
         tree, G, r = self.tree, self.tree.G, self.r
         size, per, leaf0 = tree.leaf_size, self._spans[G // 2], tree.first[G]
         first = leaf_id - (leaf_id - leaf0) % per
-        leaf_ids = range(first, first + per)
-        covers = [tree.minimal_cover(tree.nodes[i], self.eta) for i in leaf_ids]
-        lo, offsets = tree.lo[first:first + per], np.arange(size)
+        k0, lo, offsets = first - leaf0, tree.lo[first:first + per], np.arange(size)
+        # the candidate nodes, by id: those held at the block's first leaf or first
+        # held at a later one, and its last leaf, which only its own exact run reads
+        cover = tree.minimal_cover(tree.nodes[first], self.eta)
+        later = self._enters[self._enter_at[k0 + 1]:self._enter_at[k0 + per]]
+        ids = np.sort(np.concatenate([cover.near_ids + cover.far_ids + (first + per - 1,), later]))
+        nids, inner = ids.size, int(np.searchsorted(ids, leaf0))  # non-leaf candidates first
+        # one row per leaf k: held where enter <= k < free, and far where also adm <= k
+        enter, adm, free = tree.lifetimes(self.eta)
+        k = np.arange(k0, k0 + per)[:, None]
+        held = (enter[ids] <= k) & (k < free[ids])
+        far = held & (adm[ids] <= k)
         # each leaf's far group, by the group's first leaf: a group ends at the
         # first leaf for which one of its leaves is admissible, or at the block's end
-        reach = tree.lifetimes(self.eta)[1][first:first + per] - (first - leaf0)
         group, end = np.empty(per, dtype=np.intp), 0
-        for b, f in enumerate(reach.tolist()):
+        for b, f in enumerate((adm[first:first + per] - k0).tolist()):
             group_first, end = (b, f) if b >= end else (group_first, min(end, f))
             group[b] = group_first
-        # each leaf's near leaves and the leaf itself, then its far members by
-        # generation, then in time
-        ids = np.fromiter((i for c, leaf in zip(covers, leaf_ids)
-                           for i in (*c.near_ids, leaf, *c.far_ids)), dtype=np.intp)
-        nn = np.array([len(c.near_ids) + 1 for c in covers])
-        count = nn + [len(c.far_ids) for c in covers]
-        del covers
-        start = np.cumsum(count) - count
-        owner = np.repeat(np.arange(per), count)
-        at = np.arange(ids.size) - start[owner]  # place in its leaf's ids
-        near = at < nn[owner]
-        moment = ~near & (ids < leaf0)  # far non-leaf members come before far leaves
-        nmom = np.bincount(owner[moment], minlength=per)
-        nfl = count - nn - nmom
-        far = np.concatenate([np.flatnonzero(moment), np.flatnonzero(~near & ~moment)])
-        nm = int(nmom.sum())
-        # each group's far members, the union of its leaves', by generation,
-        # then in time; slot maps each leaf's far member to its union entry
-        union, slot = np.unique(group[owner[far]] * len(tree.nodes) + ids[far],
-                                return_inverse=True)
-        ugroup, union = np.divmod(union, len(tree.nodes))
-        uleaf = union >= leaf0
-        ukind = 2 * ugroup + uleaf  # moment members come before far leaves
-        unmom, unfl = np.bincount(ukind, minlength=2 * per).reshape(per, 2).T  # at group firsts
-        uat = np.arange(union.size) - np.searchsorted(ukind, ukind)  # place among its kind's
-        # Each leaf's ids, then at a group's first leaf the group's far
-        # members, cut into runs of consecutive node ids: each leaf's exact
-        # runs (kind 0) and each group's runs of moment members (kind 1) and
-        # of far leaves (kind 2); a leaf's own far members (kind 3) are only
-        # checked.  The far ids restart below the leaf's, and a generation's
-        # last node ends at step N, so it is never a member: no run crosses a
-        # kind or a generation.
-        seg = np.concatenate([2 * owner, 2 * ugroup + 1])
-        order = np.argsort(seg, kind="stable")
-        seg, members = seg[order], np.concatenate([ids, union])[order]
-        kind = np.concatenate([3 - 3 * near, 1 + uleaf])[order]
-        col = np.concatenate([at * size, uat * np.where(uleaf, size, r)])[order]
-        unit = np.where(kind == 1, r, size)
-        cut = np.ones(members.size, dtype=bool)
-        cut[1:] = (members[1:] != members[:-1] + 1) | (seg[1:] != seg[:-1])
-        run0 = np.flatnonzero(cut)
-        length = np.diff(run0, append=members.size)[kind[run0] < 3]
-        run0 = run0[kind[run0] < 3]
-        p0, c0 = tree.position(members[run0]), col[run0]
-        runs = np.stack([tree.generation[members[run0]], p0, p0 + length, kind[run0], c0,
-                         c0 + length * unit[run0]], axis=1)
-        ids_at = np.searchsorted(seg, 2 * np.arange(per + 1))
-        run_at = np.searchsorted(seg[run0], 2 * np.arange(per + 1))
-        del at, seg, order, kind, col, unit, cut, run0  # before the coefficient arrays are made
+        starts = np.flatnonzero(group == np.arange(per))
+        union = np.zeros_like(far)  # at a group's first leaf, the far members of its leaves
+        union[starts] = np.logical_or.reduceat(far, starts)
+        # Each leaf's columns of three kinds, in runs of consecutive node ids: its
+        # near leaves and itself (kind 0, exact), then at a group's first leaf the
+        # group's moment members (kind 1) and far leaves (kind 2); at[b, c] is c's
+        # place among its kind's in row b, int32 as it outlives the coefficients.
+        sel = np.concatenate([held & ~far | (ids == k + leaf0), union], axis=1)
+        kind = np.concatenate([np.zeros(nids, dtype=np.intp), 1 + (ids >= leaf0)])
+        at = np.concatenate([np.cumsum(part, axis=1, dtype=np.int32) for part in
+                             np.split(sel, [nids, nids + inner], axis=1)], axis=1) - 1
+        both = np.concatenate([ids, ids])
+        link = sel[:, 1:] & sel[:, :-1] & (np.diff(both) == 1) & (np.diff(kind) == 0)
+        run_b, j0 = np.nonzero(sel & ~np.pad(link, ((0, 0), (1, 0))))
+        j1 = np.nonzero(sel & ~np.pad(link, ((0, 0), (0, 1))))[1] + 1
+        unit = np.where(kind == 1, r, size)[j0]
+        p0, c0 = tree.position(both[j0]), at[run_b, j0] * unit
+        runs = np.stack([tree.generation[both[j0]], p0, p0 + j1 - j0, kind[j0], c0,
+                         c0 + (j1 - j0) * unit], axis=1)
         # every step's exact pairs j < n, at their place in its leaf's weights
+        nn = sel[:, :nids].sum(axis=1)
         width = nn * size  # exact columns per leaf
         col0 = np.cumsum(width) - width
-        js = (tree.lo[ids[near]][:, None] + offsets).ravel()
-        col_leaf = np.repeat(owner[near], size)
+        exact_b, exact_c = np.nonzero(sel[:, :nids])
+        js = (tree.lo[ids[exact_c]][:, None] + offsets).ravel()
+        col_leaf = np.repeat(exact_b, size)
         s, c = np.nonzero(js < lo[col_leaf] + offsets[:, None])
-        k = col_leaf[c]  # the leaf of each pair
+        q = col_leaf[c]  # the leaf of each pair
         exact = np.zeros(size * width.sum())
-        exact[size * col0[k] + s * width[k] + c - col0[k]] = self.weights.offdiag(lo[k] + s, js[c])
-        # phi at each leaf step of the far moment members, then of the far leaves
-        phi = self._phi(ids[far], lo[owner[far]] + offsets[:, None])  # (step, member, r)
+        exact[size * col0[q] + s * width[q] + c - col0[q]] = self.weights.offdiag(lo[q] + s, js[c])
+        # each leaf's far members, the moment members first, each member's leaves together
+        far_c, far_b = np.nonzero(far.T)
+        nmom, nfl = far[:, :inner].sum(axis=1), far[:, inner:].sum(axis=1)
+        nm = int(nmom.sum())
+        phi = self._phi(ids[far_c], lo[far_b] + offsets[:, None])  # (step, member, r)
         # the ancestors' psi about each leaf's steps, then each far leaf's
         # psi about its own intervals
-        chains = np.array(tree.first[:G]) + (np.arange(per) + first - leaf0)[:, None] // self._spans
-        psi_ids = np.concatenate([chains.ravel(), ids[far[nm:]]])
+        chains = np.array(tree.first[:G]) + k // self._spans
+        psi_ids = np.concatenate([chains.ravel(), ids[far_c[nm:]]])
         psi_lo = np.concatenate([np.repeat(lo, G), tree.lo[psi_ids[per * G:]]])
         psi = self._psi(psi_ids[:, None], psi_lo[:, None] + offsets)
         # A group's far weights of each kind have one row per step of its
@@ -415,21 +411,23 @@ class HistoryEngine:
         # step's leaf's cover; each far member's weights at a step of its
         # leaf are one row of r or leaf size values there.
         steps = size * np.bincount(group, minlength=per)
-        nw = steps * np.stack([unmom, unfl])  # rows of each kind per group, at its first leaf
+        members = np.stack([union[:, :inner].sum(axis=1), union[:, inner:].sum(axis=1)])
+        nw = steps * members  # rows of each kind per group, at its first leaf
         w0 = np.cumsum(nw, axis=1) - nw
-        q = group[owner[far]]
-        row = w0[uleaf[slot].astype(int), q] + uat[slot] + np.where(
-            uleaf[slot], unfl[q], unmom[q]) * ((owner[far] - q) * size + offsets[:, None])
+        q, is_leaf = group[far_b], (far_c >= inner).astype(np.intp)
+        row = w0[is_leaf, q] + at[q, nids + far_c] + members[is_leaf, q] * (
+            (far_b - q) * size + offsets[:, None])
         far_moments, far_leaves = np.zeros((nw[0].sum(), r)), np.zeros((nw[1].sum(), size))
         far_moments[row[:, :nm]] = phi[:, :nm]
         far_leaves[row[:, nm:]] = np.matmul(
             phi[:, nm:].transpose(1, 0, 2), psi[per * G:].transpose(0, 2, 1)).transpose(1, 0, 2)
         far_w = [(far_moments[a:a + x].reshape(st, -1), far_leaves[c:c + y].reshape(st, -1))
                  if st else () for a, c, x, y, st in zip(*w0.tolist(), *nw.tolist(), steps.tolist())]
-        bounds = np.stack([ids_at[:-1], ids_at[1:], run_at[:-1], run_at[1:], size * col0,
-                           size * (col0 + width), size * (np.arange(per) - group), count - nn,
-                           size * (nn - 1), self.m * ((nn - 1 + nfl) * size + r * nmom)], axis=1)
-        return _Block(first, members, runs, exact, far_w, psi, bounds.tolist())
+        run_at = np.searchsorted(run_b, np.arange(per + 1))
+        bounds = np.stack([run_at[:-1], run_at[1:], size * col0, size * (col0 + width),
+                           size * (np.arange(per) - group), nmom + nfl, size * (nn - 1),
+                           self.m * ((nn - 1 + nfl) * size + r * nmom)], axis=1)
+        return _Block(first, ids, held, union, runs, exact, far_w, psi, bounds.tolist())
 
     def _enter(self, leaf: Cluster) -> _LeafPlan:
         """Free the leaf's free list (the nodes whose parent turns admissible
@@ -444,8 +442,8 @@ class HistoryEngine:
             block = self._block = None  # the old block's arrays go before the new one's come
             block = self._block = self._enter_block(leaf_id)
         b = leaf_id - block.first
-        i0, i1, r0, r1, e0, e1, row, nfar, near, ops = block.leaves[b]
-        ids, size = block.ids[i0:i1], leaf.size
+        r0, r1, e0, e1, row, nfar, near, ops = block.leaves[b]
+        ids, size = block.ids[block.held[b] | block.union[b]], leaf.size
         k = leaf_id - tree.first[G]  # the leaf's place in time
         self.free_cluster(self._frees[self._free_at[k]:self._free_at[k + 1]])
         new = [g for g, span in enumerate(self._spans) if k % span == 0]  # ancestors first met here

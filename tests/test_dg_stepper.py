@@ -160,8 +160,7 @@ def test_fast_run_tracks_slow_run():
     slow = slow_run(RunConfig(nu=0.5, mesh=mesh, grid=grid), src, u0)
     fast = fast_run(RunConfig(nu=0.5, mesh=mesh, grid=grid, r=8, Q=2, G=3), src, u0)
     assert fast.r == 8
-    diff = max(float(np.max(np.abs(a - b)))
-               for a, b in zip(slow.solutions, fast.solutions))
+    diff = np.max([np.max(np.abs(a - b)) for a, b in zip(slow.solutions, fast.solutions)])
     assert diff < 1e-7
 
 

@@ -60,7 +60,7 @@ def test_far_field_accuracy_tracks_expansion_order():
             got = engine.history_sum(n)
             want = direct_history_sum(weights, vals, n, m=3)
             scale = max(float(np.max(np.abs(want))), 1e-30)
-            worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+            worst = np.maximum(worst, float(np.max(np.abs(got - want))) / scale)
             engine.commit_step(n, vals[n - 1])
         if prev is not None:
             assert worst < prev
@@ -420,8 +420,8 @@ def test_all_near_engine_matches_direct_sum_on_perturbed_mesh():
     def cb(n, hist):
         nonlocal worst
         want = direct_history_sum(weights, vals, n, m=m)
-        worst = max(worst, float(np.max(np.abs(hist - want)))
-                    / max(float(np.max(np.abs(want))), 1e-300))
+        worst = np.maximum(worst, float(np.max(np.abs(hist - want)))
+                           / max(float(np.max(np.abs(want))), 1e-300))
         return vals[n - 1]
 
     engine.run_schedule(cb)
@@ -437,7 +437,7 @@ def test_run_schedule_accuracy_against_direct_oracle():
         nonlocal worst
         want = direct_history_sum(weights, vals, n, m=2)
         scale = max(float(np.max(np.abs(want))), 1e-30)
-        worst = max(worst, float(np.max(np.abs(hist - want))) / scale)
+        worst = np.maximum(worst, float(np.max(np.abs(hist - want))) / scale)
         return vals[n - 1]
 
     engine.run_schedule(cb)
@@ -959,6 +959,72 @@ def test_far_groups_are_maximal_and_read_final_held_members(name, monkeypatch):
             assert taken == len(plan.exact) + (runs if k == k0 else 0), k
         multi += k1 - k0 > 1
     assert 2 * multi >= len(groups)
+
+
+@pytest.mark.parametrize("name, eta", [(name, None) for name in FAR_GROUP_TREES] + [
+    (mesh, eta) for mesh in ("uniform", "perturbed") for eta in (1e-300, 0.25, 0.4, 0.688, 1.0)])
+def test_block_covers_equal_minimal_covers(name, eta, monkeypatch):
+    """Every leaf's covers as its block builds them from the lifetimes equal
+    minimal_cover's, in order: its near ids are those of its exact runs
+    before the leaf itself, its far ids the rest of its cover's row, and at
+    a far group's first leaf the group's row holds the far members of all
+    the group's leaves.  The engine calls minimal_cover once per block, 10
+    times on desk and 32 on the long1d trees."""
+    if eta is None:
+        tree, eta = FAR_GROUP_TREES[name]()
+    else:
+        tree = ClusterTree(uniform_mesh(256, 6.0) if name == "uniform"
+                           else perturbed_mesh(256, seed=10), 2, 6)
+    leaves, leaf0, groups = list(tree.leaves()), tree.first[tree.G], dict(far_groups(tree, eta))
+    covers = [tree.minimal_cover(leaf, eta) for leaf in leaves]
+    cover, enter_block = ClusterTree.minimal_cover, HistoryEngine._enter_block
+    calls, checked = [], []
+
+    def counted(self, leaf, eta):
+        calls.append(leaf)
+        return cover(self, leaf, eta)
+
+    def checked_enter_block(self, leaf_id):
+        block = enter_block(self, leaf_id)
+        for b, (r0, r1, *_) in enumerate(block.leaves):
+            k = block.first + b - leaf0
+            near = [tree.first[g] + p for g, p0, p1, kind, _, _ in block.runs[r0:r1].tolist()
+                    if kind == 0 for p in range(p0, p1)]
+            held = block.ids[block.held[b]].tolist()
+            assert near[:-1] == list(covers[k].near_ids) and near[-1] == block.first + b, k
+            assert [i for i in held if i not in near] == list(covers[k].far_ids), k
+            union = set().union(*(covers[j].far_ids for j in range(k, groups.get(k, k))))
+            assert block.ids[block.union[b]].tolist() == sorted(union), k
+            checked.append(k)
+        return block
+
+    monkeypatch.setattr(ClusterTree, "minimal_cover", counted)
+    monkeypatch.setattr(HistoryEngine, "_enter_block", checked_enter_block)
+    engine = HistoryEngine(tree, WeightEngine(KernelParams(0.5), tree.mesh), 3, eta, 1)
+    engine.run_schedule(lambda n, hist: np.ones(1))
+    assert checked == list(range(len(leaves)))
+    assert len(calls) == tree.Q ** (tree.G // 2) == {"desk": 10, "long1d": 32,
+                                                     "long1d-seed2": 32}.get(name, len(calls))
+
+
+@pytest.mark.parametrize("name", ["perturbed-Q4", "two-speed"])
+def test_later_group_leaves_check_their_own_far_members(name):
+    """A far group's first entry reads the far members of all its leaves,
+    yet each later leaf's entry still checks its own: a moment block or a
+    far leaf of the cover of a group's last leaf, freed by hand after the
+    group's first entry, stops that leaf's entry."""
+    tree, eta = FAR_GROUP_TREES[name]()
+    leaves, leaf0 = list(tree.leaves()), tree.first[tree.G]
+    k = next(k1 - 1 for k0, k1 in far_groups(tree, eta) if k1 - k0 > 1 and {
+        i >= leaf0 for i in tree.minimal_cover(leaves[k1 - 1], eta).far_ids} == {False, True})
+    far = tree.minimal_cover(leaves[k], eta).far_ids
+    for target in (far[0], far[-1]):  # a moment block, then a far leaf
+        engine = HistoryEngine(tree, WeightEngine(KernelParams(0.5), tree.mesh), 3, eta, 1)
+        for n in range(1, leaves[k].lo):
+            engine.commit_step(n, np.ones(1))
+        engine.free_cluster([target])
+        with pytest.raises(AssertionError, match="freed too early"):
+            engine.history_sum(leaves[k].lo)
 
 
 @pytest.mark.parametrize("name", ["perturbed-Q3", "uniform-leaf-size-1", "G1"])
