@@ -7,24 +7,29 @@ history (0, t_{j-1}] is partitioned into the unique minimal cover of
 tree nodes that are either admissible (length at most eta times the gap
 to L, eligible for the rank-r expansion) or leaves (summed exactly).
 
-The tree is stored as node arrays `lo`, `hi` and `generation` in
-breadth-first id order, and this module alone knows that numbering: the
-children of node i are Q i + 1 .. Q i + Q, so parent, ancestor-chain
-and position queries are id arithmetic.  A child is never longer than its
-parent nor nearer to the leaf, so admissibility is monotone from parent to
-child, and it only grows as the leaf moves right.  So each node has a
-lifetime: it enters the covers at the first leaf for which it is
-admissible (a leaf node: at the leaf after it, summed exactly until it is
-admissible) and leaves them at the first leaf for which its parent is,
-never to return; no later leaf needs its values then.  `lifetimes` finds
-these leaf indices for every node at once, by bisection over the leaves,
-once per eta, and a leaf's cover is the nodes whose lifetime holds it.
+The tree is its node arrays `lo`, `hi` and `generation` in breadth-first
+id order, and this module alone knows that numbering: the children of
+node i are Q i + 1 .. Q i + Q, so parent, ancestor-chain and position
+queries are id arithmetic.  A Cluster is made only when asked for: one
+by leaf_of, those of a cover by its near and far, and the list of all of
+them, `nodes`, once, on its first access.
+
+A child is never longer than its parent nor nearer to the leaf, so
+admissibility is monotone from parent to child, and it only grows as the
+leaf moves right.  So each node has a lifetime: it enters the covers at
+the first leaf for which it is admissible (a leaf node: at the leaf
+after it, summed exactly until it is admissible) and leaves them at the
+first leaf for which its parent is, never to return; no later leaf needs
+its values then.  `lifetimes` finds these leaf indices for every node at
+once, by bisection over the leaves, once per eta, and a leaf's cover is
+the nodes whose lifetime holds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -46,21 +51,20 @@ class Cluster(NamedTuple):
 @dataclass(frozen=True)
 class Cover:
     """Partition of a leaf's history into near (exact) and far (low-rank)
-    parts, as node ids by generation, then time; `near` and `far` give
-    their Clusters when read."""
+    parts, as node ids by generation, then time; `near` and `far` make
+    their Clusters from the tree's arrays when read."""
 
-    leaf: Cluster
     near_ids: tuple[int, ...]
     far_ids: tuple[int, ...]
-    nodes: list[Cluster] = field(compare=False, repr=False)  # the tree's Clusters by id
+    tree: ClusterTree = field(compare=False, repr=False)
 
     @property
     def near(self) -> tuple[Cluster, ...]:
-        return tuple(self.nodes[i] for i in self.near_ids)
+        return self.tree.clusters(self.near_ids)
 
     @property
     def far(self) -> tuple[Cluster, ...]:
-        return tuple(self.nodes[i] for i in self.far_ids)
+        return self.tree.clusters(self.far_ids)
 
     def members(self) -> tuple[Cluster, ...]:
         return tuple(sorted(self.near + self.far))
@@ -91,17 +95,22 @@ class ClusterTree:
         width = N // Q**self.generation
         self.lo = (np.arange(self.first[-1]) - np.array(self.first)[self.generation]) * width + 1
         self.hi = self.lo + width - 1
-        self.nodes = list(map(Cluster, self.lo.tolist(), self.hi.tolist()))
         # the mesh coordinate of each level: interval counts on uniform
         # meshes, so admissibility ties at the threshold are exact; times otherwise
         self._x = np.arange(N + 1.0) if mesh.uniform else mesh.levels
-        self._length, self._end = self._extent(self.lo, self.hi)
         self._lifetimes = None  # (eta, its lifetimes), for the last eta asked about
-        lv = mesh.levels
-        self._midpoint = 0.5 * (lv[self.lo - 1] + lv[self.hi])
-        self._first_of = np.array(self.first)[self.generation]  # per node: its generation's first id
 
     # -- structure queries ------------------------------------------------
+
+    @cached_property
+    def nodes(self) -> list[Cluster]:
+        """The Clusters by id, made on the first access (by leaves, or a
+        test); no fast run asks."""
+        return list(map(Cluster, self.lo.tolist(), self.hi.tolist()))
+
+    def clusters(self, ids) -> tuple[Cluster, ...]:
+        """The Clusters of the node ids, made from lo and hi."""
+        return tuple(map(Cluster, self.lo[list(ids)].tolist(), self.hi[list(ids)].tolist()))
 
     def is_leaf(self, c: Cluster) -> bool:
         return 1 <= c.lo <= self.mesh.N and self.leaf_of(c.lo) == c
@@ -116,16 +125,17 @@ class ClusterTree:
 
     def leaf_of(self, n: int) -> Cluster:
         """The unique leaf containing interval n."""
-        return self.nodes[self.leaf_id(n)]
+        i = self.leaf_id(n)
+        return Cluster(int(self.lo[i]), int(self.hi[i]))
 
     def position(self, i):
         """Place of node i, or of each node of an id array, in its
         generation's time order."""
-        return i - self._first_of[i]
+        return i - np.asarray(self.first)[self.generation[i]]
 
     def midpoint(self, ids) -> np.ndarray:
         """Midpoints of the nodes' time spans."""
-        return self._midpoint[ids]
+        return 0.5 * (self.mesh.levels[self.lo[ids] - 1] + self.mesh.levels[self.hi[ids]])
 
     # -- admissibility and covers -------------------------------------------
 
@@ -152,16 +162,17 @@ class ClusterTree:
         over the leaves finds them with O(log leaves) evaluations over all
         nodes.  Read-only, and kept for the last eta asked about."""
         if self._lifetimes is None or self._lifetimes[0] != eta:
-            L = self.Q ** self.G
-            lo, hi = np.zeros(len(self.nodes), dtype=np.intp), np.full(len(self.nodes), L)
+            L, count = self.Q ** self.G, self.first[-1]
+            length, end = self._extent(self.lo, self.hi)
+            lo, hi = np.zeros(count, dtype=np.intp), np.full(count, L)
             for _ in range(L.bit_length()):  # the answer lies in [lo, hi]
                 mid = (lo + hi) // 2
-                adm = self._admissible(self._length, self._end, mid * self.leaf_size, eta)
+                adm = self._admissible(length, end, mid * self.leaf_size, eta)
                 hi, lo = np.where(adm, mid, hi), np.where(adm, lo, np.minimum(mid + 1, hi))
             enter = hi.copy()  # a leaf is summed exactly from the leaf after it on
             enter[self.first[self.G]:] = np.arange(1, L + 1)
             # the root is never admissible, and stands in for its own parent
-            free = hi[np.maximum(np.arange(len(self.nodes)) - 1, 0) // self.Q]
+            free = hi[np.maximum(np.arange(count) - 1, 0) // self.Q]
             for x in (enter, hi, free):
                 x.flags.writeable = False
             self._lifetimes = eta, (enter, hi, free)
@@ -180,14 +191,14 @@ class ClusterTree:
         ids = ((enter <= k) & (k < free)).nonzero()[0]
         is_far = far[ids] <= k
         near_ids, far_ids = tuple(ids[~is_far].tolist()), tuple(ids[is_far].tolist())
-        return Cover(leaf=leaf, near_ids=near_ids, far_ids=far_ids, nodes=self.nodes)
+        return Cover(near_ids, far_ids, self)
 
     # -- debug output -------------------------------------------------------
 
     def dump(self) -> str:
         """Indented one-node-per-line rendering of the tree."""
-        return "".join(f"{'  ' * g}gen{g} C({c.lo},{c.hi})\n"
-                       for c, g in zip(self.nodes, self.generation.tolist()))
+        return "".join(f"{'  ' * g}gen{g} C({lo},{hi})\n" for lo, hi, g in
+                       zip(self.lo.tolist(), self.hi.tolist(), self.generation.tolist()))
 
 
 def max_depth(N: int, Q: int) -> int:

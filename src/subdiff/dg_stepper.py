@@ -158,10 +158,15 @@ def _march(config: RunConfig, weights: WeightEngine, source: SeparableSource | N
     to the whole run.
     """
     mesh, grid = config.mesh, config.grid
+    for name, v in (("u0", u0), ("source.spatial", None if source is None else source.spatial)):
+        finite = None if v is None else np.isfinite(np.asarray(v, dtype=float))
+        if finite is not None and (finite.size != grid.M or not finite.all()):
+            raise ValueError(f"{name} must hold M={grid.M} finite values; "
+                             f"got {finite.size}, {int(finite.sum())} of them finite")
     solver = EllipticSolver(grid)
     mu, sigma = solver.mu, solver.sigma
     load_hat = solver.sine_load(source)
-    u_hat = np.zeros(grid.M) if u0 is None else solver.transform(np.asarray(u0, dtype=float))
+    u_hat = np.zeros(grid.M) if u0 is None else solver.transform(np.ravel(u0).astype(float))
     mark = time.perf_counter()
     res.setup_seconds = mark - t0
 

@@ -1,94 +1,34 @@
 """Fast history summation with clustered low-rank far fields and
 incremental memory management.
 
-When a leaf's last step is committed, the engine adds the leaf's solution
-vectors into the moment accumulators of every non-leaf cluster containing
-it.  Querying the history at step n partitions the past into the current
-leaf's earlier intervals plus the near/far parts of the leaf's minimal
-cover: near intervals use exact weights against retained vectors, far
-non-leaf clusters collapse to r moment vectors, and far leaves are
-approximated from their still-retained vectors.
-
-Storage is one block store per tree generation: a leaf's block holds its
-retained vectors, a non-leaf's block its r moment vectors, and block p of
-a generation sits at row p - base of the store's buffer.  Blocks are
-reserved in time order and freed in roughly the same order, so the held
-blocks lie in one window of consecutive positions.  The lifetimes fix
-every window before the first step: entering leaf k, a generation holds
-its blocks from the first position whose freeing leaf lies past k, one
-bisection of the running maximum of those leaves, to its newest.  So
-each buffer is allocated once, a quarter wider than its widest window
-(at most the whole generation), and a reserve that would fall past its
-end moves the window to the front.  A non-leaf's block is reserved,
-zeroed, when the schedule enters its first leaf, and the engine keeps
-the blocks of the current leaf's G ancestors.  A commit only
-stores U^n in the leaf's block; the moments are linear in the vectors, so
-the leaf's last commit adds the whole leaf into its ancestors' blocks
-with one (G, r, leaf size) @ (leaf size, M) product.  No step of a leaf
-reads its ancestors' moments (an ancestor is never in its own leaf's
-cover).
-
-One flag per node id records whether the engine holds the node's store
-block.  Everything a step needs depends on its leaf alone, and a leaf's
-cover and coefficients depend only on the mesh, the tree and eta, not
-on the stores, so the engine plans ahead, one path on every mesh:
-  - per run, one argsort of the leaves that free the nodes (their
-    lifetimes' third index: their parent turns admissible, and its
-    moments or a far member above stand in for them) gives every leaf a
-    static free list, and one of the leaves whose cover first holds them
-    (the first index) a static enter list;
-  - a block is the set of leaves under one node of generation G // 2.
-    When the schedule enters a block's first leaf, the engine builds the
-    covers of all its leaves from one membership matrix, a row per leaf
-    k and a column per candidate node: those held at the first leaf (its
-    minimal_cover) or on a later leaf's enter list.  A node is held where
-    its lifetime has enter <= k < free, and far where also adm <= k; the
-    covers, the far groups and the runs are read from it.  Then the
-    weights: one WeightEngine.offdiag call for the exact weights of every
-    step of every leaf against its near leaves and its own earlier
-    intervals, one phi evaluation for every (far member, step) pair, one
-    psi evaluation for each leaf's ancestors about the leaf's steps and
-    for its far leaves about their own intervals, and one batched product
-    of the far leaves' phi and psi; a leaf's weights are views into these,
-    and its far group's (see below) are laid out at the group's first
-    leaf.  The block's arrays hold no M-length vector and are dropped
-    when the next block is entered, just before its arrays are built, so
-    that they are freed within the block entry, not within an ordinary
-    step.  With about the square root of the leaf count in blocks and in
-    leaves per block, a block entry, the longest step of a run, stays a
-    small fraction of the steps;
-  - a leaf entry does what must happen at the leaf's time: one
-    free_cluster call on its free list, reserving the blocks of the
-    ancestors whose first leaf it is (by arithmetic on its place in
-    time) and its own block, and checking that its cover's row of the
-    matrix, and at a far group's first leaf the group's row, are held.
-    Stores change only then, and a store reserves a non-leaf block only
-    when its generation's ancestor changes, so the views the entry
-    takes, and the blocks of the ancestors that continue, stay valid for
-    the whole leaf.  It builds the leaf's plan from those views and its
-    weights.
-A leaf's near leaves followed by the leaf itself, and the far members of
-a far group (the union of its leaves'), fall into runs of consecutive
-positions of one generation (on a uniform mesh one run per kind and
-generation), each with one view and one weight block:
-  - the near leaves followed by the leaf itself: exact weights;
-  - the far leaves: low-rank weights, from one matmul of their phi
-    coefficients with their psi coefficients;
-  - each generation's far non-leaf members: their phi coefficients.
-A far group is a run of a block's leaves that ends at the first leaf for
-which one of its leaves is admissible (the running minimum of their
-lifetimes' second index), or at the block's end.  So its far members lie
-wholly before its first leaf, and their values are final, and held, when
-that leaf is entered: that entry forms the far field of every step of the
-group, one block product per far run, from weights with one row per step
-that are zero where a member is not in the step's leaf's cover.  Each
-leaf of the group keeps its rows of it and its exact runs' views.  A step then costs one sequential reduction per exact run plus
-one add of its far-field row, and the live value count stays
-logarithmic in the step count.
-
-Counters track multiply-accumulates on length-M vectors (M operations
-each), the high-water mark of live stored values, and the values the
-stores' buffers hold, so the cost and memory bounds can be checked
+The README's design section tells how the engine plans a run from the
+cover lifetimes: the static free and enter lists, the blocks of leaves
+with their covers and coefficients, the far groups and the per-generation
+block stores.  The code relies on three invariants:
+  - summation order: a step's exact terms accumulate first, one row after
+    another in ascending interval order across its exact runs (its near
+    leaves, then its leaf's own earlier intervals), reading only the rows
+    with j < n, and its far-field row is added after them, so an all-near
+    cover matches direct_history_sum bit for bit;
+  - the window rule: store g keeps block p of its generation at
+    buf[p - base], and entering leaf k it holds one window of consecutive
+    blocks, from the first whose freeing leaf lies past k (a bisection of
+    the running maximum of those leaves) to its newest.  So each buffer
+    is allocated once, a quarter wider than its widest window; stores
+    change only at a leaf entry, and a non-leaf store only when its
+    generation's ancestor changes, so the views an entry takes stay valid
+    for the whole leaf;
+  - the far-group rule: a far group is a run of a block's leaves that
+    ends at the first leaf for which one of its leaves is admissible, or
+    at the block's end.  So its leaves' far members lie wholly before its
+    first leaf and are final, and held, when that leaf is entered, which
+    forms the far field of every step of the group; no step reads a far
+    member's rows.
+No step of a leaf reads its ancestors' moments, so its last commit folds
+the whole leaf into them with one product.  Counters track
+multiply-accumulates on length-M vectors (M operations each), the
+high-water mark of live stored values, and the values the stores'
+buffers hold, so the cost and memory bounds can be checked
 machine-independently.
 """
 
@@ -276,7 +216,7 @@ class HistoryEngine:
         self.m = m
         self.counters = EngineCounters()
         G, first = tree.G, tree.first
-        self._live = np.zeros(len(tree.nodes), dtype=bool)  # per node id: values held, not freed
+        self._live = np.zeros(first[-1], dtype=bool)  # per node id: values held, not freed
         self._ancestors: list = [None] * G  # the current leaf's ancestors' blocks, root first
         self._spans = [tree.Q ** (G - g) for g in range(G)]  # leaves under a generation-g node
         enter, _, free = tree.lifetimes(eta)
@@ -302,19 +242,6 @@ class HistoryEngine:
         self._far: np.ndarray | None = None  # the current far group's far field
 
     # -- helpers ------------------------------------------------------------
-
-    def _phi(self, ids: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """phi of the nodes ids at the steps, broadcast against each other,
-        with a trailing axis of length r."""
-        lv = self.tree.mesh.levels
-        return phi_coeffs(self.weights.params.nu, self.r, self.tree.midpoint(ids),
-                          lv[steps - 1], lv[steps])
-
-    def _psi(self, ids: np.ndarray, intervals: np.ndarray) -> np.ndarray:
-        """psi of the nodes ids on the intervals, broadcast against each
-        other, with a trailing axis of length r."""
-        lv = self.tree.mesh.levels
-        return psi_coeffs(self.r, self.tree.midpoint(ids), lv[intervals - 1], lv[intervals])
 
     def _reserve(self, g: int, p: int, k: int) -> np.ndarray:
         """Hold block p of store g, the generation's newest, at leaf k's entry."""
@@ -343,13 +270,13 @@ class HistoryEngine:
         phi call for every (far member, step) pair, one psi call for the
         ancestors of every leaf about its steps and for its far leaves about
         their own intervals, and one batched product of their phi and psi."""
-        tree, G, r = self.tree, self.tree.G, self.r
+        tree, G, r, lv = self.tree, self.tree.G, self.r, self.tree.mesh.levels
         size, per, leaf0 = tree.leaf_size, self._spans[G // 2], tree.first[G]
         first = leaf_id - (leaf_id - leaf0) % per
         k0, lo, offsets = first - leaf0, tree.lo[first:first + per], np.arange(size)
         # the candidate nodes, by id: those held at the block's first leaf or first
         # held at a later one, and its last leaf, which only its own exact run reads
-        cover = tree.minimal_cover(tree.nodes[first], self.eta)
+        cover = tree.minimal_cover(tree.leaf_of(int(lo[0])), self.eta)
         later = self._enters[self._enter_at[k0 + 1]:self._enter_at[k0 + per]]
         ids = np.sort(np.concatenate([cover.near_ids + cover.far_ids + (first + per - 1,), later]))
         nids, inner = ids.size, int(np.searchsorted(ids, leaf0))  # non-leaf candidates first
@@ -398,13 +325,16 @@ class HistoryEngine:
         far_c, far_b = np.nonzero(far.T)
         nmom, nfl = far[:, :inner].sum(axis=1), far[:, inner:].sum(axis=1)
         nm = int(nmom.sum())
-        phi = self._phi(ids[far_c], lo[far_b] + offsets[:, None])  # (step, member, r)
+        far_steps = lo[far_b] + offsets[:, None]
+        phi = phi_coeffs(self.weights.params.nu, r, tree.midpoint(ids[far_c]),
+                         lv[far_steps - 1], lv[far_steps])  # (step, member, r)
         # the ancestors' psi about each leaf's steps, then each far leaf's
         # psi about its own intervals
         chains = np.array(tree.first[:G]) + k // self._spans
         psi_ids = np.concatenate([chains.ravel(), ids[far_c[nm:]]])
         psi_lo = np.concatenate([np.repeat(lo, G), tree.lo[psi_ids[per * G:]]])
-        psi = self._psi(psi_ids[:, None], psi_lo[:, None] + offsets)
+        intervals = psi_lo[:, None] + offsets
+        psi = psi_coeffs(r, tree.midpoint(psi_ids[:, None]), lv[intervals - 1], lv[intervals])
         # A group's far weights of each kind have one row per step of its
         # leaves and r columns per moment member (phi) or one per interval of
         # each far leaf (phi @ psi.T), zero where the member is not in that
@@ -454,7 +384,7 @@ class HistoryEngine:
         rows = self._reserve(G, k, k)
         live = self._live[ids]
         if not live.all():
-            raise AssertionError(f"the blocks of {tree.nodes[ids[np.argmin(live)]]} "
+            raise AssertionError(f"the blocks of {tree.clusters(ids[~live][:1])[0]} "
                                  "were freed too early")
 
         weights = (block.exact[e0:e1].reshape(size, -1), *block.far[b])

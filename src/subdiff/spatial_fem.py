@@ -100,7 +100,7 @@ class EllipticSolver:
         the source's spatial factor; zero for no source."""
         if source is None:
             return np.zeros(self.grid.M)
-        return self.mu * self.transform(source.spatial)
+        return self.mu * self.transform(np.ravel(source.spatial))
 
 
 def l2_norm(solver: EllipticSolver, v: np.ndarray) -> float:

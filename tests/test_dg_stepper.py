@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -237,6 +238,26 @@ def test_streamed_fast_run_keeps_no_solutions_in_memory(tmp_path):
     in_memory, streamed = peaks
     assert in_memory > solution_bytes
     assert streamed < 0.6 * solution_bytes
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_malformed_initial_value_or_source_is_rejected(dim):
+    """Both schemes reject a u0 or source.spatial that does not hold M
+    finite values before the first step, naming the argument and M, and
+    take one that does flat, whatever its shape."""
+    mesh, grid, src, u0 = problem(N=8, m=4, dim=dim)
+    cfg, M = RunConfig(nu=0.5, mesh=mesh, grid=grid, Q=2, G=2), grid.M
+    spatial = lambda v: SeparableSource(spatial=v, time_average=src.time_average)
+    cases = [(src, u0[:-1], "u0"), (src, np.append(u0, 0.0), "u0"),
+             (src, np.where(np.arange(M) == 1, np.inf, u0), "u0"),
+             (spatial(np.ones(M + 1)), u0, "source.spatial"),
+             (spatial(np.full(M, np.nan)), u0, "source.spatial")]
+    for run in (slow_run, fast_run):
+        for source, init, name in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(name)} must hold M={M} finite"):
+                run(cfg, source, init)
+        column = run(cfg, spatial(src.spatial[:, None]), u0[:, None]).solutions
+        assert np.array_equal(column, run(cfg, src, u0).solutions)
 
 
 def test_fast_run_eta_requires_r():

@@ -10,7 +10,7 @@ from subdiff.frac_weights import KernelParams, WeightEngine
 from subdiff.history_engine import EngineCounters, HistoryEngine, SolutionSink
 from subdiff.reference_solution import direct_history_sum
 from subdiff.spatial_fem import SpatialGrid, benchmark_source, sine_mode
-from subdiff.taylor_expansion import ExpansionParams, psi_coeffs
+from subdiff.taylor_expansion import ExpansionParams, phi_coeffs, psi_coeffs
 from subdiff.time_mesh import mesh_from_levels, uniform_mesh
 from test_clustering import COVER_TREES, admissible, chain, children, perturbed_levels
 
@@ -36,6 +36,21 @@ def random_values(N, m, seed=1):
 
 def node_id(tree, c):
     return tree.nodes.index(c)
+
+
+def engine_phi(engine, ids, steps):
+    """phi of the nodes ids at the steps, broadcast against each other,
+    with a trailing axis of length r, as the engine evaluates it."""
+    lv = engine.tree.mesh.levels
+    return phi_coeffs(engine.weights.params.nu, engine.r, engine.tree.midpoint(ids),
+                      lv[steps - 1], lv[steps])
+
+
+def engine_psi(engine, ids, intervals):
+    """psi of the nodes ids on the intervals, broadcast against each
+    other, with a trailing axis of length r, as the engine evaluates it."""
+    lv = engine.tree.mesh.levels
+    return psi_coeffs(engine.r, engine.tree.midpoint(ids), lv[intervals - 1], lv[intervals])
 
 
 def test_all_near_cover_matches_direct_sum_bitwise():
@@ -698,10 +713,10 @@ def test_far_block_matches_per_step_products(name, monkeypatch):
         for i in far:
             if i not in moments:
                 lo, hi = int(tree.lo[i]), int(tree.hi[i])
-                psi = engine._psi(np.array([i]), np.arange(lo, hi + 1)[None])[0]
+                psi = engine_psi(engine, np.array([i]), np.arange(lo, hi + 1)[None])[0]
                 moments[i] = psi.T @ V[lo - 1:hi], np.abs(psi.T) @ np.abs(V[lo - 1:hi])
         for s, n in enumerate(range(leaf.lo, leaf.hi + 1)):
-            phi = engine._phi(np.array(far), np.array([n]))
+            phi = engine_phi(engine, np.array(far), np.array([n]))
             want = sum(phi[k] @ moments[i][0] for k, i in enumerate(far))
             scale = sum(np.abs(phi[k]) @ moments[i][1] for k, i in enumerate(far))
             assert np.all(np.abs(plan.far[s] - want) <= 1e-13 * scale), (leaf, n)
@@ -815,10 +830,10 @@ def per_leaf_plan(engine, leaf):
     nmom = int(np.searchsorted(far, tree.first[G]))
     rows = np.concatenate([np.array(chain(tree, leaf_id), dtype=int), far[nmom:]])
     intervals = np.concatenate([[leaf.lo] * G, tree.lo[far[nmom:]]])[:, None] + np.arange(size)
-    psi = engine._psi(rows[:, None], intervals)
+    psi = engine_psi(engine, rows[:, None], intervals)
     far_w = {}
     if far.size:
-        phi = engine._phi(far[:, None], steps)  # (member, step, r)
+        phi = engine_phi(engine, far[:, None], steps)  # (member, step, r)
         w_leaf = np.matmul(phi[nmom:], psi[G:].transpose(0, 2, 1))
         far_w = dict(zip(far.tolist(), [*phi[:nmom], *w_leaf]))
     return exact_w, far_w, np.ascontiguousarray(psi[:G].transpose(0, 2, 1))
@@ -1057,6 +1072,17 @@ def test_one_block_is_held_and_replaced_at_a_block_entry(name, monkeypatch):
     V = random_values(tree.mesh.N, engine.m)
     engine.run_schedule(lambda n, hist: V[n - 1])
     assert built == list(range(leaf0, leaf0 + tree.Q ** tree.G, per))
+
+
+@pytest.mark.parametrize("name", ["desk", "long1d"])
+def test_runs_leave_the_cluster_list_unbuilt(name):
+    """A run reads the tree's node arrays and makes a Cluster only per
+    leaf entry and per block, never the tree's list of them."""
+    tree, eta = FAR_GROUP_TREES[name]()
+    engine = HistoryEngine(tree, WeightEngine(KernelParams(0.5), tree.mesh), 3, eta, 1)
+    V = random_values(tree.mesh.N, 1)
+    engine.run_schedule(lambda n, hist: V[n - 1])
+    assert engine.committed == tree.mesh.N and "nodes" not in vars(tree)
 
 
 @pytest.mark.parametrize("name", ["desk", "long1d", "long1d-seed2", "ternary-perturbed",
