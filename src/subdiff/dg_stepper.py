@@ -151,11 +151,12 @@ def _march(config: RunConfig, weights: WeightEngine, source: SeparableSource | N
 
     drive must call step(n, H_n) for n = 1..N in order, with H_n in nodal
     values; step solves for U^n, writes it to the sink if there is one and
-    appends it to res.solutions otherwise, and returns it.  Set-up time
-    runs from t0 to the first step; solver_seconds covers each solve and
-    its transform back to nodal values, rhs_seconds all time between two
-    of those (history work in drive included), so the three phases add up
-    to the whole run.
+    appends it to res.solutions otherwise, and returns it.  It forms k_n and
+    beta_nn from the levels as TimeMesh.step and WeightEngine.diag do.
+    Set-up time runs from t0 to the first step; solver_seconds covers each
+    solve and its transform back to nodal values, rhs_seconds all time
+    between two of those (history work in drive included), so the three
+    phases add up to the whole run.
     """
     mesh, grid = config.mesh, config.grid
     for name, v in (("u0", u0), ("source.spatial", None if source is None else source.spatial)):
@@ -167,28 +168,30 @@ def _march(config: RunConfig, weights: WeightEngine, source: SeparableSource | N
     mu, sigma = solver.mu, solver.sigma
     load_hat = solver.sine_load(source)
     u_hat = np.zeros(grid.M) if u0 is None else solver.transform(np.ravel(u0).astype(float))
-    mark = time.perf_counter()
+    # bound as the run starts, so a tracer installed before it sees every call
+    transform, solve, clock = solver.transform, solver.solve, time.perf_counter
+    emit = res.solutions.append if sink is None else sink.write
+    lv, nu, gamma_diag = mesh.levels, weights.params.nu, gamma(1.0 + weights.params.nu)
+    mark = clock()
     res.setup_seconds = mark - t0
 
     def step(n: int, hist: np.ndarray) -> np.ndarray:
         nonlocal u_hat, mark
+        k = float(lv[n] - lv[n - 1])  # mesh.step(n), and k ** nu / gamma_diag is weights.diag(n)
         rhs = mu * u_hat
-        rhs += mesh.step(n) * load_average(mesh, n, source, load_hat)
-        rhs += sigma * solver.transform(hist)
-        t = time.perf_counter()
+        rhs += k * load_average(mesh, n, source, load_hat)
+        rhs += sigma * transform(hist)
+        t = clock()
         res.rhs_seconds += t - mark
-        u_hat = solver.solve(weights.diag(n), rhs)
-        u = solver.transform(u_hat)
-        mark = time.perf_counter()
+        u_hat = solve(k ** nu / gamma_diag, rhs)
+        u = transform(u_hat)
+        mark = clock()
         res.solver_seconds += mark - t
-        if sink is None:
-            res.solutions.append(u)
-        else:
-            sink.write(u)
+        emit(u)
         return u
 
     drive(step)
-    res.rhs_seconds += time.perf_counter() - mark
+    res.rhs_seconds += clock() - mark
     return res
 
 

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clustering import Cluster, ClusterTree, Cover
+from .clustering import ClusterTree, Cover
 from .frac_weights import WeightEngine
 from .taylor_expansion import ExpansionParams, phi_coeffs, psi_coeffs
 
@@ -88,10 +88,10 @@ class SolutionSink:
     def write(self, vec: np.ndarray) -> None:
         if self._fh is None:
             raise ValueError("sink already closed")
-        data = np.asarray(vec, dtype="<f8")
+        data = np.ascontiguousarray(vec, dtype="<f8")
         if self.records and data.size != self.width:
             raise ValueError(f"record of {data.size} values in a stream of {self.width}")
-        self._fh.write(data.tobytes())
+        self._fh.write(data)  # its buffer, without a bytes copy
         self.width = data.size
         self.records += 1
 
@@ -149,21 +149,15 @@ class _BlockStore:
         return self.buf[p0 - self.base:p1 - self.base].reshape(-1, self.buf.shape[2])
 
 
-def _sum_rows(t: np.ndarray) -> np.ndarray:
-    """t[0] + t[1] + ... in that order.  numpy's axis-0 reduction adds row
-    after row when rows hold two or more values, but sums a single column
-    pairwise; accumulate is sequential in both cases (and slow on wide rows)."""
-    return np.add.reduce(t, axis=0) if t.shape[1] > 1 else np.add.accumulate(t, axis=0)[-1]
-
-
 class _LeafPlan(NamedTuple):
     """What every step of one leaf needs, built when the leaf is entered
     from its rows of its block's coefficients, from the store views taken
     then and from its rows of its far group's far field.  Arrays have one
-    row per step of the leaf, row s for step n = leaf.lo + s; each exact
-    run pairs its weights with a view of the store rows they multiply."""
+    row per step of the leaf, row s for step n = lo + s; each exact run
+    pairs its weights with a view of the store rows they multiply."""
 
-    leaf: Cluster
+    lo: int  # the leaf's first and last step
+    hi: int
     rows: np.ndarray  # (leaf size, M): the leaf's own block, filled by its commits
     near: int  # exact-weight columns before the leaf's own intervals
     exact: tuple  # (first column, weights, rows) per run of near leaves, the leaf's run last
@@ -175,16 +169,15 @@ class _LeafPlan(NamedTuple):
 class _Block(NamedTuple):
     """The covers, far groups and coefficients of the leaves under one
     node of generation G // 2, built when the schedule enters the first of
-    them and dropped when it enters the next block's first.  ids are its
-    candidate nodes, by id.  Leaf k of the block, in time order, has its
-    cover's row held[k] and, at a far group's first leaf, the group's far
-    members' row union[k], which its entry checks are held; and the
-    offsets leaves[k] into the arrays:
+    them and dropped when it enters the next block's first.  Leaf k of the
+    block, in time order, has the offsets leaves[k] into the arrays:
       - runs[r0:r1]: its runs of consecutive ids, each (generation, first
         and end position, kind, first and end column in its weights of
         that kind), the near leaves and the leaf itself, then at a group's
         first leaf the group's far runs;
       - exact[e0:e1]: its exact weights, one row per step;
+      - check[i0:i1]: the ids its entry checks are held, in order: its
+        cover's and, at a group's first leaf, the group's far members;
     then its first row in its group's far field, its far member count,
     its exact columns before its own intervals and the rhs_ops of a step
     before those, which count its cover, not the group's zero weights.
@@ -193,9 +186,7 @@ class _Block(NamedTuple):
     psi about its steps, root first.  No array holds an M-length vector."""
 
     first: int  # node id of the block's first leaf
-    ids: np.ndarray
-    held: np.ndarray  # (leaves, candidates) bool
-    union: np.ndarray
+    check: np.ndarray
     runs: np.ndarray
     exact: np.ndarray
     far: list  # per leaf: (), or at a far group's first its two far weight arrays
@@ -237,6 +228,7 @@ class HistoryEngine:
         self._free_at = np.searchsorted(free[self._frees], np.arange(tree.Q**G + 1))
         self._enter_at = np.searchsorted(enter[self._enters], np.arange(tree.Q**G + 1))
         self.committed = 0
+        self._update_ops = G * r * m  # each commit's share of its leaf's moment fold
         self._plan: _LeafPlan | None = None
         self._block: _Block | None = None
         self._far: np.ndarray | None = None  # the current far group's far field
@@ -252,16 +244,6 @@ class HistoryEngine:
         """The minimal cover of the leaf holding step n, for bench/worker.py's
         cover statistics; the engine reads covers from its block matrices."""
         return self.tree.minimal_cover(self.tree.leaf_of(n), self.eta)
-
-    def _plan_for(self, n: int) -> _LeafPlan:
-        """The plan of the leaf holding step n, built when that leaf is entered."""
-        plan = self._plan
-        if plan is None or n > plan.leaf.hi:
-            self._plan = plan = None  # its views of a block's arrays go before a new block's come
-            plan = self._plan = self._enter(self.tree.leaf_of(n))
-        elif n < plan.leaf.lo:
-            raise ValueError(f"step {n} lies before the current leaf {plan.leaf}")
-        return plan
 
     def _enter_block(self, leaf_id: int) -> _Block:
         """Build the covers of the leaves in leaf_id's block from one
@@ -302,10 +284,10 @@ class HistoryEngine:
         kind = np.concatenate([np.zeros(nids, dtype=np.intp), 1 + (ids >= leaf0)])
         at = np.concatenate([np.cumsum(part, axis=1, dtype=np.int32) for part in
                              np.split(sel, [nids, nids + inner], axis=1)], axis=1) - 1
-        both = np.concatenate([ids, ids])
-        link = sel[:, 1:] & sel[:, :-1] & (np.diff(both) == 1) & (np.diff(kind) == 0)
-        run_b, j0 = np.nonzero(sel & ~np.pad(link, ((0, 0), (1, 0))))
-        j1 = np.nonzero(sel & ~np.pad(link, ((0, 0), (0, 1))))[1] + 1
+        both, link = np.concatenate([ids, ids]), np.zeros((per, 2 * nids + 1), dtype=bool)
+        link[:, 1:-1] = sel[:, 1:] & sel[:, :-1] & (np.diff(both) == 1) & (np.diff(kind) == 0)
+        run_b, j0 = np.nonzero(sel & ~link[:, :-1])  # link[b, c]: c - 1 and c in one run
+        j1 = np.nonzero(sel & ~link[:, 1:])[1] + 1
         unit = np.where(kind == 1, r, size)[j0]
         p0, c0 = tree.position(both[j0]), at[run_b, j0] * unit
         runs = np.stack([tree.generation[both[j0]], p0, p0 + j1 - j0, kind[j0], c0,
@@ -354,26 +336,29 @@ class HistoryEngine:
         far_w = [(far_moments[a:a + x].reshape(st, -1), far_leaves[c:c + y].reshape(st, -1))
                  if st else () for a, c, x, y, st in zip(*w0.tolist(), *nw.tolist(), steps.tolist())]
         run_at = np.searchsorted(run_b, np.arange(per + 1))
+        check = held | union  # per leaf, the ids its entry checks are held, leaf after leaf
+        check_at = np.concatenate([[0], np.cumsum(check.sum(axis=1))])
+        check = np.broadcast_to(ids.astype(np.int32), check.shape)[check]
         bounds = np.stack([run_at[:-1], run_at[1:], size * col0, size * (col0 + width),
+                           check_at[:-1], check_at[1:],
                            size * (np.arange(per) - group), nmom + nfl, size * (nn - 1),
                            self.m * ((nn - 1 + nfl) * size + r * nmom)], axis=1)
-        return _Block(first, ids, held, union, runs, exact, far_w, psi, bounds.tolist())
+        return _Block(first, check, runs, exact, far_w, psi, bounds.tolist())
 
-    def _enter(self, leaf: Cluster) -> _LeafPlan:
+    def _enter(self, leaf_id: int) -> _LeafPlan:
         """Free the leaf's free list (the nodes whose parent turns admissible
         for it), reserve the blocks of the ancestors whose first leaf this
         is and the leaf's block, and build its plan from its block entry,
         entering the block first if the leaf is its first.  A far group's
         first leaf forms the group's far field, which its leaves read."""
         tree, r, m, G = self.tree, self.r, self.m, self.tree.G
-        leaf_id = tree.leaf_id(leaf.lo)
         block = self._block
         if block is None or leaf_id - block.first >= len(block.leaves):
             block = self._block = None  # the old block's arrays go before the new one's come
             block = self._block = self._enter_block(leaf_id)
         b = leaf_id - block.first
-        r0, r1, e0, e1, row, nfar, near, ops = block.leaves[b]
-        ids, size = block.ids[block.held[b] | block.union[b]], leaf.size
+        r0, r1, e0, e1, i0, i1, row, nfar, near, ops = block.leaves[b]
+        ids, size = block.check[i0:i1], tree.leaf_size
         k = leaf_id - tree.first[G]  # the leaf's place in time
         self.free_cluster(self._frees[self._free_at[k]:self._free_at[k + 1]])
         new = [g for g, span in enumerate(self._spans) if k % span == 0]  # ancestors first met here
@@ -397,7 +382,8 @@ class HistoryEngine:
                 exact.append((c0, w, view))
             else:
                 self._far += w @ view
-        return _LeafPlan(leaf, rows, near, tuple(exact), self._far[row:row + size] if nfar else None,
+        return _LeafPlan(k * size + 1, (k + 1) * size, rows, near, tuple(exact),
+                         self._far[row:row + size] if nfar else None,
                          block.psi[b * G:(b + 1) * G].transpose(0, 2, 1), ops)
 
     # -- per-step evaluation / commit / free operations ----------------------
@@ -408,21 +394,29 @@ class HistoryEngine:
         The exact-weight terms accumulate first, one row after another in
         ascending interval order across runs, reading only the rows with
         j < n, so the all-near path matches the direct sum bit for bit; the
-        step's far field, formed when the leaf was entered, follows.
+        step's far field, formed when the leaf was entered, follows.  A step
+        of the held plan's leaf costs a range test; a later one enters its leaf.
         """
         if n == 1:
             return np.zeros(self.m)
         if n > self.committed + 1:
             raise ValueError(f"steps 1..{n-1} must be committed before querying {n}")
-        plan = self._plan_for(n)
-        s = n - plan.leaf.lo
+        plan = self._plan
+        if plan is None or n > plan.hi:
+            plan = self._plan = None  # its views of a block's arrays go before a new block's come
+            plan = self._plan = self._enter(self.tree.leaf_id(n))
+        elif n < plan.lo:
+            raise ValueError(f"step {n} lies before the current leaf C({plan.lo}, {plan.hi})")
+        s = n - plan.lo
         last = plan.near + s  # exact columns with j < n
         acc = None  # set by the first run: the previous leaf, or the first leaf's own, is exact
         for col, w, rows in plan.exact:
             t = w[s, :last - col, None] * rows[:last - col]
             if acc is not None:
                 t[0] += acc
-            acc = _sum_rows(t)
+            # t[0] + t[1] + ... in that order: numpy's axis-0 reduction adds row after row
+            # when rows hold two or more values, but sums a single column pairwise
+            acc = np.add.reduce(t, axis=0) if self.m > 1 else np.add.accumulate(t, axis=0)[-1]
         if plan.far is not None:
             acc += plan.far[s]
         self.counters.rhs_ops += plan.ops + self.m * s
@@ -435,17 +429,23 @@ class HistoryEngine:
         block."""
         if n != self.committed + 1:
             raise ValueError(f"expected commit of step {self.committed + 1}, got {n}")
-        value = np.asarray(value, dtype=float)
-        if value.shape != (self.m,):
-            raise ValueError(f"expected vector of length {self.m}")
-        plan = self._plan_for(n)
-        s = n - plan.leaf.lo
-        plan.rows[s] = value
-        self.counters.allocate(self.m)
-        if n == plan.leaf.hi:
+        if value.__class__ is not np.ndarray or value.dtype != float or value.shape != (self.m,):
+            value = np.asarray(value, dtype=float)
+            if value.shape != (self.m,):
+                raise ValueError(f"expected vector of length {self.m}")
+        plan = self._plan
+        if plan is None or n > plan.hi:  # in order, so n >= plan.lo
+            plan = self._plan = None
+            plan = self._plan = self._enter(self.tree.leaf_id(n))
+        plan.rows[n - plan.lo] = value
+        counters = self.counters  # allocate(M), inline
+        counters.live_values += self.m
+        if counters.live_values > counters.high_water:
+            counters.high_water = counters.live_values
+        if n == plan.hi:
             for block, moments in zip(self._ancestors, plan.psi_chain @ plan.rows):
                 block += moments
-        self.counters.update_ops += self.tree.G * self.r * self.m
+        counters.update_ops += self._update_ops
         self.committed = n
 
     def free_cluster(self, ids) -> None:
@@ -465,6 +465,7 @@ class HistoryEngine:
     def run_schedule(self, step_callback) -> None:
         """Full N-step loop: per step, evaluate the history, hand it to the
         stepper callback and commit the vector it returns.  The first query
-        or commit in a leaf enters it."""
+        or commit of a leaf's step enters the leaf, once, by its id."""
+        history_sum, commit_step = self.history_sum, self.commit_step
         for n in range(1, self.tree.mesh.N + 1):
-            self.commit_step(n, step_callback(n, self.history_sum(n)))
+            commit_step(n, step_callback(n, history_sum(n)))

@@ -65,7 +65,7 @@ class TimeMesh:
         return float(self.levels[n] - self.levels[n - 1])
 
     def level(self, n: int) -> float:
-        if not 0 <= n <= self.N:
+        if not 0 <= n < self.levels.size:
             raise ValueError(f"level index {n} outside 0..{self.N}")
         return float(self.levels[n])
 

@@ -117,3 +117,35 @@ def test_cli_fast_run_passes_the_benchmark_gate(monkeypatch, tmp_path):
     assert 0.0 < float(row["max_nodal_error"]) < 0.05
     result, = results
     assert len(result.solutions) == N
+
+
+def test_traced_fast_solve_calls_each_step_name_once_per_step(monkeypatch):
+    """The traced benchmark's per-layer metrics read history_sum,
+    commit_step, the elliptic solve and the load as one call per step, and
+    free_cluster as one per leaf entry.  A traced long1d-shaped fast solve
+    makes exactly those counts."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+    from workloads import long_levels
+
+    from subdiff import dg_stepper
+    from subdiff.spatial_fem import SpatialGrid, benchmark_source, sine_mode
+    from subdiff.time_mesh import mesh_from_levels
+
+    N, grid = 256, SpatialGrid(dim=1, m=8)
+    config = dg_stepper.RunConfig(nu=0.3, mesh=mesh_from_levels(long_levels(1, N=N)),
+                                  grid=grid)
+    tree = config.tree()
+    tracer = Tracer("t")
+    try:
+        tracer.install()
+        dg_stepper.fast_run(config, benchmark_source(grid), sine_mode(grid, 1))
+    finally:
+        tracer.uninstall()
+    calls = {name: s[0] for name, s in tracer.stats.items()}
+    assert tree.G >= 4
+    for name in ("history_engine.history_sum", "history_engine.commit_step",
+                 "spatial_fem.solve", "spatial_fem.load_average", "dg_stepper.step"):
+        assert calls[name] == N, name
+    assert calls["history_engine.free_cluster"] == tree.Q ** tree.G
+    assert calls["history_engine.run_schedule"] == 1

@@ -127,6 +127,37 @@ def test_run_writes_artifacts(tmp_path):
     assert hdr[-2:] == ["records 32", "complete 1"]
 
 
+def test_stream_writes_are_the_records_bytes(tmp_path, monkeypatch):
+    """SolutionSink.write hands the file each record's little-endian buffer.
+    A small 2D fast CLI run's stream and header are byte-identical to those
+    written from each record's tobytes() copy, and so are records given
+    as a strided view or in big-endian order."""
+    argv = "--nu 0.5 --T 1 --N 32 --dim 2 --m 6 --mode fast --r 3 --Q 2 --G 2 --out".split()
+
+    def tobytes_write(self, vec):
+        data = np.asarray(vec, dtype="<f8")
+        self._fh.write(data.tobytes())
+        self.width = data.size
+        self.records += 1
+
+    assert main(argv + [str(tmp_path / "buffer")]) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(history_engine.SolutionSink, "write", tobytes_write)
+        assert main(argv + [str(tmp_path / "tobytes")]) == 0
+    for name in ("solution_fast_N32_r3.bin", "solution_fast_N32_r3.bin.hdr"):
+        got, want = ((tmp_path / d / name).read_bytes() for d in ("buffer", "tobytes"))
+        assert got == want and len(got) > 0, name
+    assert len((tmp_path / "buffer" / "solution_fast_N32_r3.bin").read_bytes()) == 32 * 25 * 8
+
+    records = [np.arange(8.0)[::2], np.arange(4.0, dtype=">f8"), np.arange(4)]
+    sink = history_engine.SolutionSink(tmp_path / "odd.bin", {})
+    for vec in records:
+        sink.write(vec)
+    sink.close()
+    assert (tmp_path / "odd.bin").read_bytes() == b"".join(
+        np.asarray(v, dtype="<f8").tobytes() for v in records)
+
+
 def test_run_sweeps(tmp_path):
     spec = parse_args(
         f"--nu 0.5 --T 1 --dim 1 --m 4 --mode fast --Q 2 "

@@ -20,7 +20,7 @@ from subdiff.dg_stepper import (
     stability_threshold,
 )
 from subdiff.frac_weights import KernelParams, WeightEngine
-from subdiff.history_engine import SolutionSink
+from subdiff.history_engine import HistoryEngine, SolutionSink
 from subdiff.reference_solution import direct_history_sum, u11
 from subdiff.spatial_fem import (
     EllipticSolver,
@@ -352,3 +352,86 @@ def test_stability_diagnostic_matches_pairwise_loop():
     assert row.max() > 0.0
     assert rep.row_ratio == pytest.approx(max(row[1:] / scale), rel=1e-9)
     assert rep.col_ratio == pytest.approx(max(col[1:-1] / scale[:-1]), rel=1e-9)
+
+
+def recording_source(source, events):
+    """The same source, appending ("average", t0, t1) to events per call."""
+    def time_average(t0, t1):
+        events.append(("average", t0, t1))
+        return source.time_average(t0, t1)
+
+    return SeparableSource(spatial=source.spatial, time_average=time_average)
+
+
+def recorded(events, name, fn, at):
+    """fn, appending (name, its positional argument at) to events per call."""
+    def wrapper(*args, **kwargs):
+        events.append((name, args[at]))
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("scheme", ["fast", "slow"])
+def test_step_clock_reads_each_interval_once_in_step_order(scheme, monkeypatch):
+    """The benchmark times set-up and each step from the source's
+    time_average calls, so the march asks for the average over
+    (t_{n-1}, t_n] exactly once per step, in step order: after step n's
+    history and before its solve, which is given beta_nn, and after step
+    n - 1's solve and, in the fast scheme, its commit.  A long1d-shaped
+    fast run (nu 0.3, +-30% steps, automatic depth and (r, eta)) and a 2D
+    slow run."""
+    events = []
+    monkeypatch.setattr(EllipticSolver, "solve",
+                        recorded(events, "solve", EllipticSolver.solve, 1))
+    if scheme == "fast":
+        grid = SpatialGrid(dim=1, m=8)
+        config = RunConfig(nu=0.3, mesh=perturbed_mesh(256, seed=1), grid=grid)
+        for name, attr in (("history", "history_sum"), ("commit", "commit_step")):
+            monkeypatch.setattr(HistoryEngine, attr,
+                                recorded(events, name, getattr(HistoryEngine, attr), 1))
+        run, u0 = fast_run, sine_mode(grid, 1)
+    else:
+        mesh, grid, _, u0 = problem(N=24, m=6, dim=2)
+        config = RunConfig(nu=0.5, mesh=mesh, grid=grid)
+        monkeypatch.setattr(dg_stepper, "direct_history_sum",
+                            recorded(events, "history", direct_history_sum, 2))
+        run = slow_run
+    lv, weights = config.mesh.levels, WeightEngine(KernelParams(config.nu), config.mesh)
+    res = run(config, recording_source(benchmark_source(grid), events), u0)
+    assert len(res.solutions) == config.mesh.N
+    want = []
+    for n in range(1, config.mesh.N + 1):
+        want += [("history", n), ("average", float(lv[n - 1]), float(lv[n])),
+                 ("solve", weights.diag(n))] + ([("commit", n)] if scheme == "fast" else [])
+    assert events == want
+    assert all(type(e[1]) is float for e in events if e[0] == "average")
+
+
+@pytest.mark.parametrize("run", [fast_run, slow_run])
+def test_step_scalars_equal_mesh_step_and_diagonal_weight(run, monkeypatch):
+    """The march forms k_n and beta_nn from the time levels itself; on a
+    +-30% mesh they equal mesh.step(n) and weights.diag(n) bit for bit: the
+    load is scaled by k_n and the solve is given beta_nn."""
+    scalars = []
+
+    class Load:
+        """A step's load, recording the scalar that multiplies it."""
+
+        def __init__(self, load):
+            self.load = load
+
+        def __rmul__(self, k):
+            scalars.append(("k", k))
+            return k * self.load
+
+    load_average = dg_stepper.load_average
+    monkeypatch.setattr(dg_stepper, "load_average", lambda *args: Load(load_average(*args)))
+    monkeypatch.setattr(EllipticSolver, "solve",
+                        recorded(scalars, "beta", EllipticSolver.solve, 1))
+    mesh, grid = perturbed_mesh(128, seed=4), SpatialGrid(dim=1, m=8)
+    config = RunConfig(nu=0.3, mesh=mesh, grid=grid, r=6, Q=2, G=4)
+    run(config, benchmark_source(grid), sine_mode(grid, 1))
+    weights = WeightEngine(KernelParams(config.nu), mesh)
+    assert scalars == [x for n in range(1, mesh.N + 1)
+                       for x in (("k", mesh.step(n)), ("beta", weights.diag(n)))]
+    assert all(type(x) is float for _, x in scalars)

@@ -38,6 +38,16 @@ def node_id(tree, c):
     return tree.nodes.index(c)
 
 
+def leaf_cluster(tree, leaf_id):
+    """The leaf with this id, which HistoryEngine._enter is given."""
+    return tree.clusters([leaf_id])[0]
+
+
+def plan_leaf(plan):
+    """The leaf whose steps the plan serves."""
+    return Cluster(plan.lo, plan.hi)
+
+
 def engine_phi(engine, ids, steps):
     """phi of the nodes ids at the steps, broadcast against each other,
     with a trailing axis of length r, as the engine evaluates it."""
@@ -117,11 +127,12 @@ def test_moment_accumulators_hold_weighted_sums(monkeypatch):
     enter = HistoryEngine._enter
     entered = []
 
-    def checked_enter(self, leaf):
-        plan = enter(self, leaf)
+    def checked_enter(self, leaf_id):
+        leaf = leaf_cluster(self.tree, leaf_id)
+        plan = enter(self, leaf_id)
         tree = self.tree
-        k = tree.leaf_id(leaf.lo) - tree.first[tree.G]
-        for i in chain(tree, tree.leaf_id(leaf.lo)):  # the ancestors: each its store's newest
+        k = leaf_id - tree.first[tree.G]
+        for i in chain(tree, leaf_id):  # the ancestors: each its store's newest
             g, p = int(tree.generation[i]), tree.position(i)
             store, lo = self._stores[g], self._reach[g].searchsorted(k, "right")
             assert self._live[i] and store.base <= lo <= p < store.base + len(store.buf), (leaf, i)
@@ -232,9 +243,10 @@ def test_frees_match_recursive_rule(name, monkeypatch):
     entries = []  # per leaf entered: the leaf, the held flags before, the free calls
     enter, free = HistoryEngine._enter, HistoryEngine.free_cluster
 
-    def recorded_enter(self, leaf):
+    def recorded_enter(self, leaf_id):
+        leaf = leaf_cluster(self.tree, leaf_id)
         entries.append((leaf, self._live.copy(), []))
-        return enter(self, leaf)
+        return enter(self, leaf_id)
 
     def recorded_free(self, ids):
         entries[-1][2].append(sorted(np.asarray(ids).tolist()))
@@ -318,13 +330,14 @@ def test_static_frees_follow_the_held_scan(name, monkeypatch):
         peak[0] = max(peak[0], live)
         assert (self.counters.live_values, self.counters.high_water) == (live, peak[0])
 
-    def scanned_enter(self, leaf):
+    def scanned_enter(self, leaf_id):
+        leaf = leaf_cluster(self.tree, leaf_id)
         held = np.flatnonzero(self._live[1:]) + 1  # the root is never freed
         parents = [tree.nodes[(i - 1) // tree.Q] for i in held.tolist()]
         want = sorted(i for i, c in zip(held.tolist(), parents)
                       if admissible(tree, c, leaf.lo - 1, eta))
         before = len(freed)
-        plan = enter(self, leaf)
+        plan = enter(self, leaf_id)
         assert sorted(freed[before:]) == want, leaf
         checked(self)
         return plan
@@ -459,6 +472,50 @@ def test_run_schedule_accuracy_against_direct_oracle():
     assert worst < 1e-7
 
 
+def long1d_engine(N):
+    """The engine fast_run builds for a long1d-fast-shaped run of N steps:
+    nu 0.3, +-30% steps, M = 7, Q = 2, automatic (r, eta) and depth."""
+    config = RunConfig(nu=0.3, mesh=mesh_from_levels(perturbed_levels(N, seed=1)),
+                       grid=SpatialGrid(dim=1, m=8), Q=2)
+    return HistoryEngine(config.tree(), WeightEngine(KernelParams(config.nu), config.mesh),
+                         *config.resolved_params(), config.grid.M)
+
+
+SCHEDULE_ENGINES = {
+    "long1d": lambda: long1d_engine(1024),
+    "perturbed-Q3": lambda: make_engine(Q=3, G=4, r=5, eta=0.6, m=2, nu=0.7,
+                                        mesh=perturbed_mesh(243, seed=5))[0],
+}
+
+
+@pytest.mark.parametrize("name", SCHEDULE_ENGINES)
+def test_run_schedule_equals_hand_driven_steps(name):
+    """run_schedule enters each leaf by id before its steps' history_sum
+    and commit_step calls; a loop that drives those two by hand, so that
+    each leaf is entered by its first query, gives the same histories and
+    counts bit for bit.  Each step's value depends on its history."""
+    results = []
+    for by_hand in (False, True):
+        engine = SCHEDULE_ENGINES[name]()
+        N, m = engine.tree.mesh.N, engine.m
+        vals, hists = random_values(N, m), []
+
+        def step(n, hist):
+            hists.append(hist.copy())
+            return vals[n - 1] + 0.25 * hist
+
+        if by_hand:
+            for n in range(1, N + 1):
+                engine.commit_step(n, step(n, engine.history_sum(n)))
+        else:
+            engine.run_schedule(step)
+        results.append((np.array(hists), engine.counters, engine.committed))
+    (scheduled, counts, committed), (driven, want_counts, want_committed) = results
+    assert scheduled.shape == driven.shape == (N, m) and np.array_equal(scheduled, driven)
+    assert counts == want_counts and committed == want_committed == N
+    assert counts.rhs_ops > 0 and np.abs(scheduled).max() > 0
+
+
 def test_solution_sink_roundtrip(tmp_path):
     mesh = uniform_mesh(8, 1.0)
     grid = SpatialGrid(dim=1, m=4)
@@ -539,7 +596,7 @@ def leaf_plans(engine, vals, monkeypatch):
         before = len(views)
         engine.history_sum(n)
         engine.commit_step(n, value)
-        leaf = engine._plan.leaf
+        leaf = plan_leaf(engine._plan)
         plans[leaf] = engine._plan
         runs[leaf] = runs.get(leaf, 0) + len(views) - before
     return plans, runs
@@ -559,9 +616,10 @@ def leaf_entries(engine, vals, monkeypatch):
 
     entries = []
 
-    def recorded_enter(self, leaf):
+    def recorded_enter(self, leaf_id):
+        leaf = leaf_cluster(self.tree, leaf_id)
         before = len(views)
-        plan = enter(self, leaf)
+        plan = enter(self, leaf_id)
         entries.append((plan, len(views) - before, self._far, self._live.copy()))
         return plan
 
@@ -640,7 +698,7 @@ def test_uniform_plans_have_one_run_per_kind_and_generation(N, Q, G, r, eta, mon
         for k, (plan, taken, _, _) in enumerate(entries[k0:k1], start=k0):
             assert len(plan.exact) == 1
             assert taken == 1 + (kinds if k == k0 else 0)
-            assert (plan.far is None) == (not tree.minimal_cover(plan.leaf, eta).far_ids)
+            assert (plan.far is None) == (not tree.minimal_cover(plan_leaf(plan), eta).far_ids)
 
 
 def test_split_runs_on_a_perturbed_mesh(monkeypatch):
@@ -661,8 +719,8 @@ def test_split_runs_on_a_perturbed_mesh(monkeypatch):
         far = group_far_ids(tree, eta, k0, k1)
         runs = far_runs(tree, far)
         for k, (plan, taken, _, _) in enumerate(entries[k0:k1], start=k0):
-            exact = run_count(tree, tree.minimal_cover(plan.leaf, eta).near_ids
-                              + (tree.leaf_id(plan.leaf.lo),))
+            exact = run_count(tree, tree.minimal_cover(plan_leaf(plan), eta).near_ids
+                              + (tree.leaf_id(plan.lo),))
             assert len(plan.exact) == exact
             assert taken == exact + (sum(runs) if k == k0 else 0)
             split["exact"] += exact > 1
@@ -741,11 +799,12 @@ def test_steps_read_no_far_rows(name, monkeypatch):
     enter = HistoryEngine._enter
     poisoned = []  # (block, saved copy) for the current leaf's far members
 
-    def poisoning_enter(self, leaf):
+    def poisoning_enter(self, leaf_id):
+        leaf = leaf_cluster(self.tree, leaf_id)
         for block, saved in poisoned:
             block[:] = saved
         poisoned.clear()
-        plan = enter(self, leaf)
+        plan = enter(self, leaf_id)
         tree = self.tree
         for i in tree.minimal_cover(leaf, self.eta).far_ids:
             p = tree.position(i)
@@ -907,10 +966,11 @@ def test_block_plans_equal_per_leaf_plans(name, monkeypatch):
     enter = HistoryEngine._enter
     checked, field = [], [None, 0]  # the current group's far field and first leaf
 
-    def checked_enter(self, leaf):
+    def checked_enter(self, leaf_id):
+        leaf = leaf_cluster(self.tree, leaf_id)
         entering.append(leaf)
         before = self._far
-        plan = enter(self, leaf)
+        plan = enter(self, leaf_id)
         entering.clear()
         k = leaves.index(leaf)
         assert (self._far is not before) == (k in groups), leaf
@@ -981,10 +1041,12 @@ def test_far_groups_are_maximal_and_read_final_held_members(name, monkeypatch):
 def test_block_covers_equal_minimal_covers(name, eta, monkeypatch):
     """Every leaf's covers as its block builds them from the lifetimes equal
     minimal_cover's, in order: its near ids are those of its exact runs
-    before the leaf itself, its far ids the rest of its cover's row, and at
-    a far group's first leaf the group's row holds the far members of all
-    the group's leaves.  The engine calls minimal_cover once per block, 10
-    times on desk and 32 on the long1d trees."""
+    before the leaf itself; at a far group's first leaf its far runs hold
+    the far members of all the group's leaves, and no other leaf has far
+    runs; and the ids its entry checks are held are its near and far ids
+    and, at a group's first leaf, the group's far members.  The engine
+    calls minimal_cover once per block, 10 times on desk and 32 on the
+    long1d trees."""
     if eta is None:
         tree, eta = FAR_GROUP_TREES[name]()
     else:
@@ -1001,15 +1063,16 @@ def test_block_covers_equal_minimal_covers(name, eta, monkeypatch):
 
     def checked_enter_block(self, leaf_id):
         block = enter_block(self, leaf_id)
-        for b, (r0, r1, *_) in enumerate(block.leaves):
+        for b, (r0, r1, _, _, i0, i1, *_) in enumerate(block.leaves):
             k = block.first + b - leaf0
-            near = [tree.first[g] + p for g, p0, p1, kind, _, _ in block.runs[r0:r1].tolist()
-                    if kind == 0 for p in range(p0, p1)]
-            held = block.ids[block.held[b]].tolist()
+            runs = [(kind, tree.first[g] + p) for g, p0, p1, kind, _, _ in
+                    block.runs[r0:r1].tolist() for p in range(p0, p1)]
+            near = [i for kind, i in runs if kind == 0]
             assert near[:-1] == list(covers[k].near_ids) and near[-1] == block.first + b, k
-            assert [i for i in held if i not in near] == list(covers[k].far_ids), k
             union = set().union(*(covers[j].far_ids for j in range(k, groups.get(k, k))))
-            assert block.ids[block.union[b]].tolist() == sorted(union), k
+            assert sorted(i for kind, i in runs if kind) == sorted(union), k
+            want = sorted({*near[:-1], *covers[k].far_ids, *union})
+            assert block.check[i0:i1].tolist() == want, k
             checked.append(k)
         return block
 
@@ -1060,10 +1123,11 @@ def test_one_block_is_held_and_replaced_at_a_block_entry(name, monkeypatch):
         built.append(leaf_id)
         return enter_block(self, leaf_id)
 
-    def checked_enter(self, leaf):
+    def checked_enter(self, leaf_id):
+        leaf = leaf_cluster(self.tree, leaf_id)
         before = self._block and self._block.first  # no reference to the block itself
-        plan = enter(self, leaf)
-        first = (tree.leaf_id(leaf.lo) - leaf0) % per == 0
+        plan = enter(self, leaf_id)
+        first = (leaf_id - leaf0) % per == 0
         assert self._block is not None and (self._block.first != before) == first, leaf
         return plan
 
@@ -1077,7 +1141,7 @@ def test_one_block_is_held_and_replaced_at_a_block_entry(name, monkeypatch):
 @pytest.mark.parametrize("name", ["desk", "long1d"])
 def test_runs_leave_the_cluster_list_unbuilt(name):
     """A run reads the tree's node arrays and makes a Cluster only per
-    leaf entry and per block, never the tree's list of them."""
+    block, for its cover call, never the tree's list of them."""
     tree, eta = FAR_GROUP_TREES[name]()
     engine = HistoryEngine(tree, WeightEngine(KernelParams(0.5), tree.mesh), 3, eta, 1)
     V = random_values(tree.mesh.N, 1)
@@ -1108,10 +1172,11 @@ def test_store_windows_are_planned(name, monkeypatch):
         told[next(g for g, store in enumerate(engine._stores) if store is self)] = (lo, p + 1)
         return reserve(self, p, lo)
 
-    def checked_enter(self, leaf):
+    def checked_enter(self, leaf_id):
+        leaf = leaf_cluster(self.tree, leaf_id)
         told.clear()
-        plan = enter(self, leaf)
-        k = tree.leaf_id(leaf.lo) - leaf0
+        plan = enter(self, leaf_id)
+        k = leaf_id - leaf0
         assert set(told) == {g for g, span in enumerate(spans) if k % span == 0}, leaf
         for g, (span, store) in enumerate(zip(spans, self._stores)):
             held = np.flatnonzero(self._live[tree.first[g]:tree.first[g + 1]])
