@@ -20,7 +20,7 @@ import numpy as np
 from .dg_stepper import RunConfig, fast_run, slow_run, stability_diagnostic
 from .history_engine import SolutionSink
 from .reference_solution import u11
-from .spatial_fem import EllipticSolver, SpatialGrid, l2_norm, sine_mode, benchmark_source
+from .spatial_fem import EllipticSolver, SpatialGrid, l2_norm, benchmark_source
 from .time_mesh import uniform_mesh
 
 
@@ -69,14 +69,11 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """The parsed command line, with Q and K given their defaults."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.eta is not None and args.mode == "slow":
-        parser.error("--eta applies to the fast scheme only and conflicts with --mode slow")
+    for flag, value in (("--eta", args.eta), ("--r", args.r), ("--sweep-r", args.sweep_r)):
+        if value is not None and args.mode == "slow":
+            parser.error(f"{flag} applies to the fast scheme only and conflicts with --mode slow")
     if args.eta is not None and args.r is None:
         parser.error("--eta requires an explicit --r")
-    if args.r is not None and args.mode == "slow":
-        parser.error("--r applies to the fast scheme only and conflicts with --mode slow")
-    if args.sweep_r is not None and args.mode == "slow":
-        parser.error("--sweep-r applies to the fast scheme only and conflicts with --mode slow")
     for flag, value in (("--Q", args.Q), ("--G", args.G)):
         if value is not None and args.mode == "slow" and not args.diag_stability:
             parser.error(f"{flag} applies to the fast scheme and --diag-stability only; "
@@ -110,7 +107,7 @@ def _single_run(spec: argparse.Namespace, mode: str, config: RunConfig,
     """Execute one run and return its report row and per-step L2 errors."""
     mesh, grid, N = config.mesh, config.grid, config.mesh.N
     source = benchmark_source(grid)
-    u0 = sine_mode(grid, 1, 1 if spec.dim == 2 else None)
+    u0 = source.spatial  # the principal sine mode, the shape of the exact solution
     if mode == "slow":
         result = slow_run(config, source, u0)
         r_used, eta_used = "", ""
@@ -137,7 +134,7 @@ def _single_run(spec: argparse.Namespace, mode: str, config: RunConfig,
     chunk = max(1, CHUNK_VALUES // grid.M)
     for lo in range(0, N, chunk):
         hi = min(lo + chunk, N)
-        diff = read(lo, hi) - np.outer(mode_vals[lo:hi], u0)  # u0 is the mode's shape
+        diff = read(lo, hi) - np.outer(mode_vals[lo:hi], u0)
         max_err = np.maximum(max_err, np.max(np.abs(diff)))  # keeps a NaN, unlike max()
         step_errors += [(n, float(mesh.levels[n]), l2_norm(solver, d))
                         for n, d in enumerate(diff, start=lo + 1)]

@@ -273,11 +273,6 @@ class WeightEngine:
         self.params = params
         self.mesh = mesh
         self._lags: np.ndarray | None = None  # uniform meshes: entry L is lag L's weight
-        self._gamma_diag = gamma(1.0 + params.nu)  # every step's diagonal weight divides by it
-
-    def diag(self, n: int) -> float:
-        """Diagonal weight beta_nn = k_n^nu / Gamma(1+nu)."""
-        return self.mesh.step(n) ** self.params.nu / self._gamma_diag
 
     def offdiag(self, n, j):
         if not self.mesh.uniform:

@@ -11,6 +11,7 @@ DST-I between nodal values and sine coefficients, where a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -136,7 +137,7 @@ class SeparableSource:
 
 def sin_plus_one_average(t0: float, t1: float) -> float:
     """Interval average of 1 + sin(pi t) in closed form."""
-    return 1.0 + (np.cos(np.pi * t0) - np.cos(np.pi * t1)) / (np.pi * (t1 - t0))
+    return 1.0 + (math.cos(math.pi * t0) - math.cos(math.pi * t1)) / (math.pi * (t1 - t0))
 
 
 def benchmark_source(grid: SpatialGrid) -> SeparableSource:

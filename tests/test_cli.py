@@ -71,6 +71,20 @@ def test_usage_errors(argv):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--eta", "0.5", "--r", "4"], "--eta"),
+    (["--r", "4"], "--r"),
+    (["--sweep-r", "3,4"], "--sweep-r"),
+])
+def test_fast_only_flags_with_slow_mode_name_the_first_one(argv, flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        parse_args(argv + ["--mode", "slow"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"subdiff: error: {flag} applies to the fast scheme only "
+        "and conflicts with --mode slow\n")
+
+
 def test_tree_flags_with_slow_mode_need_the_diagnostic(capsys, tmp_path):
     """--Q and --G shape only the fast runs' tree and the diagnostic's, so
     --mode slow rejects them unless --diag-stability is given."""

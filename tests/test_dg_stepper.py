@@ -33,6 +33,7 @@ from subdiff.spatial_fem import (
 from subdiff.taylor_expansion import phi_coeffs, psi_coeffs
 from subdiff.time_mesh import mesh_from_levels, uniform_mesh
 from test_spatial_fem import assemble
+from weight_oracles import beta_diag
 
 
 def test_rho_nu_values_and_continuity():
@@ -96,10 +97,10 @@ def test_slow_run_single_step():
     assert len(res.solutions) == 1
     assert res.rhs_ops == 0
     mass, stiff = assemble(grid)
-    w = WeightEngine(KernelParams(0.5), mesh)
     load = src.time_average(0.0, mesh.level(1)) * (mass @ src.spatial)
     rhs = mass @ u0 + mesh.step(1) * load
-    np.testing.assert_allclose(res.solutions[0], np.linalg.solve(mass + w.diag(1) * stiff, rhs),
+    beta = beta_diag(KernelParams(0.5), mesh, 1)
+    np.testing.assert_allclose(res.solutions[0], np.linalg.solve(mass + beta * stiff, rhs),
                                rtol=1e-14)
 
 
@@ -114,7 +115,7 @@ def nodal_march(config, source, u0):
     for n in range(1, mesh.N + 1):
         load = source.time_average(mesh.level(n - 1), mesh.level(n)) * (mass @ source.spatial)
         rhs = mass @ u + mesh.step(n) * load + stiff @ direct_history_sum(weights, sols, n, m=M)
-        u = np.linalg.solve(mass + weights.diag(n) * stiff, rhs)
+        u = np.linalg.solve(mass + beta_diag(weights.params, mesh, n) * stiff, rhs)
         sols.append(u)
     return sols
 
@@ -350,8 +351,29 @@ def test_stability_diagnostic_matches_pairwise_loop():
                 col[j] += diff
     scale = rho_nu(0.3) * mesh.T ** (0.3 - 1.0) * mesh.steps
     assert row.max() > 0.0
-    assert rep.row_ratio == pytest.approx(max(row[1:] / scale), rel=1e-9)
-    assert rep.col_ratio == pytest.approx(max(col[1:-1] / scale[:-1]), rel=1e-9)
+    assert rep.row_ratio == pytest.approx(np.max(row[1:] / scale), rel=1e-9)
+    assert rep.col_ratio == pytest.approx(np.max(col[1:-1] / scale[:-1]), rel=1e-9)
+
+
+def test_stability_diagnostic_does_not_certify_a_nan_weight(monkeypatch):
+    """A NaN exact weight for one far pair, (n, j) = (40, 20), makes both
+    of its sums NaN, and the report must carry them: NaN ratios and no
+    certificate, where a maximum that skips a NaN would certify."""
+    offdiag = WeightEngine.offdiag
+
+    def poisoned(self, n, j):
+        out = np.array(offdiag(self, n, j), dtype=float)
+        out[np.broadcast_to((n == 40) & (j == 20), out.shape)] = np.nan
+        return out
+
+    monkeypatch.setattr(WeightEngine, "offdiag", poisoned)
+    mesh, grid, _, _ = problem(N=64, m=8)
+    config = RunConfig(nu=0.5, mesh=mesh, grid=grid, r=4, Q=2, G=4)
+    rep = stability_diagnostic(config)
+    tree = config.tree()
+    assert any(c.lo <= 20 <= c.hi for c in tree.minimal_cover(tree.leaf_of(40), rep.eta).far)
+    assert math.isnan(rep.row_ratio) and math.isnan(rep.col_ratio)
+    assert not rep.certified
 
 
 def recording_source(source, events):
@@ -396,13 +418,14 @@ def test_step_clock_reads_each_interval_once_in_step_order(scheme, monkeypatch):
         monkeypatch.setattr(dg_stepper, "direct_history_sum",
                             recorded(events, "history", direct_history_sum, 2))
         run = slow_run
-    lv, weights = config.mesh.levels, WeightEngine(KernelParams(config.nu), config.mesh)
+    lv, params = config.mesh.levels, KernelParams(config.nu)
     res = run(config, recording_source(benchmark_source(grid), events), u0)
     assert len(res.solutions) == config.mesh.N
     want = []
     for n in range(1, config.mesh.N + 1):
         want += [("history", n), ("average", float(lv[n - 1]), float(lv[n])),
-                 ("solve", weights.diag(n))] + ([("commit", n)] if scheme == "fast" else [])
+                 ("solve", beta_diag(params, config.mesh, n))]
+        want += [("commit", n)] if scheme == "fast" else []
     assert events == want
     assert all(type(e[1]) is float for e in events if e[0] == "average")
 
@@ -410,7 +433,7 @@ def test_step_clock_reads_each_interval_once_in_step_order(scheme, monkeypatch):
 @pytest.mark.parametrize("run", [fast_run, slow_run])
 def test_step_scalars_equal_mesh_step_and_diagonal_weight(run, monkeypatch):
     """The march forms k_n and beta_nn from the time levels itself; on a
-    +-30% mesh they equal mesh.step(n) and weights.diag(n) bit for bit: the
+    +-30% mesh they equal mesh.step(n) and the oracle beta_diag bit for bit: the
     load is scaled by k_n and the solve is given beta_nn."""
     scalars = []
 
@@ -431,7 +454,7 @@ def test_step_scalars_equal_mesh_step_and_diagonal_weight(run, monkeypatch):
     mesh, grid = perturbed_mesh(128, seed=4), SpatialGrid(dim=1, m=8)
     config = RunConfig(nu=0.3, mesh=mesh, grid=grid, r=6, Q=2, G=4)
     run(config, benchmark_source(grid), sine_mode(grid, 1))
-    weights = WeightEngine(KernelParams(config.nu), mesh)
+    params = KernelParams(config.nu)
     assert scalars == [x for n in range(1, mesh.N + 1)
-                       for x in (("k", mesh.step(n)), ("beta", weights.diag(n)))]
+                       for x in (("k", mesh.step(n)), ("beta", beta_diag(params, mesh, n)))]
     assert all(type(x) is float for _, x in scalars)

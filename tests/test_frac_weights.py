@@ -102,15 +102,6 @@ def test_series_coefficients_match_gammaln(nu):
     assert np.array_equal(orders, 2.0 * p + 1.0 - nu)
 
 
-def test_engine_diag_is_beta_diag_bitwise():
-    steps = 0.1 * (1.0 + 0.3 * np.random.default_rng(2).uniform(-1.0, 1.0, 40))
-    mesh = mesh_from_levels(np.concatenate([[0.0], np.cumsum(steps)]))
-    for nu in (0.1, 0.5, 0.9):
-        engine = WeightEngine(KernelParams(nu), mesh)
-        for n in range(1, mesh.N + 1):
-            assert engine.diag(n) == beta_diag(engine.params, mesh, n)
-
-
 @pytest.mark.parametrize("nu", [1e-6, 1e-3, 5e-3, 0.25, 0.5, 0.75])
 def test_adjacent_weight_against_quadrature(nu):
     for k_prev, k_cur in [(1.0, 1.0), (0.5, 1.0), (1.0, 0.5), (0.3, 0.45)]:
@@ -203,7 +194,6 @@ def test_weight_engine_caching_by_lag():
     a = engine.offdiag(10, 3)
     b = engine.offdiag(17, 10)  # same lag on a uniform mesh
     assert a == b
-    assert engine.diag(5) == pytest.approx(beta_diag(engine.params, mesh, 5))
 
 
 def test_kernel_params_validation():

@@ -205,6 +205,21 @@ def test_sin_plus_one_average_matches_quadrature():
         assert sin_plus_one_average(t0, t1) == pytest.approx(want, rel=1e-10)
 
 
+def test_sin_plus_one_average_is_bitwise_its_numpy_form(monkeypatch):
+    """The average in math floats equals the same expression in numpy
+    scalars bit for bit, as a float, on every interval the benchmark
+    workloads step through: the desk mesh (2,000 uniform steps to T = 6)
+    and the long1d meshes of seeds 1 and 2 (4,096 +-30% steps each)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import long_levels
+
+    for levels in (uniform_mesh(2000, 6.0).levels, long_levels(1), long_levels(2)):
+        for t0, t1 in zip(levels[:-1].tolist(), levels[1:].tolist()):
+            got = sin_plus_one_average(t0, t1)
+            assert type(got) is float
+            assert got == 1.0 + (np.cos(np.pi * t0) - np.cos(np.pi * t1)) / (np.pi * (t1 - t0))
+
+
 def test_load_average():
     grid = SpatialGrid(dim=1, m=8, K=1.0)
     solver = EllipticSolver(grid)
