@@ -66,11 +66,12 @@ class RunConfig:
 class RunResult:
     """Solutions plus phase accounting for one run.
 
-    solutions holds U^1..U^N: a list in memory, or, for a run given a
-    SolutionSink, the sink's read-only (N, M) memory map of its records.
+    solutions holds U^1..U^N as the rows of an (N, M) float64 array: in
+    memory, or, for a run given a SolutionSink, the sink's read-only
+    memory map of its records.
     """
 
-    solutions: list[np.ndarray] | np.ndarray
+    solutions: np.ndarray
     setup_seconds: float = 0.0
     rhs_seconds: float = 0.0
     solver_seconds: float = 0.0
@@ -151,8 +152,9 @@ def _march(config: RunConfig, weights: WeightEngine, source: SeparableSource | N
 
     drive must call step(n, H_n) for n = 1..N in order, with H_n in nodal
     values; step solves for U^n, writes it to the sink if there is one and
-    appends it to res.solutions otherwise, and returns it.  It forms k_n as
-    TimeMesh.step does, and beta_nn = k_n^nu / Gamma(1+nu), computed only here.
+    to row n - 1 of the (N, M) array res.solutions otherwise, and returns
+    it.  It forms k_n as TimeMesh.step does, and beta_nn = k_n^nu /
+    Gamma(1+nu), computed only here.
     Set-up time runs from t0 to the first step; solver_seconds covers each
     solve and its transform back to nodal values, rhs_seconds all time
     between two of those (history work in drive included), so the three
@@ -170,7 +172,7 @@ def _march(config: RunConfig, weights: WeightEngine, source: SeparableSource | N
     u_hat = np.zeros(grid.M) if u0 is None else solver.transform(np.ravel(u0).astype(float))
     # bound as the run starts, so a tracer installed before it sees every call
     transform, solve, clock = solver.transform, solver.solve, time.perf_counter
-    emit = res.solutions.append if sink is None else sink.write
+    sols, write = res.solutions, None if sink is None else sink.write
     lv, nu, gamma_diag = mesh.levels, weights.params.nu, gamma(1.0 + weights.params.nu)
     mark = clock()
     res.setup_seconds = mark - t0
@@ -187,7 +189,10 @@ def _march(config: RunConfig, weights: WeightEngine, source: SeparableSource | N
         u = transform(u_hat)
         mark = clock()
         res.solver_seconds += mark - t
-        emit(u)
+        if write is None:
+            sols[n - 1] = u
+        else:
+            write(u)
         return u
 
     drive(step)
@@ -195,18 +200,26 @@ def _march(config: RunConfig, weights: WeightEngine, source: SeparableSource | N
     return res
 
 
+class NonFiniteSolutionError(RuntimeError):
+    """Raised when a run's solution at some step is not finite."""
+
+
 def slow_run(config: RunConfig, source: SeparableSource | None,
              u0: np.ndarray | None) -> RunResult:
-    """Reference scheme with exact weights and full history retention."""
+    """Reference scheme with exact weights and full history retention.
+    Raises NonFiniteSolutionError, naming n, at the first U^n that holds
+    a NaN or an infinity."""
     t0 = time.perf_counter()
     mesh, M = config.mesh, config.grid.M
     weights = WeightEngine(KernelParams(config.nu), mesh)
-    res = RunResult(solutions=[], peak_values=mesh.N * M)
+    res = RunResult(solutions=np.empty((mesh.N, M)), peak_values=mesh.N * M)
 
     def drive(step) -> None:
         for n in range(1, mesh.N + 1):
             res.rhs_ops += (n - 1) * M
-            step(n, direct_history_sum(weights, res.solutions, n, m=M))
+            u = step(n, direct_history_sum(weights, res.solutions, n, m=M))
+            if not np.isfinite(u).all():
+                raise NonFiniteSolutionError(f"the slow run's solution at step {n} is not finite")
 
     return _march(config, weights, source, u0, None, res, t0, drive)
 
@@ -221,7 +234,8 @@ def fast_run(config: RunConfig, source: SeparableSource | None,
     r, eta = config.resolved_params()
     weights = WeightEngine(KernelParams(config.nu), config.mesh)
     engine = HistoryEngine(config.tree(), weights, r, eta, config.grid.M)
-    res = _march(config, weights, source, u0, sink, RunResult(solutions=[], r=r, eta=eta),
+    sols = np.empty((config.mesh.N if sink is None else 0, config.grid.M))
+    res = _march(config, weights, source, u0, sink, RunResult(solutions=sols, r=r, eta=eta),
                  t0, engine.run_schedule)
     if sink is not None:
         res.solutions = sink.read(first)

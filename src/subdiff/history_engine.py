@@ -46,6 +46,17 @@ from .frac_weights import WeightEngine
 from .taylor_expansion import ExpansionParams, phi_coeffs, psi_coeffs
 
 
+def sum_rows(t: np.ndarray) -> np.ndarray:
+    """t[0] + t[1] + ... of a 2D array, added in that order, row after row.
+
+    numpy's axis-0 reduction adds row after row when rows hold two or more
+    values, but sums a single column pairwise; the running sum of that
+    column ends in the same ordered sum.  Both history sums fold their
+    products with it, which keeps them bitwise equal.
+    """
+    return np.add.reduce(t, axis=0) if t.shape[1] > 1 else np.add.accumulate(t, axis=0)[-1]
+
+
 @dataclass
 class EngineCounters:
     """Machine-independent cost and memory accounting.  The stores' buffers
@@ -414,9 +425,7 @@ class HistoryEngine:
             t = w[s, :last - col, None] * rows[:last - col]
             if acc is not None:
                 t[0] += acc
-            # t[0] + t[1] + ... in that order: numpy's axis-0 reduction adds row after row
-            # when rows hold two or more values, but sums a single column pairwise
-            acc = np.add.reduce(t, axis=0) if self.m > 1 else np.add.accumulate(t, axis=0)[-1]
+            acc = sum_rows(t)
         if plan.far is not None:
             acc += plan.far[s]
         self.counters.rhs_ops += plan.ops + self.m * s

@@ -1,4 +1,5 @@
 import csv
+import math
 import re
 from pathlib import Path
 
@@ -376,6 +377,32 @@ def test_run_failing_midway_closes_solution_stream(capsys, tmp_path, monkeypatch
     assert np.fromfile(stream, dtype="<f8").shape == ((k - 1) * 3,)
     hdr = (tmp_path / "solution_fast_N16_r3.bin.hdr").read_text().splitlines()
     assert hdr[-2:] == [f"records {k - 1}", "complete 0"]
+
+
+def test_slow_run_going_non_finite_fails_the_cli_without_summaries(capsys, tmp_path,
+                                                                   monkeypatch):
+    """A slow run whose source goes NaN at step k makes main exit 1 with
+    an error naming k, and leaves no report.csv or errors.csv."""
+    k = 5
+    make_source = cli.benchmark_source
+
+    def nan_source(grid):
+        inner = make_source(grid)
+        steps = []
+
+        def time_average(t0, t1):
+            steps.append(t0)
+            return math.nan if len(steps) == k else inner.time_average(t0, t1)
+
+        return SeparableSource(spatial=inner.spatial, time_average=time_average)
+
+    monkeypatch.setattr(cli, "benchmark_source", nan_source)
+    for name in ("report.csv", "errors.csv"):  # from an earlier run
+        (tmp_path / name).write_text("stale\n")
+    code = main(f"--nu 0.5 --T 1 --N 16 --dim 2 --m 4 --mode both --out {tmp_path}".split())
+    assert code == 1
+    assert f"solution at step {k} is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists() and not (tmp_path / "errors.csv").exists()
 
 
 def test_errors_are_measured_at_any_K(tmp_path):

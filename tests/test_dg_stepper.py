@@ -33,7 +33,7 @@ from subdiff.spatial_fem import (
 from subdiff.taylor_expansion import phi_coeffs, psi_coeffs
 from subdiff.time_mesh import mesh_from_levels, uniform_mesh
 from test_spatial_fem import assemble
-from weight_oracles import beta_diag
+from weight_oracles import beta_diag, history_sum_per_pair
 
 
 def test_rho_nu_values_and_continuity():
@@ -211,12 +211,46 @@ def test_streamed_fast_run_equals_in_memory_run(tmp_path):
         streamed = fast_run(config, src, u0, sink=sink)
     finally:
         sink.close()
-    assert isinstance(plain.solutions, list)
+    assert isinstance(plain.solutions, np.ndarray) and plain.solutions.flags.c_contiguous
+    assert plain.solutions.dtype == np.float64
     assert len(streamed.solutions) == 96 and np.shape(streamed.solutions) == (96, grid.M)
     assert not streamed.solutions.flags.writeable
     assert np.array_equal(np.asarray(streamed.solutions), np.asarray(plain.solutions))
     assert all(np.array_equal(a, b) for a, b in zip(streamed.solutions, plain.solutions))
     assert (streamed.rhs_ops, streamed.peak_values) == (plain.rhs_ops, plain.peak_values)
+
+
+@pytest.mark.parametrize("dim,m", [(2, 16), (1, 2)])
+def test_slow_run_keeps_the_per_pair_bits(dim, m, monkeypatch):
+    """A slow run's solutions are bitwise those of the same run whose
+    history sum is one multiply-accumulate per pair, on a 2D grid and on a
+    +-30% mesh with a single node (M = 1, where numpy's axis-0 reduction
+    would sum pairwise).  Both schemes keep an in-memory run's solutions
+    as one C-contiguous (N, M) float64 array."""
+    grid = SpatialGrid(dim=dim, m=m, K=1.0 / (dim * math.pi**2))
+    mesh = uniform_mesh(96, 1.0) if dim == 2 else perturbed_mesh(96, seed=5)
+    config = RunConfig(nu=0.3, mesh=mesh, grid=grid, r=4, Q=2)
+    src, u0 = benchmark_source(grid), sine_mode(grid, 1, 1 if dim == 2 else None)
+    got = slow_run(config, src, u0).solutions
+    for sols in (got, fast_run(config, src, u0).solutions):
+        assert isinstance(sols, np.ndarray) and sols.flags.c_contiguous
+        assert sols.dtype == np.float64 and sols.shape == (mesh.N, grid.M)
+    monkeypatch.setattr(dg_stepper, "direct_history_sum", history_sum_per_pair)
+    assert got.tobytes() == slow_run(config, src, u0).solutions.tobytes()
+
+
+def test_slow_run_stops_at_the_first_non_finite_solution():
+    """A source that goes NaN at step k stops the slow run there, with an
+    error that names k."""
+    k = 7
+    mesh, grid, src, u0 = problem(N=16, m=6, dim=2)
+
+    def time_average(t0, t1):
+        return math.nan if t0 == mesh.level(k - 1) else src.time_average(t0, t1)
+
+    poisoned = SeparableSource(spatial=src.spatial, time_average=time_average)
+    with pytest.raises(dg_stepper.NonFiniteSolutionError, match=f"at step {k} is not finite"):
+        slow_run(RunConfig(nu=0.5, mesh=mesh, grid=grid), poisoned, u0)
 
 
 def test_streamed_fast_run_keeps_no_solutions_in_memory(tmp_path):

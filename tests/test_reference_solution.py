@@ -15,6 +15,7 @@ from subdiff.reference_solution import (
     u11_classical,
 )
 from subdiff.time_mesh import uniform_mesh
+from weight_oracles import history_sum_per_pair
 
 
 def contour_sum(nu, t, forced, nodes, lam=1.0):
@@ -129,6 +130,21 @@ def test_direct_history_sum_matches_manual_loop():
     want = sum(weights.offdiag(5, j) * vals[j - 1] for j in range(1, 5))
     np.testing.assert_allclose(got, want, rtol=1e-15)
     assert np.all(direct_history_sum(weights, vals, 1, m=3) == 0.0)
+
+
+@pytest.mark.parametrize("m", [1, 3, 1521])
+def test_direct_history_sum_chunks_keep_the_per_pair_bits(m):
+    """The chunked sum adds the same products in the same order as one
+    multiply-accumulate per pair, so its bits are the same, at every
+    chunk edge and with the history given as a list or as one array."""
+    B = max(1, reference_solution._CHUNK_BYTES // (8 * m))  # rows per chunk
+    lengths = [0, 1, B - 1, B, B + 1, 2 * B + 1]  # n - 1
+    weights = WeightEngine(KernelParams(0.3), uniform_mesh(max(lengths) + 1, 1.0))
+    vals = np.random.default_rng(m).standard_normal((max(lengths), m))
+    for n in [k + 1 for k in lengths]:
+        want = history_sum_per_pair(weights, vals, n, m=m).tobytes()
+        assert direct_history_sum(weights, vals, n, m=m).tobytes() == want, n
+        assert direct_history_sum(weights, list(vals[:n - 1]), n, m=m).tobytes() == want, n
 
 
 def test_direct_history_sum_of_empty_history_is_m_zeros():

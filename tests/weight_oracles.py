@@ -2,7 +2,7 @@
 by the tests: the diagonal weight beta_nn, the local kernel averages
 B_mu, the direct difference of two of them, the nu = 1/2 square-root
 form and the separated-interval series as a function of interval
-endpoints."""
+endpoints; and the history sum as one multiply-accumulate per pair."""
 
 from __future__ import annotations
 
@@ -97,3 +97,14 @@ def beta_separated_series(nu: float, source, target):
     kj, kn, delta = _geometry(source, target)
     return _result(_series(nu, kj.ravel(), kn.ravel(), delta.ravel()).reshape(kj.shape))
 
+
+def history_sum_per_pair(weights, values, n: int, *, m: int) -> np.ndarray:
+    """Sum over j < n of beta_nj * U^j as one multiply-accumulate per
+    pair (n, j), in ascending j from m zeros: the order the chunked
+    direct_history_sum must keep bit for bit."""
+    acc = np.zeros(m)
+    if n > 1:
+        row = weights.offdiag(n, np.arange(1, n)).tolist()
+        for w, value in zip(row, values[:n - 1], strict=True):
+            acc += w * value
+    return acc
