@@ -151,7 +151,8 @@ def max_nodal_error(numeric: list[np.ndarray] | np.ndarray,
 
 # direct_history_sum takes the history in chunks of rows of about this many
 # bytes, so a chunk's products stay in cache while they are summed; at
-# M = 1521 that is 32 rows, which ran faster than 16 or 64.
+# M = 1521 that is 32 rows.  Under the one-row ufunc buffer, desk slow runs
+# took as long with 32, 48 or 64 rows, and longer with 16, 128 or 256.
 _CHUNK_BYTES = 3 << 17
 
 
@@ -166,6 +167,14 @@ def direct_history_sum(weights, values, n: int, *, m: int) -> np.ndarray:
     chunk of rows at a time is multiplied by its weights and added to the
     sum one row after another (history_engine.sum_rows), in ascending j,
     so the arithmetic matches the engine's near-field path bit for bit.
+
+    The loop runs under a 1024-value ufunc buffer, at most a desk row:
+    numpy's default 8192 spans several rows, across which the broadcast
+    weight column has no one stride and is copied value by value (a 3x
+    slower multiply).  Only numpy's walk over a chunk changes, not the
+    products or their order, so the size is no option.  try/finally
+    restores the caller's size (numpy >= 2.0 also does at an errstate's
+    exit, but 1.24, the declared floor, does not).
     """
     if n < 1:
         raise ValueError("step index must be at least 1")
@@ -176,9 +185,13 @@ def direct_history_sum(weights, values, n: int, *, m: int) -> np.ndarray:
         w = weights.offdiag(n, np.arange(1, n))[:, None]
         rows = max(1, _CHUNK_BYTES // (8 * m))
         buf = np.empty((min(rows, n - 1), m))  # one chunk's products, reused
-        for lo in range(0, n - 1, rows):
-            t = buf[:min(rows, n - 1 - lo)]
-            np.multiply(w[lo:lo + len(t)], values[lo:lo + len(t)], out=t)
-            t[0] += acc
-            acc = sum_rows(t)
+        saved = np.setbufsize(1024)
+        try:
+            for lo in range(0, n - 1, rows):
+                t = buf[:min(rows, n - 1 - lo)]
+                np.multiply(w[lo:lo + len(t)], values[lo:lo + len(t)], out=t)
+                t[0] += acc
+                acc = sum_rows(t)
+        finally:
+            np.setbufsize(saved)
     return acc

@@ -5,6 +5,7 @@ import pytest
 
 from subdiff import reference_solution
 from subdiff.frac_weights import KernelParams, WeightEngine
+from subdiff.history_engine import sum_rows
 from subdiff.reference_solution import (
     ContourAccuracyError,
     _u11_terms,
@@ -153,6 +154,71 @@ def test_direct_history_sum_of_empty_history_is_m_zeros():
     np.testing.assert_array_equal(got, np.zeros(4))
     with pytest.raises(ValueError):  # step 3 needs two past values
         direct_history_sum(weights, [np.ones(4)], 3, m=4)
+
+
+class _FixedWeights:
+    """Weights whose offdiag row holds the given beta_nj at every n."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def offdiag(self, n, js):
+        return self.row[js - 1]
+
+
+@pytest.mark.parametrize("m", [1, 2, 1521])
+def test_direct_history_sum_bits_do_not_depend_on_the_buffer_size(m):
+    """The one-row ufunc buffer changes how numpy walks a chunk, not its
+    products: whatever buffer size the caller has set, the sum has the
+    per-pair loop's bytes, over exact-zero rows (some -0.0), products in
+    the subnormal range and products that cancel exactly."""
+    rng = np.random.default_rng(m)
+    L = 70  # more than two chunks of 32 rows at m = 1521
+    w = rng.uniform(0.5, 2.0, L)
+    vals = rng.standard_normal((L, m))
+    vals[:10] = 0.0
+    vals[5:10] = -0.0
+    w[10:30] *= 1e-10
+    vals[10:30] *= 1e-300
+    w[31:50:2] = w[30:50:2]
+    vals[31:50:2] = -vals[30:50:2]
+    prods = w[:, None] * vals
+    assert np.any((prods != 0.0) & (np.abs(prods) < np.finfo(float).tiny))
+    assert np.all(prods[30:50:2] + prods[31:50:2] == 0.0)
+    weights = _FixedWeights(w)
+    wants = [history_sum_per_pair(weights, vals, n, m=m).tobytes() for n in range(1, L + 2)]
+    for size in (16, 1024, 8192):
+        saved = np.setbufsize(size)
+        try:
+            for n, want in enumerate(wants, start=1):
+                assert direct_history_sum(weights, vals, n, m=m).tobytes() == want, (size, n)
+        finally:
+            np.setbufsize(saved)
+
+
+def test_direct_history_sum_scopes_a_one_row_buffer(monkeypatch):
+    """The chunk loop runs under a 1024-value ufunc buffer, and the
+    caller's own size is back afterwards, also when the loop raises."""
+    seen = []
+
+    def spy(t):
+        seen.append(np.getbufsize())
+        return sum_rows(t)
+
+    monkeypatch.setattr(reference_solution, "sum_rows", spy)
+    m = 1521  # 32 rows per chunk
+    weights = WeightEngine(KernelParams(0.3), uniform_mesh(40, 1.0))
+    saved = np.setbufsize(4096)
+    try:
+        direct_history_sum(weights, np.ones((33, m)), 34, m=m)
+        assert seen == [1024, 1024] and np.getbufsize() == 4096
+        seen.clear()
+        short = [np.ones(m)] * 32 + [np.ones(m - 1)]  # its second chunk fails
+        with pytest.raises(ValueError):
+            direct_history_sum(weights, short, 34, m=m)
+        assert seen == [1024] and np.getbufsize() == 4096
+    finally:
+        np.setbufsize(saved)
 
 
 @pytest.mark.parametrize("forced", [True, False])
