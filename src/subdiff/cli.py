@@ -43,13 +43,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--nu", type=float, default=0.5, help="fractional order in (0,1)")
     p.add_argument("--T", type=float, default=6.0, help="final time")
-    p.add_argument("--N", type=int, default=2000, help="number of time steps")
+    p.add_argument("--N", type=_int_list, default=[2000],
+                   help="number of time steps; a comma-separated list runs each")
     p.add_argument("--dim", type=int, choices=(1, 2), default=2, help="spatial dimension")
     p.add_argument("--m", type=int, default=40, help="spatial subdivisions per axis")
     p.add_argument("--K", type=float, default=None,
                    help="diffusivity (default: 1/(dim*pi^2), first eigenvalue 1)")
     p.add_argument("--mode", choices=("slow", "fast", "both"), default="both")
-    p.add_argument("--r", type=int, default=None, help="expansion order (default: auto)")
+    p.add_argument("--r", type=_int_list, default=None,
+                   help="expansion order; a comma-separated list runs each (default: auto)")
     p.add_argument("--eta", type=float, default=None,
                    help="admissibility parameter (default: auto; requires --r)")
     p.add_argument("--Q", type=int, default=None,
@@ -58,10 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diag-stability", action="store_true",
                    help="run the quadratic-cost stability diagnostic and dump the tree")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    p.add_argument("--sweep-N", type=_int_list, default=None,
-                   help="comma-separated step counts for a scaling sweep")
-    p.add_argument("--sweep-r", type=_int_list, default=None,
-                   help="comma-separated expansion orders to compare")
     return p
 
 
@@ -69,7 +67,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """The parsed command line, with Q and K given their defaults."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, value in (("--eta", args.eta), ("--r", args.r), ("--sweep-r", args.sweep_r)):
+    for flag, value in (("--eta", args.eta), ("--r", args.r)):
         if value is not None and args.mode == "slow":
             parser.error(f"{flag} applies to the fast scheme only and conflicts with --mode slow")
     if args.eta is not None and args.r is None:
@@ -158,12 +156,13 @@ def _single_run(spec: argparse.Namespace, mode: str, config: RunConfig,
 def run(spec: argparse.Namespace) -> int:
     out = spec.out
     modes = ["slow", "fast"] if spec.mode == "both" else [spec.mode]
-    n_values = spec.sweep_N or [spec.N]
-    runs = [(mode, _config(spec, N, r)) for N in n_values for mode in modes
-            for r in ((spec.sweep_r or [spec.r]) if mode == "fast" else [None])]
-    diagnostics = [_config(spec, N, spec.r) for N in n_values] if spec.diag_stability else []
+    runs = [(mode, _config(spec, N, r)) for N in spec.N for mode in modes
+            for r in ((spec.r or [None]) if mode == "fast" else [None])]
+    fast = [config for mode, config in runs if mode == "fast"]
+    # one block per (N, r) of the fast runs; a slow-only run's trees are those of auto r
+    diagnostics = (fast or [config for _, config in runs]) if spec.diag_stability else []
     # a bad fast or diagnostic setup fails before any run starts
-    for config in [c for mode, c in runs if mode == "fast"] + diagnostics:
+    for config in fast or diagnostics:
         config.resolved_params()
         config.tree()
     out.mkdir(parents=True, exist_ok=True)

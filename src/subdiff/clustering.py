@@ -8,11 +8,12 @@ tree nodes that are either admissible (length at most eta times the gap
 to L, eligible for the rank-r expansion) or leaves (summed exactly).
 
 The tree is its node arrays `lo`, `hi` and `generation` in breadth-first
-id order, and this module alone knows that numbering: the children of
-node i are Q i + 1 .. Q i + Q, so parent, ancestor-chain and position
-queries are id arithmetic.  A Cluster is made only when asked for: one
-by leaf_of, those of a cover by its near and far, and the list of all of
-them, `nodes`, once, on its first access.
+id order, whose arithmetic the history engine shares: node i's children
+are Q i + 1 .. Q i + Q; generation g runs in time order from id
+first[g], so leaf k (from 0) has its generation-g ancestor (itself if
+g = G) at first[g] + k // Q^(G-g).  A Cluster is made only when asked
+for: one by leaf_of, those of a cover by its near and far, and the list
+of all of them, `nodes`, once, on its first access.
 
 A child is never longer than its parent nor nearer to the leaf, so
 admissibility is monotone from parent to child, and it only grows as the

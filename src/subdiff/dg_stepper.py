@@ -145,9 +145,8 @@ def select_params(nu: float, mesh: TimeMesh, r: int | None = None) -> tuple[int,
     )
 
 
-def _march(config: RunConfig, weights: WeightEngine, source: SeparableSource | None,
-           u0: np.ndarray | None, sink: SolutionSink | None, res: RunResult,
-           t0: float, drive) -> RunResult:
+def _march(config: RunConfig, source: SeparableSource | None, u0: np.ndarray | None,
+           sink: SolutionSink | None, res: RunResult, t0: float, drive) -> RunResult:
     """The DG step both schemes share, driven by drive(step).
 
     drive must call step(n, H_n) for n = 1..N in order, with H_n in nodal
@@ -173,7 +172,7 @@ def _march(config: RunConfig, weights: WeightEngine, source: SeparableSource | N
     # bound as the run starts, so a tracer installed before it sees every call
     transform, solve, clock = solver.transform, solver.solve, time.perf_counter
     sols, write = res.solutions, None if sink is None else sink.write
-    lv, nu, gamma_diag = mesh.levels, weights.params.nu, gamma(1.0 + weights.params.nu)
+    lv, nu, gamma_diag = mesh.levels, config.nu, gamma(1.0 + config.nu)
     mark = clock()
     res.setup_seconds = mark - t0
 
@@ -217,11 +216,11 @@ def slow_run(config: RunConfig, source: SeparableSource | None,
     def drive(step) -> None:
         for n in range(1, mesh.N + 1):
             res.rhs_ops += (n - 1) * M
-            u = step(n, direct_history_sum(weights, res.solutions, n, m=M))
+            u = step(n, direct_history_sum(weights, res.solutions, n))
             if not np.isfinite(u).all():
                 raise NonFiniteSolutionError(f"the slow run's solution at step {n} is not finite")
 
-    return _march(config, weights, source, u0, None, res, t0, drive)
+    return _march(config, source, u0, None, res, t0, drive)
 
 
 def fast_run(config: RunConfig, source: SeparableSource | None,
@@ -235,7 +234,7 @@ def fast_run(config: RunConfig, source: SeparableSource | None,
     weights = WeightEngine(KernelParams(config.nu), config.mesh)
     engine = HistoryEngine(config.tree(), weights, r, eta, config.grid.M)
     sols = np.empty((config.mesh.N if sink is None else 0, config.grid.M))
-    res = _march(config, weights, source, u0, sink, RunResult(solutions=sols, r=r, eta=eta),
+    res = _march(config, source, u0, sink, RunResult(solutions=sols, r=r, eta=eta),
                  t0, engine.run_schedule)
     if sink is not None:
         res.solutions = sink.read(first)

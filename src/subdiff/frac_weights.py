@@ -137,14 +137,13 @@ def beta_adjacent(nu: float, k_prev, k_cur):
 
 
 @functools.lru_cache(maxsize=16)
-def _series_coefficients(nu: float, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p, the orders 2p+1-nu = -mu, and the log of the p-th coefficient
+def _series_coefficients(nu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orders 2p+1-nu = -mu and the log of the p-th coefficient
     1/(Gamma(nu-2p) (2p+1)! 4^p) over the first, for p < count; computed
     once for all the series calls of one kernel order."""
-    p = np.arange(count)
     log_coef = np.array([-(math.lgamma(nu - 2.0 * q) + math.lgamma(2.0 * q + 2.0)
                            + q * math.log(4.0)) for q in range(count)])
-    shared = p, 2.0 * p + 1.0 - nu, log_coef - log_coef[0]
+    shared = 2.0 * np.arange(count) + 1.0 - nu, log_coef - log_coef[0]
     for x in shared:
         x.flags.writeable = False
     return shared
@@ -178,7 +177,7 @@ def _series(nu: float, kj, kn, delta) -> np.ndarray:
     """
     if np.any(delta <= 0.5 * (kj + kn)):
         raise ValueError("series branch requires disjoint source left of target")
-    _, orders, log_coef = _series_coefficients(nu, _MAX_TERMS)
+    orders, log_coef = _series_coefficients(nu, _MAX_TERMS)
     a = delta + 0.5 * kn
     log1p_x = np.log1p(-kn / a)
     lead = a ** (nu - 1.0) / gamma(nu) * np.expm1((nu - 1.0) * log1p_x) * kj  # term 0

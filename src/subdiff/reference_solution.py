@@ -124,10 +124,13 @@ def _u11_terms(nu: float, t: np.ndarray, forced: bool, nodes: int, lam: float = 
     return w * np.exp(z * t[:, None]) * vals, pole_part
 
 
-def mittag_leffler_series(nu: float, x: float, terms: int = 60) -> float:
-    """Truncated power series of E_nu(x); adequate for |x| <= 1."""
-    ks = np.arange(terms)
-    return float(np.sum(x**ks / np.array([gamma(1.0 + nu * k) for k in range(terms)])))
+_ML_TERMS = 60
+
+
+def mittag_leffler_series(nu: float, x: float) -> float:
+    """Power series of E_nu(x) to _ML_TERMS terms; adequate for |x| <= 1."""
+    ks = np.arange(_ML_TERMS)
+    return float(np.sum(x**ks / np.array([gamma(1.0 + nu * k) for k in range(_ML_TERMS)])))
 
 
 def u11_classical(t: float) -> float:
@@ -156,11 +159,9 @@ def max_nodal_error(numeric: list[np.ndarray] | np.ndarray,
 _CHUNK_BYTES = 3 << 17
 
 
-def direct_history_sum(weights, values, n: int, *, m: int) -> np.ndarray:
-    """Literal sum over j < n of beta_nj * U^j with exact weights, for
-    vectors of length m (the sum is m zeros at n = 1, where values may be
-    empty).  values holds U^1, U^2, ... as the rows of an (N, m) array or
-    as a list of vectors; it must hold at least n - 1 of them.
+def direct_history_sum(weights, values: np.ndarray, n: int) -> np.ndarray:
+    """Literal sum over j < n of beta_nj * U^j with exact weights, U^j
+    being row j - 1 of the (N, m) array values (N >= n - 1; m zeros at n = 1).
 
     The slow scheme's history sum and the O(n M) equivalence oracle for
     the fast engine; the weights of row n come from one offdiag call.  A
@@ -180,6 +181,7 @@ def direct_history_sum(weights, values, n: int, *, m: int) -> np.ndarray:
         raise ValueError("step index must be at least 1")
     if len(values) < n - 1:
         raise ValueError(f"step {n} needs {n - 1} past values, got {len(values)}")
+    m = values.shape[1]
     acc = np.zeros(m)
     if n > 1:
         w = weights.offdiag(n, np.arange(1, n))[:, None]

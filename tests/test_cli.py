@@ -16,7 +16,7 @@ def test_parse_defaults():
     spec = parse_args([])
     assert spec.nu == 0.5
     assert spec.T == 6.0
-    assert spec.N == 2000
+    assert spec.N == [2000]
     assert spec.dim == 2
     assert spec.m == 40
     assert spec.mode == "both"
@@ -28,23 +28,27 @@ def test_parse_defaults():
 def test_parse_full_flag_set():
     spec = parse_args(
         "--nu 0.25 --T 2 --N 128 --dim 1 --m 16 --K 0.5 --mode fast "
-        "--r 5 --eta 0.4 --Q 4 --G 3 --diag-stability --out /tmp/x "
-        "--sweep-N 64,128 --sweep-r 4,5".split()
+        "--r 5 --eta 0.4 --Q 4 --G 3 --diag-stability --out /tmp/x".split()
     )
     assert spec.nu == 0.25
     assert spec.K == 0.5
     assert spec.Q == 4 and spec.G == 3
-    assert spec.sweep_N == [64, 128]
-    assert spec.sweep_r == [4, 5]
+    assert spec.N == [128] and spec.r == [5]
+    lists = parse_args("--mode fast --N 64,128 --r 4,5".split())
+    assert lists.N == [64, 128] and lists.r == [4, 5]
     assert spec.diag_stability
 
 
 def test_readme_command_line_section_names_every_option():
+    """README's "## Command line" section names every option of the
+    parser, and no option the parser does not define."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = re.search(r"^## Command line$(.*?)^## ", readme, re.M | re.S).group(1)
     options = [o for a in build_parser()._actions if a.dest != "help" for o in a.option_strings]
     missing = [o for o in options if not re.search(re.escape(o) + r"(?![\w-])", section)]
     assert not missing
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+    assert named - set(options) == set()
 
 
 @pytest.mark.parametrize(
@@ -53,17 +57,19 @@ def test_readme_command_line_section_names_every_option():
         ["--eta", "0.5", "--mode", "slow"],
         ["--eta", "0.5", "--mode", "fast"],  # eta without r
         ["--r", "4", "--mode", "slow"],
-        ["--sweep-r", "3,4", "--mode", "slow"],
+        ["--r", "3,4", "--mode", "slow"],
         ["--nu", "1.5"],
         ["--mode", "bogus"],
         ["--frobnicate"],
-        ["--sweep-N", "a,b"],
+        ["--N", "a,b"],
         ["--Q", "1"],
         ["--Q", "0"],
         ["--Q", "3", "--mode", "slow"],
         ["--G", "2", "--mode", "slow"],
-        ["--sweep-N", "16,16"],  # both runs would write solution_fast_N16.bin
-        ["--sweep-r", "3,4,3", "--mode", "fast"],
+        ["--N", "16,16"],  # both runs would write solution_fast_N16.bin
+        ["--r", "3,4,3", "--mode", "fast"],
+        ["--sweep-N", "32,64"],  # one flag per run parameter: --N and --r take the lists
+        ["--sweep-r", "3,5"],
     ],
 )
 def test_usage_errors(argv):
@@ -75,7 +81,7 @@ def test_usage_errors(argv):
 @pytest.mark.parametrize("argv, flag", [
     (["--eta", "0.5", "--r", "4"], "--eta"),
     (["--r", "4"], "--r"),
-    (["--sweep-r", "3,4"], "--sweep-r"),
+    (["--r", "3,4"], "--r"),
 ])
 def test_fast_only_flags_with_slow_mode_name_the_first_one(argv, flag, capsys):
     with pytest.raises(SystemExit) as info:
@@ -176,7 +182,7 @@ def test_stream_writes_are_the_records_bytes(tmp_path, monkeypatch):
 def test_run_sweeps(tmp_path):
     spec = parse_args(
         f"--nu 0.5 --T 1 --dim 1 --m 4 --mode fast --Q 2 "
-        f"--sweep-N 16,32 --sweep-r 2,3 --out {tmp_path}".split()
+        f"--N 16,32 --r 2,3 --out {tmp_path}".split()
     )
     assert run(spec) == 0
     with (tmp_path / "report.csv").open() as fh:
@@ -206,7 +212,7 @@ def test_diag_stability_artifacts(tmp_path):
 
 def test_diag_stability_follows_sweep_n(tmp_path):
     spec = parse_args(
-        f"--nu 0.5 --T 1 --sweep-N 16,32 --dim 1 --m 4 --mode fast --r 3 "
+        f"--nu 0.5 --T 1 --N 16,32 --dim 1 --m 4 --mode fast --r 3 "
         f"--Q 2 --diag-stability --out {tmp_path}".split()
     )
     assert run(spec) == 0
@@ -220,6 +226,24 @@ def test_diag_stability_follows_sweep_n(tmp_path):
     # one dump per leaf of each run's tree (auto depth 2 and 3: 4 and 8 leaves)
     assert sum(line.startswith("leaf ") for line in first) == 4
     assert sum(line.startswith("leaf ") for line in second) == 8
+
+
+def test_diag_stability_has_a_block_per_run(tmp_path):
+    """--r takes a list, an explicit --eta applies to each order, and
+    tree_dump.txt holds one block per fast run, its N, r and eta those
+    of the run's report row."""
+    assert main(f"--mode fast --N 64 --dim 1 --m 4 --Q 2 --r 3,5 --eta 0.5 "
+                f"--diag-stability --out {tmp_path}".split()) == 0
+    with (tmp_path / "report.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["N"], row["r"], row["eta"]) for row in rows] == [("64", "3", "0.5"),
+                                                                  ("64", "5", "0.5")]
+    for r in (3, 5):
+        assert (tmp_path / f"solution_fast_N64_r{r}.bin").stat().st_size == 64 * 3 * 8
+    lines = (tmp_path / "tree_dump.txt").read_text().splitlines()
+    heads = [i for i, line in enumerate(lines) if line.startswith("N ")]
+    assert [lines[i:i + 3] for i in heads] == [
+        [f"N {row['N']}", f"r {row['r']}", f"eta {row['eta']}"] for row in rows]
 
 
 def test_errors_csv_is_deterministic(tmp_path):
@@ -243,7 +267,7 @@ def test_main_reports_module_errors(capsys, tmp_path):
 @pytest.mark.parametrize("flags, message", [
     ("--G 5", "largest admissible G is 4"),
     ("--r 5 --eta 2", "eta must lie in (0, 1]"),
-    ("--sweep-N 32,48 --G 5", "largest admissible G is 4"),  # the second N fails
+    ("--N 32,48 --G 5", "largest admissible G is 4"),  # the last --N wins; its second N fails
 ])
 def test_bad_fast_setup_fails_before_any_run(capsys, tmp_path, monkeypatch, flags, message):
     """With --mode both, a fast run whose tree or (r, eta) cannot be built
@@ -266,7 +290,7 @@ def test_main_reports_a_grid_too_large_for_memory(capsys, tmp_path, monkeypatch)
     simulated, after `solvers` solvers were built: a real oversized grid
     would first build its m-sized sine modes."""
     for flags, m, solvers, failing_N in [("--N 8", 100000, 0, 8),
-                                         ("--sweep-N 8,16", 4, 1, 16)]:  # the second run fails
+                                         ("--N 8,16", 4, 1, 16)]:  # the second run fails
         built = []
 
         def no_memory(grid):

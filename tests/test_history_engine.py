@@ -31,7 +31,7 @@ def make_engine(N=64, nu=0.5, Q=2, G=3, r=4, eta=0.6, m=3, T=None, mesh=None):
 
 def random_values(N, m, seed=1):
     rng = np.random.default_rng(seed)
-    return [rng.standard_normal(m) for _ in range(N)]
+    return rng.standard_normal((N, m))
 
 
 def node_id(tree, c):
@@ -70,7 +70,7 @@ def test_all_near_cover_matches_direct_sum_bitwise():
         vals = random_values(64, m)
         for n in range(1, 65):
             got = engine.history_sum(n)
-            want = direct_history_sum(weights, vals, n, m=m)
+            want = direct_history_sum(weights, vals, n)
             assert np.array_equal(got, want)
             engine.commit_step(n, vals[n - 1])
 
@@ -83,7 +83,7 @@ def test_far_field_accuracy_tracks_expansion_order():
         worst = 0.0
         for n in range(1, 65):
             got = engine.history_sum(n)
-            want = direct_history_sum(weights, vals, n, m=3)
+            want = direct_history_sum(weights, vals, n)
             scale = max(float(np.max(np.abs(want))), 1e-30)
             worst = np.maximum(worst, float(np.max(np.abs(got - want))) / scale)
             engine.commit_step(n, vals[n - 1])
@@ -143,7 +143,7 @@ def test_moment_accumulators_hold_weighted_sums(monkeypatch):
     for mesh in (uniform_mesh(81, 2.0), perturbed_mesh(81, seed=6)):
         engine, _ = make_engine(Q=3, G=3, r=4, eta=0.5, m=2, mesh=mesh)
         tree, lv = engine.tree, mesh.levels
-        V = np.array(random_values(81, 2))
+        V = random_values(81, 2)
         checked, entered[:] = 0, []
         for n in range(1, 82):
             engine.history_sum(n)
@@ -447,7 +447,7 @@ def test_all_near_engine_matches_direct_sum_on_perturbed_mesh():
 
     def cb(n, hist):
         nonlocal worst
-        want = direct_history_sum(weights, vals, n, m=m)
+        want = direct_history_sum(weights, vals, n)
         worst = np.maximum(worst, float(np.max(np.abs(hist - want)))
                            / max(float(np.max(np.abs(want))), 1e-300))
         return vals[n - 1]
@@ -463,7 +463,7 @@ def test_run_schedule_accuracy_against_direct_oracle():
 
     def cb(n, hist):
         nonlocal worst
-        want = direct_history_sum(weights, vals, n, m=2)
+        want = direct_history_sum(weights, vals, n)
         scale = max(float(np.max(np.abs(want))), 1e-30)
         worst = np.maximum(worst, float(np.max(np.abs(hist - want))) / scale)
         return vals[n - 1]
@@ -732,10 +732,9 @@ def test_split_runs_on_a_perturbed_mesh(monkeypatch):
     bound = ExpansionParams(r, eta).error_factor(nu)
     engine, weights = make_engine(Q=4, G=3, r=r, eta=eta, m=m, nu=nu, mesh=mesh)
     exact, _ = make_engine(Q=4, G=3, r=r, eta=1e-300, m=m, nu=nu, mesh=mesh)
-    V = np.array(vals)
     for n in range(1, N + 1):
-        want = direct_history_sum(weights, vals, n, m=m)
-        scale = np.abs(weights.offdiag(n, np.arange(1, n))) @ np.abs(V[:n - 1]) if n > 1 else 0.0
+        want = direct_history_sum(weights, vals, n)
+        scale = np.abs(weights.offdiag(n, np.arange(1, n))) @ np.abs(vals[:n - 1]) if n > 1 else 0.0
         assert np.all(np.abs(engine.history_sum(n) - want) <= bound * scale + 1e-14 * scale)
         assert np.array_equal(exact.history_sum(n), want)
         engine.commit_step(n, vals[n - 1])
@@ -759,7 +758,7 @@ def test_far_block_matches_per_step_products(name, monkeypatch):
     geometry."""
     engine, weights = FAR_BLOCK_ENGINES[name]()
     tree = engine.tree
-    V = np.array(random_values(tree.mesh.N, engine.m))
+    V = random_values(tree.mesh.N, engine.m)
     plans, _ = leaf_plans(engine, V, monkeypatch)
     moments = {}  # node id -> (moments, the same sum taken in absolute values)
     checked = 0

@@ -126,34 +126,33 @@ def test_direct_history_sum_matches_manual_loop():
     mesh = uniform_mesh(8, 1.0)
     weights = WeightEngine(KernelParams(0.5), mesh)
     rng = np.random.default_rng(0)
-    vals = [rng.standard_normal(3) for _ in range(8)]
-    got = direct_history_sum(weights, vals, 5, m=3)
+    vals = rng.standard_normal((8, 3))
+    got = direct_history_sum(weights, vals, 5)
     want = sum(weights.offdiag(5, j) * vals[j - 1] for j in range(1, 5))
     np.testing.assert_allclose(got, want, rtol=1e-15)
-    assert np.all(direct_history_sum(weights, vals, 1, m=3) == 0.0)
+    assert np.all(direct_history_sum(weights, vals, 1) == 0.0)
 
 
 @pytest.mark.parametrize("m", [1, 3, 1521])
 def test_direct_history_sum_chunks_keep_the_per_pair_bits(m):
     """The chunked sum adds the same products in the same order as one
     multiply-accumulate per pair, so its bits are the same, at every
-    chunk edge and with the history given as a list or as one array."""
+    chunk edge."""
     B = max(1, reference_solution._CHUNK_BYTES // (8 * m))  # rows per chunk
     lengths = [0, 1, B - 1, B, B + 1, 2 * B + 1]  # n - 1
     weights = WeightEngine(KernelParams(0.3), uniform_mesh(max(lengths) + 1, 1.0))
     vals = np.random.default_rng(m).standard_normal((max(lengths), m))
     for n in [k + 1 for k in lengths]:
-        want = history_sum_per_pair(weights, vals, n, m=m).tobytes()
-        assert direct_history_sum(weights, vals, n, m=m).tobytes() == want, n
-        assert direct_history_sum(weights, list(vals[:n - 1]), n, m=m).tobytes() == want, n
+        want = history_sum_per_pair(weights, vals, n).tobytes()
+        assert direct_history_sum(weights, vals, n).tobytes() == want, n
 
 
 def test_direct_history_sum_of_empty_history_is_m_zeros():
     weights = WeightEngine(KernelParams(0.5), uniform_mesh(8, 1.0))
-    got = direct_history_sum(weights, [], 1, m=4)
+    got = direct_history_sum(weights, np.empty((0, 4)), 1)
     np.testing.assert_array_equal(got, np.zeros(4))
     with pytest.raises(ValueError):  # step 3 needs two past values
-        direct_history_sum(weights, [np.ones(4)], 3, m=4)
+        direct_history_sum(weights, np.ones((1, 4)), 3)
 
 
 class _FixedWeights:
@@ -186,12 +185,12 @@ def test_direct_history_sum_bits_do_not_depend_on_the_buffer_size(m):
     assert np.any((prods != 0.0) & (np.abs(prods) < np.finfo(float).tiny))
     assert np.all(prods[30:50:2] + prods[31:50:2] == 0.0)
     weights = _FixedWeights(w)
-    wants = [history_sum_per_pair(weights, vals, n, m=m).tobytes() for n in range(1, L + 2)]
+    wants = [history_sum_per_pair(weights, vals, n).tobytes() for n in range(1, L + 2)]
     for size in (16, 1024, 8192):
         saved = np.setbufsize(size)
         try:
             for n, want in enumerate(wants, start=1):
-                assert direct_history_sum(weights, vals, n, m=m).tobytes() == want, (size, n)
+                assert direct_history_sum(weights, vals, n).tobytes() == want, (size, n)
         finally:
             np.setbufsize(saved)
 
@@ -199,10 +198,12 @@ def test_direct_history_sum_bits_do_not_depend_on_the_buffer_size(m):
 def test_direct_history_sum_scopes_a_one_row_buffer(monkeypatch):
     """The chunk loop runs under a 1024-value ufunc buffer, and the
     caller's own size is back afterwards, also when the loop raises."""
-    seen = []
+    seen, fail_at = [], None
 
     def spy(t):
         seen.append(np.getbufsize())
+        if len(seen) == fail_at:
+            raise ValueError("simulated")
         return sum_rows(t)
 
     monkeypatch.setattr(reference_solution, "sum_rows", spy)
@@ -210,13 +211,13 @@ def test_direct_history_sum_scopes_a_one_row_buffer(monkeypatch):
     weights = WeightEngine(KernelParams(0.3), uniform_mesh(40, 1.0))
     saved = np.setbufsize(4096)
     try:
-        direct_history_sum(weights, np.ones((33, m)), 34, m=m)
+        direct_history_sum(weights, np.ones((33, m)), 34)
         assert seen == [1024, 1024] and np.getbufsize() == 4096
         seen.clear()
-        short = [np.ones(m)] * 32 + [np.ones(m - 1)]  # its second chunk fails
-        with pytest.raises(ValueError):
-            direct_history_sum(weights, short, 34, m=m)
-        assert seen == [1024] and np.getbufsize() == 4096
+        fail_at = 2  # the second chunk raises
+        with pytest.raises(ValueError, match="simulated"):
+            direct_history_sum(weights, np.ones((33, m)), 34)
+        assert seen == [1024, 1024] and np.getbufsize() == 4096
     finally:
         np.setbufsize(saved)
 
