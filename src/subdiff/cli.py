@@ -36,11 +36,25 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+class _Once(argparse.Action):
+    """Store an option's value, or const for an option that takes none,
+    and reject its second occurrence, which would replace the first."""
+
+    _namespace = None  # the one the option was last stored into
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self._namespace is namespace:
+            raise argparse.ArgumentError(self, "given more than once")
+        self._namespace = namespace
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="subdiff",
         description="Run the subdiffusion solver on the forced sine-mode test problem.",
     )
+    p.register("action", None, _Once)  # every option below, help aside
     p.add_argument("--nu", type=float, default=0.5, help="fractional order in (0,1)")
     p.add_argument("--T", type=float, default=6.0, help="final time")
     p.add_argument("--N", type=_int_list, default=[2000],
@@ -57,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", type=int, default=None,
                    help="cluster tree branching factor (default: 2)")
     p.add_argument("--G", type=int, default=None, help="cluster tree depth (default: auto)")
-    p.add_argument("--diag-stability", action="store_true",
+    p.add_argument("--diag-stability", nargs=0, const=True, default=False,
                    help="run the quadratic-cost stability diagnostic and dump the tree")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     return p
@@ -100,7 +114,7 @@ def _config(spec: argparse.Namespace, N: int, r: int | None) -> RunConfig:
                      eta=spec.eta, Q=spec.Q, G=spec.G)
 
 
-def _single_run(spec: argparse.Namespace, mode: str, config: RunConfig,
+def _single_run(mode: str, config: RunConfig,
                 out: Path) -> tuple[dict, list[tuple[int, float, float]]]:
     """Execute one run and return its report row and per-step L2 errors."""
     mesh, grid, N = config.mesh, config.grid, config.mesh.N
@@ -115,8 +129,8 @@ def _single_run(spec: argparse.Namespace, mode: str, config: RunConfig,
     else:
         tag = f"_r{config.r}" if config.r is not None else ""
         sink = SolutionSink(out / f"solution_fast_N{N}{tag}.bin",
-                            {"nu": spec.nu, "T": spec.T, "N": N,
-                             "dim": spec.dim, "m": spec.m, "M": grid.M})
+                            {"nu": config.nu, "T": mesh.T, "N": N,
+                             "dim": grid.dim, "m": grid.m, "M": grid.M})
         try:
             result = fast_run(config, source, u0, sink=sink)
         finally:
@@ -127,7 +141,7 @@ def _single_run(spec: argparse.Namespace, mode: str, config: RunConfig,
     solver = EllipticSolver(grid)
     sine, n_axis = solver.sine, grid.m - 1
     # the principal sine mode's eigenvalue under -K Laplace: 1 at the default K
-    mode_vals = u11(spec.nu, mesh.levels[1:], lam=spec.K * spec.dim * math.pi**2)
+    mode_vals = u11(config.nu, mesh.levels[1:], lam=grid.K * grid.dim * math.pi**2)
     max_err = 0.0
     step_errors = []
     chunk = max(1, CHUNK_VALUES // grid.M)
@@ -173,7 +187,7 @@ def run(spec: argparse.Namespace) -> int:
     error_rows: list[tuple] = []
     for mode, config in runs:
         try:
-            row, step_errors = _single_run(spec, mode, config, out)
+            row, step_errors = _single_run(mode, config, out)
         except MemoryError as exc:
             raise RuntimeError(f"out of memory for a grid with m={spec.m}, dim={spec.dim} "
                                f"at N={config.mesh.N}: {exc}") from exc

@@ -27,7 +27,7 @@ import numpy as np
 
 from .clustering import ClusterTree, auto_depth
 from .frac_weights import KernelParams, WeightEngine, gamma
-from .history_engine import HistoryEngine, SolutionSink
+from .history_engine import HistoryEngine, NonFiniteSolutionError, SolutionSink
 from .reference_solution import direct_history_sum
 from .spatial_fem import EllipticSolver, SeparableSource, SpatialGrid, load_average
 from .taylor_expansion import ExpansionParams, phi_coeffs, psi_coeffs
@@ -199,10 +199,6 @@ def _march(config: RunConfig, source: SeparableSource | None, u0: np.ndarray | N
     return res
 
 
-class NonFiniteSolutionError(RuntimeError):
-    """Raised when a run's solution at some step is not finite."""
-
-
 def slow_run(config: RunConfig, source: SeparableSource | None,
              u0: np.ndarray | None) -> RunResult:
     """Reference scheme with exact weights and full history retention.
@@ -226,10 +222,14 @@ def slow_run(config: RunConfig, source: SeparableSource | None,
 def fast_run(config: RunConfig, source: SeparableSource | None,
              u0: np.ndarray | None, sink: SolutionSink | None = None) -> RunResult:
     """Clustered scheme with low-rank far-field history.  The sink, if
-    given, receives every U^n instead of the result, whose solutions then
-    map the records back from it; the caller that opened it closes it."""
+    given, must hold no records yet; it receives every U^n instead of the
+    result, whose solutions then map the records back from it, and the
+    caller that opened it closes it.  Raises NonFiniteSolutionError at the
+    last step of the first leaf whose U^n holds a NaN or an infinity,
+    naming the first such n."""
     t0 = time.perf_counter()
-    first = 0 if sink is None else sink.records
+    if sink is not None and sink.records:
+        raise ValueError(f"the sink already holds {sink.records} records")
     r, eta = config.resolved_params()
     weights = WeightEngine(KernelParams(config.nu), config.mesh)
     engine = HistoryEngine(config.tree(), weights, r, eta, config.grid.M)
@@ -237,7 +237,7 @@ def fast_run(config: RunConfig, source: SeparableSource | None,
     res = _march(config, source, u0, sink, RunResult(solutions=sols, r=r, eta=eta),
                  t0, engine.run_schedule)
     if sink is not None:
-        res.solutions = sink.read(first)
+        res.solutions = sink.read()
     res.rhs_ops = engine.counters.rhs_ops + engine.counters.update_ops
     res.peak_values = engine.counters.high_water
     return res

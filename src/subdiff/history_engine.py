@@ -2,7 +2,7 @@
 incremental memory management.
 
 The README's design section tells how the engine plans a run from the
-cover lifetimes: the static free and enter lists, the blocks of leaves
+cover lifetimes: the static free lists, the blocks of leaves
 with their covers and coefficients, the far groups and the per-generation
 block stores.  The code relies on three invariants:
   - summation order: a step's exact terms accumulate first, one row after
@@ -46,15 +46,22 @@ from .frac_weights import WeightEngine
 from .taylor_expansion import ExpansionParams, phi_coeffs, psi_coeffs
 
 
-def sum_rows(t: np.ndarray) -> np.ndarray:
-    """t[0] + t[1] + ... of a 2D array, added in that order, row after row.
+def sum_rows(t: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
+    """acc + t[0] + t[1] + ... of a 2D array, added in that order, row
+    after row; acc, the running sum carried in, is added into t[0].
 
     numpy's axis-0 reduction adds row after row when rows hold two or more
     values, but sums a single column pairwise; the running sum of that
     column ends in the same ordered sum.  Both history sums fold their
     products with it, which keeps them bitwise equal.
     """
+    if acc is not None:
+        t[0] += acc
     return np.add.reduce(t, axis=0) if t.shape[1] > 1 else np.add.accumulate(t, axis=0)[-1]
+
+
+class NonFiniteSolutionError(RuntimeError):
+    """Raised when a run's solution at some step is not finite."""
 
 
 @dataclass
@@ -187,17 +194,18 @@ class _Block(NamedTuple):
         that kind), the near leaves and the leaf itself, then at a group's
         first leaf the group's far runs;
       - exact[e0:e1]: its exact weights, one row per step;
-      - check[i0:i1]: the ids its entry checks are held, in order: its
-        cover's and, at a group's first leaf, the group's far members;
     then its first row in its group's far field, its far member count,
     its exact columns before its own intervals and the rhs_ops of a step
     before those, which count its cover, not the group's zero weights.
     far[k] holds, at a group's first leaf, the group's phi and phi @ psi.T,
     one row per step of the group.  psi[k G:(k + 1) G] is its ancestors'
-    psi about its steps, root first.  No array holds an M-length vector."""
+    psi about its steps, root first.  ids[check[k]] are the ids its entry
+    checks are held: its cover's and, at a group's first leaf, the group's
+    far members.  No array holds an M-length vector."""
 
     first: int  # node id of the block's first leaf
-    check: np.ndarray
+    ids: np.ndarray  # the candidate nodes, ascending
+    check: np.ndarray  # (leaf, candidate) bool
     runs: np.ndarray
     exact: np.ndarray
     far: list  # per leaf: (), or at a far group's first its two far weight arrays
@@ -221,7 +229,7 @@ class HistoryEngine:
         self._live = np.zeros(first[-1], dtype=bool)  # per node id: values held, not freed
         self._ancestors: list = [None] * G  # the current leaf's ancestors' blocks, root first
         self._spans = [tree.Q ** (G - g) for g in range(G)]  # leaves under a generation-g node
-        enter, _, free = tree.lifetimes(eta)
+        _, _, free = tree.lifetimes(eta)
         # entering leaf k, store g holds its blocks from the first whose freeing
         # leaf lies past k, _reach[g].searchsorted(k, "right"), to k // span
         self._reach, self._stores = [], []
@@ -233,11 +241,9 @@ class HistoryEngine:
             self._stores.append(_BlockStore(min(w + w // 4, len(reach)),
                                             r if g < G else tree.leaf_size, m))
         self.counters.reserved_high_water = sum(s.buf.size for s in self._stores)
-        # leaf k, in time order, frees _frees[_free_at[k]:_free_at[k + 1]], and its
-        # cover is the first to hold _enters[_enter_at[k]:_enter_at[k + 1]]
-        self._frees, self._enters = (np.argsort(x, kind="stable") for x in (free, enter))
+        # leaf k, in time order, frees _frees[_free_at[k]:_free_at[k + 1]]
+        self._frees = np.argsort(free, kind="stable")
         self._free_at = np.searchsorted(free[self._frees], np.arange(tree.Q**G + 1))
-        self._enter_at = np.searchsorted(enter[self._enters], np.arange(tree.Q**G + 1))
         self.committed = 0
         self._update_ops = G * r * m  # each commit's share of its leaf's moment fold
         self._plan: _LeafPlan | None = None
@@ -269,12 +275,12 @@ class HistoryEngine:
         k0, lo, offsets = first - leaf0, tree.lo[first:first + per], np.arange(size)
         # the candidate nodes, by id: those held at the block's first leaf or first
         # held at a later one, and its last leaf, which only its own exact run reads
+        enter, adm, free = tree.lifetimes(self.eta)
         cover = tree.minimal_cover(tree.leaf_of(int(lo[0])), self.eta)
-        later = self._enters[self._enter_at[k0 + 1]:self._enter_at[k0 + per]]
+        later = np.flatnonzero((enter > k0) & (enter < k0 + per))
         ids = np.sort(np.concatenate([cover.near_ids + cover.far_ids + (first + per - 1,), later]))
         nids, inner = ids.size, int(np.searchsorted(ids, leaf0))  # non-leaf candidates first
         # one row per leaf k: held where enter <= k < free, and far where also adm <= k
-        enter, adm, free = tree.lifetimes(self.eta)
         k = np.arange(k0, k0 + per)[:, None]
         held = (enter[ids] <= k) & (k < free[ids])
         far = held & (adm[ids] <= k)
@@ -347,14 +353,10 @@ class HistoryEngine:
         far_w = [(far_moments[a:a + x].reshape(st, -1), far_leaves[c:c + y].reshape(st, -1))
                  if st else () for a, c, x, y, st in zip(*w0.tolist(), *nw.tolist(), steps.tolist())]
         run_at = np.searchsorted(run_b, np.arange(per + 1))
-        check = held | union  # per leaf, the ids its entry checks are held, leaf after leaf
-        check_at = np.concatenate([[0], np.cumsum(check.sum(axis=1))])
-        check = np.broadcast_to(ids.astype(np.int32), check.shape)[check]
         bounds = np.stack([run_at[:-1], run_at[1:], size * col0, size * (col0 + width),
-                           check_at[:-1], check_at[1:],
                            size * (np.arange(per) - group), nmom + nfl, size * (nn - 1),
                            self.m * ((nn - 1 + nfl) * size + r * nmom)], axis=1)
-        return _Block(first, check, runs, exact, far_w, psi, bounds.tolist())
+        return _Block(first, ids, held | union, runs, exact, far_w, psi, bounds.tolist())
 
     def _enter(self, leaf_id: int) -> _LeafPlan:
         """Free the leaf's free list (the nodes whose parent turns admissible
@@ -368,8 +370,8 @@ class HistoryEngine:
             block = self._block = None  # the old block's arrays go before the new one's come
             block = self._block = self._enter_block(leaf_id)
         b = leaf_id - block.first
-        r0, r1, e0, e1, i0, i1, row, nfar, near, ops = block.leaves[b]
-        ids, size = block.check[i0:i1], tree.leaf_size
+        r0, r1, e0, e1, row, nfar, near, ops = block.leaves[b]
+        ids, size = block.ids[block.check[b]], tree.leaf_size
         k = leaf_id - tree.first[G]  # the leaf's place in time
         self.free_cluster(self._frees[self._free_at[k]:self._free_at[k + 1]])
         new = [g for g, span in enumerate(self._spans) if k % span == 0]  # ancestors first met here
@@ -422,10 +424,7 @@ class HistoryEngine:
         last = plan.near + s  # exact columns with j < n
         acc = None  # set by the first run: the previous leaf, or the first leaf's own, is exact
         for col, w, rows in plan.exact:
-            t = w[s, :last - col, None] * rows[:last - col]
-            if acc is not None:
-                t[0] += acc
-            acc = sum_rows(t)
+            acc = sum_rows(w[s, :last - col, None] * rows[:last - col], acc)
         if plan.far is not None:
             acc += plan.far[s]
         self.counters.rhs_ops += plan.ops + self.m * s
@@ -435,7 +434,8 @@ class HistoryEngine:
         """Accept U^n: retain it in the leaf's block.  The leaf's last commit
         folds the whole block into the moments of every non-leaf ancestor
         cluster, with one product, adding each ancestor's row into its
-        block."""
+        block; first it raises NonFiniteSolutionError, naming the step, if
+        one of the leaf's vectors holds a NaN or an infinity."""
         if n != self.committed + 1:
             raise ValueError(f"expected commit of step {self.committed + 1}, got {n}")
         if value.__class__ is not np.ndarray or value.dtype != float or value.shape != (self.m,):
@@ -452,6 +452,10 @@ class HistoryEngine:
         if counters.live_values > counters.high_water:
             counters.high_water = counters.live_values
         if n == plan.hi:
+            finite = np.isfinite(plan.rows)
+            if not finite.all():
+                bad = plan.lo + int(np.argmin(finite.all(axis=1)))
+                raise NonFiniteSolutionError(f"the fast run's solution at step {bad} is not finite")
             for block, moments in zip(self._ancestors, plan.psi_chain @ plan.rows):
                 block += moments
         counters.update_ops += self._update_ops

@@ -192,8 +192,7 @@ def direct_history_sum(weights, values: np.ndarray, n: int) -> np.ndarray:
             for lo in range(0, n - 1, rows):
                 t = buf[:min(rows, n - 1 - lo)]
                 np.multiply(w[lo:lo + len(t)], values[lo:lo + len(t)], out=t)
-                t[0] += acc
-                acc = sum_rows(t)
+                acc = sum_rows(t, acc)
         finally:
             np.setbufsize(saved)
     return acc

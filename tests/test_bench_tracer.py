@@ -110,7 +110,10 @@ def test_cli_fast_run_passes_the_benchmark_gate(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "fast_run", capture)
     N, m = 200, 8
-    argv = DESK_ARGV + ["--N", str(N), "--m", str(m), "--G", "2", "--out", str(tmp_path)]
+    argv = list(DESK_ARGV)  # each option once, as the parser requires
+    for flag, value in (("--N", N), ("--m", m), ("--G", 2)):
+        argv[argv.index(flag) + 1] = str(value)
+    argv += ["--out", str(tmp_path)]
     assert cli.main(argv) == 0
     problems, row = check_cli_output(tmp_path, N, (m - 1) ** 2)
     assert problems == []

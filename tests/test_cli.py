@@ -39,6 +39,24 @@ def test_parse_full_flag_set():
     assert spec.diag_stability
 
 
+@pytest.mark.parametrize("argv, option", [
+    ("--N 80 --N 32,48", "--N"),
+    ("--r 3 --mode fast --r 4", "--r"),
+    ("--r 3 --eta 0.5 --eta 0.3", "--eta"),
+    ("--N=32 --N 48", "--N"),
+    ("--nu 0.3 --n 0.4", "--nu"),  # an abbreviation is the same option
+    ("--diag-stability --diag-stab", "--diag-stability"),
+    ("--dim 2 --dim 2", "--dim"),  # also when the value repeats
+])
+def test_repeated_option_is_rejected(capsys, argv, option):
+    """A second occurrence of an option would silently replace the first,
+    so the parser exits 2 and names the option."""
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv.split())
+    assert exc.value.code == 2
+    assert f"argument {option}: given more than once" in capsys.readouterr().err
+
+
 def test_readme_command_line_section_names_every_option():
     """README's "## Command line" section names every option of the
     parser, and no option the parser does not define."""
@@ -265,9 +283,9 @@ def test_main_reports_module_errors(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("flags, message", [
-    ("--G 5", "largest admissible G is 4"),
+    ("--G 5", "largest admissible G is 4"),  # at the default N = 2000 = 2^4 * 125
     ("--r 5 --eta 2", "eta must lie in (0, 1]"),
-    ("--N 32,48 --G 5", "largest admissible G is 4"),  # the last --N wins; its second N fails
+    ("--N 32,48 --G 5", "largest admissible G is 4"),  # its second N fails
 ])
 def test_bad_fast_setup_fails_before_any_run(capsys, tmp_path, monkeypatch, flags, message):
     """With --mode both, a fast run whose tree or (r, eta) cannot be built
@@ -277,7 +295,7 @@ def test_bad_fast_setup_fails_before_any_run(capsys, tmp_path, monkeypatch, flag
 
     monkeypatch.setattr(cli, "slow_run", no_slow_run)
     out = tmp_path / "out"
-    code = main(f"--nu 0.5 --T 1 --N 80 --dim 1 --m 4 --mode both {flags} "
+    code = main(f"--nu 0.5 --T 1 --dim 1 --m 4 --mode both {flags} "
                 f"--out {out}".split())
     assert code == 1
     assert message in capsys.readouterr().err
@@ -401,6 +419,34 @@ def test_run_failing_midway_closes_solution_stream(capsys, tmp_path, monkeypatch
     assert np.fromfile(stream, dtype="<f8").shape == ((k - 1) * 3,)
     hdr = (tmp_path / "solution_fast_N16_r3.bin.hdr").read_text().splitlines()
     assert hdr[-2:] == [f"records {k - 1}", "complete 0"]
+
+
+def test_fast_run_going_non_finite_fails_the_cli_without_summaries(capsys, tmp_path,
+                                                                   monkeypatch):
+    """A fast run whose source goes NaN at step k makes main exit 1 with an
+    error naming k, leaves no report.csv or errors.csv, and leaves a stream
+    of the steps through k's leaf whose sidecar reads complete 0."""
+    k = 6  # in the leaf C(5, 8)
+    make_source = cli.benchmark_source
+
+    def nan_source(grid):
+        inner = make_source(grid)
+        steps = []
+
+        def time_average(t0, t1):
+            steps.append(t0)
+            return math.nan if len(steps) == k else inner.time_average(t0, t1)
+
+        return SeparableSource(spatial=inner.spatial, time_average=time_average)
+
+    monkeypatch.setattr(cli, "benchmark_source", nan_source)
+    code = main(f"--nu 0.5 --T 1 --N 16 --dim 1 --m 4 --mode fast --r 3 "
+                f"--Q 2 --G 2 --out {tmp_path}".split())
+    assert code == 1
+    assert f"solution at step {k} is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists() and not (tmp_path / "errors.csv").exists()
+    hdr = (tmp_path / "solution_fast_N16_r3.bin.hdr").read_text().splitlines()
+    assert hdr[-2:] == ["records 8", "complete 0"]
 
 
 def test_slow_run_going_non_finite_fails_the_cli_without_summaries(capsys, tmp_path,

@@ -253,6 +253,37 @@ def test_slow_run_stops_at_the_first_non_finite_solution():
         slow_run(RunConfig(nu=0.5, mesh=mesh, grid=grid), poisoned, u0)
 
 
+def test_fast_run_stops_at_a_non_finite_leaf():
+    """A source that goes NaN at step k stops the fast run at the end of
+    k's leaf, with an error that names k, not the leaf's last step."""
+    k = 6  # the second of the leaf C(5, 8)
+    mesh, grid, src, u0 = problem(N=32, m=6, dim=2)
+
+    def time_average(t0, t1):
+        return math.nan if t0 == mesh.level(k - 1) else src.time_average(t0, t1)
+
+    poisoned = SeparableSource(spatial=src.spatial, time_average=time_average)
+    config = RunConfig(nu=0.5, mesh=mesh, grid=grid, r=3, Q=2, G=3)
+    with pytest.raises(dg_stepper.NonFiniteSolutionError, match=f"at step {k} is not finite"):
+        fast_run(config, poisoned, u0)
+
+
+def test_fast_run_refuses_a_sink_that_holds_records(tmp_path):
+    """A sink that already holds records would end with more than N of
+    them and read incomplete after a complete run: fast_run refuses it
+    before the first step and writes nothing to it."""
+    mesh, grid, src, u0 = problem(N=16, m=4)
+    sink = SolutionSink(tmp_path / "stream.bin", {"N": 16})
+    for _ in range(3):
+        sink.write(np.zeros(grid.M))
+    with pytest.raises(ValueError, match="already holds 3 records"):
+        fast_run(RunConfig(nu=0.5, mesh=mesh, grid=grid, r=3, Q=2), src, u0, sink=sink)
+    assert sink.records == 3
+    sink.close()
+    hdr = (tmp_path / "stream.bin.hdr").read_text().splitlines()
+    assert hdr[-2:] == ["records 3", "complete 0"]
+
+
 def test_streamed_fast_run_keeps_no_solutions_in_memory(tmp_path):
     """The Python heap peak of a streamed 2D fast run stays well below the
     N M float64 values of its solutions; without a sink it does not."""

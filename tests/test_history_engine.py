@@ -1062,7 +1062,7 @@ def test_block_covers_equal_minimal_covers(name, eta, monkeypatch):
 
     def checked_enter_block(self, leaf_id):
         block = enter_block(self, leaf_id)
-        for b, (r0, r1, _, _, i0, i1, *_) in enumerate(block.leaves):
+        for b, (r0, r1, *_) in enumerate(block.leaves):
             k = block.first + b - leaf0
             runs = [(kind, tree.first[g] + p) for g, p0, p1, kind, _, _ in
                     block.runs[r0:r1].tolist() for p in range(p0, p1)]
@@ -1071,7 +1071,7 @@ def test_block_covers_equal_minimal_covers(name, eta, monkeypatch):
             union = set().union(*(covers[j].far_ids for j in range(k, groups.get(k, k))))
             assert sorted(i for kind, i in runs if kind) == sorted(union), k
             want = sorted({*near[:-1], *covers[k].far_ids, *union})
-            assert block.check[i0:i1].tolist() == want, k
+            assert block.ids[block.check[b]].tolist() == want, k
             checked.append(k)
         return block
 

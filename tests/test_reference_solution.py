@@ -200,11 +200,11 @@ def test_direct_history_sum_scopes_a_one_row_buffer(monkeypatch):
     caller's own size is back afterwards, also when the loop raises."""
     seen, fail_at = [], None
 
-    def spy(t):
+    def spy(t, acc=None):
         seen.append(np.getbufsize())
         if len(seen) == fail_at:
             raise ValueError("simulated")
-        return sum_rows(t)
+        return sum_rows(t, acc)
 
     monkeypatch.setattr(reference_solution, "sum_rows", spy)
     m = 1521  # 32 rows per chunk
