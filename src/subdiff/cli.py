@@ -70,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admissibility parameter (default: auto; requires --r)")
     p.add_argument("--Q", type=int, default=None,
                    help="cluster tree branching factor (default: 2)")
-    p.add_argument("--G", type=int, default=None, help="cluster tree depth (default: auto)")
+    p.add_argument("--G", type=int, default=None,
+                   help="cluster tree depth (default: the one with the fewest predicted "
+                        "history ops)")
     p.add_argument("--diag-stability", nargs=0, const=True, default=False,
                    help="run the quadratic-cost stability diagnostic and dump the tree")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
@@ -102,7 +104,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     return args
 
 
-REPORT_COLUMNS = ["mode", "r", "eta", "N", "max_nodal_error", "setup_s",
+REPORT_COLUMNS = ["mode", "r", "eta", "G", "N", "max_nodal_error", "setup_s",
                   "rhs_s", "solver_s", "total_s", "rhs_ops", "peak_values"]
 CHUNK_VALUES = 1 << 17  # solution values read back at a time for the errors
 
@@ -133,8 +135,10 @@ def _single_run(mode: str, config: RunConfig,
                              "dim": grid.dim, "m": grid.m, "M": grid.M})
         try:
             result = fast_run(config, source, u0, sink=sink)
-        finally:
-            sink.close()
+        except BaseException:  # a failed run's stream is never called complete
+            sink.close(failed=True)
+            raise
+        sink.close()
         r_used, eta_used = result.r, f"{result.eta:.12g}"
         read = sink.read  # the stream, not result.solutions: its map would stay resident
 
@@ -155,7 +159,8 @@ def _single_run(mode: str, config: RunConfig,
         step_errors += zip(range(lo + 1, hi + 1), mesh.levels[lo + 1:hi + 1].tolist(),
                            np.sqrt((c * c) @ solver.mu).tolist())
     row = {
-        "mode": mode, "r": r_used, "eta": eta_used, "N": N,
+        "mode": mode, "r": r_used, "eta": eta_used, "G": "" if result.G is None else result.G,
+        "N": N,
         "max_nodal_error": f"{max_err:.12e}",
         "setup_s": f"{result.setup_seconds:.6f}",
         "rhs_s": f"{result.rhs_seconds:.6f}",

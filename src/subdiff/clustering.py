@@ -28,7 +28,6 @@ the nodes whose lifetime holds it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple
@@ -212,20 +211,4 @@ def max_depth(N: int, Q: int) -> int:
     while N % Q == 0:
         N //= Q
         g += 1
-    return g
-
-
-def auto_depth(N: int, Q: int) -> int:
-    """Default tree depth: round(log_Q N) - 2, lowered to the nearest depth
-    dividing N, at least 1.  If N is not divisible by Q, the error names
-    the nearest step count, the larger on a tie, with a tree of the
-    depth asked for."""
-    deepest = max_depth(N, Q)  # rejects Q < 2 before the logarithm does
-    want = max(1, round(math.log(N, Q)) - 2)
-    g = min(want, deepest)
-    if g < 1:
-        span = Q**want
-        nearest = max(span, (2 * N + span) // (2 * span) * span)  # ties round up
-        raise ValueError(f"N={N} admits no uniform tree with Q={Q}; "
-                         f"N={nearest} has one of depth {want}")
     return g

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusterTree, auto_depth
+from .clustering import ClusterTree, max_depth
 from .frac_weights import KernelParams, WeightEngine, gamma
-from .history_engine import HistoryEngine, NonFiniteSolutionError, SolutionSink
+from .history_engine import HistoryEngine, NonFiniteSolutionError, SolutionSink, predicted_ops
 from .reference_solution import direct_history_sum
 from .spatial_fem import EllipticSolver, SeparableSource, SpatialGrid, load_average
 from .taylor_expansion import ExpansionParams, phi_coeffs, psi_coeffs
@@ -47,9 +47,22 @@ class RunConfig:
     G: int | None = None
 
     def tree(self) -> ClusterTree:
-        """The run's (Q, G)-uniform cluster tree, G automatic when None."""
-        return ClusterTree(self.mesh, self.Q,
-                           self.G if self.G is not None else auto_depth(self.mesh.N, self.Q))
+        """The run's (Q, G)-uniform cluster tree.  With G None, of the
+        depths 1..max_depth(N, Q), the one whose fast run at the run's
+        (r, eta) does the fewest history ops, counted by predicted_ops, and
+        the shallowest of equal ones (fewer leaves, less per-leaf work);
+        the tree holds the lifetimes for eta that the engine then reads.
+        An N that Q does not divide has no tree."""
+        if self.G is not None:
+            return ClusterTree(self.mesh, self.Q, self.G)
+        N, Q = self.mesh.N, self.Q
+        deepest = max_depth(N, Q)
+        if deepest < 1:
+            raise ValueError(f"N={N} is not divisible by Q={Q}, so it has no cluster tree")
+        r, eta = self.resolved_params()
+        # min keeps the first of equal keys, and holds one tree besides it
+        return min((ClusterTree(self.mesh, Q, G) for G in range(1, deepest + 1)),
+                   key=lambda tree: predicted_ops(tree, r, eta))
 
     def resolved_params(self) -> tuple[int, float]:
         """Validated expansion order and admissibility parameter: those of
@@ -68,7 +81,8 @@ class RunResult:
 
     solutions holds U^1..U^N as the rows of an (N, M) float64 array: in
     memory, or, for a run given a SolutionSink, the sink's read-only
-    memory map of its records.
+    memory map of its records.  G is the depth of the fast run's cluster
+    tree; a slow run has none.
     """
 
     solutions: np.ndarray
@@ -79,6 +93,7 @@ class RunResult:
     peak_values: int = 0
     r: int | None = None
     eta: float | None = None
+    G: int | None = None
 
     @property
     def total_seconds(self) -> float:
@@ -234,8 +249,8 @@ def fast_run(config: RunConfig, source: SeparableSource | None,
     weights = WeightEngine(KernelParams(config.nu), config.mesh)
     engine = HistoryEngine(config.tree(), weights, r, eta, config.grid.M)
     sols = np.empty((config.mesh.N if sink is None else 0, config.grid.M))
-    res = _march(config, source, u0, sink, RunResult(solutions=sols, r=r, eta=eta),
-                 t0, engine.run_schedule)
+    res = _march(config, source, u0, sink,
+                 RunResult(solutions=sols, r=r, eta=eta, G=engine.tree.G), t0, engine.run_schedule)
     if sink is not None:
         res.solutions = sink.read()
     res.rhs_ops = engine.counters.rhs_ops + engine.counters.update_ops

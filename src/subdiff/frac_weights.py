@@ -85,6 +85,11 @@ class SeriesConvergenceError(RuntimeError):
         self.last_ratio = last_ratio
 
 
+class NonFiniteWeightError(RuntimeError):
+    """Raised when a history weight or an expansion coefficient is not
+    finite; the message names the pair it belongs to."""
+
+
 @dataclass(frozen=True)
 class KernelParams:
     """Fractional order of the memory kernel, 0 < nu < 1."""
@@ -265,7 +270,10 @@ class WeightEngine:
     beta_nj depends only on the lag n - j: the first query builds a lag
     table with one beta_offdiag call over the pairs (L+1, 1), L = 1..N-1,
     and every query reads it, so a weight never depends on the order of
-    the queries.  Other meshes evaluate each query's pairs directly.
+    the queries.  Other meshes evaluate each query's pairs directly.  A
+    weight that is not finite raises NonFiniteWeightError naming its pair
+    (n, j): the table's pair (L+1, 1), checked once when the table is
+    built, or the query's.
     """
 
     def __init__(self, params: KernelParams, mesh: TimeMesh):
@@ -275,10 +283,21 @@ class WeightEngine:
 
     def offdiag(self, n, j):
         if not self.mesh.uniform:
-            return beta_offdiag(self.params, self.mesh, n, j)
+            return _finite_weights(beta_offdiag(self.params, self.mesh, n, j), n, j)
         n, j = _pairs(self.mesh, n, j)
         if self._lags is None:
             targets = np.arange(2, self.mesh.N + 1)  # n = L+1 for j = 1
-            self._lags = np.concatenate(
-                [[np.nan], beta_offdiag(self.params, self.mesh, targets, 1)])
+            lags = beta_offdiag(self.params, self.mesh, targets, 1)
+            self._lags = np.concatenate([[np.nan], _finite_weights(lags, targets, 1)])
         return _result(self._lags[n - j])
+
+
+def _finite_weights(w, n, j):
+    """w, the weights of the pairs (n, j) broadcast; raises
+    NonFiniteWeightError naming the first pair whose weight is not finite."""
+    finite = np.isfinite(w)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        n, j = (np.broadcast_to(x, finite.shape).flat[i] for x in (n, j))
+        raise NonFiniteWeightError(f"the history weight of (n, j) = ({n}, {j}) is not finite")
+    return w

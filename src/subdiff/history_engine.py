@@ -85,14 +85,33 @@ class EngineCounters:
         self.live_values -= count
 
 
+def predicted_ops(tree: ClusterTree, r: int, eta: float) -> int:
+    """The rhs_ops + update_ops a run of the engine over the tree counts,
+    divided by M, which every term carries; exact, from the lifetimes.
+
+    Step s (from 0) of leaf k multiply-accumulates one vector per interval
+    of its near and far leaves, r per far moment node and s of its own
+    leaf, and each commit counts G r.  Leaf k's near leaves are the leaf
+    nodes with enter <= k < adm, its far leaves those with adm <= k < free
+    and its far moments the non-leaf nodes with adm <= k < free, so over
+    all leaves these counts add up to the lengths of those ranges."""
+    enter, adm, free = tree.lifetimes(eta)
+    leaf0, size, leaves = tree.first[tree.G], tree.leaf_size, tree.Q ** tree.G
+    exact = int((free[leaf0:] - enter[leaf0:]).sum())  # near and far leaves, per leaf
+    moments = int((free[:leaf0] - adm[:leaf0]).sum())
+    return (size * (size * exact + r * moments) + leaves * size * (size - 1) // 2
+            + tree.mesh.N * tree.G * r)
+
+
 class SolutionSink:
     """Sequential binary stream of solution records.
 
     Each record is M little-endian float64 values; a text sidecar header
     (written on close) records the run parameters, the record count and,
     if the parameters name the run's step count N, whether the stream is
-    complete: `complete 1` once it holds N records, `complete 0` before.
-    read maps records back from the file, before or after close.
+    complete: `complete 1` once it holds N records, unless it is closed
+    as failed, `complete 0` otherwise.  read maps records back from the
+    file, before or after close.
     """
 
     def __init__(self, path: str | Path, header: dict):
@@ -128,14 +147,16 @@ class SolutionSink:
         return np.memmap(self.path, dtype="<f8", mode="r", offset=8 * lo * self.width,
                          shape=(hi - lo, self.width))
 
-    def close(self) -> None:
+    def close(self, failed: bool = False) -> None:
+        """Close the stream and write the header; a stream closed as failed
+        reads `complete 0` whatever it holds."""
         if self._fh is not None:
             self._fh.close()
             self._fh = None
             lines = [f"{k} {v}" for k, v in self.header.items()]
             lines.append(f"records {self.records}")
             if "N" in self.header:
-                lines.append(f"complete {int(self.records == self.header['N'])}")
+                lines.append(f"complete {int(not failed and self.records == self.header['N'])}")
             self.path.with_suffix(self.path.suffix + ".hdr").write_text(
                 "\n".join(lines) + "\n"
             )

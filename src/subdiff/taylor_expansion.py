@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frac_weights import gamma
+from .frac_weights import NonFiniteWeightError, gamma
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,9 @@ def phi_coeffs(nu: float, r: int, sbar, t_prev, t_next) -> np.ndarray:
     The arguments broadcast against each other; the result has their
     common shape plus a trailing axis of length r, so scalar arguments
     give shape (r,) and an array of K midpoints gives shape (K, r).
-    Each order costs a few operations on arrays of the common shape.
+    Each order costs a few operations on arrays of the common shape.  A
+    coefficient that is not finite raises NonFiniteWeightError naming its
+    midpoint and interval.
     """
     gap = np.asarray(t_prev, dtype=float) - sbar
     if np.any(gap <= 0.0):
@@ -69,7 +71,7 @@ def phi_coeffs(nu: float, r: int, sbar, t_prev, t_next) -> np.ndarray:
         if p:
             kappa = kappa * (mu[p - 1] / gap)
         out[..., p] = kappa * -np.expm1(mu[p] * log1p_x)
-    return out
+    return _finite_coeffs("phi", out, sbar, t_prev, t_next)
 
 
 def psi_coeffs(r: int, sbar, t_prev, t_next) -> np.ndarray:
@@ -83,7 +85,8 @@ def psi_coeffs(r: int, sbar, t_prev, t_next) -> np.ndarray:
     one add into its row of the result.
 
     The arguments broadcast against each other like those of phi_coeffs:
-    scalars give shape (r,), K midpoints or K intervals give (K, r).
+    scalars give shape (r,), K midpoints or K intervals give (K, r), and
+    a coefficient that is not finite raises NonFiniteWeightError.
     """
     kj = np.subtract(t_next, t_prev, dtype=float)
     a = np.subtract(t_prev, sbar, dtype=float)
@@ -96,7 +99,20 @@ def psi_coeffs(r: int, sbar, t_prev, t_next) -> np.ndarray:
         row = out[p, ...]  # a view even for scalar arguments
         np.multiply(a / (p + 1), out[p - 1], out=row)
         row += power * kj
-    return out.transpose(*range(1, out.ndim), 0)
+    return _finite_coeffs("psi", out.transpose(*range(1, out.ndim), 0), sbar, t_prev, t_next)
+
+
+def _finite_coeffs(name: str, out: np.ndarray, sbar, t_prev, t_next) -> np.ndarray:
+    """out, the coefficients of the pairs (sbar, (t_prev, t_next]) broadcast,
+    orders last; raises NonFiniteWeightError naming the first pair with a
+    coefficient that is not finite."""
+    if np.isfinite(out).all():  # a flat pass: a reduction over the short last axis is slower
+        return out
+    finite = np.isfinite(out).all(axis=-1)
+    i = np.unravel_index(np.argmin(finite), finite.shape)
+    s, a, b = (np.broadcast_to(x, finite.shape)[i] for x in (sbar, t_prev, t_next))
+    raise NonFiniteWeightError(f"a {name} coefficient of the midpoint {s:.17g} and "
+                               f"the interval ({a:.17g}, {b:.17g}] is not finite")
 
 
 def tilde_beta(phi: np.ndarray, psi: np.ndarray) -> float:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subdiff import cli, dg_stepper, history_engine
+from subdiff import cli, dg_stepper, frac_weights, history_engine
 from subdiff.cli import build_parser, main, parse_args, run
 from subdiff.frac_weights import SeriesConvergenceError
 from subdiff.spatial_fem import EllipticSolver, SeparableSource
@@ -166,6 +166,32 @@ def test_run_writes_artifacts(tmp_path):
     assert hdr[-2:] == ["records 32", "complete 1"]
 
 
+def test_report_names_the_tree_depth(tmp_path):
+    """report.csv's G column, after eta, holds the depth of a fast run's
+    tree, the one given or the automatic pick, and is empty for a slow run."""
+    assert cli.REPORT_COLUMNS[:5] == ["mode", "r", "eta", "G", "N"]
+    desk = tmp_path / "desk"
+    assert main(f"--mode both --N 2000 --dim 1 --m 4 --Q 10 --G 3 --r 5 --eta 0.4 "
+                f"--out {desk}".split()) == 0
+    with (desk / "report.csv").open() as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == cli.REPORT_COLUMNS
+    assert [(row["mode"], row["G"]) for row in rows] == [("slow", ""), ("fast", "3")]
+    spec = parse_args(f"--mode fast --N 256 --dim 1 --m 4 --out {tmp_path / 'auto'}".split())
+    assert run(spec) == 0
+    with (tmp_path / "auto" / "report.csv").open() as fh:
+        (row,) = csv.DictReader(fh)
+    assert int(row["G"]) == cli._config(spec, 256, None).tree().G
+
+
+def test_readme_report_table_names_every_column():
+    """README's table of report.csv lists its columns in the file's order."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = re.search(r"^\| `report\.csv` column \|.*?\n(?!\|)", readme, re.M | re.S).group(0)
+    assert re.findall(r"^\| `(\w+)` \|", table, re.M) == cli.REPORT_COLUMNS
+
+
 def test_stream_writes_are_the_records_bytes(tmp_path, monkeypatch):
     """SolutionSink.write hands the file each record's little-endian buffer.
     A small 2D fast CLI run's stream and header are byte-identical to those
@@ -241,9 +267,12 @@ def test_diag_stability_follows_sweep_n(tmp_path):
     assert first[1] == "r 3" and "certified True" in first
     assert "gen0 C(1,16)" in first and "gen0 C(1,32)" not in first
     assert "gen0 C(1,32)" in second
-    # one dump per leaf of each run's tree (auto depth 2 and 3: 4 and 8 leaves)
-    assert sum(line.startswith("leaf ") for line in first) == 4
-    assert sum(line.startswith("leaf ") for line in second) == 8
+    # one dump per leaf of each run's tree, of the depth its report row names
+    with (tmp_path / "report.csv").open() as fh:
+        depth = {int(row["N"]): int(row["G"]) for row in csv.DictReader(fh)}
+    assert depth == {N: cli._config(spec, N, 3).tree().G for N in (16, 32)}
+    assert sum(line.startswith("leaf ") for line in first) == 2 ** depth[16]
+    assert sum(line.startswith("leaf ") for line in second) == 2 ** depth[32]
 
 
 def test_diag_stability_has_a_block_per_run(tmp_path):
@@ -286,6 +315,7 @@ def test_main_reports_module_errors(capsys, tmp_path):
     ("--G 5", "largest admissible G is 4"),  # at the default N = 2000 = 2^4 * 125
     ("--r 5 --eta 2", "eta must lie in (0, 1]"),
     ("--N 32,48 --G 5", "largest admissible G is 4"),  # its second N fails
+    ("--N 32,243", "N=243 is not divisible by Q=2"),  # automatic depth, its second N fails
 ])
 def test_bad_fast_setup_fails_before_any_run(capsys, tmp_path, monkeypatch, flags, message):
     """With --mode both, a fast run whose tree or (r, eta) cannot be built
@@ -425,28 +455,52 @@ def test_fast_run_going_non_finite_fails_the_cli_without_summaries(capsys, tmp_p
                                                                    monkeypatch):
     """A fast run whose source goes NaN at step k makes main exit 1 with an
     error naming k, leaves no report.csv or errors.csv, and leaves a stream
-    of the steps through k's leaf whose sidecar reads complete 0."""
-    k = 6  # in the leaf C(5, 8)
+    of the steps through k's leaf whose sidecar reads complete 0, also when
+    that leaf is the last and the stream holds all N records."""
     make_source = cli.benchmark_source
+    for k, records in ((6, 8), (14, 16)):  # in the leaves C(5, 8) and C(13, 16)
+        def nan_source(grid):
+            inner = make_source(grid)
+            steps = []
 
-    def nan_source(grid):
-        inner = make_source(grid)
-        steps = []
+            def time_average(t0, t1):
+                steps.append(t0)
+                return math.nan if len(steps) == k else inner.time_average(t0, t1)
 
-        def time_average(t0, t1):
-            steps.append(t0)
-            return math.nan if len(steps) == k else inner.time_average(t0, t1)
+            return SeparableSource(spatial=inner.spatial, time_average=time_average)
 
-        return SeparableSource(spatial=inner.spatial, time_average=time_average)
+        monkeypatch.setattr(cli, "benchmark_source", nan_source)
+        out = tmp_path / f"k{k}"
+        code = main(f"--nu 0.5 --T 1 --N 16 --dim 1 --m 4 --mode fast --r 3 "
+                    f"--Q 2 --G 2 --out {out}".split())
+        assert code == 1
+        assert f"solution at step {k} is not finite" in capsys.readouterr().err
+        assert not (out / "report.csv").exists() and not (out / "errors.csv").exists()
+        hdr = (out / "solution_fast_N16_r3.bin.hdr").read_text().splitlines()
+        assert hdr[-2:] == [f"records {records}", "complete 0"], k
 
-    monkeypatch.setattr(cli, "benchmark_source", nan_source)
+
+def test_fast_run_with_a_non_finite_weight_fails_the_cli(capsys, tmp_path, monkeypatch):
+    """A history weight that is not finite stops the fast run with exit 1
+    and an error naming its pair, here the lag table's (3, 1); the stream,
+    which holds step 1 (solved before the first leaf is entered), reads
+    complete 0."""
+    series = frac_weights._series
+
+    def nan_at_lag_two(nu, kj, kn, delta):
+        out = series(nu, kj, kn, delta)
+        out[np.isclose(delta, 2 * kj)] = math.nan
+        return out
+
+    monkeypatch.setattr(frac_weights, "_series", nan_at_lag_two)
+    out = tmp_path / "out"
     code = main(f"--nu 0.5 --T 1 --N 16 --dim 1 --m 4 --mode fast --r 3 "
-                f"--Q 2 --G 2 --out {tmp_path}".split())
+                f"--Q 2 --G 2 --out {out}".split())
     assert code == 1
-    assert f"solution at step {k} is not finite" in capsys.readouterr().err
-    assert not (tmp_path / "report.csv").exists() and not (tmp_path / "errors.csv").exists()
-    hdr = (tmp_path / "solution_fast_N16_r3.bin.hdr").read_text().splitlines()
-    assert hdr[-2:] == ["records 8", "complete 0"]
+    assert "the history weight of (n, j) = (3, 1) is not finite" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+    hdr = (out / "solution_fast_N16_r3.bin.hdr").read_text().splitlines()
+    assert hdr[-2:] == ["records 1", "complete 0"]
 
 
 def test_slow_run_going_non_finite_fails_the_cli_without_summaries(capsys, tmp_path,

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subdiff.clustering import Cluster, ClusterTree, auto_depth, max_depth
+from subdiff.clustering import Cluster, ClusterTree, max_depth
 from subdiff.dg_stepper import RunConfig
 from subdiff.spatial_fem import SpatialGrid
 from subdiff.time_mesh import mesh_from_levels, uniform_mesh
@@ -77,21 +77,15 @@ def test_divisibility_error_names_largest_depth():
         tree_of(6, 2, 2)
 
 
-def test_max_depth_and_auto_depth():
+def test_max_depth():
     assert max_depth(16, 2) == 4
     assert max_depth(16000, 2) == 7
     assert max_depth(2000, 10) == 3
     assert max_depth(7, 2) == 0
-    assert auto_depth(256, 2) == 6  # round(log2 256) - 2
-    assert auto_depth(8, 2) == 1
-    with pytest.raises(ValueError):
-        auto_depth(7, 2)
     # a branching factor below 2 has no depth: rejected, not looped on
     for Q in (1, 0):
         with pytest.raises(ValueError, match=f"Q={Q}"):
             max_depth(16, Q)
-        with pytest.raises(ValueError, match=f"Q={Q}"):
-            auto_depth(16, Q)
     with pytest.raises(ValueError, match="N=0"):
         max_depth(0, 2)
 
@@ -248,10 +242,20 @@ def perturbed_levels(N, seed):
     return levels * (6.0 / levels[-1])
 
 
+def has_far_members(tree, eta):
+    """Whether some leaf's cover holds a far member: a node admissible
+    before it is freed."""
+    _, far, free = tree.lifetimes(eta)
+    return bool((far < free).any())
+
+
 def auto_tree(levels, nu, Q):
-    """The tree, with automatic (r, eta) and depth, that fast_run builds."""
+    """The tree, with automatic (r, eta) and depth, that fast_run builds;
+    it has far members, so a test over it exercises the expansion."""
     config = RunConfig(nu=nu, mesh=mesh_from_levels(levels), grid=SpatialGrid(dim=1, m=8), Q=Q)
-    return config.tree(), config.resolved_params()[1]
+    tree, eta = config.tree(), config.resolved_params()[1]
+    assert has_far_members(tree, eta)
+    return tree, eta
 
 
 COVER_TREES = {
@@ -349,17 +353,6 @@ def test_lifetimes_admit_an_exact_tie():
     assert i not in tree.minimal_cover(Cluster(69, 70), eta).far_ids
     assert tree.lifetimes(eta)[1] is far
     assert tree.lifetimes(0.39)[1][i] == 36 and tree.lifetimes(eta)[1] is not far
-
-
-def test_auto_depth_error_names_a_nearby_step_count():
-    """A step count with no uniform tree is rejected with the nearest one
-    that has a tree of the depth asked for, round(log_Q N) - 2."""
-    for N, Q, nearest, depth in [(2003, 2, 2048, 9), (7, 2, 8, 1), (2001, 10, 2000, 1),
-                                 (1, 2, 2, 1)]:
-        with pytest.raises(ValueError, match=f"^N={N} admits no uniform tree with Q={Q}; "
-                                             f"N={nearest} has one of depth {depth}$"):
-            auto_depth(N, Q)
-        assert auto_depth(nearest, Q) >= depth
 
 
 def test_dump_renders_the_tree():

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subdiff import dg_stepper
-from subdiff.clustering import ClusterTree
+from subdiff import dg_stepper, frac_weights
+from subdiff.clustering import ClusterTree, max_depth
 from subdiff.dg_stepper import (
     RunConfig,
     accuracy_threshold,
@@ -19,8 +19,8 @@ from subdiff.dg_stepper import (
     stability_diagnostic,
     stability_threshold,
 )
-from subdiff.frac_weights import KernelParams, WeightEngine
-from subdiff.history_engine import HistoryEngine, SolutionSink
+from subdiff.frac_weights import KernelParams, NonFiniteWeightError, WeightEngine
+from subdiff.history_engine import HistoryEngine, SolutionSink, predicted_ops
 from subdiff.reference_solution import direct_history_sum, u11
 from subdiff.spatial_fem import (
     EllipticSolver,
@@ -32,6 +32,7 @@ from subdiff.spatial_fem import (
 )
 from subdiff.taylor_expansion import phi_coeffs, psi_coeffs
 from subdiff.time_mesh import mesh_from_levels, uniform_mesh
+from test_clustering import has_far_members
 from test_spatial_fem import assemble
 from weight_oracles import beta_diag, history_sum_per_pair
 
@@ -178,15 +179,82 @@ def test_fast_run_tracks_slow_run():
 ])
 def test_fast_run_tracks_slow_run_on_perturbed_mesh(nu, Q, N):
     """Every step length is 1/N perturbed by up to +-30%; (r, eta) and the
-    depth are chosen automatically and no uniform-mesh shortcut applies."""
+    depth are chosen automatically and no uniform-mesh shortcut applies.
+    The picked tree has far members, so the expansion is exercised."""
     mesh = perturbed_mesh(N, seed=7)
     assert not mesh.uniform
     grid = SpatialGrid(dim=1, m=16, K=1.0 / math.pi**2)
     src, u0 = benchmark_source(grid), sine_mode(grid, 1)
     slow = slow_run(RunConfig(nu=nu, mesh=mesh, grid=grid), src, u0)
-    fast = fast_run(RunConfig(nu=nu, mesh=mesh, grid=grid, Q=Q), src, u0)
+    config = RunConfig(nu=nu, mesh=mesh, grid=grid, Q=Q)
+    fast = fast_run(config, src, u0)
+    tree = config.tree()
+    assert fast.G == tree.G and has_far_members(tree, fast.eta)
     gap = np.max(np.abs(np.array(slow.solutions) - np.array(fast.solutions)))  # keeps a NaN
     assert gap <= 1e-6
+
+
+def old_depth(N, Q):
+    """The automatic depth before the count model: round(log_Q N) - 2,
+    at least 1 and at most max_depth(N, Q)."""
+    return min(max(1, round(math.log(N, Q)) - 2), max_depth(N, Q))
+
+
+@pytest.mark.parametrize("nu, Q, N, perturbed", [
+    (0.5, 2, 256, False), (0.3, 2, 4096, True), (0.5, 3, 729, True), (0.9, 3, 243, False),
+    (0.5, 5, 625, True), (0.5, 10, 2000, False), (0.02, 10, 1000, True),
+])
+def test_automatic_depth_has_the_fewest_predicted_ops(nu, Q, N, perturbed):
+    """With G None the tree is the depth with the fewest predicted ops at
+    the run's (r, eta), the shallowest of equal ones, so it never costs
+    more than the old round(log_Q N) - 2 tree; its lifetimes for eta are
+    the ones the pick computed."""
+    mesh = perturbed_mesh(N, seed=4) if perturbed else uniform_mesh(N, 1.0)
+    config = RunConfig(nu=nu, mesh=mesh, grid=SpatialGrid(dim=1, m=4), Q=Q)
+    r, eta = config.resolved_params()
+    ops = [predicted_ops(ClusterTree(mesh, Q, G), r, eta) for G in range(1, max_depth(N, Q) + 1)]
+    tree = config.tree()
+    assert (tree.Q, tree.G) == (Q, 1 + ops.index(min(ops)))
+    assert tree._lifetimes[0] == eta and predicted_ops(tree, r, eta) == min(ops)
+    assert min(ops) <= ops[old_depth(N, Q) - 1]
+
+
+def test_automatic_depth_of_the_long1d_problem():
+    """On long1d-fast's mesh (seed 1) the pick is G = 8, with 12% fewer
+    history ops than the old depth 10; fast_run reports that depth and
+    counts the predicted ops."""
+    steps = 1.0 + 0.3 * np.random.default_rng(1).uniform(-1.0, 1.0, 4096)
+    mesh = mesh_from_levels(np.concatenate([[0.0], np.cumsum(steps)]) * (6.0 / steps.sum()))
+    grid = SpatialGrid(dim=1, m=8, K=1.0 / math.pi**2)
+    config = RunConfig(nu=0.3, mesh=mesh, grid=grid, Q=2)
+    r, eta = config.resolved_params()
+    assert (config.tree().G, old_depth(4096, 2)) == (8, 10)
+    assert [grid.M * predicted_ops(ClusterTree(mesh, 2, G), r, eta) for G in (8, 10)] == [
+        10_118_528, 11_554_620]
+    result = fast_run(config, benchmark_source(grid), sine_mode(grid, 1))
+    assert (result.G, result.rhs_ops, result.peak_values) == (8, 10_118_528, 4_368)
+
+
+def test_automatic_depth_breaks_ties_toward_the_shallower_tree(monkeypatch):
+    """Of depths with equal predicted ops the pick is the shallowest, the
+    one with the fewest leaves; an explicit G is used as given."""
+    mesh, grid, _, _ = problem(N=64, m=4)
+    config = RunConfig(nu=0.5, mesh=mesh, grid=grid, Q=2)
+    for cheapest in ({1, 2, 3, 4, 5, 6}, {3, 5}, {6}):
+        monkeypatch.setattr(dg_stepper, "predicted_ops",
+                            lambda tree, r, eta: 0 if tree.G in cheapest else 1)
+        assert config.tree().G == min(cheapest)
+    assert RunConfig(nu=0.5, mesh=mesh, grid=grid, Q=2, G=4).tree().G == 4
+
+
+def test_automatic_depth_refuses_an_n_that_q_does_not_divide():
+    """An N that Q does not divide has no tree of any depth: the error
+    names N and Q, before any parameter is resolved or weight computed."""
+    for N, Q in ((243, 2), (7, 2), (2001, 10), (1, 3)):
+        mesh, grid, _, _ = problem(N=N, m=4)
+        with pytest.raises(ValueError, match=f"^N={N} is not divisible by Q={Q}, "
+                                             "so it has no cluster tree$"):
+            RunConfig(nu=0.5, mesh=mesh, grid=grid, Q=Q).tree()
 
 
 def test_fast_run_bitwise_equals_slow_with_degenerate_eta():
@@ -266,6 +334,43 @@ def test_fast_run_stops_at_a_non_finite_leaf():
     config = RunConfig(nu=0.5, mesh=mesh, grid=grid, r=3, Q=2, G=3)
     with pytest.raises(dg_stepper.NonFiniteSolutionError, match=f"at step {k} is not finite"):
         fast_run(config, poisoned, u0)
+
+
+@pytest.mark.parametrize("run", [fast_run, slow_run])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_a_non_finite_weight_stops_the_run_naming_its_pair(run, uniform, monkeypatch):
+    """A series that returns NaN for one pair stops both schemes with
+    NonFiniteWeightError naming that pair: on a uniform mesh the lag
+    table's pair (L+1, 1), found once when the table is built; otherwise
+    the pair (9, 7) itself, which the fast run sums exactly."""
+    mesh = uniform_mesh(32, 1.0) if uniform else perturbed_mesh(32, seed=5)
+    grid = SpatialGrid(dim=1, m=8, K=1.0 / math.pi**2)
+    lv, (n, j) = mesh.levels, ((3, 1) if uniform else (9, 7))
+    kj, kn = lv[j] - lv[j - 1], lv[n] - lv[n - 1]
+    delta = 0.5 * (lv[n - 1] + lv[n]) - 0.5 * (lv[j - 1] + lv[j])
+    series = frac_weights._series
+
+    def nan_for_one_pair(nu, kj_, kn_, delta_):
+        out = series(nu, kj_, kn_, delta_)
+        out[(kj_ == kj) & (kn_ == kn) & (delta_ == delta)] = math.nan
+        return out
+
+    monkeypatch.setattr(frac_weights, "_series", nan_for_one_pair)
+    config = RunConfig(nu=0.5, mesh=mesh, grid=grid, r=3, Q=2, G=3)
+    with pytest.raises(NonFiniteWeightError, match=fr"^the history weight of \(n, j\) = "
+                                                   fr"\({n}, {j}\) is not finite$"):
+        run(config, benchmark_source(grid), sine_mode(grid, 1))
+
+
+def test_a_non_finite_coefficient_names_its_pair():
+    """phi_coeffs and psi_coeffs check their result once per call and name
+    the midpoint and the interval of the first pair that is not finite."""
+    sbar, t_prev = np.array([0.5, 1.5, np.nan]), np.array([3.0, 4.0, 5.0])
+    for coeffs in (lambda: phi_coeffs(0.5, 3, sbar, t_prev, t_prev + 1.0),
+                   lambda: psi_coeffs(3, sbar, t_prev, t_prev + 1.0)):
+        with pytest.raises(NonFiniteWeightError,
+                           match=r"coefficient of the midpoint nan and the interval \(5, 6\]"):
+            coeffs()
 
 
 def test_fast_run_refuses_a_sink_that_holds_records(tmp_path):
@@ -376,6 +481,7 @@ def test_result_accounting():
     fast = fast_run(RunConfig(nu=0.5, mesh=mesh, grid=grid, r=3, Q=2, G=3), src, u0)
     assert fast.peak_values > 0
     assert fast.eta == optimal_eta(3)
+    assert (slow.G, fast.G) == (None, 3)
     # The memory advantage of the clustered run only kicks in once the step
     # count dwarfs the per-cluster moment storage.
     mesh_l, grid_l, src_l, u0_l = problem(N=256, m=8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subdiff import frac_weights, history_engine
-from subdiff.clustering import Cluster, ClusterTree
+from subdiff.clustering import Cluster, ClusterTree, max_depth
 from subdiff.dg_stepper import RunConfig, fast_run
 from subdiff.frac_weights import KernelParams, WeightEngine
 from subdiff.history_engine import EngineCounters, HistoryEngine, SolutionSink
@@ -360,9 +360,10 @@ def test_static_frees_follow_the_held_scan(name, monkeypatch):
 
 
 def test_leaf_entries_ask_no_admissibility_question(monkeypatch):
-    """A long1d-shaped fast run (N = 4096, Q = 2, 1,024 leaves) evaluates
-    ClusterTree._admissible O(log leaves) times, once per bisection step of
-    the lifetimes, not once or more per leaf."""
+    """A long1d-shaped fast run (N = 4096, Q = 2, G = 10, 1,024 leaves)
+    evaluates ClusterTree._admissible O(log leaves) times, once per
+    bisection step of the lifetimes, not once or more per leaf.  (The depth
+    is explicit: an automatic one asks the lifetimes of every depth.)"""
     calls = []
     predicate = ClusterTree._admissible
 
@@ -373,7 +374,7 @@ def test_leaf_entries_ask_no_admissibility_question(monkeypatch):
     monkeypatch.setattr(ClusterTree, "_admissible", counted)
     grid = SpatialGrid(dim=1, m=8)
     config = RunConfig(nu=0.3, mesh=mesh_from_levels(perturbed_levels(4096, seed=1)), grid=grid,
-                       Q=2)
+                       Q=2, G=10)
     leaves = config.tree().Q ** config.tree().G
     calls.clear()
     result = fast_run(config, benchmark_source(grid), sine_mode(grid, 1))
@@ -514,6 +515,35 @@ def test_run_schedule_equals_hand_driven_steps(name):
     assert scheduled.shape == driven.shape == (N, m) and np.array_equal(scheduled, driven)
     assert counts == want_counts and committed == want_committed == N
     assert counts.rhs_ops > 0 and np.abs(scheduled).max() > 0
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("N, Q", [(256, 2), (243, 3), (125, 5), (1000, 10)])
+def test_predicted_ops_equal_counted_ops(N, Q, perturbed):
+    """predicted_ops, from the lifetimes alone, is the rhs_ops + update_ops
+    the engine counts, divided by M, at every depth and two (r, eta)."""
+    mesh = perturbed_mesh(N, seed=6) if perturbed else uniform_mesh(N, float(N))
+    weights, m = WeightEngine(KernelParams(0.5), mesh), 2
+    vals = random_values(N, m)
+    for G in range(1, max_depth(N, Q) + 1):
+        tree = ClusterTree(mesh, Q, G)
+        for r, eta in ((3, 0.5), (6, 1.0)):
+            engine = HistoryEngine(tree, weights, r, eta, m)
+            engine.run_schedule(lambda n, hist: vals[n - 1])
+            counted = engine.counters.rhs_ops + engine.counters.update_ops
+            assert m * history_engine.predicted_ops(tree, r, eta) == counted, (G, r, eta)
+
+
+def test_solution_sink_closed_as_failed_is_never_complete(tmp_path):
+    """A stream closed as failed reads complete 0 even when it holds N
+    records; closing it again changes nothing."""
+    sink = SolutionSink(tmp_path / "stream.bin", {"N": 2})
+    sink.write(np.zeros(3))
+    sink.write(np.ones(3))
+    sink.close(failed=True)
+    sink.close()
+    header = (tmp_path / "stream.bin.hdr").read_text().splitlines()
+    assert header == ["N 2", "records 2", "complete 0"]
 
 
 def test_solution_sink_roundtrip(tmp_path):
@@ -1044,8 +1074,8 @@ def test_block_covers_equal_minimal_covers(name, eta, monkeypatch):
     the far members of all the group's leaves, and no other leaf has far
     runs; and the ids its entry checks are held are its near and far ids
     and, at a group's first leaf, the group's far members.  The engine
-    calls minimal_cover once per block, 10 times on desk and 32 on the
-    long1d trees."""
+    calls minimal_cover once per block, 10 times on desk and 16 on the
+    long1d trees (of automatic depth 8)."""
     if eta is None:
         tree, eta = FAR_GROUP_TREES[name]()
     else:
@@ -1080,8 +1110,8 @@ def test_block_covers_equal_minimal_covers(name, eta, monkeypatch):
     engine = HistoryEngine(tree, WeightEngine(KernelParams(0.5), tree.mesh), 3, eta, 1)
     engine.run_schedule(lambda n, hist: np.ones(1))
     assert checked == list(range(len(leaves)))
-    assert len(calls) == tree.Q ** (tree.G // 2) == {"desk": 10, "long1d": 32,
-                                                     "long1d-seed2": 32}.get(name, len(calls))
+    assert len(calls) == tree.Q ** (tree.G // 2) == {"desk": 10, "long1d": 16,
+                                                     "long1d-seed2": 16}.get(name, len(calls))
 
 
 @pytest.mark.parametrize("name", ["perturbed-Q4", "two-speed"])
