@@ -143,7 +143,6 @@ def _single_run(mode: str, config: RunConfig,
         read = sink.read  # the stream, not result.solutions: its map would stay resident
 
     solver = EllipticSolver(grid)
-    sine, n_axis = solver.sine, grid.m - 1
     # the principal sine mode's eigenvalue under -K Laplace: 1 at the default K
     mode_vals = u11(config.nu, mesh.levels[1:], lam=grid.K * grid.dim * math.pi**2)
     max_err = 0.0
@@ -154,8 +153,7 @@ def _single_run(mode: str, config: RunConfig,
         diff = read(lo, hi) - np.outer(mode_vals[lo:hi], u0)
         max_err = np.maximum(max_err, np.max(np.abs(diff)))  # keeps a NaN, unlike max()
         # every step's sine coefficients at once, for the Parseval sums of l2_norm
-        c = (diff @ sine if grid.dim == 1
-             else (sine @ diff.reshape(-1, n_axis, n_axis) @ sine).reshape(hi - lo, -1))
+        c = solver.transform(diff)
         step_errors += zip(range(lo + 1, hi + 1), mesh.levels[lo + 1:hi + 1].tolist(),
                            np.sqrt((c * c) @ solver.mu).tolist())
     row = {

@@ -6,15 +6,17 @@ Each step solves (mass + beta_nn * stiffness) U^n = mass U^{n-1}
 past steps.  The march takes it in the sine basis (see spatial_fem),
 where it is elementwise:
 
-    u^_n = (mu * u^_{n-1} + k_n fbar_n mu * s^ + sigma * S H_n)
+    u^_n = (mu * u^_{n-1} + k_n fbar_n mu * s^ + sigma * H^_n)
            / (mu + beta_nn * sigma),    U^n = S u^_n,
 
-with S the DST-I and s^ = S spatial.  The history stays nodal: H_n is
-transformed as it enters the step, and U^n is what is kept (in memory,
-or in the sink when there is one) and handed back to the history.  Both
-schemes take that same step; they differ only in how H_n is computed.
-The slow scheme evaluates H_n directly over every retained solution
-vector; the fast scheme delegates H_n to the history engine.
+with S the DST-I and s^ = S spatial.  The history is kept in that basis
+too: H^_n = S H_n is the same weighted sum over the past coefficients
+u^_j, as the sum is linear, so the march hands u^_n back to the history
+and transforms only for output, U^n once per step into a sink, or an
+in-memory run's rows all together after its last step.  Both schemes
+take that same step; they differ only in how H^_n is computed.  The
+slow scheme evaluates it directly over every retained coefficient
+vector; the fast scheme delegates it to the history engine.
 """
 
 from __future__ import annotations
@@ -79,10 +81,12 @@ class RunConfig:
 class RunResult:
     """Solutions plus phase accounting for one run.
 
-    solutions holds U^1..U^N as the rows of an (N, M) float64 array: in
-    memory, or, for a run given a SolutionSink, the sink's read-only
-    memory map of its records.  G is the depth of the fast run's cluster
-    tree; a slow run has none.
+    solutions holds U^1..U^N, in nodal values, as the rows of an (N, M)
+    float64 array: in memory, or, for a run given a SolutionSink, the
+    sink's read-only memory map of its records.  An in-memory array holds
+    the sine coefficients u^_n while the run marches, and the nodal values
+    once it returns.  G is the depth of the fast run's cluster tree; a
+    slow run has none.
     """
 
     solutions: np.ndarray
@@ -160,19 +164,30 @@ def select_params(nu: float, mesh: TimeMesh, r: int | None = None) -> tuple[int,
     )
 
 
+# An in-memory run's rows are transformed to nodal values in stacks of
+# about this many values.  Its solutions are its largest array, so the
+# stack's two temporaries add to its peak unless they are small enough to
+# come from freed heap: stacks of 2^17 values raised a desk slow run's max
+# RSS by 2 MB, stacks of 2^14 by nothing measurable.
+_CONVERT_VALUES = 1 << 14
+
+
 def _march(config: RunConfig, source: SeparableSource | None, u0: np.ndarray | None,
            sink: SolutionSink | None, res: RunResult, t0: float, drive) -> RunResult:
     """The DG step both schemes share, driven by drive(step).
 
-    drive must call step(n, H_n) for n = 1..N in order, with H_n in nodal
-    values; step solves for U^n, writes it to the sink if there is one and
-    to row n - 1 of the (N, M) array res.solutions otherwise, and returns
-    it.  It forms k_n as TimeMesh.step does, and beta_nn = k_n^nu /
-    Gamma(1+nu), computed only here.
+    drive must call step(n, H^_n) for n = 1..N in order, with H^_n the
+    history's sine coefficients; step solves for the coefficients u^_n,
+    writes the nodal U^n = S u^_n to the sink if there is one, or u^_n to
+    row n - 1 of the (N, M) array res.solutions otherwise, and returns
+    u^_n for the history.  After the last step those rows are transformed
+    in place, in stacks of about _CONVERT_VALUES values, each row bitwise
+    the per-step transform a sink gets.  step forms k_n as TimeMesh.step does,
+    and beta_nn = k_n^nu / Gamma(1+nu), computed only here.
     Set-up time runs from t0 to the first step; solver_seconds covers each
-    solve and its transform back to nodal values, rhs_seconds all time
-    between two of those (history work in drive included), so the three
-    phases add up to the whole run.
+    solve, the transforms to nodal values and the final conversion,
+    rhs_seconds all time between two of those (history work in drive
+    included), so the three phases add up to the whole run.
     """
     mesh, grid = config.mesh, config.grid
     for name, v in (("u0", u0), ("source.spatial", None if source is None else source.spatial)):
@@ -191,26 +206,31 @@ def _march(config: RunConfig, source: SeparableSource | None, u0: np.ndarray | N
     mark = clock()
     res.setup_seconds = mark - t0
 
-    def step(n: int, hist: np.ndarray) -> np.ndarray:
+    def step(n: int, hist_hat: np.ndarray) -> np.ndarray:
         nonlocal u_hat, mark
         k = float(lv[n] - lv[n - 1])  # mesh.step(n); k ** nu / gamma_diag is beta_nn
         rhs = mu * u_hat
         rhs += k * load_average(mesh, n, source, load_hat)
-        rhs += sigma * transform(hist)
+        rhs += sigma * hist_hat
         t = clock()
         res.rhs_seconds += t - mark
         u_hat = solve(k ** nu / gamma_diag, rhs)
-        u = transform(u_hat)
+        u = u_hat if write is None else transform(u_hat)
         mark = clock()
         res.solver_seconds += mark - t
         if write is None:
             sols[n - 1] = u
         else:
             write(u)
-        return u
+        return u_hat
 
     drive(step)
-    res.rhs_seconds += clock() - mark
+    t = clock()
+    res.rhs_seconds += t - mark
+    chunk = max(1, _CONVERT_VALUES // grid.M)
+    for lo in range(0, len(sols), chunk):
+        sols[lo:lo + chunk] = transform(sols[lo:lo + chunk])
+    res.solver_seconds += clock() - t
     return res
 
 

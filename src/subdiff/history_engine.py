@@ -499,7 +499,15 @@ class HistoryEngine:
     def run_schedule(self, step_callback) -> None:
         """Full N-step loop: per step, evaluate the history, hand it to the
         stepper callback and commit the vector it returns.  The first query
-        or commit of a leaf's step enters the leaf, once, by its id."""
+        or commit of a leaf's step enters the leaf, once, by its id.
+
+        The loop runs under a 1024-value ufunc buffer, for the near sums'
+        broadcast weight column, as reference_solution.direct_history_sum
+        does for its own; try/finally restores the caller's size."""
         history_sum, commit_step = self.history_sum, self.commit_step
-        for n in range(1, self.tree.mesh.N + 1):
-            commit_step(n, step_callback(n, history_sum(n)))
+        saved = np.setbufsize(1024)
+        try:
+            for n in range(1, self.tree.mesh.N + 1):
+                commit_step(n, step_callback(n, history_sum(n)))
+        finally:
+            np.setbufsize(saved)

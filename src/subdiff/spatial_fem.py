@@ -83,11 +83,15 @@ class EllipticSolver:
 
     def transform(self, v: np.ndarray) -> np.ndarray:
         """The DST-I of v along every axis: sine coefficients of nodal
-        values, or nodal values of sine coefficients."""
+        values, or nodal values of sine coefficients.  v may be a stack
+        (..., M) of vectors; each row of the result is bitwise the
+        transform of that row alone, as numpy's stacked matmul takes the
+        same product per item (v @ S in 1D would not: it sums in another
+        order)."""
         if self.grid.dim == 1:
-            return self.sine @ v
+            return np.matmul(self.sine, v[..., None])[..., 0]
         n = self.grid.m - 1
-        return (self.sine @ v.reshape(n, n) @ self.sine).reshape(-1)
+        return (self.sine @ v.reshape(*v.shape[:-1], n, n) @ self.sine).reshape(v.shape)
 
     def solve(self, beta: float, b_hat: np.ndarray) -> np.ndarray:
         """Sine coefficients of the solution of (mass + beta * stiffness) u = b,

@@ -123,20 +123,24 @@ def nodal_march(config, source, u0):
 
 @pytest.mark.parametrize("dim,m", [(1, 16), (2, 8)])
 def test_sine_basis_march_matches_nodal_march(dim, m):
+    """Both schemes, which keep the history in sine coefficients, match
+    the nodal march with exact weights; the fast run's degenerate eta
+    makes every cover all-near, so its history sum is exact too."""
     mesh = perturbed_mesh(64, seed=3)
     grid = SpatialGrid(dim=dim, m=m, K=1.0 / (dim * math.pi**2))
-    config = RunConfig(nu=0.5, mesh=mesh, grid=grid)
+    config = RunConfig(nu=0.5, mesh=mesh, grid=grid, r=1, eta=1e-300, Q=2, G=3)
     src, u0 = benchmark_source(grid), sine_mode(grid, 1, 1 if dim == 2 else None)
-    got = slow_run(config, src, u0).solutions
-    np.testing.assert_allclose(got, nodal_march(config, src, u0), rtol=1e-12, atol=0)
     # data with every sine mode present; entries near zero are measured
     # against the largest value
     rng = np.random.default_rng(dim)
-    src = SeparableSource(spatial=rng.standard_normal(grid.M), time_average=src.time_average)
-    u0 = rng.standard_normal(grid.M)
-    got = np.asarray(slow_run(config, src, u0).solutions)
-    want = nodal_march(config, src, u0)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    rich = SeparableSource(spatial=rng.standard_normal(grid.M), time_average=src.time_average)
+    rich_u0 = rng.standard_normal(grid.M)
+    for run in (slow_run, fast_run):
+        got = run(config, src, u0).solutions
+        np.testing.assert_allclose(got, nodal_march(config, src, u0), rtol=1e-12, atol=0)
+        got = np.asarray(run(config, rich, rich_u0).solutions)
+        want = nodal_march(config, rich, rich_u0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_zero_data_gives_zero_solution():
@@ -268,24 +272,30 @@ def test_fast_run_bitwise_equals_slow_with_degenerate_eta():
 
 def test_streamed_fast_run_equals_in_memory_run(tmp_path):
     """Given a sink, the result's solutions are the stream mapped back:
-    bitwise the in-memory run's, N rows of M, read-only."""
+    bitwise the in-memory run's, N rows of M, read-only.  The stream gets
+    each step's transform and the in-memory run converts its rows in
+    stacks after the last step: on 2D grids, with 96 steps in one stack
+    (m = 6) or in several (m = 40), and in 1D on long1d's m = 8 and at
+    M = 1."""
     mesh = perturbed_mesh(96, seed=11)
-    grid = SpatialGrid(dim=2, m=6, K=1.0 / (2 * math.pi**2))
-    config = RunConfig(nu=0.3, mesh=mesh, grid=grid, Q=2)
-    src, u0 = benchmark_source(grid), sine_mode(grid, 1, 1)
-    plain = fast_run(config, src, u0)
-    sink = SolutionSink(tmp_path / "stream.bin", {"N": 96})
-    try:
-        streamed = fast_run(config, src, u0, sink=sink)
-    finally:
-        sink.close()
-    assert isinstance(plain.solutions, np.ndarray) and plain.solutions.flags.c_contiguous
-    assert plain.solutions.dtype == np.float64
-    assert len(streamed.solutions) == 96 and np.shape(streamed.solutions) == (96, grid.M)
-    assert not streamed.solutions.flags.writeable
-    assert np.array_equal(np.asarray(streamed.solutions), np.asarray(plain.solutions))
-    assert all(np.array_equal(a, b) for a, b in zip(streamed.solutions, plain.solutions))
-    assert (streamed.rhs_ops, streamed.peak_values) == (plain.rhs_ops, plain.peak_values)
+    for dim, m in ((2, 6), (2, 40), (1, 8), (1, 2)):
+        grid = SpatialGrid(dim=dim, m=m, K=1.0 / (dim * math.pi**2))
+        config = RunConfig(nu=0.3, mesh=mesh, grid=grid, Q=2)
+        src, u0 = benchmark_source(grid), sine_mode(grid, 1, 1 if dim == 2 else None)
+        assert (96 > dg_stepper._CONVERT_VALUES // grid.M) == (m == 40)
+        plain = fast_run(config, src, u0)
+        sink = SolutionSink(tmp_path / f"stream{dim}_{m}.bin", {"N": 96})
+        try:
+            streamed = fast_run(config, src, u0, sink=sink)
+        finally:
+            sink.close()
+        assert isinstance(plain.solutions, np.ndarray) and plain.solutions.flags.c_contiguous
+        assert plain.solutions.dtype == np.float64
+        assert len(streamed.solutions) == 96 and np.shape(streamed.solutions) == (96, grid.M)
+        assert not streamed.solutions.flags.writeable
+        assert np.array_equal(np.asarray(streamed.solutions), np.asarray(plain.solutions))
+        assert all(np.array_equal(a, b) for a, b in zip(streamed.solutions, plain.solutions))
+        assert (streamed.rhs_ops, streamed.peak_values) == (plain.rhs_ops, plain.peak_values)
 
 
 @pytest.mark.parametrize("dim,m", [(2, 16), (1, 2)])
@@ -629,3 +639,30 @@ def test_step_scalars_equal_mesh_step_and_diagonal_weight(run, monkeypatch):
     assert scalars == [x for n in range(1, mesh.N + 1)
                        for x in (("k", mesh.step(n)), ("beta", beta_diag(params, mesh, n)))]
     assert all(type(x) is float for _, x in scalars)
+
+
+@pytest.mark.parametrize("scheme", ["slow", "fast", "streamed"])
+def test_only_a_streamed_step_transforms(scheme, monkeypatch, tmp_path):
+    """The march keeps the history in sine coefficients and transforms
+    only for output: from the first time average on, a streamed fast run
+    transforms once per step, after its average, for the record it
+    writes; a slow or in-memory fast run never does between its first
+    average and its last, and converts its N M < _CONVERT_VALUES values
+    in one stacked call after the last step."""
+    events = []
+    monkeypatch.setattr(EllipticSolver, "transform",
+                        recorded(events, "transform", EllipticSolver.transform, 1))
+    mesh, grid, src, u0 = problem(N=32, m=6, dim=2)
+    config = RunConfig(nu=0.5, mesh=mesh, grid=grid, r=3, Q=2, G=3)
+    sink = SolutionSink(tmp_path / "stream.bin", {}) if scheme == "streamed" else None
+    try:
+        if scheme == "slow":
+            slow_run(config, recording_source(src, events), u0)
+        else:
+            fast_run(config, recording_source(src, events), u0, sink=sink)
+    finally:
+        if sink is not None:
+            sink.close()
+    marks = "".join("a" if e[0] == "average" else "t" for e in events)
+    want = "at" * 32 if scheme == "streamed" else "a" * 32 + "t"
+    assert marks[marks.index("a"):] == want

@@ -236,3 +236,16 @@ def test_separable_source_time_average_hook():
     grid = SpatialGrid(dim=1, m=4, K=1.0)
     src = SeparableSource(spatial=np.ones(grid.M), time_average=lambda a, b: 2.0)
     assert src.time_average(0.0, 1.0) == 2.0
+
+
+@pytest.mark.parametrize("dim,m", [(1, 2), (1, 8), (1, 64), (2, 6), (2, 40)])
+def test_stacked_transform_is_bitwise_the_per_row_transform(dim, m):
+    """transform of a stack (..., M) gives, row for row, the bits of the
+    single-vector call, in 1D down to M = 1; the march's in-memory rows
+    and the CLI's error pass rely on it."""
+    solver = EllipticSolver(SpatialGrid(dim=dim, m=m))
+    v = np.random.default_rng(m).standard_normal((3, 5, solver.grid.M))
+    got = solver.transform(v)
+    assert got.shape == v.shape
+    for i, j in np.ndindex(3, 5):
+        assert got[i, j].tobytes() == solver.transform(v[i, j]).tobytes()
