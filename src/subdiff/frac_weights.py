@@ -267,29 +267,34 @@ class WeightEngine:
     offdiag(n, j) takes integer arrays that broadcast against each other
     and returns beta_nj with their common shape (a float for scalars), so
     callers ask for a whole row or block at once.  On uniform meshes
-    beta_nj depends only on the lag n - j: the first query builds a lag
-    table with one beta_offdiag call over the pairs (L+1, 1), L = 1..N-1,
-    and every query reads it, so a weight never depends on the order of
-    the queries.  Other meshes evaluate each query's pairs directly.  A
-    weight that is not finite raises NonFiniteWeightError naming its pair
-    (n, j): the table's pair (L+1, 1), checked once when the table is
-    built, or the query's.
+    beta_nj depends only on the lag n - j, and every query reads a lag
+    table whose entry L is the weight of the pair (L+1, 1): a query with a
+    lag past the table's end grows it, to the larger of that lag and twice
+    its length (at most N-1), with one beta_offdiag call over the pairs
+    added.  A pair's weight does not depend on the others of its call, so
+    a weight never depends on the order of the queries, and a run that
+    asks only for short lags evaluates only those.  Other meshes evaluate
+    each query's pairs directly.  A weight that is not finite raises
+    NonFiniteWeightError naming its pair (n, j): the table's pair
+    (L+1, 1), checked once when the table grows to hold it, or the query's.
     """
 
     def __init__(self, params: KernelParams, mesh: TimeMesh):
         self.params = params
         self.mesh = mesh
-        self._lags: np.ndarray | None = None  # uniform meshes: entry L is lag L's weight
+        self._lags = np.array([np.nan])  # uniform meshes: entry L is lag L's weight
 
     def offdiag(self, n, j):
         if not self.mesh.uniform:
             return _finite_weights(beta_offdiag(self.params, self.mesh, n, j), n, j)
         n, j = _pairs(self.mesh, n, j)
-        if self._lags is None:
-            targets = np.arange(2, self.mesh.N + 1)  # n = L+1 for j = 1
-            lags = beta_offdiag(self.params, self.mesh, targets, 1)
-            self._lags = np.concatenate([[np.nan], _finite_weights(lags, targets, 1)])
-        return _result(self._lags[n - j])
+        lag = n - j
+        have = len(self._lags) - 1
+        if lag.size and lag.max() > have:
+            targets = np.arange(have + 2, min(max(lag.max(), 2 * have), self.mesh.N - 1) + 2)
+            lags = beta_offdiag(self.params, self.mesh, targets, 1)  # n = L+1 for j = 1
+            self._lags = np.concatenate([self._lags, _finite_weights(lags, targets, 1)])
+        return _result(self._lags[lag])
 
 
 def _finite_weights(w, n, j):

@@ -8,8 +8,9 @@ block stores.  The code relies on three invariants:
   - summation order: a step's exact terms accumulate first, one row after
     another in ascending interval order across its exact runs (its near
     leaves, then its leaf's own earlier intervals), reading only the rows
-    with j < n, and its far-field row is added after them, so an all-near
-    cover matches direct_history_sum bit for bit;
+    with j < n, each run folded by fold_rows into the sum of the ones
+    before, and its far-field row is added after them, so an all-near
+    cover matches direct_history_sum, which folds with it too, bit for bit;
   - the window rule: store g keeps block p of its generation at
     buf[p - base], and entering leaf k it holds one window of consecutive
     blocks, from the first whose freeing leaf lies past k (a bisection of
@@ -46,17 +47,29 @@ from .frac_weights import WeightEngine
 from .taylor_expansion import ExpansionParams, phi_coeffs, psi_coeffs
 
 
-def sum_rows(t: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
-    """acc + t[0] + t[1] + ... of a 2D array, added in that order, row
-    after row; acc, the running sum carried in, is added into t[0].
+def fold_rows(w: np.ndarray, rows: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
+    """acc + w[0] rows[0] + w[1] rows[1] + ... over the rows (at least one)
+    of a 2D array: one product and one add per row, in that order, from
+    +0.0 if no acc, the running sum carried in, is given.  Both history
+    sums fold with it, which keeps them bitwise equal.
 
-    numpy's axis-0 reduction adds row after row when rows hold two or more
-    values, but sums a single column pairwise; the running sum of that
-    column ends in the same ordered sum.  Both history sums fold their
-    products with it, which keeps them bitwise equal.
+    Without acc, over rows of two or more values, it is one np.einsum pass:
+    over C-ordered rows einsum adds each row's products into the zeroed
+    sum, row after row.  These bits rest on einsum rounding each product
+    before adding it, as x86-64 baseline numpy builds do; on a build that
+    fuses the two (aarch64 NEON, say) the per-pair tests fail.  Over a
+    Fortran-ordered history or a single column einsum sums with a
+    dot-product kernel in another order, so the rows are made C-ordered
+    (a no-op for the runs' own arrays), and a single column, like a
+    carried sum, takes the products, adds acc into the first and reduces
+    along axis 0, which adds row after row over rows of two or more
+    values; one column, which the reduction would sum pairwise, takes the
+    last row of its running sum.
     """
-    if acc is not None:
-        t[0] += acc
+    if acc is None and rows.shape[1] > 1:
+        return np.einsum("j,jm->m", w, np.ascontiguousarray(rows))
+    t = w[:, None] * rows
+    t[0] += 0.0 if acc is None else acc
     return np.add.reduce(t, axis=0) if t.shape[1] > 1 else np.add.accumulate(t, axis=0)[-1]
 
 
@@ -426,10 +439,11 @@ class HistoryEngine:
         """Approximate sum over j < n of beta~_nj * U^j.
 
         The exact-weight terms accumulate first, one row after another in
-        ascending interval order across runs, reading only the rows with
-        j < n, so the all-near path matches the direct sum bit for bit; the
-        step's far field, formed when the leaf was entered, follows.  A step
-        of the held plan's leaf costs a range test; a later one enters its leaf.
+        ascending interval order across runs, one fold_rows call per run,
+        reading only the rows with j < n, so the all-near path matches the
+        direct sum bit for bit; the step's far field, formed when the leaf
+        was entered, follows.  A step of the held plan's leaf costs a range
+        test; a later one enters its leaf.
         """
         if n == 1:
             return np.zeros(self.m)
@@ -445,7 +459,7 @@ class HistoryEngine:
         last = plan.near + s  # exact columns with j < n
         acc = None  # set by the first run: the previous leaf, or the first leaf's own, is exact
         for col, w, rows in plan.exact:
-            acc = sum_rows(w[s, :last - col, None] * rows[:last - col], acc)
+            acc = fold_rows(w[s, :last - col], rows[:last - col], acc)
         if plan.far is not None:
             acc += plan.far[s]
         self.counters.rhs_ops += plan.ops + self.m * s
@@ -501,9 +515,12 @@ class HistoryEngine:
         stepper callback and commit the vector it returns.  The first query
         or commit of a leaf's step enters the leaf, once, by its id.
 
-        The loop runs under a 1024-value ufunc buffer, for the near sums'
-        broadcast weight column, as reference_solution.direct_history_sum
-        does for its own; try/finally restores the caller's size."""
+        The loop runs under a 1024-value ufunc buffer, for the broadcast
+        weight column of the exact runs that fold_rows multiplies out: those
+        that carry a running sum, and every run over a single column.
+        Numpy's default 8192 spans several rows, across which that column
+        has no one stride and is copied value by value.  try/finally
+        restores the caller's size."""
         history_sum, commit_step = self.history_sum, self.commit_step
         saved = np.setbufsize(1024)
         try:

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .frac_weights import gamma
-from .history_engine import sum_rows
+from .history_engine import fold_rows
 
 
 class ContourAccuracyError(RuntimeError):
@@ -152,47 +152,20 @@ def max_nodal_error(numeric: list[np.ndarray] | np.ndarray,
     return float(err)
 
 
-# direct_history_sum takes the history in chunks of rows of about this many
-# bytes, so a chunk's products stay in cache while they are summed; at
-# M = 1521 that is 32 rows.  Under the one-row ufunc buffer, desk slow runs
-# took as long with 32, 48 or 64 rows, and longer with 16, 128 or 256.
-_CHUNK_BYTES = 3 << 17
-
-
 def direct_history_sum(weights, values: np.ndarray, n: int) -> np.ndarray:
     """Literal sum over j < n of beta_nj * U^j with exact weights, U^j
     being row j - 1 of the (N, m) array values (N >= n - 1; m zeros at n = 1).
 
     The slow scheme's history sum and the O(n M) equivalence oracle for
-    the fast engine; the weights of row n come from one offdiag call.  A
-    chunk of rows at a time is multiplied by its weights and added to the
-    sum one row after another (history_engine.sum_rows), in ascending j,
-    so the arithmetic matches the engine's near-field path bit for bit.
-
-    The loop runs under a 1024-value ufunc buffer, at most a desk row:
-    numpy's default 8192 spans several rows, across which the broadcast
-    weight column has no one stride and is copied value by value (a 3x
-    slower multiply).  Only numpy's walk over a chunk changes, not the
-    products or their order, so the size is no option.  try/finally
-    restores the caller's size (numpy >= 2.0 also does at an errstate's
-    exit, but 1.24, the declared floor, does not).
+    the fast engine: one offdiag call for the weights of row n and one
+    history_engine.fold_rows call, which adds the products row after row
+    in ascending j, so the arithmetic matches the engine's near-field path
+    and a multiply-accumulate per pair bit for bit.
     """
     if n < 1:
         raise ValueError("step index must be at least 1")
     if len(values) < n - 1:
         raise ValueError(f"step {n} needs {n - 1} past values, got {len(values)}")
-    m = values.shape[1]
-    acc = np.zeros(m)
-    if n > 1:
-        w = weights.offdiag(n, np.arange(1, n))[:, None]
-        rows = max(1, _CHUNK_BYTES // (8 * m))
-        buf = np.empty((min(rows, n - 1), m))  # one chunk's products, reused
-        saved = np.setbufsize(1024)
-        try:
-            for lo in range(0, n - 1, rows):
-                t = buf[:min(rows, n - 1 - lo)]
-                np.multiply(w[lo:lo + len(t)], values[lo:lo + len(t)], out=t)
-                acc = sum_rows(t, acc)
-        finally:
-            np.setbufsize(saved)
-    return acc
+    if n == 1:
+        return np.zeros(values.shape[1])
+    return fold_rows(weights.offdiag(n, np.arange(1, n)), values[:n - 1])

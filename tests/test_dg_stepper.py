@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subdiff import dg_stepper, frac_weights
 from subdiff.clustering import ClusterTree, max_depth
@@ -270,6 +271,36 @@ def test_fast_run_bitwise_equals_slow_with_degenerate_eta():
         assert np.array_equal(a, b)
 
 
+@st.composite
+def all_near_runs(draw):
+    """A +-30% mesh of N = leaf size * Q^G <= 300 steps, a kernel order and
+    a grid of 1 to 16 unknowns: M = 1 at m = 2."""
+    Q = draw(st.sampled_from([2, 3, 10]))
+    G = draw(st.integers(1, int(math.log(300, Q) + 1e-9)))
+    N = Q**G * draw(st.integers(1, 300 // Q**G))
+    mesh = perturbed_mesh(N, seed=draw(st.integers(0, 2**32 - 1)))
+    grid = SpatialGrid(dim=draw(st.sampled_from([1, 2])), m=draw(st.integers(2, 5)))
+    return draw(st.floats(0.02, 0.98)), mesh, grid, Q, G
+
+
+@settings(max_examples=40, deadline=None)
+@given(all_near_runs())
+def test_all_near_fast_run_equals_slow_run_bitwise(run):
+    """On +-30% meshes, with eta so small that every cover is all near, the
+    fast run's solutions are the slow run's, byte for byte, and at the
+    automatic (r, eta) as well as at (1, 1e-300) it counts M times the ops
+    predicted_ops gives its tree."""
+    nu, mesh, grid, Q, G = run
+    src, u0 = benchmark_source(grid), sine_mode(grid, 1, 1 if grid.dim == 2 else None)
+    slow = slow_run(RunConfig(nu=nu, mesh=mesh, grid=grid), src, u0)
+    near = fast_run(RunConfig(nu=nu, mesh=mesh, grid=grid, r=1, eta=1e-300, Q=Q, G=G), src, u0)
+    assert near.solutions.tobytes() == slow.solutions.tobytes()
+    tree = ClusterTree(mesh, Q, G)
+    auto = fast_run(RunConfig(nu=nu, mesh=mesh, grid=grid, Q=Q, G=G), src, u0)
+    for res in (near, auto):
+        assert res.rhs_ops == grid.M * predicted_ops(tree, res.r, res.eta), (res.r, res.eta)
+
+
 def test_streamed_fast_run_equals_in_memory_run(tmp_path):
     """Given a sink, the result's solutions are the stream mapped back:
     bitwise the in-memory run's, N rows of M, read-only.  The stream gets
@@ -351,7 +382,7 @@ def test_fast_run_stops_at_a_non_finite_leaf():
 def test_a_non_finite_weight_stops_the_run_naming_its_pair(run, uniform, monkeypatch):
     """A series that returns NaN for one pair stops both schemes with
     NonFiniteWeightError naming that pair: on a uniform mesh the lag
-    table's pair (L+1, 1), found once when the table is built; otherwise
+    table's pair (L+1, 1), found once when the table grows to hold it; otherwise
     the pair (9, 7) itself, which the fast run sums exactly."""
     mesh = uniform_mesh(32, 1.0) if uniform else perturbed_mesh(32, seed=5)
     grid = SpatialGrid(dim=1, m=8, K=1.0 / math.pi**2)

@@ -294,6 +294,33 @@ def test_uniform_weights_do_not_depend_on_query_order():
                           beta_offdiag(first.params, mesh, lags + 1, 1)[n - j - 1])
 
 
+@pytest.mark.parametrize("N", [2000, 65536])
+@pytest.mark.parametrize("nu", [0.02, 0.3, 0.5, 0.98])
+def test_uniform_lag_table_grows_by_doubling(nu, N, monkeypatch):
+    """A query past the lag table's end evaluates only the pairs (L+1, 1)
+    of the lags added: up to that lag, or to twice the table's length if
+    more, at most N-1.  Pieces grown so equal the one-call table bitwise."""
+    mesh = uniform_mesh(N, 1.0)
+    whole = beta_offdiag(KernelParams(nu), mesh, np.arange(2, N + 1), 1)
+    calls = []
+
+    def spy(params, mesh_, n, j):
+        calls.append((int(n[0]) - 1, int(n[-1]) - 1))  # the lags, first and last
+        return beta_offdiag(params, mesh_, n, j)
+
+    monkeypatch.setattr(frac_weights, "beta_offdiag", spy)
+    engine = WeightEngine(KernelParams(nu), mesh)
+    assert engine.offdiag(4, np.arange(1, 4)).tolist() == whole[2::-1].tolist()
+    assert engine.offdiag(np.array([5, 9, 8]), 2).tolist() == whole[[2, 6, 5]].tolist()
+    assert engine.offdiag(np.empty(0, dtype=int), 1).size == 0
+    engine.offdiag(9, 3)  # lag 6, held
+    assert calls == [(1, 3), (4, 7)]
+    for n in (40, 41, 1000, N):
+        engine.offdiag(n, np.arange(1, n))
+    assert calls[2:] == [(8, 39), (40, 78), (79, 999), (1000, N - 1)]
+    assert engine.offdiag(N, np.arange(N - 1, 0, -1)).tobytes() == whole.tobytes()
+
+
 def series_loop(nu, source, target):
     """The scalar term-by-term series the array form replaced: terms in
     ascending order, stopping at the first below _REL_TOL times the sum."""

@@ -5,7 +5,7 @@ import pytest
 
 from subdiff import reference_solution
 from subdiff.frac_weights import KernelParams, WeightEngine
-from subdiff.history_engine import sum_rows
+from subdiff.history_engine import fold_rows
 from subdiff.reference_solution import (
     ContourAccuracyError,
     _u11_terms,
@@ -133,28 +133,6 @@ def test_direct_history_sum_matches_manual_loop():
     assert np.all(direct_history_sum(weights, vals, 1) == 0.0)
 
 
-@pytest.mark.parametrize("m", [1, 3, 1521])
-def test_direct_history_sum_chunks_keep_the_per_pair_bits(m):
-    """The chunked sum adds the same products in the same order as one
-    multiply-accumulate per pair, so its bits are the same, at every
-    chunk edge."""
-    B = max(1, reference_solution._CHUNK_BYTES // (8 * m))  # rows per chunk
-    lengths = [0, 1, B - 1, B, B + 1, 2 * B + 1]  # n - 1
-    weights = WeightEngine(KernelParams(0.3), uniform_mesh(max(lengths) + 1, 1.0))
-    vals = np.random.default_rng(m).standard_normal((max(lengths), m))
-    for n in [k + 1 for k in lengths]:
-        want = history_sum_per_pair(weights, vals, n).tobytes()
-        assert direct_history_sum(weights, vals, n).tobytes() == want, n
-
-
-def test_direct_history_sum_of_empty_history_is_m_zeros():
-    weights = WeightEngine(KernelParams(0.5), uniform_mesh(8, 1.0))
-    got = direct_history_sum(weights, np.empty((0, 4)), 1)
-    np.testing.assert_array_equal(got, np.zeros(4))
-    with pytest.raises(ValueError):  # step 3 needs two past values
-        direct_history_sum(weights, np.ones((1, 4)), 3)
-
-
 class _FixedWeights:
     """Weights whose offdiag row holds the given beta_nj at every n."""
 
@@ -165,14 +143,108 @@ class _FixedWeights:
         return self.row[js - 1]
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 1521])
+def test_direct_history_sum_chunks_keep_the_per_pair_bits(m):
+    """The fold adds the same products in the same order as one
+    multiply-accumulate per pair, so its bits are the same: through
+    einsum for m >= 2 and through the running sum of a single column, at
+    the edges of the 32-row chunks (m = 1521) the sum once took its
+    history in and over a history of 2001 rows."""
+    lengths = [0, 1, 31, 32, 33, 65, 2001]  # n - 1
+    weights = WeightEngine(KernelParams(0.3), uniform_mesh(max(lengths) + 1, 1.0))
+    vals = np.random.default_rng(m).standard_normal((max(lengths), m))
+    for n in [k + 1 for k in lengths]:
+        want = history_sum_per_pair(weights, vals, n).tobytes()
+        assert direct_history_sum(weights, vals, n).tobytes() == want, n
+
+
+@pytest.mark.parametrize("m", [1, 2, 1521])
+def test_fold_of_any_layout_keeps_the_per_pair_bits(m):
+    """A Fortran-ordered history, one whose rows or values are strided, and
+    a strided weight vector give the per-pair bytes too: einsum over a
+    Fortran-ordered history would sum each column with a dot-product
+    kernel, so fold_rows makes the rows C-ordered first."""
+    rng = np.random.default_rng(m)
+    L = 70
+    w = rng.uniform(0.5, 2.0, 2 * L)[::2]
+    vals = rng.standard_normal((2 * L, 2 * m)) * 10.0 ** rng.integers(-5, 5, (2 * L, 1))
+    want = history_sum_per_pair(_FixedWeights(w), vals[::2, ::2], L + 1).tobytes()
+    for rows in (vals[::2, ::2], np.ascontiguousarray(vals[::2, ::2]),
+                 np.asfortranarray(vals[::2, ::2])):
+        assert fold_rows(w, rows).tobytes() == want
+        assert direct_history_sum(_FixedWeights(w), rows, L + 1).tobytes() == want
+
+
+def test_fold_takes_einsum_only_over_rows_of_two_or_more_values(monkeypatch):
+    """Without a carried sum, rows of two or more values go to one einsum
+    call; a single column, whose einsum would use a dot-product kernel,
+    and a fold that carries a sum keep the products and the ordered
+    reduction, and give the per-pair bytes at every length.  Either path
+    starts from +0.0, so a first product of -0.0 sums to +0.0."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args[0])
+        return einsum(*args)
+
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", spy)
+    rng = np.random.default_rng(1)
+    w = rng.uniform(0.5, 2.0, 200)
+    for m in (1, 2, 5):
+        vals = rng.standard_normal((200, m)) * 10.0 ** rng.integers(-5, 5, (200, 1))
+        for k in (1, 2, 33, 200):
+            calls.clear()
+            want = history_sum_per_pair(_FixedWeights(w), vals, k + 1).tobytes()
+            assert fold_rows(w[:k], vals[:k]).tobytes() == want, (m, k)
+            assert calls == ([] if m == 1 else ["j,jm->m"])
+            calls.clear()
+            if k > 1:
+                assert fold_rows(w[1:k], vals[1:k], w[0] * vals[0]).tobytes() == want, (m, k)
+            assert calls == []
+        assert fold_rows(np.ones(1), np.full((1, m), -0.0)).tobytes() == np.zeros(m).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 1521])
+def test_fold_rounds_each_product_before_adding_it(m):
+    """-(1 + 2^-29) + (1 + 2^-30)^2 is 0 when the square is rounded first,
+    as one multiply-accumulate per pair rounds it, but 2^-60 under a fused
+    multiply-add: a numpy build whose einsum fuses fails here."""
+    x, y = 1.0 + 2.0**-30, 1.0 + 2.0**-29
+    got = fold_rows(np.array([-1.0, x]), np.array([[y] * m, [x] * m]))
+    assert got.tobytes() == np.zeros(m).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 1521])
+def test_fold_split_and_carried_on_gives_the_whole_fold(m):
+    """A fold over a run's first rows, carried into a fold over the rest,
+    as the engine carries the sum from one exact run into the next, gives
+    the bytes of one fold over the whole run, and of the per-pair loop."""
+    rng = np.random.default_rng(m)
+    L = 70
+    w = rng.uniform(0.5, 2.0, L)
+    vals = rng.standard_normal((L, m)) * 10.0 ** rng.integers(-5, 5, (L, 1))
+    whole = fold_rows(w, vals).tobytes()
+    assert whole == history_sum_per_pair(_FixedWeights(w), vals, L + 1).tobytes()
+    for k in (1, 2, 31, 32, 33, L - 1):
+        assert fold_rows(w[k:], vals[k:], fold_rows(w[:k], vals[:k])).tobytes() == whole, k
+
+
+def test_direct_history_sum_of_empty_history_is_m_zeros():
+    weights = WeightEngine(KernelParams(0.5), uniform_mesh(8, 1.0))
+    got = direct_history_sum(weights, np.empty((0, 4)), 1)
+    np.testing.assert_array_equal(got, np.zeros(4))
+    with pytest.raises(ValueError):  # step 3 needs two past values
+        direct_history_sum(weights, np.ones((1, 4)), 3)
+
+
 @pytest.mark.parametrize("m", [1, 2, 1521])
 def test_direct_history_sum_bits_do_not_depend_on_the_buffer_size(m):
-    """The one-row ufunc buffer changes how numpy walks a chunk, not its
-    products: whatever buffer size the caller has set, the sum has the
+    """Whatever ufunc buffer size the caller has set, the sum has the
     per-pair loop's bytes, over exact-zero rows (some -0.0), products in
     the subnormal range and products that cancel exactly."""
     rng = np.random.default_rng(m)
-    L = 70  # more than two chunks of 32 rows at m = 1521
+    L = 70
     w = rng.uniform(0.5, 2.0, L)
     vals = rng.standard_normal((L, m))
     vals[:10] = 0.0
@@ -195,29 +267,29 @@ def test_direct_history_sum_bits_do_not_depend_on_the_buffer_size(m):
             np.setbufsize(saved)
 
 
-def test_direct_history_sum_scopes_a_one_row_buffer(monkeypatch):
-    """The chunk loop runs under a 1024-value ufunc buffer, and the
-    caller's own size is back afterwards, also when the loop raises."""
-    seen, fail_at = [], None
+def test_direct_history_sum_leaves_the_buffer_size_alone(monkeypatch):
+    """The fold runs under the caller's own ufunc buffer size, and leaves it
+    as it was, also when it raises."""
+    seen, fail = [], False
 
-    def spy(t, acc=None):
+    def spy(w, rows, acc=None):
         seen.append(np.getbufsize())
-        if len(seen) == fail_at:
+        if fail:
             raise ValueError("simulated")
-        return sum_rows(t, acc)
+        return fold_rows(w, rows, acc)
 
-    monkeypatch.setattr(reference_solution, "sum_rows", spy)
-    m = 1521  # 32 rows per chunk
+    monkeypatch.setattr(reference_solution, "fold_rows", spy)
     weights = WeightEngine(KernelParams(0.3), uniform_mesh(40, 1.0))
     saved = np.setbufsize(4096)
     try:
-        direct_history_sum(weights, np.ones((33, m)), 34)
-        assert seen == [1024, 1024] and np.getbufsize() == 4096
-        seen.clear()
-        fail_at = 2  # the second chunk raises
-        with pytest.raises(ValueError, match="simulated"):
+        for m in (1, 1521):
             direct_history_sum(weights, np.ones((33, m)), 34)
-        assert seen == [1024, 1024] and np.getbufsize() == 4096
+        assert seen == [4096, 4096] and np.getbufsize() == 4096
+        seen.clear()
+        fail = True
+        with pytest.raises(ValueError, match="simulated"):
+            direct_history_sum(weights, np.ones((33, 1521)), 34)
+        assert seen == [4096] and np.getbufsize() == 4096
     finally:
         np.setbufsize(saved)
 

@@ -101,8 +101,8 @@ def beta_separated_series(nu: float, source, target):
 def history_sum_per_pair(weights, values: np.ndarray, n: int) -> np.ndarray:
     """Sum over j < n of beta_nj * U^j, the rows of the (N, m) array
     values, as one multiply-accumulate per pair (n, j), in ascending j
-    from m zeros: the order the chunked direct_history_sum must keep bit
-    for bit."""
+    from m zeros: the order history_engine.fold_rows, and so both history
+    sums, must keep bit for bit."""
     acc = np.zeros(values.shape[1])
     if n > 1:
         row = weights.offdiag(n, np.arange(1, n)).tolist()
