@@ -146,10 +146,10 @@ class _FixedWeights:
 @pytest.mark.parametrize("m", [1, 2, 3, 7, 1521])
 def test_direct_history_sum_chunks_keep_the_per_pair_bits(m):
     """The fold adds the same products in the same order as one
-    multiply-accumulate per pair, so its bits are the same: through
-    einsum for m >= 2 and through the running sum of a single column, at
-    the edges of the 32-row chunks (m = 1521) the sum once took its
-    history in and over a history of 2001 rows."""
+    multiply-accumulate per pair, so its bits are the same, through
+    einsum for m >= 2 and through the running sum of a single column:
+    over no rows, one, 31 to 33 and 65 (the edges of the 32-row chunks in
+    which the sum once took its history at m = 1521) and 2001."""
     lengths = [0, 1, 31, 32, 33, 65, 2001]  # n - 1
     weights = WeightEngine(KernelParams(0.3), uniform_mesh(max(lengths) + 1, 1.0))
     vals = np.random.default_rng(m).standard_normal((max(lengths), m))
