@@ -2,9 +2,10 @@
 incremental memory management.
 
 The README's design section tells how the engine plans a run from the
-cover lifetimes: the static free lists, the blocks of leaves
-with their covers and coefficients, the far groups and the per-generation
-block stores.  The code relies on three invariants:
+cover lifetimes: the static free lists, the blocks of leaves with their
+covers and coefficients, the far groups, the per-generation block stores
+and, per block, one entry record per leaf, which its entry only looks
+up.  The code relies on three invariants:
   - summation order: a step's exact terms accumulate first, one row after
     another in ascending interval order across its exact runs (its near
     leaves, then its leaf's own earlier intervals), reading only the rows
@@ -14,7 +15,8 @@ block stores.  The code relies on three invariants:
   - the window rule: store g keeps block p of its generation at
     buf[p - base], and entering leaf k it holds one window of consecutive
     blocks, from the first whose freeing leaf lies past k (a bisection of
-    the running maximum of those leaves) to its newest.  So each buffer
+    the running maximum of those leaves, made once per node for the leaf
+    that reserves it) to its newest.  So each buffer
     is allocated once, a quarter wider than its widest window; stores
     change only at a leaf entry, and a non-leaf store only when its
     generation's ancestor changes, so the views an entry takes stay valid
@@ -182,6 +184,8 @@ class _BlockStore:
 
     def __init__(self, blocks: int, rows: int, m: int):
         self.buf = np.empty((blocks, rows, m))
+        self.flat = self.buf.reshape(-1, m)  # the same values, one row per vector
+        self.rows = rows
         self.base = 0
 
     def reserve(self, p: int, lo: int) -> np.ndarray:
@@ -198,15 +202,15 @@ class _BlockStore:
 
     def view(self, p0: int, p1: int) -> np.ndarray:
         """Blocks p0..p1-1 as one (rows * (p1 - p0), m) view."""
-        return self.buf[p0 - self.base:p1 - self.base].reshape(-1, self.buf.shape[2])
+        return self.flat[(p0 - self.base) * self.rows:(p1 - self.base) * self.rows]
 
 
 class _LeafPlan(NamedTuple):
     """What every step of one leaf needs, built when the leaf is entered
-    from its rows of its block's coefficients, from the store views taken
-    then and from its rows of its far group's far field.  Arrays have one
-    row per step of the leaf, row s for step n = lo + s; each exact run
-    pairs its weights with a view of the store rows they multiply."""
+    from its entry record, from the store views taken then and from its
+    rows of its far group's far field.  Arrays have one row per step of the
+    leaf, row s for step n = lo + s; each exact run pairs its weights with
+    a view of the store rows they multiply."""
 
     lo: int  # the leaf's first and last step
     hi: int
@@ -218,32 +222,32 @@ class _LeafPlan(NamedTuple):
     ops: int  # rhs_ops of a step before the leaf's own earlier intervals
 
 
+class _Entry(NamedTuple):
+    """What entering one leaf does, planned with its block so that the entry
+    only looks it up.  Its runs are of consecutive node ids of one
+    generation, each with its slice of the leaf's exact weights (one row
+    per step) or, at a far group's first leaf, of the group's phi or
+    phi @ psi.T (one row per step of the group); ops counts its cover, not
+    the group's zero weights.  No array holds an M-length vector."""
+
+    frees: np.ndarray  # its static free list: the ids whose parent turns admissible for it
+    reserves: list  # (generation, id, position, window start) per block it reserves, its own last
+    held: np.ndarray  # the ids it checks are held: its cover's, and at a group's first its union
+    exact: tuple  # (generation, first and end position, first column, weights) per exact run
+    far: tuple  # (generation, first and end position, weights) per far run, at a group's first
+    group: int  # at a group's first leaf the rows of the group's far field, else 0
+    row: int | None  # its first row in that far field, None if its cover has no far member
+    near: int  # its plan's near, ops and psi_chain
+    ops: int
+    psi_chain: np.ndarray
+
+
 class _Block(NamedTuple):
-    """The covers, far groups and coefficients of the leaves under one
-    node of generation G // 2, built when the schedule enters the first of
-    them and dropped when it enters the next block's first.  Leaf k of the
-    block, in time order, has the offsets leaves[k] into the arrays:
-      - runs[r0:r1]: its runs of consecutive ids, each (generation, first
-        and end position, kind, first and end column in its weights of
-        that kind), the near leaves and the leaf itself, then at a group's
-        first leaf the group's far runs;
-      - exact[e0:e1]: its exact weights, one row per step;
-    then its first row in its group's far field, its far member count,
-    its exact columns before its own intervals and the rhs_ops of a step
-    before those, which count its cover, not the group's zero weights.
-    far[k] holds, at a group's first leaf, the group's phi and phi @ psi.T,
-    one row per step of the group.  psi[k G:(k + 1) G] is its ancestors'
-    psi about its steps, root first.  ids[check[k]] are the ids its entry
-    checks are held: its cover's and, at a group's first leaf, the group's
-    far members.  No array holds an M-length vector."""
+    """The entry records of the leaves under one node of generation G // 2,
+    in time order, built when the schedule enters the first of them and
+    dropped when it enters the next block's first."""
 
     first: int  # node id of the block's first leaf
-    ids: np.ndarray  # the candidate nodes, ascending
-    check: np.ndarray  # (leaf, candidate) bool
-    runs: np.ndarray
-    exact: np.ndarray
-    far: list  # per leaf: (), or at a far group's first its two far weight arrays
-    psi: np.ndarray  # (ancestor or far leaf, interval, r)
     leaves: list
 
 
@@ -264,14 +268,15 @@ class HistoryEngine:
         self._ancestors: list = [None] * G  # the current leaf's ancestors' blocks, root first
         self._spans = [tree.Q ** (G - g) for g in range(G)]  # leaves under a generation-g node
         _, _, free = tree.lifetimes(eta)
-        # entering leaf k, store g holds its blocks from the first whose freeing
-        # leaf lies past k, _reach[g].searchsorted(k, "right"), to k // span
-        self._reach, self._stores = [], []
+        # Entering leaf k, store g holds its blocks from the first whose freeing
+        # leaf lies past k (a bisection of their running maximum) to k // span.
+        # _start[i] is that first block at the leaf that reserves node i.
+        self._start, self._stores = np.empty(first[-1], dtype=np.intp), []
         for g, span in enumerate(self._spans + [1]):
             reach = np.maximum.accumulate(free[first[g]:first[g + 1]])
             p = np.arange(len(reach))
-            w = int((p + 1 - np.searchsorted(reach, p * span, side="right")).max())
-            self._reach.append(reach)
+            start = self._start[first[g]:first[g + 1]] = np.searchsorted(reach, p * span, "right")
+            w = int((p + 1 - start).max())
             self._stores.append(_BlockStore(min(w + w // 4, len(reach)),
                                             r if g < G else tree.leaf_size, m))
         self.counters.reserved_high_water = sum(s.buf.size for s in self._stores)
@@ -285,11 +290,6 @@ class HistoryEngine:
         self._far: np.ndarray | None = None  # the current far group's far field
 
     # -- helpers ------------------------------------------------------------
-
-    def _reserve(self, g: int, p: int, k: int) -> np.ndarray:
-        """Hold block p of store g, the generation's newest, at leaf k's entry."""
-        self._live[self.tree.first[g] + p] = True
-        return self._stores[g].reserve(p, int(self._reach[g].searchsorted(k, "right")))
 
     def cover_for(self, n: int) -> Cover:
         """The minimal cover of the leaf holding step n, for bench/worker.py's
@@ -363,8 +363,9 @@ class HistoryEngine:
                          lv[far_steps - 1], lv[far_steps])  # (step, member, r)
         # the ancestors' psi about each leaf's steps, then each far leaf's
         # psi about its own intervals
-        chains = np.array(tree.first[:G]) + k // self._spans
-        psi_ids = np.concatenate([chains.ravel(), ids[far_c[nm:]]])
+        spans, firsts = np.array(self._spans + [1]), np.array(tree.first[:G + 1])
+        chain = firsts + k // spans  # each leaf's ancestors, root first, then itself
+        psi_ids = np.concatenate([chain[:, :G].ravel(), ids[far_c[nm:]]])
         psi_lo = np.concatenate([np.repeat(lo, G), tree.lo[psi_ids[per * G:]]])
         intervals = psi_lo[:, None] + offsets
         psi = psi_coeffs(r, tree.midpoint(psi_ids[:, None]), lv[intervals - 1], lv[intervals])
@@ -386,52 +387,68 @@ class HistoryEngine:
             phi[:, nm:].transpose(1, 0, 2), psi[per * G:].transpose(0, 2, 1)).transpose(1, 0, 2)
         far_w = [(far_moments[a:a + x].reshape(st, -1), far_leaves[c:c + y].reshape(st, -1))
                  if st else () for a, c, x, y, st in zip(*w0.tolist(), *nw.tolist(), steps.tolist())]
+        # each leaf's entry record: the blocks it reserves, those of the generations
+        # whose span divides its place k, each with its window's start; its free
+        # list; the ids it checks; and its runs with their weights
+        res_b, res_g = np.nonzero(k % spans == 0)
+        res_i = chain[res_b, res_g]
+        reserves = list(zip(res_g.tolist(), res_i.tolist(), (res_i - firsts[res_g]).tolist(),
+                            self._start[res_i].tolist()))
+        res_at = np.searchsorted(res_b, np.arange(per + 1)).tolist()
+        free_at = self._free_at[k0:k0 + per + 1].tolist()
+        check_b, check_c = np.nonzero(held | union)
+        check, check_at = ids[check_c], np.searchsorted(check_b, np.arange(per + 1)).tolist()
         run_at = np.searchsorted(run_b, np.arange(per + 1))
-        bounds = np.stack([run_at[:-1], run_at[1:], size * col0, size * (col0 + width),
+        bounds = np.stack([run_at[:-1], run_at[1:], size * col0, size * (col0 + width), steps,
                            size * (np.arange(per) - group), nmom + nfl, size * (nn - 1),
                            self.m * ((nn - 1 + nfl) * size + r * nmom)], axis=1)
-        return _Block(first, ids, held | union, runs, exact, far_w, psi, bounds.tolist())
+        runs, psi_chains, leaves = runs.tolist(), psi[:per * G].transpose(0, 2, 1), []
+        for b, (r0, r1, e0, e1, st, row, nfar, near, ops) in enumerate(bounds.tolist()):
+            mine, weights = runs[r0:r1], (exact[e0:e1].reshape(size, -1), *far_w[b])
+            leaves.append(_Entry(
+                self._frees[free_at[b]:free_at[b + 1]], reserves[res_at[b]:res_at[b + 1]],
+                check[check_at[b]:check_at[b + 1]],
+                tuple([(g, p0, p1, c0, weights[0][:, c0:c1]) for g, p0, p1, kind, c0, c1 in mine
+                       if not kind]),
+                tuple([(g, p0, p1, weights[kind][:, c0:c1]) for g, p0, p1, kind, c0, c1 in mine
+                       if kind]) if st else (),  # only a far group's first leaf has far runs
+                st, row if nfar else None, near, ops, psi_chains[b * G:(b + 1) * G]))
+        return _Block(first, leaves)
 
     def _enter(self, leaf_id: int) -> _LeafPlan:
-        """Free the leaf's free list (the nodes whose parent turns admissible
-        for it), reserve the blocks of the ancestors whose first leaf this
-        is and the leaf's block, and build its plan from its block entry,
-        entering the block first if the leaf is its first.  A far group's
-        first leaf forms the group's far field, which its leaves read."""
-        tree, r, m, G = self.tree, self.r, self.m, self.tree.G
+        """Enter the leaf by its entry record, entering its block first if
+        the leaf is its first: free its static free list, reserve the blocks
+        of the ancestors whose first leaf this is and the leaf's own, check
+        that the blocks it reads are held and take the store views of its
+        runs.  A far group's first leaf forms the group's far field, which
+        its leaves read."""
         block = self._block
         if block is None or leaf_id - block.first >= len(block.leaves):
             block = self._block = None  # the old block's arrays go before the new one's come
             block = self._block = self._enter_block(leaf_id)
-        b = leaf_id - block.first
-        r0, r1, e0, e1, row, nfar, near, ops = block.leaves[b]
-        ids, size = block.ids[block.check[b]], tree.leaf_size
-        k = leaf_id - tree.first[G]  # the leaf's place in time
-        self.free_cluster(self._frees[self._free_at[k]:self._free_at[k + 1]])
-        new = [g for g, span in enumerate(self._spans) if k % span == 0]  # ancestors first met here
-        for g in new:
-            moments = self._ancestors[g] = self._reserve(g, k // self._spans[g], k)
-            moments.fill(0.0)
-        self.counters.allocate(len(new) * r * m)
-        rows = self._reserve(G, k, k)
-        live = self._live[ids]
-        if not live.all():
-            raise AssertionError(f"the blocks of {tree.clusters(ids[~live][:1])[0]} "
+        entry = block.leaves[leaf_id - block.first]
+        self.free_cluster(entry.frees)
+        live, stores, G, size = self._live, self._stores, self.tree.G, self.tree.leaf_size
+        for g, i, p, start in entry.reserves:  # the leaf's own block last
+            live[i] = True
+            rows = stores[g].reserve(p, start)
+            if g < G:
+                rows.fill(0.0)
+                self._ancestors[g] = rows
+        self.counters.allocate((len(entry.reserves) - 1) * self.r * self.m)
+        if not all(live[entry.held].tolist()):
+            ids = entry.held[~live[entry.held]]
+            raise AssertionError(f"the blocks of {self.tree.clusters(ids[:1])[0]} "
                                  "were freed too early")
-
-        weights = (block.exact[e0:e1].reshape(size, -1), *block.far[b])
-        if not row:  # the group's first leaf: its far runs go straight into the far field
-            self._far = np.zeros((len(weights[1]), m))
-        exact = []
-        for g, p0, p1, kind, c0, c1 in block.runs[r0:r1].tolist():
-            view, w = self._stores[g].view(p0, p1), weights[kind][:, c0:c1]
-            if not kind:  # near leaves, or ending with the leaf itself
-                exact.append((c0, w, view))
-            else:
-                self._far += w @ view
-        return _LeafPlan(k * size + 1, (k + 1) * size, rows, near, tuple(exact),
-                         self._far[row:row + size] if nfar else None,
-                         block.psi[b * G:(b + 1) * G].transpose(0, 2, 1), ops)
+        if entry.group:  # its far runs go straight into the far field
+            far = self._far = np.zeros((entry.group, self.m))
+            for g, p0, p1, w in entry.far:
+                far += w @ stores[g].view(p0, p1)
+        exact = tuple([(c0, w, stores[g].view(p0, p1)) for g, p0, p1, c0, w in entry.exact])
+        lo = (leaf_id - self.tree.first[G]) * size + 1
+        return _LeafPlan(lo, lo + size - 1, rows, entry.near, exact,
+                         None if entry.row is None else self._far[entry.row:entry.row + size],
+                         entry.psi_chain, entry.ops)
 
     # -- per-step evaluation / commit / free operations ----------------------
 
@@ -499,16 +516,18 @@ class HistoryEngine:
     def free_cluster(self, ids) -> None:
         """Drop the values of the given distinct node ids: a leaf's retained
         vectors, a non-leaf's r moment vectors.  Ids not held (freed
-        already, or never held) are a no-op."""
-        tree = self.tree
-        ids = np.asarray(ids, dtype=np.intp)
-        ids = ids[self._live[ids]]
-        if not ids.size:  # many leaf entries free nothing
-            return
-        self._live[ids] = False
-        lo = tree.lo[ids[ids >= tree.first[tree.G]]].tolist()  # the leaves among them, few
-        kept = sum(min(max(self.committed + 1 - j, 0), tree.leaf_size) for j in lo)
-        self.counters.release(self.m * kept + self.r * self.m * (ids.size - len(lo)))
+        already, or never held) are a no-op.  A leaf entry frees a few ids,
+        often none, so they are taken one by one."""
+        tree, live, n = self.tree, self._live, self.committed + 1
+        leaf0, size, kept, moments = tree.first[tree.G], tree.leaf_size, 0, 0
+        for i in np.asarray(ids).tolist():
+            if live[i]:
+                live[i] = False
+                if i >= leaf0:
+                    kept += min(max(n - int(tree.lo[i]), 0), size)
+                else:
+                    moments += 1
+        self.counters.release(self.m * (kept + self.r * moments))
 
     def run_schedule(self, step_callback) -> None:
         """Full N-step loop: per step, evaluate the history, hand it to the

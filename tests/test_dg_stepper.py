@@ -33,7 +33,7 @@ from subdiff.spatial_fem import (
 )
 from subdiff.taylor_expansion import phi_coeffs, psi_coeffs
 from subdiff.time_mesh import mesh_from_levels, uniform_mesh
-from test_clustering import has_far_members
+from test_clustering import has_far_members, perturbed_levels
 from test_spatial_fem import assemble
 from weight_oracles import beta_diag, history_sum_per_pair
 
@@ -450,6 +450,29 @@ def test_streamed_fast_run_keeps_no_solutions_in_memory(tmp_path):
     in_memory, streamed = peaks
     assert in_memory > solution_bytes
     assert streamed < 0.6 * solution_bytes
+
+
+def test_streamed_long1d_run_heap_is_bounded(tmp_path):
+    """The Python heap peak of a streamed long1d-shaped fast run (seed 1,
+    N = 4096, m = 8, automatic depth and (r, eta)) stays within 2.70 MiB:
+    the 2.46 MiB (2,577,398 bytes) this run peaked at before the per-leaf
+    entry records, plus 10%, so the block plans cannot grow unseen.  The
+    paper's O(M log N) storage is far lower: 4,368 counted values."""
+    grid = SpatialGrid(dim=1, m=8)
+    config = RunConfig(nu=0.3, mesh=mesh_from_levels(perturbed_levels(4096, seed=1)), grid=grid,
+                       Q=2)
+    src, u0 = benchmark_source(grid), sine_mode(grid, 1)
+    fast_run(config, src, u0)  # caches filled before tracing
+    sink = SolutionSink(tmp_path / "stream.bin", {})
+    tracemalloc.start()
+    try:
+        result = fast_run(config, src, u0, sink=sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sink.close()
+    assert result.peak_values == 4368 and sink.records == 4096
+    assert peak <= 2.70 * 2**20, peak
 
 
 @pytest.mark.parametrize("dim", [1, 2])

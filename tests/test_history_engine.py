@@ -101,6 +101,14 @@ def moment_block(engine, i):
     return engine._stores[int(tree.generation[i])].view(p, p + 1)
 
 
+def reach_maximum(tree, eta, g):
+    """The running maximum of the freeing leaves of generation g's nodes:
+    entering leaf k, its store holds its blocks from the first whose value
+    lies past k, the bisection searchsorted(k, "right"), to its newest."""
+    free = tree.lifetimes(eta)[2]
+    return np.maximum.accumulate(free[tree.first[g]:tree.first[g + 1]])
+
+
 def test_moment_accumulators_hold_weighted_sums(monkeypatch):
     """After committing a cluster's intervals, its first moment equals the
     plain step-weighted sum of the committed vectors, in its generation's
@@ -134,7 +142,7 @@ def test_moment_accumulators_hold_weighted_sums(monkeypatch):
         k = leaf_id - tree.first[tree.G]
         for i in chain(tree, leaf_id):  # the ancestors: each its store's newest
             g, p = int(tree.generation[i]), tree.position(i)
-            store, lo = self._stores[g], self._reach[g].searchsorted(k, "right")
+            store, lo = self._stores[g], reach_maximum(tree, self.eta, g).searchsorted(k, "right")
             assert self._live[i] and store.base <= lo <= p < store.base + len(store.buf), (leaf, i)
         entered.append(leaf)
         return plan
@@ -1065,7 +1073,7 @@ def test_far_groups_are_maximal_and_read_final_held_members(name, monkeypatch):
     assert 2 * multi >= len(groups)
 
 
-@pytest.mark.parametrize("name, eta", [(name, None) for name in FAR_GROUP_TREES] + [
+@pytest.mark.parametrize("name, eta", [(name, None) for name in {**BLOCK_ENGINES, **FAR_GROUP_TREES}] + [
     (mesh, eta) for mesh in ("uniform", "perturbed") for eta in (1e-300, 0.25, 0.4, 0.688, 1.0)])
 def test_block_covers_equal_minimal_covers(name, eta, monkeypatch):
     """Every leaf's covers as its block builds them from the lifetimes equal
@@ -1073,16 +1081,25 @@ def test_block_covers_equal_minimal_covers(name, eta, monkeypatch):
     before the leaf itself; at a far group's first leaf its far runs hold
     the far members of all the group's leaves, and no other leaf has far
     runs; and the ids its entry checks are held are its near and far ids
-    and, at a group's first leaf, the group's far members.  The engine
-    calls minimal_cover once per block, 10 times on desk and 16 on the
-    long1d trees (of automatic depth 8)."""
-    if eta is None:
+    and, at a group's first leaf, the group's far members.  Its entry
+    record frees its static free list, the ids the lifetimes free at it,
+    and reserves the block of each generation g with k % span == 0 for its
+    place k, root first and its own last, each told the window start the
+    bisection of the running maximum of its generation's freeing leaves
+    gives.  The engine calls minimal_cover once per block, 10 times on desk
+    and 16 on the long1d trees (of automatic depth 8)."""
+    if name in FAR_GROUP_TREES:
         tree, eta = FAR_GROUP_TREES[name]()
+    elif name in BLOCK_ENGINES:
+        engine = BLOCK_ENGINES[name]()[0]
+        tree, eta = engine.tree, engine.eta
     else:
         tree = ClusterTree(uniform_mesh(256, 6.0) if name == "uniform"
                            else perturbed_mesh(256, seed=10), 2, 6)
     leaves, leaf0, groups = list(tree.leaves()), tree.first[tree.G], dict(far_groups(tree, eta))
     covers = [tree.minimal_cover(leaf, eta) for leaf in leaves]
+    free = tree.lifetimes(eta)[2]
+    reach = [reach_maximum(tree, eta, g) for g in range(tree.G + 1)]
     cover, enter_block = ClusterTree.minimal_cover, HistoryEngine._enter_block
     calls, checked = [], []
 
@@ -1092,16 +1109,21 @@ def test_block_covers_equal_minimal_covers(name, eta, monkeypatch):
 
     def checked_enter_block(self, leaf_id):
         block = enter_block(self, leaf_id)
-        for b, (r0, r1, *_) in enumerate(block.leaves):
+        for b, entry in enumerate(block.leaves):
             k = block.first + b - leaf0
-            runs = [(kind, tree.first[g] + p) for g, p0, p1, kind, _, _ in
-                    block.runs[r0:r1].tolist() for p in range(p0, p1)]
+            runs = [(kind, tree.first[g] + p) for kind, part in enumerate((entry.exact, entry.far))
+                    for g, p0, p1, *_ in part for p in range(p0, p1)]
             near = [i for kind, i in runs if kind == 0]
             assert near[:-1] == list(covers[k].near_ids) and near[-1] == block.first + b, k
             union = set().union(*(covers[j].far_ids for j in range(k, groups.get(k, k))))
             assert sorted(i for kind, i in runs if kind) == sorted(union), k
             want = sorted({*near[:-1], *covers[k].far_ids, *union})
-            assert block.ids[block.check[b]].tolist() == want, k
+            assert entry.held.tolist() == want, k
+            assert entry.frees.tolist() == np.flatnonzero(free == k).tolist(), k
+            spans = [tree.Q ** (tree.G - g) for g in range(tree.G + 1)]
+            assert entry.reserves == [(g, tree.first[g] + k // span, k // span,
+                                       int(reach[g].searchsorted(k, "right")))
+                                      for g, span in enumerate(spans) if k % span == 0], k
             checked.append(k)
         return block
 
@@ -1194,6 +1216,7 @@ def test_store_windows_are_planned(name, monkeypatch):
     reserved = engine.counters.reserved_high_water
     G, leaf0 = tree.G, tree.first[tree.G]
     spans = [tree.Q ** (G - g) for g in range(G + 1)]
+    reach = [reach_maximum(tree, eta, g) for g in range(G + 1)]
     enter, reserve = HistoryEngine._enter, history_engine._BlockStore.reserve
     told, widest = {}, [0] * (G + 1)
 
@@ -1210,7 +1233,7 @@ def test_store_windows_are_planned(name, monkeypatch):
         for g, (span, store) in enumerate(zip(spans, self._stores)):
             held = np.flatnonzero(self._live[tree.first[g]:tree.first[g + 1]])
             window = (int(held[0]), int(held[-1]) + 1)
-            assert (self._reach[g].searchsorted(k, "right"), k // span + 1) == window, (leaf, g)
+            assert (reach[g].searchsorted(k, "right"), k // span + 1) == window, (leaf, g)
             assert told.get(g, window) == window, (leaf, g)
             assert store.base <= window[0] and window[1] <= store.base + len(store.buf)
             widest[g] = max(widest[g], window[1] - window[0])
