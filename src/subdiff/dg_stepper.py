@@ -182,8 +182,9 @@ def _march(config: RunConfig, source: SeparableSource | None, u0: np.ndarray | N
     row n - 1 of the (N, M) array res.solutions otherwise, and returns
     u^_n for the history.  After the last step those rows are transformed
     in place, in stacks of about _CONVERT_VALUES values, each row bitwise
-    the per-step transform a sink gets.  step forms k_n as TimeMesh.step does,
-    and beta_nn = k_n^nu / Gamma(1+nu), computed only here.
+    the per-step transform a sink gets.  step reads k_n from one np.diff of
+    the levels, which has TimeMesh.step's bits, and forms beta_nn =
+    k_n^nu / Gamma(1+nu), computed only here, as a Python power.
     Set-up time runs from t0 to the first step; solver_seconds covers each
     solve, the transforms to nodal values and the final conversion,
     rhs_seconds all time between two of those (history work in drive
@@ -202,13 +203,13 @@ def _march(config: RunConfig, source: SeparableSource | None, u0: np.ndarray | N
     # bound as the run starts, so a tracer installed before it sees every call
     transform, solve, clock = solver.transform, solver.solve, time.perf_counter
     sols, write = res.solutions, None if sink is None else sink.write
-    lv, nu, gamma_diag = mesh.levels, config.nu, gamma(1.0 + config.nu)
+    steps, nu, gamma_diag = np.diff(mesh.levels), config.nu, gamma(1.0 + config.nu)
     mark = clock()
     res.setup_seconds = mark - t0
 
     def step(n: int, hist_hat: np.ndarray) -> np.ndarray:
         nonlocal u_hat, mark
-        k = float(lv[n] - lv[n - 1])  # mesh.step(n); k ** nu / gamma_diag is beta_nn
+        k = steps.item(n - 1)  # mesh.step(n); k ** nu / gamma_diag is beta_nn
         rhs = mu * u_hat
         rhs += k * load_average(mesh, n, source, load_hat)
         rhs += sigma * hist_hat

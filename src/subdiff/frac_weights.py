@@ -179,6 +179,17 @@ def _series(nu: float, kj, kn, delta) -> np.ndarray:
     of those in them have stopped, since copying the arrays costs more
     than summing a few terms too many.  If pairs are still summing after
     _MAX_TERMS terms, SeriesConvergenceError counts them.
+
+    Each order writes its intermediates into buffers made once per call,
+    with out=: log_h, one work array for the exponent, then the exp and
+    the stopping threshold, the boolean stop mask, and two term arrays
+    that swap, the previous term kept for the error's ratio.  Compaction
+    moves the summing pairs to the front of each array in place, and all
+    arrays go on as views of their first entries.  The per-element
+    operations and their order are those of one expression per order, so
+    the bits are too.  Besides the buffers only the stops make arrays, no
+    longer than the pairs that stop or that go on summing, and the call
+    peaks below the heap of a form that allocated each order anew.
     """
     if np.any(delta <= 0.5 * (kj + kn)):
         raise ValueError("series branch requires disjoint source left of target")
@@ -189,16 +200,23 @@ def _series(nu: float, kj, kn, delta) -> np.ndarray:
     log_q = 2.0 * np.log(kj / (a - kn))  # term p's log-ratio has p of these
     # a^mu (-D_mu(x)) = (a - k_n)^mu h_p with h_p = -expm1(-mu log1p(-x)) in (0, 1)
     log_h0 = np.log(-np.expm1(log1p_x * orders[0]))
-    out, total, term = np.empty(kj.shape), np.zeros(kj.shape), np.zeros(kj.shape)
-    rows = np.arange(kj.size)  # the pairs in the arrays; a stopped one's total is -inf
-    summing = kj.size
+    del a  # before the buffers come
+    size = kj.size
+    out, total, term, prev = np.empty(size), np.zeros(size), np.zeros(size), np.empty(size)
+    log_h, work, done = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    rows = np.arange(size)  # the pairs in the arrays; a stopped one's total is -inf
+    summing = size
     for p in range(_MAX_TERMS):
-        log_h = log1p_x * orders[p]  # then log_h - log_h0, in place
+        np.multiply(log1p_x, orders[p], out=log_h)  # then log_h - log_h0
         np.log(np.negative(np.expm1(log_h, out=log_h), out=log_h), out=log_h)
         log_h -= log_h0
-        prev, term = term, lead * np.exp(log_coef[p] + p * log_q + log_h)
+        np.multiply(p, log_q, out=work)  # log_coef[p] + p * log_q + log_h, exponentiated
+        np.add(log_coef[p], work, out=work)
+        work += log_h
+        prev, term = term, prev
+        np.multiply(lead, np.exp(work, out=work), out=term)
         total += term
-        done = term < _REL_TOL * total
+        np.less(term, np.multiply(_REL_TOL, total, out=work), out=done)
         stopped = np.count_nonzero(done)
         if stopped:
             out[rows[done]] = total[done]
@@ -206,8 +224,11 @@ def _series(nu: float, kj, kn, delta) -> np.ndarray:
             summing -= stopped
             if summing and 4 * summing <= rows.size:  # three quarters have stopped
                 go = total != -np.inf
-                rows, total, term, prev, lead, log1p_x, log_q, log_h0 = (
-                    x[go] for x in (rows, total, term, prev, lead, log1p_x, log_q, log_h0))
+                kept = rows, total, term, prev, lead, log1p_x, log_q, log_h0
+                for x in kept:  # moved to the front, so no array is copied whole
+                    x[:summing] = x[go]
+                rows, total, term, prev, lead, log1p_x, log_q, log_h0, log_h, work, done = (
+                    x[:summing] for x in (*kept, log_h, work, done))
         if not summing:
             return out
     first = np.argmax(total != -np.inf)  # the first pair still summing

@@ -49,28 +49,45 @@ from .frac_weights import WeightEngine
 from .taylor_expansion import ExpansionParams, phi_coeffs, psi_coeffs
 
 
+# The C function np.einsum calls when not asked to optimize: the same
+# kernel, without the array-function dispatch and the Python wrapper.
+try:
+    from numpy._core._multiarray_umath import c_einsum
+except ImportError:  # numpy 1.x
+    try:
+        from numpy.core._multiarray_umath import c_einsum
+    except ImportError:
+        c_einsum = np.einsum
+
+_FLOAT = np.dtype(float)  # commit_step tests a value's dtype by identity with it
+
+
 def fold_rows(w: np.ndarray, rows: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
     """acc + w[0] rows[0] + w[1] rows[1] + ... over the rows (at least one)
     of a 2D array: one product and one add per row, in that order, from
     +0.0 if no acc, the running sum carried in, is given.  Both history
     sums fold with it, which keeps them bitwise equal.
 
-    Without acc, over rows of two or more values, it is one np.einsum pass:
+    Without acc, over rows of two or more values, it is one einsum pass:
     over C-ordered rows einsum adds each row's products into the zeroed
-    sum, row after row.  These bits rest on einsum rounding each product
-    before adding it, as x86-64 baseline numpy builds do; on a build that
-    fuses the two (aarch64 NEON, say) the per-pair tests fail.  Over a
-    Fortran-ordered history or a single column einsum sums with a
-    dot-product kernel in another order, so the rows are made C-ordered
-    (a no-op for the runs' own arrays), and a single column, like a
-    carried sum, takes the products, adds acc into the first and reduces
-    along axis 0, which adds row after row over rows of two or more
-    values; one column, which the reduction would sum pairwise, takes the
-    last row of its running sum.
+    sum, row after row.  It calls c_einsum, the C function np.einsum runs
+    without optimize, past np.einsum's dispatch and wrapper, or np.einsum
+    itself where numpy does not export it; either gives np.einsum's bits.
+    These rest on einsum rounding each product before adding it, as x86-64
+    baseline numpy builds do; on a build that fuses the two (aarch64 NEON,
+    say) the per-pair tests fail.  Over a Fortran-ordered history or a
+    single column einsum sums with a dot-product kernel in another order,
+    so the rows are made C-ordered (np.ascontiguousarray returns C-ordered
+    rows themselves, in less time than a test of their flags).  A single
+    column, like a carried sum, takes the products, C-ordered, adds acc
+    into the first and reduces along axis 0, which adds row after row over
+    rows of two or more values (over Fortran-ordered products it would sum
+    each column pairwise); one column, which the reduction would sum
+    pairwise too, takes the last row of its running sum.
     """
     if acc is None and rows.shape[1] > 1:
-        return np.einsum("j,jm->m", w, np.ascontiguousarray(rows))
-    t = w[:, None] * rows
+        return c_einsum("j,jm->m", w, np.ascontiguousarray(rows))
+    t = np.multiply(w[:, None], rows, order="C")
     t[0] += 0.0 if acc is None else acc
     return np.add.reduce(t, axis=0) if t.shape[1] > 1 else np.add.accumulate(t, axis=0)[-1]
 
@@ -487,20 +504,24 @@ class HistoryEngine:
         folds the whole block into the moments of every non-leaf ancestor
         cluster, with one product, adding each ancestor's row into its
         block; first it raises NonFiniteSolutionError, naming the step, if
-        one of the leaf's vectors holds a NaN or an infinity."""
+        one of the leaf's vectors holds a NaN or an infinity.  A value that
+        is not an ndarray of M values of numpy's own float64 dtype object is
+        converted with np.asarray(value, dtype=float) first; one of another
+        length raises ValueError."""
         if n != self.committed + 1:
             raise ValueError(f"expected commit of step {self.committed + 1}, got {n}")
-        if value.__class__ is not np.ndarray or value.dtype != float or value.shape != (self.m,):
+        m = self.m
+        if value.__class__ is not np.ndarray or value.dtype is not _FLOAT or value.shape != (m,):
             value = np.asarray(value, dtype=float)
-            if value.shape != (self.m,):
-                raise ValueError(f"expected vector of length {self.m}")
+            if value.shape != (m,):
+                raise ValueError(f"expected vector of length {m}")
         plan = self._plan
         if plan is None or n > plan.hi:  # in order, so n >= plan.lo
             plan = self._plan = None
             plan = self._plan = self._enter(self.tree.leaf_id(n))
         plan.rows[n - plan.lo] = value
         counters = self.counters  # allocate(M), inline
-        counters.live_values += self.m
+        counters.live_values += m
         if counters.live_values > counters.high_water:
             counters.high_water = counters.live_values
         if n == plan.hi:

@@ -66,11 +66,13 @@ def phi_coeffs(nu: float, r: int, sbar, t_prev, t_next) -> np.ndarray:
     mu = np.arange(1, r + 1) - nu  # the orders p - nu of D_{p-nu}
     log1p_x = np.log1p(-x)
     out = np.empty((*np.shape(x), r))
-    kappa = gap ** (nu - 1.0) / gamma(nu)
-    for p in range(r):  # one order at a time, times D_mu(x) = 1 - (1-x)^mu
+    # -kappa, so that -kappa * expm1 is kappa * D_mu(x) = kappa * (1 - (1-x)^mu)
+    # without a negation pass: IEEE products and quotients are odd in each factor
+    neg_kappa = gap ** (nu - 1.0) / -gamma(nu)
+    for p in range(r):  # one order at a time
         if p:
-            kappa = kappa * (mu[p - 1] / gap)
-        out[..., p] = kappa * -np.expm1(mu[p] * log1p_x)
+            neg_kappa = neg_kappa * (mu[p - 1] / gap)
+        out[..., p] = neg_kappa * np.expm1(mu[p] * log1p_x)
     return _finite_coeffs("phi", out, sbar, t_prev, t_next)
 
 

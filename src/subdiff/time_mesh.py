@@ -67,7 +67,7 @@ class TimeMesh:
     def level(self, n: int) -> float:
         if not 0 <= n < self.levels.size:
             raise ValueError(f"level index {n} outside 0..{self.N}")
-        return float(self.levels[n])
+        return self.levels.item(n)
 
     def _check_index(self, n: int) -> None:
         if not 1 <= n <= self.N:

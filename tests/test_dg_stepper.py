@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subdiff import dg_stepper, frac_weights
+from subdiff import dg_stepper, frac_weights, history_engine
 from subdiff.clustering import ClusterTree, max_depth
 from subdiff.dg_stepper import (
     RunConfig,
@@ -473,6 +473,31 @@ def test_streamed_long1d_run_heap_is_bounded(tmp_path):
         sink.close()
     assert result.peak_values == 4368 and sink.records == 4096
     assert peak <= 2.70 * 2**20, peak
+
+
+def test_runs_make_no_call_through_np_einsum(monkeypatch):
+    """Both history sums fold through einsum's C entry, bound when
+    history_engine is imported, so a small fast run and a small slow run,
+    in 1D and 2D, make no call through np.einsum's dispatch and wrapper."""
+    calls, folds = [], []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    def entry(*args):
+        folds.append(args[0])
+        return c_einsum(*args)
+
+    einsum, c_einsum = np.einsum, history_engine.c_einsum
+    monkeypatch.setattr(np, "einsum", spy)
+    monkeypatch.setattr(history_engine, "c_einsum", entry)
+    for dim in (1, 2):
+        mesh, grid, src, u0 = problem(N=64, m=6, dim=dim)
+        config = RunConfig(nu=0.4, mesh=mesh, grid=grid, Q=2, G=3, r=3, eta=0.5)
+        fast_run(config, src, u0)
+        slow_run(config, src, u0)
+    assert calls == [] and len(folds) > 2 * 63
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma, gammaln
 
-from subdiff import frac_weights
+from subdiff import frac_weights, history_engine
+from subdiff.dg_stepper import RunConfig
 from subdiff.frac_weights import (
     KernelParams,
     SeriesConvergenceError,
@@ -16,8 +19,19 @@ from subdiff.frac_weights import (
     beta_offdiag,
     omega,
 )
+from subdiff.history_engine import HistoryEngine
+from subdiff.spatial_fem import SpatialGrid
 from subdiff.time_mesh import mesh_from_levels, uniform_mesh
-from weight_oracles import b_mu, beta_diag, beta_direct, beta_half, beta_separated_series, d_mu
+from test_clustering import perturbed_levels
+from weight_oracles import (
+    b_mu,
+    beta_diag,
+    beta_direct,
+    beta_half,
+    beta_separated_series,
+    d_mu,
+    series_allocating,
+)
 
 
 def beta_quadrature(nu, source, target):
@@ -383,3 +397,118 @@ def test_series_failure_counts_every_failing_pair(monkeypatch):
     short_series(monkeypatch, 1e-6, 3)
     with pytest.raises(SeriesConvergenceError, match="for 3 pair"):
         beta_separated_series(0.5, (0.0, kj), (starts, starts + kj))
+
+
+@functools.cache
+def first_block_arguments():
+    """The levels, the exact pairs (n, j) and the phi_coeffs arguments of
+    the first block of leaves of the long1d-fast run on seed 1 (N = 4096,
+    nu = 0.3, m = 8, automatic depth and (r, eta)), as its engine passes
+    them when its first commit enters the block."""
+    config = RunConfig(nu=0.3, mesh=mesh_from_levels(perturbed_levels(4096, seed=1)),
+                       grid=SpatialGrid(dim=1, m=8), Q=2)
+    r, eta = config.resolved_params()
+    weights = WeightEngine(KernelParams(config.nu), config.mesh)
+    engine = HistoryEngine(config.tree(), weights, r, eta, config.grid.M)
+    calls = {}
+
+    def spy(name, f):
+        def call(*args):
+            calls[name] = args
+            return f(*args)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weights, "offdiag", spy("pairs", weights.offdiag))
+        patch.setattr(history_engine, "phi_coeffs", spy("phi", history_engine.phi_coeffs))
+        engine.commit_step(1, np.zeros(config.grid.M))
+    return config.mesh.levels, calls["pairs"], calls["phi"]
+
+
+def separated_geometry(levels, n, j):
+    """k_j, k_n and the centre distance of the pairs (n, j) with j < n - 1,
+    formed as beta_interval forms them."""
+    sep = n - j > 1
+    s0, s1, t0, t1 = (levels[i[sep]] for i in (j - 1, j, n - 1, n))
+    return s1 - s0, t1 - t0, 0.5 * (t0 + t1) - 0.5 * (s0 + s1)
+
+
+def series_cases():
+    """Named separated pair sets, as (k_j, k_n, Delta): one pair; none;
+    pairs whose series stops at its first term after the leading one;
+    lag-2 pairs of a +-30% mesh, which need 16 to 20 terms; three sets of
+    100 in which 24, 25 or 26 lag-2 pairs sit among pairs that stop at
+    once, so the arrays are compacted at the first stops or not (three
+    quarters stopped is the threshold); and the 9,089 separated pairs of
+    the 9,344 in long1d-fast's first block."""
+    rng = np.random.default_rng(5)
+    quick = (rng.uniform(0.5, 1.5, 100) * 1e-9, rng.uniform(0.5, 1.5, 100),
+             rng.uniform(2.0, 9.0, 100))
+    n = np.arange(3, 65)
+    lag2 = separated_geometry(perturbed_levels(64, seed=3), n, n - 2)
+    cases = {"one": (np.array([1.0]), np.array([1.2]), np.array([5.0])),
+             "none": (np.empty(0),) * 3, "quick": quick, "lag-2": lag2}
+    for slow in (24, 25, 26):
+        order = rng.permutation(100)
+        cases[f"{slow} lag-2 of 100"] = tuple(
+            np.concatenate([a[:slow], b[slow:]])[order] for a, b in zip(lag2, quick))
+    levels, (n, j), _ = first_block_arguments()
+    cases["first block"] = separated_geometry(levels, n, j)
+    return cases
+
+
+@pytest.mark.parametrize("nu", [0.02, 0.3, 0.5, 0.98])
+def test_buffered_series_keeps_the_allocating_bytes(nu, monkeypatch):
+    """_series writes each order's intermediates into buffers it reuses,
+    and compacts the summing pairs in place; every value it returns has
+    the bytes of the form that allocated them anew, on every pair set of
+    series_cases.  The quick pairs converge in two terms."""
+    cases = series_cases()
+    for name, (kj, kn, delta) in cases.items():
+        want = series_allocating(nu, kj, kn, delta).tobytes()
+        assert frac_weights._series(nu, kj, kn, delta).tobytes() == want, name
+    short_series(monkeypatch, frac_weights._REL_TOL, 2)
+    quick = cases["quick"]
+    assert frac_weights._series(nu, *quick).tobytes() == series_allocating(nu, *quick).tobytes()
+
+
+def test_buffered_series_fails_as_the_allocating_one(monkeypatch):
+    """Cut to six terms, the pair sets with pairs still summing raise in
+    both forms with the same message, which counts the failing pairs,
+    and the same last_ratio, whether the arrays were compacted or not."""
+    cases = series_cases()  # the first block's pairs are found with the whole series
+    short_series(monkeypatch, frac_weights._REL_TOL, 6)
+    failing = []
+    for name, (kj, kn, delta) in cases.items():
+        try:
+            series_allocating(0.3, kj, kn, delta)
+        except SeriesConvergenceError as error:
+            want = error
+        else:
+            continue
+        with pytest.raises(SeriesConvergenceError) as got:
+            frac_weights._series(0.3, kj, kn, delta)
+        assert str(got.value) == str(want), name
+        assert got.value.last_ratio == want.last_ratio > 0.0, name
+        failing.append(name)
+    assert failing == [name for name in cases if name not in ("none", "quick")]
+
+
+def test_series_heap_peak_is_no_higher_than_the_allocating_forms():
+    """One _series call over the first block's 9,089 separated pairs peaks
+    at no more Python heap than the form that allocated each order's
+    intermediates anew: 956,073 bytes, its tracemalloc peak for this call
+    (inputs made before tracing, caches filled by an earlier call; numpy
+    2.4.6, Python 3.11, x86-64).  Buffers allocated on top of the old
+    temporaries would exceed it."""
+    _, (n, _), _ = first_block_arguments()
+    *_, (kj, kn, delta) = series_cases().values()
+    assert n.size == 9344 and kj.size == 9089
+    frac_weights._series(0.3, kj, kn, delta)  # caches filled before tracing
+    tracemalloc.start()
+    try:
+        frac_weights._series(0.3, kj, kn, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 956_073, peak

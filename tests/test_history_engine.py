@@ -184,6 +184,24 @@ def test_commit_order_enforced():
         engine.history_sum(4)  # the stores have moved on to leaf C(5, 8)
 
 
+def test_commit_stores_other_inputs_as_converted_floats():
+    """commit_step takes an ndarray of M values of numpy's own float64
+    dtype object as it is, and converts anything else with
+    np.asarray(value, dtype=float): a float32 vector, a big-endian '>f8'
+    vector, a list and a strided view are each stored with the bytes of
+    that conversion.  A value of another length or shape still raises."""
+    engine, _ = make_engine(N=16, G=2)  # leaves of four steps, M = 3
+    wide = np.random.default_rng(2).standard_normal(6) * 10.0 ** np.arange(-3, 3)
+    values = [wide[:3].astype(np.float32), wide[:3].astype(">f8"), wide[:3].tolist(), wide[::2]]
+    for n, value in enumerate(values, start=1):
+        engine.commit_step(n, value)
+        plan = engine._plan
+        assert plan.rows[n - plan.lo].tobytes() == np.asarray(value, dtype=float).tobytes()
+    for value in (np.zeros(4), np.zeros(2, dtype=np.float32), [0.0] * 4, np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="^expected vector of length 3$"):
+            engine.commit_step(5, value)
+
+
 def holds(engine, c):
     """Whether the engine holds c's values in its store: a leaf's retained
     vectors, or a non-leaf's moments."""

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from subdiff import reference_solution
+from subdiff import history_engine, reference_solution
 from subdiff.frac_weights import KernelParams, WeightEngine
 from subdiff.history_engine import fold_rows
 from subdiff.reference_solution import (
@@ -176,19 +176,20 @@ def test_fold_of_any_layout_keeps_the_per_pair_bits(m):
 
 
 def test_fold_takes_einsum_only_over_rows_of_two_or_more_values(monkeypatch):
-    """Without a carried sum, rows of two or more values go to one einsum
-    call; a single column, whose einsum would use a dot-product kernel,
-    and a fold that carries a sum keep the products and the ordered
-    reduction, and give the per-pair bytes at every length.  Either path
-    starts from +0.0, so a first product of -0.0 sums to +0.0."""
+    """Without a carried sum, rows of two or more values go to one call of
+    einsum's C entry; a single column, whose einsum would use a
+    dot-product kernel, and a fold that carries a sum keep the products
+    and the ordered reduction, and give the per-pair bytes at every
+    length.  Either path starts from +0.0, so a first product of -0.0
+    sums to +0.0."""
     calls = []
 
     def spy(*args):
         calls.append(args[0])
         return einsum(*args)
 
-    einsum = np.einsum
-    monkeypatch.setattr(np, "einsum", spy)
+    einsum = history_engine.c_einsum
+    monkeypatch.setattr(history_engine, "c_einsum", spy)
     rng = np.random.default_rng(1)
     w = rng.uniform(0.5, 2.0, 200)
     for m in (1, 2, 5):
@@ -203,6 +204,40 @@ def test_fold_takes_einsum_only_over_rows_of_two_or_more_values(monkeypatch):
                 assert fold_rows(w[1:k], vals[1:k], w[0] * vals[0]).tobytes() == want, (m, k)
             assert calls == []
         assert fold_rows(np.ones(1), np.full((1, m), -0.0)).tobytes() == np.zeros(m).tobytes()
+
+
+def fold_layouts(m):
+    """Weights, and rows of 40 steps of m values in every layout a fold
+    may get: C-ordered, Fortran-ordered, strided in both axes and one
+    column of a wider history."""
+    rng = np.random.default_rng(m)
+    w = rng.uniform(0.5, 2.0, 80)[::2]
+    vals = rng.standard_normal((80, 2 * m)) * 10.0 ** rng.integers(-5, 5, (80, 1))
+    rows = np.ascontiguousarray(vals[::2, :m])
+    return w, [rows, np.asfortranarray(rows), vals[::2, ::2], vals[::2, m:m + 1]]
+
+
+@pytest.mark.parametrize("entry", ["c_einsum", "np.einsum"])
+@pytest.mark.parametrize("m", [1, 2, 7, 1521])
+def test_fold_gives_the_bytes_of_np_einsum(m, entry, monkeypatch):
+    """fold_rows takes einsum's C entry, or np.einsum where numpy does not
+    export it (the alias set to np.einsum here), and either way gives the
+    per-pair bytes, which are np.einsum's over rows of two or more values:
+    over C-ordered, Fortran-ordered, strided and one-column rows, whole or
+    with the sum of the first rows carried in (over Fortran-ordered rows
+    that carried fold once summed each column pairwise)."""
+    if entry == "np.einsum":
+        monkeypatch.setattr(history_engine, "c_einsum", np.einsum)
+    else:
+        assert history_engine.c_einsum is not np.einsum  # this numpy exports it
+    w, layouts = fold_layouts(m)
+    for rows in layouts:
+        want = history_sum_per_pair(_FixedWeights(w), rows, len(w) + 1).tobytes()
+        if rows.shape[1] > 1:
+            assert np.einsum("j,jm->m", w, np.ascontiguousarray(rows)).tobytes() == want
+        assert fold_rows(w, rows).tobytes() == want
+        for k in (1, 17):
+            assert fold_rows(w[k:], rows[k:], fold_rows(w[:k], rows[:k])).tobytes() == want, k
 
 
 @pytest.mark.parametrize("m", [1, 2, 1521])

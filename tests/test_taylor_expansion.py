@@ -11,7 +11,8 @@ from subdiff.taylor_expansion import (
     psi_coeffs,
     tilde_beta,
 )
-from weight_oracles import b_mu
+from test_frac_weights import first_block_arguments
+from weight_oracles import b_mu, phi_coeffs_negating
 
 
 def test_expansion_params_validation():
@@ -176,3 +177,26 @@ def test_psi_matches_recursion(r, lo, length, place, gap, frac):
     bound = [(hi - lo) * reach**q / math.factorial(q) for q in range(r)]
     assert np.all(np.abs(got - want) <= 64 * np.finfo(float).eps * np.array(bound))
 
+
+@pytest.mark.parametrize("nu", [0.02, 0.3, 0.5, 0.98])
+@pytest.mark.parametrize("r", [1, 5, 17])
+def test_phi_carrying_minus_kappa_keeps_the_negating_bytes(r, nu):
+    """phi_coeffs carries -kappa and skips the negation of each order's
+    expm1: (-kappa) e equals kappa (-e) bit for bit, so its coefficients
+    keep the bytes of the form that negated, for scalar, array and
+    broadcast arguments."""
+    rng = np.random.default_rng(r)
+    sbar = rng.uniform(0.0, 1.0, 30)
+    t_prev = sbar + rng.uniform(1e-3, 20.0, 30)
+    t_next = t_prev + rng.uniform(1e-3, 2.0, 30)
+    for args in [(0.3, 1.5, 2.5), (sbar, t_prev, t_next),
+                 (sbar[:, None], t_prev[None, :8] + 1.0, t_next[None, :8] + 1.0)]:
+        want = phi_coeffs_negating(nu, r, *args)
+        assert phi_coeffs(nu, r, *args).tobytes() == want.tobytes()
+
+
+def test_phi_of_the_first_long1d_block_keeps_the_negating_bytes():
+    """The far coefficients of long1d-fast's first block, as its engine
+    asks for them, have the negating form's bytes."""
+    *_, args = first_block_arguments()
+    assert phi_coeffs(*args).tobytes() == phi_coeffs_negating(*args).tobytes()

@@ -2,7 +2,9 @@
 by the tests: the diagonal weight beta_nn, the local kernel averages
 B_mu, the direct difference of two of them, the nu = 1/2 square-root
 form and the separated-interval series as a function of interval
-endpoints; and the history sum as one multiply-accumulate per pair."""
+endpoints; the history sum as one multiply-accumulate per pair; and the
+forms of the weight series and of phi_coeffs that allocated each order's
+intermediates anew, whose bytes the buffered forms keep."""
 
 from __future__ import annotations
 
@@ -10,7 +12,18 @@ import math
 
 import numpy as np
 
-from subdiff.frac_weights import KernelParams, _common, _result, _series, gamma, omega
+from subdiff import frac_weights
+from subdiff.frac_weights import (
+    KernelParams,
+    SeriesConvergenceError,
+    _common,
+    _result,
+    _series,
+    _series_coefficients,
+    gamma,
+    omega,
+)
+from subdiff.taylor_expansion import _finite_coeffs
 from subdiff.time_mesh import TimeMesh
 
 
@@ -109,3 +122,65 @@ def history_sum_per_pair(weights, values: np.ndarray, n: int) -> np.ndarray:
         for w, value in zip(row, values[:n - 1], strict=True):
             acc += w * value
     return acc
+
+
+def series_allocating(nu: float, kj, kn, delta) -> np.ndarray:
+    """frac_weights._series as it was before its buffers: each order's
+    intermediates are new arrays, and compaction copies the summing pairs
+    into new arrays.  The limits are read from frac_weights at each call,
+    so a test that shortens the series shortens this one too."""
+    if np.any(delta <= 0.5 * (kj + kn)):
+        raise ValueError("series branch requires disjoint source left of target")
+    orders, log_coef = _series_coefficients(nu, frac_weights._MAX_TERMS)
+    a = delta + 0.5 * kn
+    log1p_x = np.log1p(-kn / a)
+    lead = a ** (nu - 1.0) / gamma(nu) * np.expm1((nu - 1.0) * log1p_x) * kj  # term 0
+    log_q = 2.0 * np.log(kj / (a - kn))  # term p's log-ratio has p of these
+    # a^mu (-D_mu(x)) = (a - k_n)^mu h_p with h_p = -expm1(-mu log1p(-x)) in (0, 1)
+    log_h0 = np.log(-np.expm1(log1p_x * orders[0]))
+    out, total, term = np.empty(kj.shape), np.zeros(kj.shape), np.zeros(kj.shape)
+    rows = np.arange(kj.size)  # the pairs in the arrays; a stopped one's total is -inf
+    summing = kj.size
+    for p in range(frac_weights._MAX_TERMS):
+        log_h = log1p_x * orders[p]  # then log_h - log_h0, in place
+        np.log(np.negative(np.expm1(log_h, out=log_h), out=log_h), out=log_h)
+        log_h -= log_h0
+        prev, term = term, lead * np.exp(log_coef[p] + p * log_q + log_h)
+        total += term
+        done = term < frac_weights._REL_TOL * total
+        stopped = np.count_nonzero(done)
+        if stopped:
+            out[rows[done]] = total[done]
+            total[done] = -np.inf  # so that the pair never stops again
+            summing -= stopped
+            if summing and 4 * summing <= rows.size:  # three quarters have stopped
+                go = total != -np.inf
+                rows, total, term, prev, lead, log1p_x, log_q, log_h0 = (
+                    x[go] for x in (rows, total, term, prev, lead, log1p_x, log_q, log_h0))
+        if not summing:
+            return out
+    first = np.argmax(total != -np.inf)  # the first pair still summing
+    ratio = term[first] / prev[first]
+    raise SeriesConvergenceError(
+        f"weight series did not reach rel_tol={frac_weights._REL_TOL} in "
+        f"{frac_weights._MAX_TERMS} terms for {summing} pair(s) (last term ratio {ratio:.3g})",
+        last_ratio=float(ratio),
+    )
+
+
+def phi_coeffs_negating(nu: float, r: int, sbar, t_prev, t_next) -> np.ndarray:
+    """taylor_expansion.phi_coeffs as it was before it carried -kappa: each
+    order negates its expm1 before the product with kappa."""
+    gap = np.asarray(t_prev, dtype=float) - sbar
+    if np.any(gap <= 0.0):
+        raise ValueError("target interval must lie strictly right of sbar")
+    x = (t_next - t_prev) / (t_next - np.asarray(sbar, dtype=float))
+    mu = np.arange(1, r + 1) - nu  # the orders p - nu of D_{p-nu}
+    log1p_x = np.log1p(-x)
+    out = np.empty((*np.shape(x), r))
+    kappa = gap ** (nu - 1.0) / gamma(nu)
+    for p in range(r):  # one order at a time, times D_mu(x) = 1 - (1-x)^mu
+        if p:
+            kappa = kappa * (mu[p - 1] / gap)
+        out[..., p] = kappa * -np.expm1(mu[p] * log1p_x)
+    return _finite_coeffs("phi", out, sbar, t_prev, t_next)
